@@ -43,20 +43,6 @@ pub enum EvalError {
         /// A negative dependency cycle witness, e.g. `T -!-> T`.
         witness: String,
     },
-    /// An iteration cap was exceeded (guards against misuse of naive
-    /// iteration on non-monotone programs).
-    ///
-    /// **Deprecated in favor of [`EvalError::BudgetExceeded`]** with
-    /// [`BudgetKind::Rounds`]: round caps are now expressed through
-    /// [`Budget::max_rounds`](crate::Budget) on
-    /// [`EvalOptions`](crate::EvalOptions) and enforced uniformly across
-    /// every engine. The variant is kept so downstream `From` conversions
-    /// and exhaustive matches stay source-compatible; no engine raises it
-    /// any more.
-    IterationLimit {
-        /// The cap that was hit.
-        limit: usize,
-    },
     /// The evaluation was cancelled through its
     /// [`CancelToken`](crate::CancelToken) (cooperative cancellation:
     /// checked at round boundaries and every few thousand emitted tuples).
@@ -158,9 +144,6 @@ impl fmt::Display for EvalError {
             EvalError::NotStratified { witness } => {
                 write!(f, "program is not stratified: {witness}")
             }
-            EvalError::IterationLimit { limit } => {
-                write!(f, "iteration limit {limit} exceeded")
-            }
             EvalError::Cancelled => write!(f, "evaluation cancelled"),
             EvalError::BudgetExceeded { kind, limit } => {
                 write!(f, "evaluation budget exceeded: {kind} limit {limit}")
@@ -207,9 +190,6 @@ mod tests {
         }
         .to_string()
         .contains("not stratified"));
-        assert!(EvalError::IterationLimit { limit: 10 }
-            .to_string()
-            .contains("10"));
         assert!(EvalError::UnsupportedQuery {
             reason: "not stratified".into()
         }

@@ -384,7 +384,8 @@ enum Sink<'o> {
 /// An open *non-innermost* loop: the pc of its op (debug-checked against
 /// jump targets), the pc execution resumes at per candidate, the loop's own
 /// fail target, and the cursor state. The innermost loop never materializes
-/// a frame — it runs fused with its straight-line tail (see [`drive`]).
+/// a frame — it runs fused with its straight-line tail (see
+/// [`drive_resolved`]).
 struct Frame<'a> {
     #[cfg(debug_assertions)]
     loop_pc: usize,
@@ -893,15 +894,8 @@ pub(crate) fn run_program(
     range: Option<(usize, usize)>,
 ) {
     let mut vals = vec![Const(0); prog.num_regs];
-    drive(env, prog, range, &mut vals, &mut Sink::Collect(out));
-}
-
-/// Satisfiability probe: does any completion of the pre-seeded registers
-/// reach `Emit`? Returns on the first witness — the one-step derivability
-/// checks run entire check-plan bodies through this.
-pub(crate) fn probe_program(env: &ExecEnv<'_>, prog: &RuleProgram, vals: &mut [Const]) -> bool {
-    debug_assert_eq!(vals.len(), prog.num_regs);
-    drive(env, prog, None, vals, &mut Sink::First)
+    let resolved = resolve_program(env, prog);
+    drive_resolved(env, &resolved, range, &mut vals, &mut Sink::Collect(out));
 }
 
 /// A lowered program resolved once against an environment snapshot —
@@ -929,8 +923,9 @@ pub(crate) fn resolve_program<'a>(env: &ExecEnv<'a>, prog: &'a RuleProgram) -> R
 }
 
 impl<'a> ResolvedProgram<'a> {
-    /// Satisfiability probe over the pre-resolved ops — [`probe_program`]
-    /// without the per-call resolution.
+    /// Satisfiability probe: does any completion of the pre-seeded
+    /// registers reach `Emit`? Returns on the first witness — the one-step
+    /// derivability checks run entire check-plan bodies through this.
     pub(crate) fn probe(&self, env: &ExecEnv<'_>, vals: &mut [Const]) -> bool {
         drive_resolved(env, self, None, vals, &mut Sink::First)
     }
@@ -945,18 +940,6 @@ impl<'a> ResolvedProgram<'a> {
 /// loops materialize [`Frame`]s; failing ops jump to their explicit `fail`
 /// target (the innermost *open* loop, the stack top), and exhausted loops
 /// pop along the fail chain.
-fn drive<'a>(
-    env: &ExecEnv<'a>,
-    prog: &'a RuleProgram,
-    range: Option<(usize, usize)>,
-    vals: &mut [Const],
-    sink: &mut Sink<'_>,
-) -> bool {
-    let resolved = resolve_program(env, prog);
-    drive_resolved(env, &resolved, range, vals, sink)
-}
-
-/// [`drive`] over a pre-resolved program (see [`ResolvedProgram`]).
 fn drive_resolved<'a>(
     env: &ExecEnv<'_>,
     resolved: &ResolvedProgram<'a>,

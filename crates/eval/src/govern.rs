@@ -45,8 +45,7 @@ pub struct Budget {
     /// round boundaries and polled every few thousand emitted tuples.
     pub deadline: Option<Duration>,
     /// Maximum number of rounds: semi-naive delta rounds, naive
-    /// iterations, and well-founded alternations all count against it
-    /// (this subsumes the old ad-hoc `IterationLimit` cap).
+    /// iterations, and well-founded alternations all count against it.
     pub max_rounds: Option<usize>,
     /// Maximum number of derived tuples, counted as head-tuple emissions
     /// in the executor inner loops (an emission that deduplicates away
@@ -132,9 +131,9 @@ pub const SITE_INDEX_EXTEND: &str = "index-extend";
 /// Failpoint site: closing the overdelete cone of a delete–rederive
 /// repair (fires per cone round, after damage has been removed).
 pub const SITE_OVERDELETE_CLOSE: &str = "overdelete-close";
-/// Failpoint site: the rederivation sweep of a delete–rederive repair
-/// (fires per sweep pass, after overdeleted tuples may have been
-/// re-inserted).
+/// Failpoint site: the rederivation pass of a delete–rederive repair
+/// (fires once per closed, non-empty cone, before its members are checked;
+/// a repair that gives up on the cone and re-evaluates never reaches it).
 pub const SITE_REDERIVE_SWEEP: &str = "rederive-sweep";
 /// Failpoint site: **panics** inside a parallel worker task instead of
 /// returning an error — exercises the per-task `catch_unwind` containment.

@@ -173,6 +173,13 @@ impl IndexSet {
         ix.sync(rel);
     }
 
+    /// Drops every index keyed by `rel_id`. Stale ids are never *served*
+    /// (a refreshed id simply misses), but their postings would otherwise
+    /// stay allocated until eviction — call this when an id is retired.
+    pub fn forget(&mut self, rel_id: u64) {
+        self.indexes.retain(|&(id, _), _| id != rel_id);
+    }
+
     /// Patches every index of `rel` after a [`Relation::remove_tracked`]
     /// swap-remove: the posting for `removed` (at `removed_pos`) is dropped,
     /// and the tuple that moved from `moved_from` (the old last position)

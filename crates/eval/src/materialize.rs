@@ -7,8 +7,9 @@
 //! lifts each of them to a changing one: [`Materialized::new`] runs the
 //! chosen engine once, and [`Materialized::insert`] /
 //! [`Materialized::retract`] bring the model back to what a from-scratch
-//! evaluation over the mutated database would produce, doing work
-//! proportional to the *change* wherever the semantics allows it.
+//! evaluation over the mutated database would produce, for at most the cost
+//! of a bounded overdeletion plus one re-evaluation of what it condemned
+//! (see *The cost bound* below).
 //!
 //! # Repair strategies
 //!
@@ -28,14 +29,17 @@
 //!      [`IndexSet::patch_swap_remove`](crate::IndexSet) so the persistent
 //!      indexes stay warm. Heads landing in higher strata are parked until
 //!      their stratum's turn.
-//!   3. *Rederive*: confirm cone members that still have an alternative
-//!      one-step derivation via the index-backed `derivable` check plans,
-//!      to closure.
-//!   4. *Top-up*: seed one semi-naive extension with the instances the
-//!      change *enables* — inserted facts through positive EDB occurrences,
-//!      retracted facts through negated ones, plus lower-strata additions
-//!      (`PosDelta`) and genuine removals (`NegDelta`) — and drain it with
-//!      the shared [`DeltaDriver`].
+//!   3. *Rederive*: one batch pass of the index-backed check plans finds the
+//!      cone members that still have a one-step derivation from what
+//!      survived; they seed step 4, whose delta rounds bring back the rest
+//!      of the surviving cone.
+//!   4. *Top-up*: the instances the change *enables* — inserted facts
+//!      through positive EDB occurrences, retracted facts through negated
+//!      ones, plus lower-strata additions (`PosDelta`) and genuine removals
+//!      (`NegDelta`) — join the seed, and one semi-naive extension of the
+//!      shared [`DeltaDriver`] drains both. Whatever it appends that was
+//!      not overdeleted is an addition for the strata above; a cone member
+//!      still absent afterwards is a removal.
 //!
 //!   A batch is one-sided (an insert adds facts only; a retract removes
 //!   only), which is what makes step 1 exact rather than approximate.
@@ -48,6 +52,32 @@
 //!   growth and shrinkage the same way. These engines re-run from the
 //!   mutated EDB over the *warm* [`EvalContext`], so the persistent indexes
 //!   and scratch buffers are reused even though the fixpoint is not.
+//!
+//! # The cost bound
+//!
+//! Every overdeleted tuple is paid for twice — removed with its index
+//! postings patched, then checked and, mostly, put back — so DRed only
+//! beats re-evaluation while the cone is small. A stratified model is a
+//! tower of least fixpoints, one per stratum over the strata below, so
+//! re-running the driver over strata ≥ k above repaired lower strata *is*
+//! a correct repair (it is what the debug check compares against). Repair
+//! therefore closes the cone of stratum k only while it holds **at most
+//! half of the live tuples of strata ≥ k** — half of what re-evaluating
+//! from k would rebuild. The frontier that would cross that line is not
+//! removed: the relations of strata ≥ k are emptied in place (same relation
+//! ids, probe tables and indexes; the old tuples go to the undo log) and
+//! the per-stratum driver loop of [`Materialized::new`] runs from k. A
+//! repair thus costs at most the overdeletion done so far — under half a
+//! re-evaluation's worth of tuples — plus one re-evaluation of the strata
+//! it condemned; work stays proportional to the change exactly when the
+//! change's cone is small. [`Materialized::last_repair`] reports which way
+//! an update went.
+//!
+//! The case the bound exists for is a retracted edge of a strongly
+//! connected graph under transitive closure, which condemns the whole
+//! closure: closing that cone and rederiving it cost ≈ 3× a re-evaluation,
+//! the bounded repair costs ≈ 1.5× (phase table in the README's
+//! "Incremental updates").
 //!
 //! In debug builds every update re-evaluates from scratch and asserts the
 //! repaired state — true facts and undefined sets — is identical, and
@@ -64,13 +94,15 @@
 //! (deadline, [`Budget`](crate::govern::Budget) exhaustion, a
 //! [`CancelToken`](crate::govern::CancelToken) trip, an armed failpoint) or
 //! through a contained panic; every mutation a repair makes is therefore
-//! recorded in an undo log — swap-remove positions for deletions, dense
-//! watermarks for appended suffixes — and on failure the log is replayed in
-//! reverse: appended suffixes are truncated away and swap-removed tuples
-//! are re-inserted at their exact former dense positions. Relations touched
-//! by the rollback get a fresh relation id, so the persistent
-//! [`IndexSet`](crate::IndexSet) lazily discards any postings patched
-//! during the aborted repair instead of serving stale data. The
+//! recorded in an undo log — swap-remove positions for deletions, the
+//! former content of relations emptied for re-evaluation, dense watermarks
+//! for appended suffixes — and on failure the log is replayed in reverse:
+//! appended suffixes are truncated away, emptied relations refilled in
+//! order, and swap-removed tuples re-inserted at their exact former dense
+//! positions. Relations touched by the rollback get a fresh relation id and
+//! the indexes over the retired one are dropped, so the persistent
+//! [`IndexSet`](crate::IndexSet) never serves postings patched during the
+//! aborted repair. The
 //! [`RepairStrategy::Restart`] engines get the same guarantee cheaply:
 //! their re-evaluation builds the new model in fresh interpretations and
 //! the handle's state is assigned only after it fully succeeds, so only the
@@ -115,7 +147,9 @@ pub enum Engine {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RepairStrategy {
     /// Delete–rederive repair: overdelete the change's cone, rederive
-    /// survivors, top up insertions — work proportional to the change.
+    /// survivors, top up insertions — per stratum, giving way to
+    /// re-evaluation from the first stratum whose cone exceeds half of what
+    /// that would rebuild (the module docs' cost bound).
     DeleteRederive,
     /// Full re-evaluation from the mutated EDB over the warm context. Used
     /// where the fixpoint is not change-monotone (inflationary always;
@@ -133,15 +167,34 @@ pub struct MaterializeOpts {
     pub eval: EvalOptions,
 }
 
+/// What the most recent committed update's repair did, phase by phase — see
+/// [`Materialized::last_repair`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct RepairStats {
+    /// Tuples overdeleted: the damage cones of all strata, as far as they
+    /// were closed (a stratum that gave up contributes what it had removed
+    /// by then).
+    pub cone: usize,
+    /// Overdeleted tuples that came back, confirmed by the one-step
+    /// derivability check or by a later round.
+    pub rederived: usize,
+    /// Tuples the top-up added that the model did not hold before.
+    pub added: usize,
+    /// The stratum whose cone outgrew the bound, if any: strata from this
+    /// one up were emptied and re-evaluated instead of repaired.
+    pub recomputed_from: Option<usize>,
+}
+
 /// One reversible mutation a repair made, recorded so a failed update can
 /// be replayed backwards (see the module docs' *transactional invariant*).
 /// Each undo assumes the state right after the op it reverses — which
 /// reverse-order replay guarantees.
 #[derive(Debug)]
 enum UndoOp {
-    /// A tuple was appended to IDB `idb` (a rederive confirmation); it is
-    /// the last dense tuple at undo time.
-    IdbInsert { idb: usize },
+    /// IDB `idb` was emptied in place for a from-scratch re-evaluation of
+    /// its stratum; `tuples` is its former dense content, in order. The
+    /// relation is empty again at undo time.
+    IdbClear { idb: usize, tuples: Vec<Tuple> },
     /// `t` was swap-removed from IDB `idb` at dense position `pos`
     /// (overdeletion).
     IdbRemove { idb: usize, pos: usize, t: Tuple },
@@ -202,6 +255,9 @@ pub struct Materialized {
     /// always equals the epoch delta. A failed (rolled-back) update does not
     /// advance it.
     epoch: u64,
+    /// Phase sizes of the last committed update (all zero after a
+    /// [`RepairStrategy::Restart`] update or a no-op batch).
+    last_repair: RepairStats,
 }
 
 impl Materialized {
@@ -218,19 +274,7 @@ impl Materialized {
         match m.strategy {
             RepairStrategy::DeleteRederive => {
                 let governor = Governor::new(&m.opts);
-                for rules in &m.rules_by_stratum {
-                    if !rules.is_empty() {
-                        m.driver.extend(
-                            &m.cp,
-                            &m.ctx,
-                            &mut m.s,
-                            Some(rules),
-                            None,
-                            None,
-                            &governor,
-                        )?;
-                    }
-                }
+                m.evaluate_from(0, &governor, &mut Vec::new())?;
             }
             RepairStrategy::Restart => m.reevaluate()?,
         }
@@ -349,6 +393,7 @@ impl Materialized {
             s,
             undefined,
             epoch: 0,
+            last_repair: RepairStats::default(),
         };
         Ok(m)
     }
@@ -442,6 +487,15 @@ impl Materialized {
     /// docs: no-op batches count, failed updates do not).
     pub fn epoch(&self) -> u64 {
         self.epoch
+    }
+
+    /// What the last committed update's repair did: overdeletion cone,
+    /// rederived and added tuples, and whether — and from which stratum —
+    /// it fell back to re-evaluation (see the module docs' cost bound). All
+    /// zero for [`RepairStrategy::Restart`] handles and no-op batches; a
+    /// rolled-back update is not committed and leaves it as it was.
+    pub fn last_repair(&self) -> RepairStats {
+        self.last_repair
     }
 
     /// The database as of the last update.
@@ -550,6 +604,7 @@ impl Materialized {
             // WAL record before knowing the batch changes nothing, and the
             // record count must equal the epoch delta for replay to line up.
             self.epoch += 1;
+            self.last_repair = RepairStats::default();
             return Ok(0);
         }
         let saved_driver = self.driver.save_state();
@@ -562,21 +617,25 @@ impl Materialized {
             // unwind-safety assertion is justified by the rollback — any
             // half-mutated state the panic leaves behind is exactly what the
             // undo log reverses.
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || -> Result<()> {
-                match this.strategy {
-                    RepairStrategy::DeleteRederive => this.repair(&staged, inserting, log),
-                    RepairStrategy::Restart => {
-                        this.mutate_edb(&staged, inserting, log);
-                        this.reevaluate()
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(
+                move || -> Result<RepairStats> {
+                    match this.strategy {
+                        RepairStrategy::DeleteRederive => this.repair(&staged, inserting, log),
+                        RepairStrategy::Restart => {
+                            this.mutate_edb(&staged, inserting, log);
+                            this.reevaluate()?;
+                            Ok(RepairStats::default())
+                        }
                     }
-                }
-            }))
+                },
+            ))
         };
         match outcome {
-            Ok(Ok(())) => {
+            Ok(Ok(stats)) => {
                 #[cfg(debug_assertions)]
                 self.debug_check();
                 self.epoch += 1;
+                self.last_repair = stats;
                 Ok(n)
             }
             Ok(Err(e)) => {
@@ -605,10 +664,12 @@ impl Materialized {
         let mut touched_edb = vec![false; self.ctx.edb.len()];
         for op in log.into_iter().rev() {
             match op {
-                UndoOp::IdbInsert { idb } => {
+                UndoOp::IdbClear { idb, tuples } => {
                     let rel = self.s.get_mut(idb);
-                    let len = rel.len();
-                    rel.truncate(len - 1);
+                    debug_assert!(rel.is_empty(), "appends are undone before the clear");
+                    for t in tuples {
+                        rel.insert(t);
+                    }
                     touched_idb[idb] = true;
                 }
                 UndoOp::IdbRemove { idb, pos, t } => {
@@ -654,13 +715,17 @@ impl Materialized {
                 }
             }
         }
+        // A retired id is never probed again: drop its indexes now rather
+        // than let them sit in the set until eviction.
         for (i, touched) in touched_idb.into_iter().enumerate() {
             if touched {
+                self.ctx.forget_indexes(self.s.get(i).id());
                 self.s.get_mut(i).refresh_id();
             }
         }
         for (i, touched) in touched_edb.into_iter().enumerate() {
             if touched {
+                self.ctx.forget_indexes(self.ctx.edb[i].id());
                 self.ctx.edb[i].refresh_id();
             }
         }
@@ -764,13 +829,83 @@ impl Materialized {
         Ok(())
     }
 
-    /// Delete–rederive repair of a one-sided batch, stratum by stratum.
-    /// Every mutation is recorded in `log`; on `Err` the caller reverse-
-    /// replays it (see the module docs' transactional invariant).
-    fn repair(&mut self, staged: &Interp, inserting: bool, log: &mut Vec<UndoOp>) -> Result<()> {
+    /// Evaluates strata `from..` from scratch over the (current) strata
+    /// below them: empties their relations in place — same relation ids,
+    /// probe tables and persistent indexes; the old tuples go to the undo
+    /// log — and runs the driver once per stratum. `from == 0` over an
+    /// empty model is the initial evaluation.
+    fn evaluate_from(
+        &mut self,
+        from: usize,
+        governor: &Governor,
+        log: &mut Vec<UndoOp>,
+    ) -> Result<()> {
+        for (idb, &stratum) in self.strata_of_idb.iter().enumerate() {
+            if stratum >= from && !self.s.get(idb).is_empty() {
+                let tuples = self.s.get_mut(idb).split_off(0);
+                log.push(UndoOp::IdbClear { idb, tuples });
+            }
+        }
+        for rules in self.rules_by_stratum[from..]
+            .iter()
+            .filter(|r| !r.is_empty())
+        {
+            log_watermarks(&self.s, log);
+            self.driver.extend(
+                &self.cp,
+                &self.ctx,
+                &mut self.s,
+                Some(rules),
+                None,
+                None,
+                governor,
+            )?;
+        }
+        Ok(())
+    }
+
+    /// One Θ application over the current model restricted to the rule
+    /// instances through `delta` (shaped for `kind`), into `out`; `neg`
+    /// overrides the interpretation negated IDB literals read.
+    fn apply_delta(
+        &self,
+        rules: Option<&[usize]>,
+        kind: PlanKind,
+        delta: &Interp,
+        neg: Option<&Interp>,
+        out: &mut Interp,
+        gov: Option<&Governor>,
+    ) -> Result<()> {
+        operator::apply_general_into(
+            &self.cp,
+            &self.ctx,
+            &self.s,
+            rules,
+            kind,
+            Some(operator::DeltaSource::Interp(delta)),
+            neg,
+            None,
+            out,
+            &self.opts,
+            gov,
+        )
+    }
+
+    /// Delete–rederive repair of a one-sided batch, stratum by stratum,
+    /// falling back to [`evaluate_from`](Self::evaluate_from) at the first
+    /// stratum whose cone outgrows the module docs' cost bound. Every
+    /// mutation is recorded in `log`; on `Err` the caller reverse-replays it
+    /// (see the module docs' transactional invariant).
+    fn repair(
+        &mut self,
+        staged: &Interp,
+        inserting: bool,
+        log: &mut Vec<UndoOp>,
+    ) -> Result<RepairStats> {
         let governor = Governor::new(&self.opts);
         let gov = governor.as_active();
         let num_idb = self.cp.num_idb();
+        let mut stats = RepairStats::default();
 
         // ---- Damage: rule instances the change kills, enumerated *before*
         // the EDB mutates so every other literal reads the old state — an
@@ -782,19 +917,7 @@ impl Materialized {
         } else {
             PlanKind::EdbDelta
         };
-        operator::apply_general_into(
-            &self.cp,
-            &self.ctx,
-            &self.s,
-            None,
-            damage_kind,
-            Some(operator::DeltaSource::Interp(staged)),
-            None,
-            None,
-            &mut pending,
-            &self.opts,
-            gov,
-        )?;
+        self.apply_delta(None, damage_kind, staged, None, &mut pending, gov)?;
 
         self.mutate_edb(staged, inserting, log);
 
@@ -804,26 +927,27 @@ impl Materialized {
         let mut removed_acc = self.cp.empty_interp();
         let mut heads = self.cp.empty_interp();
         let mut frontier = self.cp.empty_interp();
+        let mut cone = self.cp.empty_interp();
         let mut seed = self.cp.empty_interp();
         let mut scratch = self.cp.empty_interp();
+        // Cone enumeration reads negated IDB literals permissively.
         let empty_neg = self.cp.empty_interp();
+        let permissive = Some(&empty_neg);
 
         for (k, rules) in self.rules_by_stratum.iter().enumerate() {
+            if rules.is_empty() {
+                continue; // no rule heads here, so no predicate lives here
+            }
             // Damage from lower-strata *additions* appearing under this
             // stratum's negations (permissive IDB negation: the cone is an
             // over-approximation that rederivation trims back).
-            if added_acc.total_tuples() > 0 && !rules.is_empty() {
-                operator::apply_general_into(
-                    &self.cp,
-                    &self.ctx,
-                    &self.s,
+            if added_acc.total_tuples() > 0 {
+                self.apply_delta(
                     Some(rules),
                     PlanKind::NegDelta,
-                    Some(operator::DeltaSource::Interp(&added_acc)),
-                    Some(&empty_neg),
-                    None,
+                    &added_acc,
+                    permissive,
                     &mut heads,
-                    &self.opts,
                     gov,
                 )?;
                 for i in 0..num_idb {
@@ -835,13 +959,26 @@ impl Materialized {
             // frontier is enumerated from `s` before removal, so dependents
             // are seen at the first frontier touching them; dependent heads
             // of higher strata park in `pending` until their stratum.
-            let mut cone: Vec<Vec<Tuple>> = vec![Vec::new(); num_idb];
+            //
+            // The cone is worth closing only while it stays under half of
+            // what re-evaluating strata ≥ k would rebuild: every overdeleted
+            // tuple is touched again by rederivation, so past that point the
+            // from-scratch path is the cheaper repair — and always a correct
+            // one, the strata below being final.
+            let live: usize = (0..num_idb)
+                .filter(|&i| self.strata_of_idb[i] >= k)
+                .map(|i| self.s.get(i).len())
+                .sum();
+            for i in 0..num_idb {
+                cone.get_mut(i).clear();
+            }
+            let mut cone_len = 0;
             loop {
                 if let Some(g) = gov {
                     g.fail_at(SITE_OVERDELETE_CLOSE)?;
                     g.check()?;
                 }
-                let mut any = false;
+                let mut condemned = cone_len;
                 for i in 0..num_idb {
                     let fr = frontier.get_mut(i);
                     fr.clear();
@@ -851,28 +988,29 @@ impl Materialized {
                     for t in pending.get(i).dense() {
                         if self.s.get(i).contains(t) {
                             fr.insert(t.clone());
-                            any = true;
                         }
                     }
+                    condemned += fr.len();
                     pending.get_mut(i).clear();
                 }
-                if !any {
+                if condemned == cone_len {
                     break;
                 }
-                operator::apply_general_into(
-                    &self.cp,
-                    &self.ctx,
-                    &self.s,
+                if 2 * condemned > live {
+                    stats.cone += cone_len;
+                    stats.recomputed_from = Some(k);
+                    self.evaluate_from(k, &governor, log)?;
+                    return Ok(stats);
+                }
+                self.apply_delta(
                     None,
                     PlanKind::PosDelta,
-                    Some(operator::DeltaSource::Interp(&frontier)),
-                    Some(&empty_neg),
-                    None,
+                    &frontier,
+                    permissive,
                     &mut heads,
-                    &self.opts,
                     gov,
                 )?;
-                for (i, list) in cone.iter_mut().enumerate() {
+                for i in 0..num_idb {
                     for t in frontier.get(i).dense() {
                         let (pos, _) = self
                             .ctx
@@ -883,174 +1021,117 @@ impl Materialized {
                             pos,
                             t: t.clone(),
                         });
-                        list.push(t.clone());
+                        cone.insert(i, t.clone());
                     }
                 }
+                cone_len = condemned;
                 for i in 0..num_idb {
                     pending.get_mut(i).union_with(heads.get(i));
                 }
             }
+            stats.cone += cone_len;
 
-            // Rederive: cone members with a surviving alternative
-            // derivation go back, to closure (a rederived tuple can be the
-            // witness for another one).
-            if cone.iter().any(|l| !l.is_empty()) {
-                loop {
-                    if let Some(g) = gov {
-                        g.fail_at(SITE_REDERIVE_SWEEP)?;
-                        g.check()?;
-                    }
-                    operator::sync_check_indexes(&self.cp, &self.ctx, &self.s);
-                    let mut confirmed = false;
-                    for (i, list) in cone.iter_mut().enumerate() {
-                        let mut j = 0;
-                        while j < list.len() {
-                            if operator::derivable(
-                                &self.cp,
-                                &self.ctx,
-                                i,
-                                &list[j],
-                                &self.s,
-                                &self.s,
-                                self.opts.exec_kind(),
-                            ) {
-                                let t = list.swap_remove(j);
-                                let inserted = self.s.insert(i, t);
-                                debug_assert!(inserted, "rederived tuples were overdeleted");
-                                log.push(UndoOp::IdbInsert { idb: i });
-                                confirmed = true;
-                            } else {
-                                j += 1;
-                            }
-                        }
-                    }
-                    if !confirmed {
-                        break;
-                    }
-                }
-            }
-            for (i, list) in cone.into_iter().enumerate() {
-                for t in list {
-                    removed_acc.insert(i, t);
-                }
-            }
-
-            // ---- Top-up: seed a semi-naive extension with exactly the
-            // instances the change enables for this stratum — through EDB
-            // occurrences of the batch and IDB occurrences of lower-strata
-            // changes — then drain it. `marks` snapshots the dense lengths
-            // so the drained suffix is precisely what the top-up added
-            // (rederivation above is not an addition).
+            // Everything appended past `marks` from here on either comes
+            // back (a cone member) or is new to the model.
             let marks: Vec<usize> = (0..num_idb).map(|i| self.s.get(i).len()).collect();
-            if !rules.is_empty() {
-                for i in 0..num_idb {
-                    seed.get_mut(i).clear();
+            for i in 0..num_idb {
+                seed.get_mut(i).clear();
+            }
+
+            // ---- Rederive: cone members with a surviving one-step
+            // derivation — one index-backed check each, `s` untouched during
+            // the pass — seed the rounds below, whose delta rounds confirm
+            // the rest of the surviving cone (a rederived tuple can be the
+            // witness for another one).
+            if cone_len > 0 {
+                if let Some(g) = gov {
+                    g.fail_at(SITE_REDERIVE_SWEEP)?;
                 }
-                let topup_kind = if inserting {
-                    PlanKind::EdbDelta
-                } else {
-                    PlanKind::EdbNegDelta
-                };
-                operator::apply_general_into(
-                    &self.cp,
-                    &self.ctx,
-                    &self.s,
-                    Some(rules),
-                    topup_kind,
-                    Some(operator::DeltaSource::Interp(staged)),
-                    None,
-                    None,
-                    &mut scratch,
-                    &self.opts,
-                    gov,
-                )?;
+                operator::sync_check_indexes(&self.cp, &self.ctx, &self.s);
+                for i in 0..num_idb {
+                    let list = cone.get(i).dense();
+                    if list.is_empty() {
+                        continue;
+                    }
+                    let out = seed.get_mut(i);
+                    operator::derivable_batch(
+                        &self.cp,
+                        &self.ctx,
+                        i,
+                        list,
+                        &self.s,
+                        &self.s,
+                        self.opts.exec_kind(),
+                        |j| {
+                            out.insert(list[j].clone());
+                        },
+                    );
+                }
+            }
+
+            // ---- Top-up: the instances the change enables for this
+            // stratum — through EDB occurrences of the batch and IDB
+            // occurrences of lower-strata changes — join the seed. Both
+            // halves are enumerated against the same overdeleted `s`, so
+            // together they are exactly its one-step consequences and one
+            // semi-naive extension drains them.
+            let topup_kind = if inserting {
+                PlanKind::EdbDelta
+            } else {
+                PlanKind::EdbNegDelta
+            };
+            let topups = [
+                (topup_kind, staged),
+                (PlanKind::PosDelta, &added_acc),
+                // Consume semantics requires the driven tuples to be
+                // genuinely absent: `removed_acc` only ever receives cone
+                // members that stayed out of their (final) stratum.
+                (PlanKind::NegDelta, &removed_acc),
+            ];
+            for (kind, delta) in topups {
+                if delta.total_tuples() == 0 {
+                    continue;
+                }
+                self.apply_delta(Some(rules), kind, delta, None, &mut scratch, gov)?;
                 for i in 0..num_idb {
                     seed.get_mut(i).union_with(scratch.get(i));
                 }
-                if added_acc.total_tuples() > 0 {
-                    operator::apply_general_into(
-                        &self.cp,
-                        &self.ctx,
-                        &self.s,
-                        Some(rules),
-                        PlanKind::PosDelta,
-                        Some(operator::DeltaSource::Interp(&added_acc)),
-                        None,
-                        None,
-                        &mut scratch,
-                        &self.opts,
-                        gov,
-                    )?;
-                    for i in 0..num_idb {
-                        seed.get_mut(i).union_with(scratch.get(i));
-                    }
-                }
-                if removed_acc.total_tuples() > 0 {
-                    // Consume semantics requires the driven tuples to be
-                    // genuinely absent — `removed_acc` is pruned below to
-                    // exactly the tuples that stayed out.
-                    operator::apply_general_into(
-                        &self.cp,
-                        &self.ctx,
-                        &self.s,
-                        Some(rules),
-                        PlanKind::NegDelta,
-                        Some(operator::DeltaSource::Interp(&removed_acc)),
-                        None,
-                        None,
-                        &mut scratch,
-                        &self.opts,
-                        gov,
-                    )?;
-                    for i in 0..num_idb {
-                        seed.get_mut(i).union_with(scratch.get(i));
-                    }
-                }
-                // The drained suffix must be undoable even when the
-                // extension itself fails mid-round (rounds it already
-                // absorbed stay in `s`), so the watermarks go into the log
-                // *before* the call.
-                for i in 0..num_idb {
-                    log.push(UndoOp::IdbAppend {
-                        idb: i,
-                        before: self.s.get(i).len(),
-                    });
-                }
-                self.driver.extend_seeded(
-                    &self.cp,
-                    &self.ctx,
-                    &mut self.s,
-                    Some(rules),
-                    None,
-                    &seed,
-                    None,
-                    &governor,
-                )?;
             }
+            // The drained suffix must be undoable even when the extension
+            // itself fails mid-round (rounds it already absorbed stay in
+            // `s`), so the watermarks go into the log *before* the call.
+            log_watermarks(&self.s, log);
+            self.driver.extend_seeded(
+                &self.cp,
+                &self.ctx,
+                &mut self.s,
+                Some(rules),
+                None,
+                &seed,
+                None,
+                &governor,
+            )?;
 
-            // Net change bookkeeping for the strata above: everything past
-            // the marks was added; a removal that came back (via rederive
-            // into a later top-up round) is no removal at all.
+            // Net change for the strata above: a suffix tuple that was
+            // overdeleted merely came back, any other is an addition; a
+            // cone member is a removal only if it is still absent now.
             for (i, &mark) in marks.iter().enumerate() {
-                for t in self.s.get(i).dense()[mark..].iter().cloned() {
-                    added_acc.insert(i, t);
+                for t in &self.s.get(i).dense()[mark..] {
+                    if cone.contains(i, t) {
+                        stats.rederived += 1;
+                    } else {
+                        added_acc.insert(i, t.clone());
+                        stats.added += 1;
+                    }
                 }
-                let keep: Vec<Tuple> = removed_acc
-                    .get(i)
-                    .iter()
-                    .filter(|t| !self.s.get(i).contains(t))
-                    .cloned()
-                    .collect();
-                let rrel = removed_acc.get_mut(i);
-                if keep.len() != rrel.len() {
-                    rrel.clear();
-                    for t in keep {
-                        rrel.insert(t);
+                for t in cone.get(i).dense() {
+                    if !self.s.get(i).contains(t) {
+                        removed_acc.insert(i, t.clone());
                     }
                 }
             }
         }
-        Ok(())
+        Ok(stats)
     }
 
     /// Debug invariant: the handle's state is identical to a from-scratch
@@ -1110,6 +1191,17 @@ impl Materialized {
             self.undefined, undefined,
             "undefined set diverged from a from-scratch evaluation"
         );
+    }
+}
+
+/// Records every IDB relation's dense length, so whatever a driver call
+/// appends after this point can be truncated away on rollback.
+fn log_watermarks(s: &Interp, log: &mut Vec<UndoOp>) {
+    for (idb, rel) in s.relations().iter().enumerate() {
+        log.push(UndoOp::IdbAppend {
+            idb,
+            before: rel.len(),
+        });
     }
 }
 
@@ -1254,6 +1346,28 @@ mod tests {
             m.insert(&[("E", Tuple::from_ids(&[0, 99]))]),
             Err(EvalError::UnknownConstant { .. })
         ));
+    }
+
+    #[test]
+    fn rolled_back_updates_leave_no_indexes_behind() {
+        // Every rollback retires the ids of the relations it restored; the
+        // indexes keyed by them must go too, not pile up until eviction.
+        let db = DiGraph::path(8).to_database("E");
+        let mut m = handle(TC, &db, Engine::Stratified);
+        let batch = [("E", Tuple::from_ids(&[6, 7]))];
+        let mut seen = Vec::new();
+        for _ in 0..200 {
+            m.set_eval_options(EvalOptions {
+                failpoints: crate::Failpoints::armed(crate::govern::SITE_ROUND, 1),
+                ..EvalOptions::sequential()
+            });
+            assert!(m.retract(&batch).is_err());
+            seen.push(m.ctx.num_indexes());
+        }
+        assert!(
+            seen.iter().all(|&n| n == seen[0]),
+            "index count drifted across rollbacks: {seen:?}"
+        );
     }
 
     #[test]

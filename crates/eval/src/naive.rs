@@ -45,9 +45,8 @@ pub fn least_fixpoint_naive(program: &Program, db: &Database) -> Result<(Interp,
 /// [`least_fixpoint_naive`] with explicit evaluation options.
 ///
 /// The [`Budget`](crate::govern::Budget), cancellation token and failpoints
-/// in `opts` are honored: the budget's `max_rounds` cap subsumes the old
-/// ad-hoc [`EvalError::IterationLimit`] mechanism (exceeding it now reports
-/// [`EvalError::BudgetExceeded`]), and deadline/cancellation are polled at
+/// in `opts` are honored: exceeding the budget's `max_rounds` cap reports
+/// [`EvalError::BudgetExceeded`], and deadline/cancellation are polled at
 /// every round boundary and every few thousand emitted tuples.
 ///
 /// # Errors

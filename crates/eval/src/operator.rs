@@ -189,6 +189,13 @@ impl EvalContext {
         Some((removed_pos, moved_from))
     }
 
+    /// Drops every index over the relation id `rel_id`. For callers about to
+    /// retire that id ([`Relation::refresh_id`]): nothing can probe the
+    /// postings again, and each holds memory proportional to its relation.
+    pub(crate) fn forget_indexes(&self, rel_id: u64) {
+        self.write_indexes().forget(rel_id);
+    }
+
     /// Removes `t` from the EDB relation `edb_id` while keeping the indexes
     /// over it consistent, like [`EvalContext::remove_patched`] but for the
     /// context's own relations. The materialized-view repair path retracts
@@ -607,9 +614,9 @@ pub fn enumerate_bindings(plan: &Plan, ctx: &EvalContext) -> Vec<Tuple> {
 }
 
 /// Synchronizes the persistent indexes probed by the **check plans** with
-/// the current state of `s` (and the EDB). Call before a batch of
-/// [`derivable`] checks; between batches, only relations that grew need to
-/// be (and are) consumed incrementally.
+/// the current state of `s` (and the EDB). Call before a
+/// [`derivable_batch`] pass; between passes, only relations that grew need
+/// to be (and are) consumed incrementally.
 pub(crate) fn sync_check_indexes(cp: &CompiledProgram, ctx: &EvalContext, s: &Interp) {
     let mut indexes = ctx.write_indexes();
     indexes.begin_application();
@@ -618,75 +625,19 @@ pub(crate) fn sync_check_indexes(cp: &CompiledProgram, ctx: &EvalContext, s: &In
     }
 }
 
-/// One-step derivability: is `tuple` derivable as IDB predicate `pred` by
-/// some rule instance, with positive IDB atoms read from `s` and negative
-/// IDB literals read from `neg`?
+/// Batch one-step derivability: for every tuple of `list`, is it derivable
+/// as IDB predicate `pred` by some rule instance, with positive IDB atoms
+/// read from `s` and negative IDB literals read from `neg`? `confirm` is
+/// invoked with the position of each derivable one.
 ///
-/// Runs each candidate rule's check plan with the head variables pre-bound
-/// from `tuple`, so body atoms probe the persistent hash-join indexes
+/// Each candidate rule's check plan runs with the head variables pre-bound
+/// from the tuple, so body atoms probe the persistent hash-join indexes
 /// (prepare them with [`sync_check_indexes`]) and the search exits on the
-/// first witness. The incremental well-founded engine uses this to confirm
-/// which tuples of the previous `U` survive into the next one.
-pub(crate) fn derivable(
-    cp: &CompiledProgram,
-    ctx: &EvalContext,
-    pred: usize,
-    tuple: &Tuple,
-    s: &Interp,
-    neg: &Interp,
-    kind: ExecKind,
-) -> bool {
-    let indexes = ctx.read_indexes();
-    let env = ExecEnv {
-        ctx,
-        s,
-        delta: None,
-        neg,
-        indexes: &indexes,
-        gov: None,
-    };
-    let mut vals: Vec<Const> = Vec::new();
-    let mut bound: Vec<bool> = Vec::new();
-    for rule in cp.rules.iter().filter(|r| r.head_pred == pred) {
-        vals.clear();
-        vals.resize(rule.num_vars, Const(0));
-        bound.clear();
-        bound.resize(rule.num_vars, false);
-        if !unify_head(&rule.head_terms, tuple, &mut vals, &mut bound) {
-            continue;
-        }
-        let hit = match kind {
-            ExecKind::Vm => {
-                #[cfg(debug_assertions)]
-                let expected = tree::probe_plan(
-                    &env,
-                    &rule.check_plan,
-                    &mut vals.clone(),
-                    &mut bound.clone(),
-                );
-                let hit = exec::probe_program(&env, &rule.check_plan.program, &mut vals);
-                #[cfg(debug_assertions)]
-                assert_eq!(
-                    hit, expected,
-                    "VM probe diverged from the tree oracle in derivable"
-                );
-                hit
-            }
-            ExecKind::Tree => tree::probe_plan(&env, &rule.check_plan, &mut vals, &mut bound),
-        };
-        if hit {
-            return true;
-        }
-    }
-    false
-}
-
-/// Batch one-step derivability: [`derivable`] for every tuple of `list`,
-/// invoking `confirm` with the position of each derivable one. `s` must
-/// stay unmutated across the whole batch — that lets each rule's check
-/// program be resolved against the environment **once** and reused for all
-/// tuples, which is where a batch beats a loop of single checks (the
-/// rederivation sweeps run tens of thousands of these per alternation).
+/// first witness. `s` must stay unmutated across the whole batch — that
+/// lets each rule's check program be resolved against the environment
+/// **once** and reused for all tuples (the rederivation passes of the
+/// incremental well-founded engine and of materialized-view repair run
+/// tens of thousands of these).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn derivable_batch(
     cp: &CompiledProgram,

@@ -1,7 +1,7 @@
 //! Flat-IR VM ≡ tree executor, bit for bit.
 //!
 //! The lowering pass (`plan::lower`) and the register-machine VM
-//! (`exec::run_program` / `exec::probe_program`) promise to be observationally
+//! (`exec::run_program` / `exec::ResolvedProgram::probe`) promise to be observationally
 //! indistinguishable from the recursive tree walker they replaced: the **same
 //! tuples in the same insertion order**, the same per-round deltas, and the
 //! same alternation counts, at every thread count. Debug builds already

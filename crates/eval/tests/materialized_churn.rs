@@ -11,7 +11,14 @@
 //! re-insertion of retracted facts, and retracting facts that were never
 //! present.
 //!
-//! The second half drives the **transactional invariant** under forced
+//! The middle section pins the **cost bound** of delete–rederive repair:
+//! a stratum whose overdeletion cone outgrows half of what re-evaluation
+//! would rebuild is re-evaluated instead, observable through
+//! [`Materialized::last_repair`] — both sides of that decision, and the
+//! bookkeeping hazards of draining rederivation and top-up in one seeded
+//! extension, must land on the recompute.
+//!
+//! The last section drives the **transactional invariant** under forced
 //! failures: a failpoint sweep that aborts a repair at every registered
 //! injection site — in both update directions, on every engine — and
 //! asserts the handle rolls back bit-identically and accepts the retried
@@ -21,7 +28,10 @@
 use inflog_core::graphs::DiGraph;
 use inflog_core::{Database, Tuple};
 use inflog_eval::govern::SITE_WORKER_PANIC;
-use inflog_eval::materialize::{Engine, MaterializeOpts, Materialized};
+use inflog_eval::govern::{
+    SITE_INDEX_EXTEND, SITE_OVERDELETE_CLOSE, SITE_REDERIVE_SWEEP, SITE_ROUND,
+};
+use inflog_eval::materialize::{Engine, MaterializeOpts, Materialized, RepairStats};
 use inflog_eval::{
     inflationary, inflationary_with, least_fixpoint_naive_with, least_fixpoint_seminaive,
     least_fixpoint_seminaive_with, stratified_eval, stratified_eval_with, well_founded,
@@ -40,6 +50,14 @@ const REACH_UNREACH: &str = "
     Reach(y) :- Start(x), E(x, y).
     Reach(y) :- Reach(x), E(x, y).
     Unreach(x) :- V(x), !Reach(x).
+";
+/// Three strata — `S`, then `Cut` over `!S`, then `T` over `!Cut` — with
+/// `T` reading `S` *positively* across two stratum boundaries.
+const TC_CUT_MUTUAL: &str = "
+    S(x, y) :- E(x, y).
+    S(x, y) :- S(x, z), E(z, y).
+    Cut(x, y) :- E(x, y), !S(y, x).
+    T(x, y) :- S(x, y), S(y, x), !Cut(x, y).
 ";
 
 fn handle(program: &Program, db: &Database, engine: Engine) -> Materialized {
@@ -81,11 +99,21 @@ fn assert_matches_recompute(m: &Materialized, program: &Program, ctx: &str) {
 /// Flips random edges of `edge_rel` for `steps` rounds — retract when
 /// present, insert when absent, occasionally as a no-op in the opposite
 /// direction — checking the handle against a recompute at every step.
-fn churn(src: &str, edge_rel: &str, db: &Database, engine: Engine, seed: u64, steps: usize) {
+/// Returns how many updates were repaired in place and how many fell back
+/// to re-evaluating from some stratum.
+fn churn(
+    src: &str,
+    edge_rel: &str,
+    db: &Database,
+    engine: Engine,
+    seed: u64,
+    steps: usize,
+) -> (usize, usize) {
     let program = parse_program(src).unwrap();
     let mut m = handle(&program, db, engine);
     let n = db.universe_size() as u32;
     let mut rng = StdRng::seed_from_u64(seed);
+    let (mut repaired, mut recomputed) = (0, 0);
     for step in 0..steps {
         let t = Tuple::from_ids(&[rng.gen_range(0..n), rng.gen_range(0..n)]);
         let present = m.contains(edge_rel, &t);
@@ -98,13 +126,19 @@ fn churn(src: &str, edge_rel: &str, db: &Database, engine: Engine, seed: u64, st
                 m.retract(&[(edge_rel, t)]).unwrap()
             };
             assert_eq!(changed, 0, "{src} step {step}");
+            assert_eq!(m.last_repair(), RepairStats::default(), "no-op batch");
         } else if present {
             assert_eq!(m.retract(&[(edge_rel, t)]).unwrap(), 1);
         } else {
             assert_eq!(m.insert(&[(edge_rel, t)]).unwrap(), 1);
         }
+        match m.last_repair().recomputed_from {
+            Some(_) => recomputed += 1,
+            None => repaired += 1,
+        }
         assert_matches_recompute(&m, &program, &format!("engine {engine:?} step {step}"));
     }
+    (repaired, recomputed)
 }
 
 #[test]
@@ -250,6 +284,200 @@ fn mixed_fact_arities_and_auxiliary_relations_churn() {
             m.insert(&[(rel, t)]).unwrap();
         }
         assert_matches_recompute(&m, &program, &format!("aux churn step {step}"));
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The cost bound: repair in place, or re-evaluate from the stratum whose
+// cone outgrew half of what re-evaluation rebuilds.
+// ---------------------------------------------------------------------------
+
+/// A strongly connected `G(n, p)`: every retraction condemns (nearly) the
+/// whole closure.
+fn strongly_connected_gnp(n: usize, p: f64, seed: u64) -> DiGraph {
+    let mut rng = StdRng::seed_from_u64(seed);
+    loop {
+        let g = DiGraph::random_gnp(n, p, &mut rng);
+        if g.transitive_closure().len() == n * n {
+            return g;
+        }
+    }
+}
+
+/// Hazard (d): a three-stratum program whose top stratum reads the bottom
+/// one positively, on graphs where retractions condemn most of the closure.
+/// Both outcomes — in-place repair and re-evaluation from the bottom
+/// stratum — must occur, and every step must equal the recompute.
+#[test]
+fn cross_stratum_churn_repairs_small_cones_and_recomputes_large_ones() {
+    for engine in [Engine::Stratified, Engine::WellFounded] {
+        let (mut repaired, mut recomputed) = (0, 0);
+        for (g, graph) in [
+            DiGraph::cycle(6),
+            DiGraph::cycle(9),
+            strongly_connected_gnp(8, 0.35, 23),
+            strongly_connected_gnp(10, 0.3, 24),
+        ]
+        .iter()
+        .enumerate()
+        {
+            let db = graph.to_database("E");
+            let (a, b) = churn(TC_CUT_MUTUAL, "E", &db, engine, 300 + g as u64, 30);
+            repaired += a;
+            recomputed += b;
+        }
+        assert!(
+            repaired > 10,
+            "{engine:?}: only {repaired} in-place repairs"
+        );
+        assert!(recomputed > 10, "{engine:?}: only {recomputed} recomputes");
+    }
+}
+
+/// Deleting a cycle edge condemns the whole closure of the bottom stratum:
+/// the repair stops overdeleting under the half-way mark and re-evaluates
+/// everything. Restart engines report nothing.
+#[test]
+fn a_cone_past_half_the_model_recomputes_from_its_stratum() {
+    let program = parse_program(&format!("{TC} Cut(x, y) :- E(x, y), !S(y, x).")).unwrap();
+    let db = DiGraph::cycle(8).to_database("E");
+    let edge = db.relation("E").unwrap().dense()[0].clone();
+    let mut m = handle(&program, &db, Engine::Stratified);
+    let live = m.interp().total_tuples();
+    assert_eq!(m.retract(&[("E", edge.clone())]).unwrap(), 1);
+    let stats = m.last_repair();
+    assert_eq!(stats.recomputed_from, Some(0));
+    assert!(
+        2 * stats.cone <= live,
+        "overdeleted {} of {live} before giving up",
+        stats.cone
+    );
+    assert_eq!((stats.rederived, stats.added), (0, 0));
+    assert_matches_recompute(&m, &program, "cycle edge retracted");
+    // Closing the cycle again condemns nothing in `S` — plain top-up — but
+    // every `Cut` edge above it.
+    assert_eq!(m.insert(&[("E", edge.clone())]).unwrap(), 1);
+    let stats = m.last_repair();
+    assert_eq!((stats.cone, stats.recomputed_from), (0, Some(1)));
+    assert_eq!(stats.added, 64 - 28);
+    assert_matches_recompute(&m, &program, "cycle edge restored");
+
+    let mut restart = handle(&program, &db, Engine::Inflationary);
+    assert_eq!(restart.retract(&[("E", edge)]).unwrap(), 1);
+    assert_eq!(restart.last_repair(), RepairStats::default());
+}
+
+/// The bound is taken per stratum, bottom up: an insert that only *adds* to
+/// the bottom stratum but thereby condemns most of the stratum above it
+/// repairs the former in place and re-evaluates from the latter.
+#[test]
+fn an_upper_stratum_can_recompute_above_a_repaired_lower_one() {
+    let program = parse_program(REACH_UNREACH).unwrap();
+    let mut db = DiGraph::path(10).to_database("E");
+    for v in 0..10 {
+        db.insert_named_fact("V", &[&format!("v{v}")]).unwrap();
+    }
+    db.insert_named_fact("Start", &["v0"]).unwrap();
+    let first = Tuple::from_ids(&[0, 1]);
+    db.relation_mut("E").unwrap().remove(&first);
+    let mut m = handle(&program, &db, Engine::Stratified);
+    let unreach = m.compiled().idb_id("Unreach").unwrap();
+    assert_eq!(m.interp().get(unreach).len(), 10);
+    assert_eq!(m.insert(&[("E", first)]).unwrap(), 1);
+    let stats = m.last_repair();
+    assert_eq!(stats.recomputed_from, Some(1), "{stats:?}");
+    assert_eq!(stats.added, 9, "Reach(v1..v9), added in place");
+    assert_eq!(m.interp().get(unreach).len(), 1);
+    assert_matches_recompute(&m, &program, "first edge inserted");
+}
+
+/// Hazard (e): the comparison is against everything re-evaluation would
+/// rebuild — strata ≥ k — not against stratum k alone. A one-tuple bottom
+/// stratum that loses its only tuple under a large upper stratum is
+/// repaired in place.
+#[test]
+fn a_tiny_low_stratum_losing_everything_does_not_trigger_a_recompute() {
+    let src = "
+        B(x) :- Blk(x).
+        S(x, y) :- E(x, y), !B(x).
+        S(x, y) :- S(x, z), E(z, y).
+    ";
+    let program = parse_program(src).unwrap();
+    let mut db = DiGraph::path(12).to_database("E");
+    db.insert_named_fact("Blk", &["v10"]).unwrap();
+    let mut m = handle(&program, &db, Engine::Stratified);
+    let (b, s) = (
+        m.compiled().idb_id("B").unwrap(),
+        m.compiled().idb_id("S").unwrap(),
+    );
+    assert_eq!(m.interp().get(b).len(), 1);
+    let before = m.interp().get(s).len();
+    assert_eq!(m.retract_named("Blk", &["v10"]).unwrap(), 1);
+    let stats = m.last_repair();
+    assert_eq!(
+        stats,
+        RepairStats {
+            cone: 1,
+            rederived: 0,
+            added: 1, // S(v10, v11), no longer blocked
+            recomputed_from: None,
+        }
+    );
+    assert!(m.interp().get(b).is_empty());
+    assert_eq!(m.interp().get(s).len(), before + 1);
+    assert_matches_recompute(&m, &program, "blocker retracted");
+}
+
+/// Hazards (a) and (b): rederivation and top-up drain in one seeded
+/// extension, so its rounds can (a) append a tuple the old model never held
+/// — here `R(c)`, reached from the rederived `R(a)` once the lower stratum
+/// dropped `B(c)` — which is an *addition* for the stratum above, and (b)
+/// bring back a cone member the one-step check could not confirm — `R(b)`,
+/// derivable only through `R(a)` — which is then *no removal*. Miscounting
+/// either leaves `N(c)` in, or lets `N(b)` into, the top stratum.
+#[test]
+fn rederive_rounds_book_new_tuples_as_added_and_returning_ones_as_kept() {
+    let src = "
+        B(x) :- Blk(x).
+        R(x) :- A1(x).
+        R(x) :- A2(x).
+        R(y) :- R(x), E(x, y), !B(y).
+        N(x) :- V(x), !R(x).
+    ";
+    let program = parse_program(src).unwrap();
+    let mut db = Database::new();
+    for v in 0..12 {
+        db.insert_named_fact("V", &[&format!("v{v}")]).unwrap();
+    }
+    let (a, b, c) = ("v0", "v1", "v2");
+    db.insert_named_fact("A1", &[a]).unwrap();
+    for v in [0, 4, 5, 6, 7, 8, 9] {
+        db.insert_named_fact("A2", &[&format!("v{v}")]).unwrap();
+    }
+    db.insert_named_fact("E", &[a, b]).unwrap();
+    db.insert_named_fact("E", &[a, c]).unwrap();
+    db.insert_named_fact("Blk", &[c]).unwrap();
+    db.insert_named_fact("Blk", &["v3"]).unwrap();
+    let unary = |name: &str| Tuple::from_ids(&[db.universe().lookup(name).unwrap().id()]);
+    for engine in [Engine::Stratified, Engine::WellFounded] {
+        let mut m = handle(&program, &db, engine);
+        let n = m.compiled().idb_id("N").unwrap();
+        assert!(m.interp().get(n).contains(&unary(c)));
+        let batch = [("Blk", unary(c)), ("A1", unary(a))];
+        assert_eq!(m.retract(&batch).unwrap(), 2);
+        assert_eq!(
+            m.last_repair(),
+            RepairStats {
+                cone: 4,      // B(c); R(a), R(b); N(c)
+                rederived: 2, // R(a) by the check, R(b) by a round
+                added: 1,     // R(c)
+                recomputed_from: None,
+            },
+            "{engine:?}"
+        );
+        assert!(!m.interp().get(n).contains(&unary(c)), "{engine:?}: N(c)");
+        assert!(!m.interp().get(n).contains(&unary(b)), "{engine:?}: N(b)");
+        assert_matches_recompute(&m, &program, &format!("{engine:?} two-relation retract"));
     }
 }
 
@@ -430,6 +658,62 @@ fn failpoint_sweep_rolls_back_every_site_on_every_engine() {
     }
 }
 
+/// Hazard (c): not just the first but *every* failpoint hit of a retract
+/// rolls back bit-identically — on an update repaired in place and on one
+/// that gives up overdeleting and re-evaluates. In the latter every `round`
+/// hit (and all but the first `index-extend` ones) falls inside the
+/// re-evaluation, after ten tuples were swap-removed and the rest cleared:
+/// the cleared tuples and each extension's watermarks must already be in
+/// the undo log, in that order, for the dense orders to come back.
+#[test]
+fn every_failpoint_hit_rolls_back_in_place_repairs_and_recomputes() {
+    let program = parse_program(TC).unwrap();
+    for (graph, recomputes) in [(DiGraph::path(6), false), (DiGraph::cycle(5), true)] {
+        let db = graph.to_database("E");
+        let batch = [("E", db.relation("E").unwrap().dense()[0].clone())];
+        for site in [
+            SITE_ROUND,
+            SITE_INDEX_EXTEND,
+            SITE_OVERDELETE_CLOSE,
+            SITE_REDERIVE_SWEEP,
+        ] {
+            let mut failures = 0;
+            for hit in 1.. {
+                let label = format!("recomputes={recomputes} {site}:{hit}");
+                let mut m = handle(&program, &db, Engine::Seminaive);
+                let pre = snapshot(&m);
+                m.set_eval_options(EvalOptions {
+                    failpoints: Failpoints::armed(site, hit),
+                    ..EvalOptions::sequential()
+                });
+                let Err(e) = m.retract(&batch) else {
+                    // Past the update's last hit of this site.
+                    let from = m.last_repair().recomputed_from;
+                    assert_eq!(from.is_some(), recomputes, "{label}");
+                    break;
+                };
+                failures += 1;
+                assert!(
+                    matches!(e, EvalError::FaultInjected { .. }),
+                    "{label}: {e:?}"
+                );
+                assert_eq!(snapshot(&m), pre, "{label}: rollback not bit-identical");
+                assert_eq!(m.last_repair(), RepairStats::default(), "{label}");
+                m.set_eval_options(EvalOptions::sequential());
+                assert_eq!(m.retract(&batch).unwrap(), 1, "{label}: retry");
+                assert_matches_recompute(&m, &program, &label);
+            }
+            // Every site is on the in-place path; the re-evaluation never
+            // reaches the rederive pass and hits the others repeatedly.
+            match (site, recomputes) {
+                (SITE_REDERIVE_SWEEP, true) => assert_eq!(failures, 0),
+                (_, true) => assert!(failures >= 2, "{site}: {failures} hits"),
+                (_, false) => assert!(failures >= 1, "{site} never hit"),
+            }
+        }
+    }
+}
+
 /// A worker panic under forced parallelism is contained: the update returns
 /// a typed error instead of aborting the process, and the rollback holds.
 #[test]
@@ -577,9 +861,8 @@ fn deadline_budget_trips_a_deliberately_slow_program() {
     );
 }
 
-/// Round and tuple caps surface the same typed error from every engine —
-/// including naive iteration, whose old ad-hoc `IterationLimit` cap is now
-/// routed through `Budget::max_rounds`.
+/// Round and tuple caps surface the same typed error from every engine,
+/// naive iteration included.
 #[test]
 fn round_and_tuple_caps_surface_typed_errors_from_every_engine() {
     let program = parse_program(TC).unwrap();
@@ -638,7 +921,6 @@ fn round_and_tuple_caps_surface_typed_errors_from_every_engine() {
 #[ignore = "driven by CI with INFLOG_FAILPOINT set"]
 fn env_driven_failpoint_rolls_back_the_update() {
     let program = parse_program(TC).unwrap();
-    let db = DiGraph::cycle(5).to_database("E");
     // Everything except the update under test must run with *explicit*
     // clean options: `EvalOptions::default()` re-parses `INFLOG_FAILPOINT`
     // on every call (fresh hit counter), so construction and recompute
@@ -647,32 +929,42 @@ fn env_driven_failpoint_rolls_back_the_update() {
         engine: Engine::Seminaive,
         eval: EvalOptions::sequential(),
     };
-    let mut m = Materialized::new(&program, &db, &clean).unwrap();
-    let opts = EvalOptions::default();
-    assert!(
-        opts.failpoints.is_armed(),
-        "set INFLOG_FAILPOINT=<site> to run this test"
-    );
-    let pre = snapshot(&m);
-    m.set_eval_options(opts);
-    let edge = db.relation("E").unwrap().dense()[0].clone();
-    let err = m.retract(&[("E", edge.clone())]).unwrap_err();
-    assert!(
-        matches!(
-            err,
-            EvalError::FaultInjected { .. } | EvalError::WorkerPanic { .. }
-        ),
-        "unexpected error {err:?}"
-    );
-    assert_eq!(
-        snapshot(&m),
-        pre,
-        "env failpoint rollback not bit-identical"
-    );
-    m.set_eval_options(EvalOptions::sequential());
-    assert_eq!(m.retract(&[("E", edge)]).unwrap(), 1);
-    // Compare against a clean handle over the updated database rather than
-    // the env-sensitive recompute helpers.
-    let fresh = Materialized::new(&program, m.database(), &clean).unwrap();
-    assert_eq!(m.interp(), fresh.interp(), "retry diverged from recompute");
+    // One retract that re-evaluates (the cycle's whole closure is condemned)
+    // and one repaired in place: every site lies on at least one of the two
+    // paths, and an update the armed site is not on must go through.
+    let mut fired = false;
+    for graph in [DiGraph::cycle(5), DiGraph::path(6)] {
+        let db = graph.to_database("E");
+        let mut m = Materialized::new(&program, &db, &clean).unwrap();
+        let opts = EvalOptions::default();
+        assert!(
+            opts.failpoints.is_armed(),
+            "set INFLOG_FAILPOINT=<site> to run this test"
+        );
+        let pre = snapshot(&m);
+        m.set_eval_options(opts);
+        let edge = db.relation("E").unwrap().dense()[0].clone();
+        if let Err(err) = m.retract(&[("E", edge.clone())]) {
+            fired = true;
+            assert!(
+                matches!(
+                    err,
+                    EvalError::FaultInjected { .. } | EvalError::WorkerPanic { .. }
+                ),
+                "unexpected error {err:?}"
+            );
+            assert_eq!(
+                snapshot(&m),
+                pre,
+                "env failpoint rollback not bit-identical"
+            );
+            m.set_eval_options(EvalOptions::sequential());
+            assert_eq!(m.retract(&[("E", edge)]).unwrap(), 1);
+        }
+        // Compare against a clean handle over the updated database rather
+        // than the env-sensitive recompute helpers.
+        let fresh = Materialized::new(&program, m.database(), &clean).unwrap();
+        assert_eq!(m.interp(), fresh.interp(), "diverged from recompute");
+    }
+    assert!(fired, "the armed site is on neither update's path");
 }

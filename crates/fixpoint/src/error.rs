@@ -56,7 +56,11 @@ mod tests {
             cap: 24,
         };
         assert!(e.to_string().contains("2^40"));
-        let wrapped: FixpointError = EvalError::IterationLimit { limit: 3 }.into();
+        let wrapped: FixpointError = EvalError::BudgetExceeded {
+            kind: inflog_eval::BudgetKind::Rounds,
+            limit: 3,
+        }
+        .into();
         assert!(wrapped.to_string().contains("3"));
         use std::error::Error;
         assert!(wrapped.source().is_some());
