@@ -7,6 +7,7 @@ use crate::universe::Universe;
 use crate::Result;
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::Arc;
 
 /// A vocabulary σ: relation names with arities, in deterministic order.
 ///
@@ -94,25 +95,26 @@ impl fmt::Display for Schema {
 /// Relations are stored in a `BTreeMap` so iteration order (and therefore all
 /// derived output: displays, SAT variable numbering, experiment tables) is
 /// deterministic.
+///
+/// The universe sits behind an [`Arc`]: it is usually fixed once the
+/// database is loaded, so clones share it and only a clone that interns a
+/// new constant pays for a copy ([`Arc::make_mut`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Database {
-    universe: Universe,
+    universe: Arc<Universe>,
     relations: BTreeMap<String, Relation>,
 }
 
 impl Database {
     /// Creates a database with an empty universe and no relations.
     pub fn new() -> Self {
-        Database {
-            universe: Universe::new(),
-            relations: BTreeMap::new(),
-        }
+        Database::with_universe(Universe::new())
     }
 
     /// Creates a database over the given universe.
     pub fn with_universe(universe: Universe) -> Self {
         Database {
-            universe,
+            universe: Arc::new(universe),
             relations: BTreeMap::new(),
         }
     }
@@ -122,9 +124,16 @@ impl Database {
         &self.universe
     }
 
+    /// The universe as a shared handle: keeps the constant names readable
+    /// without holding on to the database.
+    pub fn shared_universe(&self) -> &Arc<Universe> {
+        &self.universe
+    }
+
     /// Mutable access to the universe (for interning additional constants).
+    /// Copies the universe first if another database clone shares it.
     pub fn universe_mut(&mut self) -> &mut Universe {
-        &mut self.universe
+        Arc::make_mut(&mut self.universe)
     }
 
     /// `|A|`.
@@ -218,7 +227,10 @@ impl Database {
     pub fn insert_named_fact(&mut self, name: &str, consts: &[&str]) -> Result<bool> {
         let tuple: Tuple = consts
             .iter()
-            .map(|s| self.universe.intern(s))
+            .map(|s| match self.universe.lookup(s) {
+                Some(c) => c,
+                None => self.universe_mut().intern(s),
+            })
             .collect::<Vec<_>>()
             .into();
         self.insert_fact(name, tuple)
@@ -363,6 +375,25 @@ mod tests {
         let s = db.display_relation("E");
         assert_eq!(s, "E = {(a,b), (b,a)}");
         assert_eq!(db.display_relation("Z"), "Z = <absent>");
+    }
+
+    #[test]
+    fn clones_share_the_universe_until_one_interns() {
+        let mut db = Database::new();
+        db.insert_named_fact("E", &["a", "b"]).unwrap();
+        let mut copy = db.clone();
+        assert!(Arc::ptr_eq(db.shared_universe(), copy.shared_universe()));
+        // Facts over known constants keep sharing it.
+        copy.insert_named_fact("E", &["b", "a"]).unwrap();
+        assert!(Arc::ptr_eq(db.shared_universe(), copy.shared_universe()));
+        // Interning on the clone copies first: the original never changes.
+        copy.insert_named_fact("E", &["b", "c"]).unwrap();
+        copy.universe_mut().intern("d");
+        assert!(!Arc::ptr_eq(db.shared_universe(), copy.shared_universe()));
+        assert_eq!(db.universe_size(), 2);
+        assert_eq!(db.universe().lookup("c"), None);
+        assert_eq!(copy.universe_size(), 4);
+        assert_eq!(db.relation("E").unwrap().len(), 1);
     }
 
     #[test]

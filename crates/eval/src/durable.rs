@@ -33,14 +33,16 @@
 //! restores the last committed epoch exactly or fails with a typed
 //! [`StoreError`] naming the corrupt offset — never a wrong answer.
 
+use crate::epoch::Epoch;
 use crate::interp::Interp;
-use crate::materialize::{Engine, MaterializeOpts, Materialized, RepairStrategy};
+use crate::materialize::{Change, Engine, MaterializeOpts, Materialized, RepairStrategy};
 use crate::options::EvalOptions;
 use crate::Result;
 use inflog_core::{Database, Relation, Tuple};
 use inflog_store::{SnapshotState, Store, StoreOptions, WalOp, WalRecord};
 use inflog_syntax::Program;
 use std::path::Path;
+use std::sync::Arc;
 
 pub use inflog_store::Durability;
 
@@ -231,8 +233,25 @@ impl DurableMaterialized {
     /// # Errors
     /// Same (practically unreachable) conditions as
     /// [`Materialized::publish`].
-    pub fn publish(&self) -> Result<std::sync::Arc<crate::epoch::Epoch>> {
+    pub fn publish(&self) -> Result<Arc<Epoch>> {
         self.m.publish(self.epoch())
+    }
+
+    /// [`Materialized::publish_over`] stamped with the durable epoch.
+    ///
+    /// # Errors
+    /// Same conditions as [`DurableMaterialized::publish`].
+    pub fn publish_over(
+        &self,
+        retired: Arc<Epoch>,
+        gap: Option<&Change>,
+    ) -> Result<(Arc<Epoch>, Option<Arc<Epoch>>)> {
+        self.m.publish_over(retired, gap, self.epoch())
+    }
+
+    /// [`Materialized::take_change`].
+    pub fn take_change(&mut self) -> Option<Change> {
+        self.m.take_change()
     }
 
     /// Replaces the evaluation options used by subsequent repairs (see

@@ -3,40 +3,50 @@
 //!
 //! # The epoch-publication invariant
 //!
-//! An [`Epoch`] is a *complete, committed, immutable* copy of one
-//! materialized fixpoint: the database it was evaluated over, the true and
-//! undefined IDB relations the engine produced for exactly that database,
-//! and the (refcount-shared) program and compiled plans. An epoch is
-//! constructed only from a committed [`Materialized`] state — never from a
-//! mid-update or rolled-back one — and nothing can mutate it afterwards,
-//! so every answer read from one epoch is internally consistent with that
-//! single epoch's EDB. Because every maintained semantics is a
-//! deterministic function of the EDB (the paper's central observation), a
-//! reader can mechanically verify this: a from-scratch evaluation over
-//! [`Epoch::database`] must reproduce [`Epoch::interp`] /
-//! [`Epoch::undefined`] bit for bit ([`Epoch::matches_recompute`] does
-//! exactly that, and the serve-layer chaos harness runs it under churn).
+//! An [`Epoch`] is a *complete, committed* snapshot of one materialized
+//! fixpoint: the database it was evaluated over, the true and undefined IDB
+//! relations the engine produced for exactly that database, and the
+//! (refcount-shared) program and compiled plans. An epoch is built only
+//! from a committed [`Materialized`] state — never from a mid-update or
+//! rolled-back one — so every answer read from one epoch is internally
+//! consistent with that single epoch's EDB. Because every maintained
+//! semantics is a deterministic function of the EDB (the paper's central
+//! observation), a reader can mechanically verify this: a from-scratch
+//! evaluation over [`Epoch::database`] must reproduce [`Epoch::interp`] /
+//! [`Epoch::undefined`] ([`Epoch::matches_recompute`] does exactly that,
+//! and the serve-layer chaos harness runs it under churn).
+//!
+//! **An epoch is never mutated while anyone but the writer can reach it.**
+//! The writer patches a retired epoch into the next one
+//! ([`Materialized::publish_over`]) only after [`Arc::get_mut`] proves it
+//! holds the last reference, and keeps at most one retired epoch alive;
+//! otherwise it publishes a deep copy ([`Materialized::publish`]).
 //!
 //! [`EpochCell`] is the publication point: the single writer commits an
 //! update through the transactional (and optionally durable) path, then
-//! swaps a freshly captured `Arc<Epoch>` into the cell. Readers
+//! swaps the new `Arc<Epoch>` into the cell. Readers
 //! [`pin`](EpochCell::pin) the current epoch — an `Arc` clone — and keep
 //! answering from it for as long as they like; a publish never blocks or
-//! disturbs pinned readers, and an old epoch is freed exactly when its
-//! last pinning reader drops it. A failed update publishes nothing: the
-//! cell still holds the last committed epoch.
+//! disturbs pinned readers, and an old epoch is freed (or recycled by the
+//! writer) exactly when its last pinning reader drops it. A failed update
+//! publishes nothing: the cell still holds the last committed epoch.
+//!
+//! [`Materialized`]: crate::Materialized
+//! [`Materialized::publish`]: crate::Materialized::publish
+//! [`Materialized::publish_over`]: crate::Materialized::publish_over
 
 use crate::error::{BudgetKind, EvalError};
 use crate::interp::Interp;
-use crate::materialize::Engine;
+use crate::materialize::{Change, Engine};
 use crate::operator::EvalContext;
 use crate::options::EvalOptions;
 use crate::query::{self, QueryAnswer, QueryOpts};
 use crate::resolve::CompiledProgram;
 use crate::stratified::Stratification;
 use crate::Result;
-use inflog_core::{Const, Database, Tuple};
+use inflog_core::{Const, Database, Relation, Tuple};
 use inflog_syntax::{Atom, Program, Term};
+use std::borrow::Cow;
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
 
@@ -60,27 +70,29 @@ const SCAN_POLL_MASK: usize = (1 << 12) - 1;
 #[derive(Debug)]
 pub struct Epoch {
     number: u64,
+    /// [`Materialized::epoch`](crate::Materialized::epoch) of the state this
+    /// snapshot holds: which committed changes a patch must apply to it.
+    pub(crate) state: u64,
     program: Arc<Program>,
-    cp: Arc<CompiledProgram>,
+    /// Shared with the publishing handle: [`Arc::ptr_eq`] on it tells a
+    /// handle whether an epoch is one of its own.
+    pub(crate) cp: Arc<CompiledProgram>,
     engine: Engine,
     strat: Option<Stratification>,
     db: Database,
     s: Interp,
     undefined: Interp,
-    /// EDB relations + persistent index set for this snapshot: readers of
-    /// the same epoch share one warming index cache (the inner `RwLock`
-    /// makes that safe), and the verification recompute runs over it.
-    ctx: EvalContext,
 }
 
 impl Epoch {
     /// Crate-internal constructor; [`Materialized::publish`] is the only
-    /// producer, which is what makes the immutability claim above true.
+    /// producer, which is what makes the publication invariant true.
     ///
     /// [`Materialized::publish`]: crate::Materialized::publish
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn from_parts(
         number: u64,
+        state: u64,
         program: Arc<Program>,
         cp: Arc<CompiledProgram>,
         engine: Engine,
@@ -88,10 +100,10 @@ impl Epoch {
         db: Database,
         s: Interp,
         undefined: Interp,
-        ctx: EvalContext,
     ) -> Epoch {
         Epoch {
             number,
+            state,
             program,
             cp,
             engine,
@@ -99,8 +111,36 @@ impl Epoch {
             db,
             s,
             undefined,
-            ctx,
         }
+    }
+
+    /// Brings a retired snapshot forward by one committed change and
+    /// restamps it `number`. Only [`Materialized::publish_over`] calls
+    /// this, and only on an epoch it holds the sole reference to.
+    ///
+    /// [`Materialized::publish_over`]: crate::Materialized::publish_over
+    pub(crate) fn apply(&mut self, change: &Change, number: u64) {
+        debug_assert_eq!(self.state + 1, change.to, "changes apply in order");
+        for (id, name) in self.cp.edb_names.iter().enumerate() {
+            for t in change.edb.get(id).iter() {
+                if change.inserting {
+                    self.db
+                        .insert_fact(name, t.clone())
+                        .expect("committed facts fit the database");
+                } else if let Some(rel) = self.db.relation_mut(name) {
+                    rel.remove(t);
+                }
+            }
+        }
+        for i in 0..self.s.len() {
+            let rel = self.s.get_mut(i);
+            for t in change.removed.get(i).iter() {
+                rel.remove(t);
+            }
+            rel.union_with(change.added.get(i));
+        }
+        self.state = change.to;
+        self.number = number;
     }
 
     /// The epoch number this snapshot was stamped with at publication.
@@ -199,7 +239,7 @@ impl Epoch {
             }
         }
         let mut scanned = 0usize;
-        let mut scan = |rel: &inflog_core::Relation| -> Result<Vec<Tuple>> {
+        let mut scan = |rel: &Relation| -> Result<Vec<Tuple>> {
             let mut out = Vec::new();
             for t in rel.iter() {
                 scanned += 1;
@@ -220,7 +260,7 @@ impl Epoch {
             out.sort_unstable();
             Ok(out)
         };
-        let tuples = scan(rel)?;
+        let tuples = scan(&rel)?;
         let undefined = match undef {
             Some(u) => scan(u)?,
             None => Vec::new(),
@@ -253,17 +293,15 @@ impl Epoch {
     /// Evaluation errors of the governed engines under `opts` (budget,
     /// cancellation, armed failpoints).
     pub fn matches_recompute(&self, opts: &EvalOptions) -> Result<bool> {
+        let ctx = EvalContext::new(&self.cp, &self.db)?;
         let empty = self.cp.empty_interp();
         let (s, undefined) = match self.engine {
             Engine::Seminaive => (
-                crate::seminaive::least_fixpoint_seminaive_compiled_with(
-                    &self.cp, &self.ctx, opts,
-                )?
-                .0,
+                crate::seminaive::least_fixpoint_seminaive_compiled_with(&self.cp, &ctx, opts)?.0,
                 empty,
             ),
             Engine::Inflationary => (
-                crate::inflationary::inflationary_compiled_with(&self.cp, &self.ctx, opts)?.0,
+                crate::inflationary::inflationary_compiled_with(&self.cp, &ctx, opts)?.0,
                 empty,
             ),
             Engine::Stratified => {
@@ -274,7 +312,7 @@ impl Epoch {
                 (
                     crate::stratified::stratified_eval_compiled_with(
                         &self.cp,
-                        &self.ctx,
+                        &ctx,
                         strat,
                         &self.program,
                         opts,
@@ -284,24 +322,25 @@ impl Epoch {
                 )
             }
             Engine::WellFounded => {
-                let model =
-                    crate::wellfounded::well_founded_compiled_with(&self.cp, &self.ctx, opts)?;
+                let model = crate::wellfounded::well_founded_compiled_with(&self.cp, &ctx, opts)?;
                 (model.true_facts, model.undefined)
             }
         };
         Ok(self.s == s && self.undefined == undefined)
     }
 
-    /// The true and (for IDB predicates) undefined relations of `pred`.
-    fn relations_of(
-        &self,
-        pred: &str,
-    ) -> Result<(&inflog_core::Relation, Option<&inflog_core::Relation>)> {
+    /// The true and (for IDB predicates) undefined relations of `pred`. An
+    /// EDB predicate the database never declared reads as empty.
+    fn relations_of(&self, pred: &str) -> Result<(Cow<'_, Relation>, Option<&Relation>)> {
         if let Some(i) = self.cp.idb_id(pred) {
-            return Ok((self.s.get(i), Some(self.undefined.get(i))));
+            return Ok((Cow::Borrowed(self.s.get(i)), Some(self.undefined.get(i))));
         }
         if let Some(i) = self.cp.edb_id(pred) {
-            return Ok((&self.ctx.edb[i], None));
+            let rel = match self.db.relation(pred) {
+                Some(rel) => Cow::Borrowed(rel),
+                None => Cow::Owned(Relation::new(self.cp.edb_arities[i])),
+            };
+            return Ok((rel, None));
         }
         Err(EvalError::UnknownRelation {
             name: pred.to_owned(),

@@ -92,7 +92,7 @@ pub use govern::{
 pub use index::IndexSet;
 pub use inflationary::{inflationary, inflationary_naive, inflationary_with};
 pub use interp::Interp;
-pub use materialize::{Engine, MaterializeOpts, Materialized, RepairStats, RepairStrategy};
+pub use materialize::{Change, Engine, MaterializeOpts, Materialized, RepairStats, RepairStrategy};
 pub use naive::{least_fixpoint_naive, least_fixpoint_naive_with};
 pub use operator::{
     apply, apply_delta, apply_delta_with_neg, apply_subset, apply_with_neg, enumerate_bindings,

@@ -185,6 +185,30 @@ pub struct RepairStats {
     pub recomputed_from: Option<usize>,
 }
 
+/// The net change one committed update made: the EDB facts the batch
+/// actually changed and the IDB tuples that entered or left the model.
+/// [`Materialized::publish_over`] brings a retired epoch forward with it
+/// instead of deep-copying the whole state.
+///
+/// Known for no-op batches and for [`RepairStrategy::DeleteRederive`]
+/// updates repaired in place: an update that re-evaluated —
+/// [`RepairStats::recomputed_from`] or [`RepairStrategy::Restart`] — does
+/// not track what changed.
+#[derive(Debug)]
+pub struct Change {
+    /// [`Materialized::epoch`] right after the update: the change leads from
+    /// state `to - 1` to state `to`.
+    pub(crate) to: u64,
+    /// Whether the batch inserted (else it retracted) the `edb` facts.
+    pub(crate) inserting: bool,
+    /// The facts the batch changed, by EDB id.
+    pub(crate) edb: Interp,
+    /// IDB tuples new to the model, by IDB id.
+    pub(crate) added: Interp,
+    /// IDB tuples gone from the model, by IDB id.
+    pub(crate) removed: Interp,
+}
+
 /// One reversible mutation a repair made, recorded so a failed update can
 /// be replayed backwards (see the module docs' *transactional invariant*).
 /// Each undo assumes the state right after the op it reverses — which
@@ -258,6 +282,10 @@ pub struct Materialized {
     /// Phase sizes of the last committed update (all zero after a
     /// [`RepairStrategy::Restart`] update or a no-op batch).
     last_repair: RepairStats,
+    /// Net change of the last committed update, until
+    /// [`Materialized::take_change`] moves it out; `None` when that update
+    /// re-evaluated or the last update failed.
+    change: Option<Change>,
 }
 
 impl Materialized {
@@ -394,6 +422,7 @@ impl Materialized {
             undefined,
             epoch: 0,
             last_repair: RepairStats::default(),
+            change: None,
         };
         Ok(m)
     }
@@ -518,19 +547,20 @@ impl Materialized {
     /// the durable layer uses its durable epoch, in-memory servers use
     /// [`Materialized::epoch`]).
     ///
-    /// The snapshot deep-copies only the mutable state (database, model,
-    /// undefined set, EDB index context); the program and its compiled
+    /// The snapshot deep-copies the relations of the database, the model
+    /// and the undefined set; the universe, the program and its compiled
     /// plans are shared by refcount. Publishing never blocks on or is
     /// observed by concurrent readers of previously published epochs —
     /// an [`EpochCell`](crate::epoch::EpochCell) swap makes it visible.
+    /// [`Materialized::publish_over`] avoids the copy when the writer can
+    /// recycle an epoch it retired.
     ///
     /// # Errors
-    /// Cannot fail in practice: the context rebuild re-checks arities that
-    /// already compiled against this very database.
+    /// None today; the `Result` is part of the stable signature.
     pub fn publish(&self, number: u64) -> Result<Arc<Epoch>> {
-        let ctx = EvalContext::new(&self.cp, &self.db)?;
         Ok(Arc::new(Epoch::from_parts(
             number,
+            self.epoch,
             Arc::clone(&self.program),
             Arc::clone(&self.cp),
             self.engine,
@@ -538,8 +568,75 @@ impl Materialized {
             self.db.clone(),
             self.s.clone(),
             self.undefined.clone(),
-            ctx,
         )))
+    }
+
+    /// Publishes the committed model stamped `number` by patching
+    /// `retired` — an epoch this handle published earlier and its
+    /// publisher has since replaced — instead of deep-copying.
+    ///
+    /// `gap` is the change this handle committed right after `retired`'s
+    /// state ([`Materialized::take_change`] taken once `retired` was
+    /// superseded); with the handle's own last change it brings `retired`
+    /// up to date — the writer's loop: publish, keep the superseded epoch
+    /// and the change after it, commit, patch. The patch happens only when
+    /// [`Arc::get_mut`] proves the caller holds the last reference and both
+    /// changes are known and lead exactly from `retired`'s state to the
+    /// current one; otherwise this
+    /// is [`Materialized::publish`], and `retired` comes back unused as the
+    /// second value so the caller can release it *after* acknowledging the
+    /// write (freeing a snapshot costs about as much as copying one).
+    ///
+    /// Debug builds assert that a patched epoch equals the committed state.
+    ///
+    /// # Errors
+    /// Same as [`Materialized::publish`].
+    pub fn publish_over(
+        &self,
+        mut retired: Arc<Epoch>,
+        gap: Option<&Change>,
+        number: u64,
+    ) -> Result<(Arc<Epoch>, Option<Arc<Epoch>>)> {
+        let Some(epoch) = Arc::get_mut(&mut retired) else {
+            return Ok((self.publish(number)?, Some(retired)));
+        };
+        let Some(steps) = self.changes_since(epoch, gap) else {
+            return Ok((self.publish(number)?, Some(retired)));
+        };
+        for change in steps {
+            epoch.apply(change, number);
+        }
+        debug_assert!(
+            epoch.interp() == &self.s
+                && epoch.undefined() == &self.undefined
+                && epoch.database() == &self.db,
+            "a recycled epoch diverged from the committed state"
+        );
+        Ok((retired, None))
+    }
+
+    /// `gap` and the last change, when together they lead from `epoch`'s
+    /// state to the current one — `None` when `epoch` is not this handle's
+    /// or a step is unknown.
+    fn changes_since<'a>(
+        &'a self,
+        epoch: &Epoch,
+        gap: Option<&'a Change>,
+    ) -> Option<[&'a Change; 2]> {
+        let (gap, last) = (gap?, self.change.as_ref()?);
+        let chained = Arc::ptr_eq(&epoch.cp, &self.cp)
+            && gap.to == epoch.state + 1
+            && last.to == gap.to + 1
+            && last.to == self.epoch;
+        chained.then_some([gap, last])
+    }
+
+    /// Moves out the net change of the last committed update — the `gap` a
+    /// later [`Materialized::publish_over`] needs to bring forward the
+    /// epoch this update's publish superseded. `None` when that update
+    /// re-evaluated or failed, or the change was already taken.
+    pub fn take_change(&mut self) -> Option<Change> {
+        self.change.take()
     }
 
     /// Replaces the evaluation options used by subsequent repairs — the
@@ -597,6 +694,8 @@ impl Materialized {
     /// panic), roll every mutation back so the handle is bit-identical to
     /// its pre-update state and stays usable.
     fn update(&mut self, facts: &[(&str, Tuple)], inserting: bool) -> Result<usize> {
+        // Only a committed update leaves a change behind.
+        self.change = None;
         let staged = self.stage(facts, inserting)?;
         let n = staged.total_tuples();
         if n == 0 {
@@ -605,6 +704,13 @@ impl Materialized {
             // record count must equal the epoch delta for replay to line up.
             self.epoch += 1;
             self.last_repair = RepairStats::default();
+            self.change = Some(Change {
+                to: self.epoch,
+                inserting,
+                edb: staged,
+                added: self.cp.empty_interp(),
+                removed: self.cp.empty_interp(),
+            });
             return Ok(0);
         }
         let saved_driver = self.driver.save_state();
@@ -612,30 +718,38 @@ impl Materialized {
         let outcome = {
             let this = &mut *self;
             let log = &mut log;
+            let staged = &staged;
             // A panic anywhere inside the repair must not poison the handle:
             // contain it, roll back, and surface it as a typed error. The
             // unwind-safety assertion is justified by the rollback — any
             // half-mutated state the panic leaves behind is exactly what the
             // undo log reverses.
             std::panic::catch_unwind(std::panic::AssertUnwindSafe(
-                move || -> Result<RepairStats> {
+                move || -> Result<(RepairStats, Option<NetChange>)> {
                     match this.strategy {
-                        RepairStrategy::DeleteRederive => this.repair(&staged, inserting, log),
+                        RepairStrategy::DeleteRederive => this.repair(staged, inserting, log),
                         RepairStrategy::Restart => {
-                            this.mutate_edb(&staged, inserting, log);
+                            this.mutate_edb(staged, inserting, log);
                             this.reevaluate()?;
-                            Ok(RepairStats::default())
+                            Ok((RepairStats::default(), None))
                         }
                     }
                 },
             ))
         };
         match outcome {
-            Ok(Ok(stats)) => {
+            Ok(Ok((stats, net))) => {
                 #[cfg(debug_assertions)]
                 self.debug_check();
                 self.epoch += 1;
                 self.last_repair = stats;
+                self.change = net.map(|(added, removed)| Change {
+                    to: self.epoch,
+                    inserting,
+                    edb: staged,
+                    added,
+                    removed,
+                });
                 Ok(n)
             }
             Ok(Err(e)) => {
@@ -895,13 +1009,14 @@ impl Materialized {
     /// falling back to [`evaluate_from`](Self::evaluate_from) at the first
     /// stratum whose cone outgrows the module docs' cost bound. Every
     /// mutation is recorded in `log`; on `Err` the caller reverse-replays it
-    /// (see the module docs' transactional invariant).
+    /// (see the module docs' transactional invariant). Returns the phase
+    /// sizes and, unless it fell back, the net IDB change.
     fn repair(
         &mut self,
         staged: &Interp,
         inserting: bool,
         log: &mut Vec<UndoOp>,
-    ) -> Result<RepairStats> {
+    ) -> Result<(RepairStats, Option<NetChange>)> {
         let governor = Governor::new(&self.opts);
         let gov = governor.as_active();
         let num_idb = self.cp.num_idb();
@@ -1000,7 +1115,7 @@ impl Materialized {
                     stats.cone += cone_len;
                     stats.recomputed_from = Some(k);
                     self.evaluate_from(k, &governor, log)?;
-                    return Ok(stats);
+                    return Ok((stats, None));
                 }
                 self.apply_delta(
                     None,
@@ -1131,7 +1246,7 @@ impl Materialized {
                 }
             }
         }
-        Ok(stats)
+        Ok((stats, Some((added_acc, removed_acc))))
     }
 
     /// Debug invariant: the handle's state is identical to a from-scratch
@@ -1193,6 +1308,10 @@ impl Materialized {
         );
     }
 }
+
+/// The IDB tuples an update added to and removed from the model, in that
+/// order.
+type NetChange = (Interp, Interp);
 
 /// Records every IDB relation's dense length, so whatever a driver call
 /// appends after this point can be truncated away on rollback.

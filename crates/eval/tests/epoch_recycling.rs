@@ -1,0 +1,270 @@
+//! Publishing by patching a retired epoch ([`Materialized::publish_over`])
+//! against the deep copy ([`Materialized::publish`]).
+//!
+//! Every maintained semantics is a deterministic function of the EDB, so an
+//! epoch brought forward by the net changes of the updates after it must be
+//! set-equal to a fresh copy of the committed state and pass
+//! [`Epoch::matches_recompute`]. These tests publish after every update the
+//! way the server's writer does — keep the superseded epoch and the change
+//! that followed it, patch it at the next publish — and check exactly that,
+//! together with when the patch must give way to the copy: a pinned retired
+//! epoch, an update that re-evaluated, a Restart engine, a rolled-back
+//! update, an epoch from another handle.
+
+use inflog_core::graphs::DiGraph;
+use inflog_core::{Database, Tuple};
+use inflog_eval::govern::SITE_ROUND;
+use inflog_eval::materialize::{Engine, MaterializeOpts, Materialized};
+use inflog_eval::{Change, Epoch, EvalOptions, Failpoints};
+use inflog_syntax::{parse_atom, parse_program};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+use std::sync::Arc;
+
+const TC: &str = "S(x, y) :- E(x, y). S(x, y) :- E(x, z), S(z, y).";
+const WIN: &str = "Win(x) :- Move(x, y), !Win(y).";
+/// Three strata; retracting an edge of a strongly connected graph condemns
+/// most of `S` and re-evaluates instead of repairing in place.
+const TC_CUT_MUTUAL: &str = "
+    S(x, y) :- E(x, y).
+    S(x, y) :- S(x, z), E(z, y).
+    Cut(x, y) :- E(x, y), !S(y, x).
+    T(x, y) :- S(x, y), S(y, x), !Cut(x, y).
+";
+
+fn handle(src: &str, db: &Database, engine: Engine) -> Materialized {
+    let opts = MaterializeOpts {
+        engine,
+        ..MaterializeOpts::default()
+    };
+    Materialized::new(&parse_program(src).unwrap(), db, &opts).unwrap()
+}
+
+/// The server writer's publication loop, in miniature.
+struct Publisher {
+    current: Arc<Epoch>,
+    retired: Option<(Arc<Epoch>, Option<Change>)>,
+    recycled: usize,
+    copied: usize,
+}
+
+impl Publisher {
+    fn new(m: &Materialized) -> Publisher {
+        Publisher {
+            current: m.publish(0).unwrap(),
+            retired: None,
+            recycled: 0,
+            copied: 0,
+        }
+    }
+
+    /// Publishes the handle's committed state, checks it against a deep
+    /// copy and the recompute oracle, and reports whether it was recycled.
+    fn publish(&mut self, m: &mut Materialized, ctx: &str) -> bool {
+        let number = self.current.number() + 1;
+        let recycling = self.retired.is_some();
+        let (epoch, unused) = match self.retired.take() {
+            Some((old, gap)) => m.publish_over(old, gap.as_ref(), number).unwrap(),
+            None => (m.publish(number).unwrap(), None),
+        };
+        let recycled = recycling && unused.is_none();
+        assert_eq!(epoch.number(), number, "{ctx}");
+        assert_same_state(&epoch, &m.publish(number).unwrap(), ctx);
+        assert!(
+            epoch.matches_recompute(&EvalOptions::default()).unwrap(),
+            "{ctx}: published epoch fails the recompute oracle"
+        );
+        if recycled {
+            self.recycled += 1;
+        } else {
+            self.copied += 1;
+        }
+        let superseded = std::mem::replace(&mut self.current, epoch);
+        self.retired = Some((superseded, m.take_change()));
+        recycled
+    }
+}
+
+fn assert_same_state(got: &Epoch, want: &Epoch, ctx: &str) {
+    assert_eq!(got.interp(), want.interp(), "{ctx}: model");
+    assert_eq!(got.undefined(), want.undefined(), "{ctx}: undefined set");
+    assert_eq!(got.database(), want.database(), "{ctx}: database");
+}
+
+/// Flips random forward edges `u → v`, `u < v` (one in eight a deliberate
+/// no-op), and publishes after every update; returns (recycled, copied)
+/// publish counts.
+fn churn(src: &str, rel: &str, db: &Database, engine: Engine, seed: u64) -> (usize, usize) {
+    let mut m = handle(src, db, engine);
+    let mut publisher = Publisher::new(&m);
+    let n = db.universe_size() as u32;
+    let mut rng = StdRng::seed_from_u64(seed);
+    for step in 0..40 {
+        let u = rng.gen_range(0..n - 1);
+        let t = Tuple::from_ids(&[u, rng.gen_range(u + 1..n)]);
+        let present = m.contains(rel, &t);
+        let inserting = present == (rng.gen_range(0u32..8) == 0);
+        if inserting {
+            m.insert(&[(rel, t)]).unwrap();
+        } else {
+            m.retract(&[(rel, t)]).unwrap();
+        }
+        publisher.publish(&mut m, &format!("{engine:?} seed {seed} step {step}"));
+    }
+    (publisher.recycled, publisher.copied)
+}
+
+#[test]
+fn churn_publishes_recycled_epochs_equal_to_deep_copies_on_every_engine() {
+    let mut rng = StdRng::seed_from_u64(5);
+    let graphs = [
+        DiGraph::path(7),
+        DiGraph::random_dag(10, 0.3, &mut rng),
+        DiGraph::random_dag(12, 0.2, &mut rng),
+    ];
+    for engine in [
+        Engine::Seminaive,
+        Engine::Stratified,
+        Engine::WellFounded,
+        Engine::Inflationary,
+    ] {
+        let (mut recycled, mut copied) = (0, 0);
+        for (g, graph) in graphs.iter().enumerate() {
+            let (r, c) = churn(TC, "E", &graph.to_database("E"), engine, 40 + g as u64);
+            recycled += r;
+            copied += c;
+        }
+        if engine == Engine::Inflationary {
+            // Restart engine: only no-op batches know their change, so only
+            // the odd publish straddling two of them may recycle.
+            assert!(copied > 5 * recycled, "{engine:?}: {recycled} recycled");
+        } else {
+            // In-place repairs: everything but each churn's first publish
+            // and the two next to a recompute.
+            assert!(recycled > 10 * copied, "{engine:?}: {copied} copied");
+        }
+    }
+}
+
+#[test]
+fn churn_across_strata_recycles_around_recomputes() {
+    for engine in [Engine::Stratified, Engine::WellFounded] {
+        let mut rng = StdRng::seed_from_u64(9);
+        let db = loop {
+            let g = DiGraph::random_gnp(8, 0.35, &mut rng);
+            if g.transitive_closure().len() == 64 {
+                break g.to_database("E");
+            }
+        };
+        let (recycled, copied) = churn(TC_CUT_MUTUAL, "E", &db, engine, 77);
+        assert!(
+            recycled > 0 && copied > 1,
+            "{engine:?}: {recycled}/{copied}"
+        );
+    }
+}
+
+#[test]
+fn non_stratifiable_well_founded_restarts_and_always_copies() {
+    let db = DiGraph::cycle(5).to_database("Move");
+    let mut m = handle(WIN, &db, Engine::WellFounded);
+    let mut publisher = Publisher::new(&m);
+    for (i, edge) in [["v0", "v2"], ["v1", "v3"], ["v0", "v2"]]
+        .iter()
+        .enumerate()
+    {
+        if i == 2 {
+            m.retract_named("Move", edge).unwrap();
+        } else {
+            m.insert_named("Move", edge).unwrap();
+        }
+        assert!(m.take_change().is_none(), "Restart updates know no change");
+        assert!(!publisher.publish(&mut m, &format!("win step {i}")));
+    }
+}
+
+#[test]
+fn a_retract_that_recomputes_falls_back_to_the_copy() {
+    let src = format!("{TC} Cut(x, y) :- E(x, y), !S(y, x).");
+    let db = DiGraph::cycle(8).to_database("E");
+    let mut m = handle(&src, &db, Engine::Stratified);
+    let mut publisher = Publisher::new(&m);
+    m.insert_named("E", &["v0", "v0"]).unwrap();
+    assert!(!publisher.publish(&mut m, "first publish has nothing retired"));
+    m.retract_named("E", &["v0", "v1"]).unwrap();
+    assert_eq!(m.last_repair().recomputed_from, Some(0));
+    assert!(!publisher.publish(&mut m, "recomputed retract"));
+    // The next publish needs the recompute's change as its gap: copy again.
+    m.retract_named("E", &["v0", "v0"]).unwrap();
+    assert!(!publisher.publish(&mut m, "one past the recompute"));
+    m.insert_named("E", &["v0", "v0"]).unwrap();
+    assert!(publisher.publish(&mut m, "two past the recompute"));
+}
+
+#[test]
+fn a_no_op_batch_is_an_empty_change() {
+    let db = DiGraph::path(5).to_database("E");
+    let mut m = handle(TC, &db, Engine::Seminaive);
+    let mut publisher = Publisher::new(&m);
+    assert_eq!(m.insert_named("E", &["v0", "v1"]).unwrap(), 0);
+    publisher.publish(&mut m, "no-op insert");
+    assert_eq!(m.retract_named("E", &["v4", "v0"]).unwrap(), 0);
+    assert!(publisher.publish(&mut m, "no-op retract"));
+    assert_eq!(m.insert_named("E", &["v4", "v0"]).unwrap(), 1);
+    assert!(publisher.publish(&mut m, "real insert after two no-ops"));
+}
+
+#[test]
+fn a_rolled_back_update_between_publishes_keeps_the_patch_exact() {
+    let db = DiGraph::path(8).to_database("E");
+    let mut m = handle(TC, &db, Engine::Stratified);
+    let mut publisher = Publisher::new(&m);
+    m.retract_named("E", &["v0", "v1"]).unwrap();
+    publisher.publish(&mut m, "before the failure");
+    m.set_eval_options(EvalOptions {
+        failpoints: Failpoints::armed(SITE_ROUND, 1),
+        ..EvalOptions::sequential()
+    });
+    assert!(m.retract_named("E", &["v6", "v7"]).is_err());
+    assert!(
+        m.take_change().is_none(),
+        "a rolled-back update has no change"
+    );
+    m.set_eval_options(EvalOptions::sequential());
+    m.insert_named("E", &["v0", "v1"]).unwrap();
+    assert!(publisher.publish(&mut m, "after the failure"));
+    m.retract_named("E", &["v6", "v7"]).unwrap();
+    assert!(publisher.publish(&mut m, "the failed batch, retried"));
+}
+
+#[test]
+fn a_pinned_retired_epoch_is_copied_around_and_never_touched() {
+    let db = DiGraph::path(6).to_database("E");
+    let mut m = handle(TC, &db, Engine::Stratified);
+    let mut publisher = Publisher::new(&m);
+    m.insert_named("E", &["v0", "v2"]).unwrap();
+    publisher.publish(&mut m, "epoch 1");
+    let reader = Arc::clone(&publisher.retired.as_ref().unwrap().0);
+    let goal = parse_atom("S(x, y)").unwrap();
+    let before = reader.select(&goal, None).unwrap();
+    m.retract_named("E", &["v4", "v5"]).unwrap();
+    assert!(!publisher.publish(&mut m, "retired epoch pinned"));
+    assert_eq!(reader.number(), 0);
+    assert_eq!(reader.select(&goal, None).unwrap().tuples, before.tuples);
+    assert!(reader.matches_recompute(&EvalOptions::default()).unwrap());
+    drop(reader);
+    m.insert_named("E", &["v4", "v5"]).unwrap();
+    assert!(publisher.publish(&mut m, "pin released"));
+}
+
+#[test]
+fn an_epoch_of_another_handle_is_never_patched() {
+    let db = DiGraph::path(4).to_database("E");
+    let mut m = handle(TC, &db, Engine::Stratified);
+    let twin = handle(TC, &db, Engine::Stratified);
+    let foreign = twin.publish(0).unwrap();
+    m.insert_named("E", &["v3", "v0"]).unwrap();
+    let (epoch, unused) = m.publish_over(foreign, None, 1).unwrap();
+    assert!(unused.is_some_and(|e| e.number() == 0 && e.interp() == twin.interp()));
+    assert_same_state(&epoch, &m.publish(1).unwrap(), "foreign retired epoch");
+}

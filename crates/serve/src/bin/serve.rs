@@ -235,6 +235,12 @@ fn serve_tcp(server: &Arc<Server>, addr: &str) -> ExitCode {
     while !stop.load(Ordering::SeqCst) {
         match listener.accept() {
             Ok((stream, _peer)) => {
+                // Replies are one write per request line: without this, a
+                // reply larger than the send buffer's first segment waits
+                // for the client's delayed ACK (tens of milliseconds).
+                if let Err(e) = stream.set_nodelay(true) {
+                    eprintln!("inflog-serve: set_nodelay: {e}");
+                }
                 let server = Arc::clone(server);
                 let stop = Arc::clone(&stop);
                 let handle = std::thread::spawn(move || {

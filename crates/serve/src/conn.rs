@@ -8,7 +8,7 @@
 use crate::error::ServeError;
 use crate::failpoints::SITE_REPLY_DROP;
 use crate::proto::{parse_request, render_error, render_tuple, Request};
-use crate::server::Server;
+use crate::server::{QueryReply, Server};
 use inflog_core::Tuple;
 use inflog_syntax::{Atom, Term};
 use std::io::{self, BufRead, Write};
@@ -118,32 +118,36 @@ fn query<W: Write>(
     deadline: Option<Duration>,
     out: &mut W,
 ) -> io::Result<Flow> {
-    let reply = match server.query_at(goal, deadline) {
+    let QueryReply { epoch, answer } = match server.query_at(goal, deadline) {
         Ok(reply) => reply,
         Err(e) => {
             writeln!(out, "{}", render_error(&e))?;
             return Ok(Flow::Continue);
         }
     };
-    writeln!(out, "EPOCH {}", reply.epoch.number())?;
+    // Unpin before rendering: an epoch pinned across the next publish
+    // forces the writer to deep-copy instead of recycling it.
+    let number = epoch.number();
+    drop(epoch);
+    writeln!(out, "EPOCH {number}")?;
     if server.failpoints().fire(SITE_REPLY_DROP) {
         // Chaos: the connection dies mid-reply, after the epoch header but
         // before the tuples. The flush makes the torn reply observable.
         out.flush()?;
         return Ok(Flow::CloseConn);
     }
-    let universe = reply.epoch.database().universe();
-    for t in &reply.answer.tuples {
+    let universe = server.universe();
+    for t in &answer.tuples {
         writeln!(out, "TRUE {}", render_tuple(universe, &goal.predicate, t))?;
     }
-    for t in &reply.answer.undefined {
+    for t in &answer.undefined {
         writeln!(out, "UNDEF {}", render_tuple(universe, &goal.predicate, t))?;
     }
     writeln!(
         out,
         "OK true={} undef={}",
-        reply.answer.tuples.len(),
-        reply.answer.undefined.len()
+        answer.tuples.len(),
+        answer.undefined.len()
     )?;
     Ok(Flow::Continue)
 }
@@ -172,13 +176,12 @@ fn write_fact<W: Write>(
     }
 }
 
-/// Resolves a ground atom's constants against the published epoch's
-/// universe. Writes cannot mint constants: the active-domain universe is
-/// fixed at store creation (the paper's finite-structure setting), so an
-/// unknown name is a typed error, not an intern.
+/// Resolves a ground atom's constants against the served universe. Writes
+/// cannot mint constants: the active-domain universe is fixed at store
+/// creation (the paper's finite-structure setting), so an unknown name is a
+/// typed error, not an intern.
 fn ground(server: &Server, atom: &Atom) -> Result<(String, Tuple), ServeError> {
-    let epoch = server.pin();
-    let universe = epoch.database().universe();
+    let universe = server.universe();
     let mut consts = Vec::with_capacity(atom.terms.len());
     for term in &atom.terms {
         match term {

@@ -58,4 +58,4 @@ pub use failpoints::{
     SITE_WRITER_CRASH,
 };
 pub use proto::{parse_request, render_error, render_tuple, Request};
-pub use server::{QueryReply, ServeOptions, Server, WriteAck};
+pub use server::{PublishCounts, QueryReply, ServeOptions, Server, WriteAck};

@@ -13,6 +13,13 @@
 //! observe a partial fixpoint: every pinned epoch is a committed one, and
 //! (per the paper) the uniquely determined model of its own EDB.
 //!
+//! The writer keeps the epoch its last publish superseded, together with
+//! the change that followed it. When no reader pins that epoch any more,
+//! the next publish patches it forward by the two changes
+//! ([`DurableMaterialized::publish_over`]) instead of deep-copying the
+//! whole state; otherwise it copies. Either way the write is acknowledged
+//! before the writer frees anything.
+//!
 //! # Degradation ladder
 //!
 //! - Reads over capacity → typed [`ServeError::Overloaded`] shed.
@@ -32,14 +39,16 @@
 
 use crate::error::{Load, ServeError};
 use crate::failpoints::{Failpoints, SITE_EPOCH_PUBLISH, SITE_QUEUE_FULL, SITE_WRITER_CRASH};
-use inflog_core::{Database, Tuple};
+use inflog_core::{Database, Tuple, Universe};
 use inflog_eval::materialize::Engine;
 use inflog_eval::query::QueryAnswer;
-use inflog_eval::{Durability, DurableMaterialized, DurableOpts, Epoch, EpochCell, EvalOptions};
+use inflog_eval::{
+    Change, Durability, DurableMaterialized, DurableOpts, Epoch, EpochCell, EvalOptions,
+};
 use inflog_syntax::{Atom, Program};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
 use std::sync::{mpsc, Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
@@ -133,6 +142,15 @@ pub struct QueryReply {
     pub answer: QueryAnswer,
 }
 
+/// How the writer produced the epochs it published (see the module docs).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PublishCounts {
+    /// Retired epochs patched forward in place.
+    pub recycled: u64,
+    /// Deep copies of the committed state.
+    pub copied: u64,
+}
+
 enum WriteCmd {
     Insert(Vec<(String, Tuple)>),
     Retract(Vec<(String, Tuple)>),
@@ -146,6 +164,10 @@ struct WriteReq {
 
 struct Shared {
     cell: EpochCell,
+    /// The universe every epoch shares: fixed once the store is loaded.
+    universe: Arc<Universe>,
+    recycled: AtomicU64,
+    copied: AtomicU64,
     inflight: AtomicUsize,
     max_inflight: usize,
     draining: AtomicBool,
@@ -213,7 +235,10 @@ impl Server {
     fn start(dm: DurableMaterialized, opts: &ServeOptions) -> Result<Server, ServeError> {
         let first = dm.publish()?;
         let shared = Arc::new(Shared {
+            universe: Arc::clone(first.database().shared_universe()),
             cell: EpochCell::new(first),
+            recycled: AtomicU64::new(0),
+            copied: AtomicU64::new(0),
             inflight: AtomicUsize::new(0),
             max_inflight: opts.max_inflight.max(1),
             draining: AtomicBool::new(false),
@@ -266,6 +291,21 @@ impl Server {
     /// tests).
     pub fn inflight(&self) -> usize {
         self.shared.inflight.load(Ordering::SeqCst)
+    }
+
+    /// How the writer's publishes so far were made: recycled retired epochs
+    /// vs deep copies (observability for the publication tests).
+    pub fn publishes(&self) -> PublishCounts {
+        PublishCounts {
+            recycled: self.shared.recycled.load(Ordering::SeqCst),
+            copied: self.shared.copied.load(Ordering::SeqCst),
+        }
+    }
+
+    /// The universe of the served database — fixed after load, so
+    /// resolving constant names needs no pinned epoch.
+    pub fn universe(&self) -> &Universe {
+        &self.shared.universe
     }
 
     /// The serve-layer failpoints handle (the connection layer fires the
@@ -427,12 +467,17 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
+/// The epoch the writer's last publish superseded, and the change committed
+/// right after its state — what the next publish needs to patch it forward.
+type Retired = (Arc<Epoch>, Option<Change>);
+
 fn writer_loop(
     mut dm: DurableMaterialized,
     rx: Receiver<WriteReq>,
     shared: Arc<Shared>,
     abort_on_crash: bool,
 ) {
+    let mut retired: Option<Retired> = None;
     while let Ok(WriteReq { cmd, reply }) = rx.recv() {
         let keep_going = match cmd {
             WriteCmd::Compact => {
@@ -446,12 +491,24 @@ fn writer_loop(
                 let _ = reply.send(res);
                 true
             }
-            WriteCmd::Insert(facts) => {
-                apply(&mut dm, &shared, abort_on_crash, true, &facts, &reply)
-            }
-            WriteCmd::Retract(facts) => {
-                apply(&mut dm, &shared, abort_on_crash, false, &facts, &reply)
-            }
+            WriteCmd::Insert(facts) => apply(
+                &mut dm,
+                &shared,
+                abort_on_crash,
+                true,
+                &facts,
+                &reply,
+                &mut retired,
+            ),
+            WriteCmd::Retract(facts) => apply(
+                &mut dm,
+                &shared,
+                abort_on_crash,
+                false,
+                &facts,
+                &reply,
+                &mut retired,
+            ),
         };
         if !keep_going {
             break;
@@ -469,6 +526,7 @@ fn apply(
     inserting: bool,
     facts: &[(String, Tuple)],
     reply: &SyncSender<Result<WriteAck, ServeError>>,
+    retired: &mut Option<Retired>,
 ) -> bool {
     if shared.failpoints.fire(SITE_WRITER_CRASH) {
         // Dies before the WAL append: nothing of this batch survives, so
@@ -515,13 +573,29 @@ fn apply(
                 }));
                 return false;
             }
-            match dm.publish() {
-                Ok(epoch) => {
-                    shared.cell.publish(epoch);
+            let recycling = retired.is_some();
+            let published = match retired.take() {
+                Some((old, gap)) => dm.publish_over(old, gap.as_ref()),
+                None => dm.publish().map(|epoch| (epoch, None)),
+            };
+            match published {
+                Ok((epoch, unused)) => {
+                    let counter = if recycling && unused.is_none() {
+                        &shared.recycled
+                    } else {
+                        &shared.copied
+                    };
+                    counter.fetch_add(1, Ordering::SeqCst);
+                    let superseded = shared.cell.publish(epoch);
                     let _ = reply.send(Ok(WriteAck {
                         epoch: dm.epoch(),
                         changed,
                     }));
+                    // Ack first: releasing a snapshot that nobody else pins
+                    // frees the whole model, which the client need not wait
+                    // for. The superseded epoch is kept for the next publish.
+                    drop(unused);
+                    *retired = Some((superseded, dm.take_change()));
                     true
                 }
                 Err(e) => {

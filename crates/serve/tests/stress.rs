@@ -165,3 +165,41 @@ fn snapshot_isolation_4_readers() {
 fn snapshot_isolation_8_readers() {
     stress(Engine::WellFounded, WIN, "Move", 8, 16);
 }
+
+/// A reader pinning an epoch across later writes keeps its snapshot while
+/// the writer recycles around it: the pinned retired epoch is deep-copied
+/// past exactly once, every unpinned one is patched forward in place.
+#[test]
+fn a_pinned_epoch_survives_recycling_unchanged() {
+    let program = inflog_syntax::parse_program(TC).unwrap();
+    let db = DiGraph::path(10).to_database("E");
+    let dir = tmp_dir("stress_pinned_recycling");
+    let server = Server::create(&program, &db, &dir, &ServeOptions::quiet()).unwrap();
+    let edge = |a: u32, b: u32| vec![("E".to_string(), Tuple::from_ids(&[a, b]))];
+    for (a, b) in [(0, 2), (2, 4), (4, 6)] {
+        server.insert(edge(a, b)).unwrap();
+    }
+    // The first publish has nothing retired yet; the next two recycle.
+    let counts = server.publishes();
+    assert_eq!((counts.copied, counts.recycled), (1, 2));
+
+    let pinned = server.pin();
+    assert_eq!(pinned.number(), 3);
+    let goal = parse_atom("S(x, y)").unwrap();
+    let before = pinned.select(&goal, None).unwrap();
+    server.retract(edge(0, 2)).unwrap();
+    server.insert(edge(6, 8)).unwrap();
+    server.retract(edge(2, 4)).unwrap();
+    assert_eq!(server.epoch(), 6);
+    let counts = server.publishes();
+    assert_eq!(
+        (counts.copied, counts.recycled),
+        (2, 4),
+        "only the publish that found epoch 3 pinned may copy"
+    );
+    assert_eq!(pinned.number(), 3);
+    assert_eq!(pinned.select(&goal, None).unwrap().tuples, before.tuples);
+    assert!(pinned.matches_recompute(&EvalOptions::default()).unwrap());
+    assert!(reply_matches_recompute(&server));
+    server.shutdown();
+}
