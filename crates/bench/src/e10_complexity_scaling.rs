@@ -5,6 +5,7 @@
 //! inflationary runtime grow polynomially. Growing program (succinct
 //! circuits): the tuple space grows exponentially in the address width.
 
+use crate::report::Table;
 use inflog::circuit::encode::succinct_cycle;
 use inflog::circuit::succinct_coloring_reduction;
 use inflog::core::graphs::DiGraph;
@@ -13,18 +14,11 @@ use inflog::fixpoint::FixpointAnalyzer;
 use inflog::reductions::programs::{pi1, pi_sat};
 use inflog::reductions::sat_db::cnf_to_database;
 use inflog::sat::gen::random_ksat;
-use inflog_bench::{banner, full_mode, Table};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::time::Instant;
 
-fn main() {
-    banner(
-        "E10",
-        "data complexity (poly) vs expression complexity (exponential)",
-        "Section 3 (NP upper bound), Theorem 4, [Va82] contrast",
-    );
-    let full = full_mode();
+pub(crate) fn run(full: bool) {
     let mut rng = StdRng::seed_from_u64(1010);
 
     println!("\n(a) fixed program pi_SAT, growing data (random 3-SAT, m = 4n)");

@@ -6,10 +6,10 @@
 //! two incomparable ones when n is even; G_n (n copies of C₂) has 2^n
 //! pairwise incomparable fixpoints and therefore no least fixpoint.
 
+use crate::report::Table;
 use inflog::core::graphs::DiGraph;
 use inflog::fixpoint::{FixpointAnalyzer, LeastFixpointResult};
 use inflog::reductions::programs::pi1;
-use inflog_bench::{banner, full_mode, Table};
 
 fn analyze(g: &DiGraph, limit: u64) -> (u64, bool, &'static str, bool) {
     let db = g.to_database("E");
@@ -29,13 +29,7 @@ fn analyze(g: &DiGraph, limit: u64) -> (u64, bool, &'static str, bool) {
     (fps.len() as u64, complete, least, incomparable)
 }
 
-fn main() {
-    banner(
-        "E1",
-        "fixpoint structure of pi_1 = T(x) <- E(y,x), !T(y)",
-        "Section 2, p.129 (L_n / C_n / G_n example)",
-    );
-    let full = full_mode();
+pub(crate) fn run(full: bool) {
     let max_n = if full { 14 } else { 9 };
     let max_copies = if full { 10 } else { 6 };
 
@@ -48,31 +42,26 @@ fn main() {
         "least?",
         "pairwise incomparable",
     ]);
-    for n in 2..=max_n {
-        let (count, complete, least, inc) = analyze(&DiGraph::path(n), 1 << 16);
+    let mut row = |family: &str, n: usize, g: &DiGraph, expected: u64| {
+        let (count, complete, least, inc) = analyze(g, 1 << 16);
         assert!(complete);
+        assert_eq!(count, expected, "#fixpoints of pi_1 on {family}, n = {n}");
+        // One fixpoint is least; two or more are pairwise incomparable, so
+        // none of them is.
+        let expected_least = match count {
+            0 => "-",
+            1 => "yes",
+            _ => "no",
+        };
+        assert_eq!(least, expected_least, "least fixpoint on {family}, n = {n}");
+        assert!(
+            count < 2 || inc,
+            "comparable fixpoints on {family}, n = {n}"
+        );
         t.row(&[
-            &"L_n (path)",
+            &family,
             &n,
-            &n,
-            &count,
-            &1,
-            &least,
-            &(if count >= 2 {
-                inc.to_string()
-            } else {
-                "-".into()
-            }),
-        ]);
-    }
-    for n in 2..=max_n {
-        let (count, complete, least, inc) = analyze(&DiGraph::cycle(n), 1 << 16);
-        assert!(complete);
-        let expected = if n % 2 == 0 { 2 } else { 0 };
-        t.row(&[
-            &"C_n (cycle)",
-            &n,
-            &n,
+            &g.num_vertices(),
             &count,
             &expected,
             &least,
@@ -82,23 +71,17 @@ fn main() {
                 "-".into()
             }),
         ]);
+    };
+    for n in 2..=max_n {
+        row("L_n (path)", n, &DiGraph::path(n), 1);
+    }
+    for n in 2..=max_n {
+        let expected = if n % 2 == 0 { 2 } else { 0 };
+        row("C_n (cycle)", n, &DiGraph::cycle(n), expected);
     }
     for copies in 1..=max_copies {
-        let (count, complete, least, inc) = analyze(&DiGraph::disjoint_cycles(copies, 2), 1 << 16);
-        assert!(complete);
-        t.row(&[
-            &"G_n (n x C_2)",
-            &copies,
-            &(2 * copies),
-            &count,
-            &(1u64 << copies),
-            &least,
-            &(if count >= 2 {
-                inc.to_string()
-            } else {
-                "-".into()
-            }),
-        ]);
+        let g = DiGraph::disjoint_cycles(copies, 2);
+        row("G_n (n x C_2)", copies, &g, 1 << copies);
     }
     t.print();
 
@@ -106,6 +89,7 @@ fn main() {
     let mut t2 = Table::new(&["copies x C_3", "#fixpoints"]);
     for copies in 1..=3 {
         let (count, _, _, _) = analyze(&DiGraph::disjoint_cycles(copies, 3), 4);
+        assert_eq!(count, 0, "#fixpoints of pi_1 on {copies} x C_3");
         t2.row(&[&copies, &count]);
     }
     t2.print();

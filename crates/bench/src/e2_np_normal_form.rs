@@ -5,6 +5,7 @@
 //! Track B: the generic ∃SO → DATALOG¬ compiler (Skolem normal form) on
 //! fixed NP properties, validated against brute-force ∃SO checking.
 
+use crate::report::Table;
 use inflog::core::graphs::DiGraph;
 use inflog::fixpoint::FixpointAnalyzer;
 use inflog::logic::eso::{Eso, SkolemNf};
@@ -15,17 +16,10 @@ use inflog::reductions::sat_db::cnf_to_database;
 use inflog::sat::gen::random_ksat;
 use inflog::sat::Solver;
 use inflog::syntax::var;
-use inflog_bench::{banner, full_mode, Table};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-fn main() {
-    banner(
-        "E2",
-        "NP as fixpoint existence (pi_SAT and the generic compiler)",
-        "Theorem 1, Example 1",
-    );
-    let full = full_mode();
+pub(crate) fn run(full: bool) {
     let mut rng = StdRng::seed_from_u64(20_240_607);
 
     // Track A: pi_SAT across clause densities.

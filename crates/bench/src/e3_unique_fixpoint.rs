@@ -5,6 +5,7 @@
 //! counts against exact fixpoint counts, flags the unique cases, and also
 //! reports the paper's other US illustration (unique Hamilton circuits).
 
+use crate::report::Table;
 use inflog::core::graphs::DiGraph;
 use inflog::fixpoint::FixpointAnalyzer;
 use inflog::reductions::hamilton::count_hamilton_circuits;
@@ -12,7 +13,6 @@ use inflog::reductions::programs::pi_sat;
 use inflog::reductions::sat_db::cnf_to_database;
 use inflog::sat::gen::{planted_ksat, random_ksat};
 use inflog::sat::{brute_force_count, Cnf, Lit, Var};
-use inflog_bench::{banner, full_mode, Table};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -25,13 +25,7 @@ fn crafted_unique(n: usize) -> Cnf {
     cnf
 }
 
-fn main() {
-    banner(
-        "E3",
-        "unique fixpoints, model/fixpoint bijection, US illustrations",
-        "Theorem 2 (+ the unique-Hamilton-circuit US example)",
-    );
-    let full = full_mode();
+pub(crate) fn run(full: bool) {
     let mut rng = StdRng::seed_from_u64(33);
     let trials = if full { 24 } else { 10 };
 

@@ -6,11 +6,11 @@
 //! polynomial Θ check; this table reports its verdicts, oracle budgets and
 //! agreement with full enumeration.
 
+use crate::report::Table;
 use inflog::core::graphs::DiGraph;
 use inflog::fixpoint::{FixpointAnalyzer, LeastFixpointResult};
 use inflog::reductions::programs::{pi1, pi3_tc};
 use inflog::syntax::parse_program;
-use inflog_bench::{banner, full_mode, Table};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -22,13 +22,7 @@ fn outcome(r: &LeastFixpointResult) -> String {
     }
 }
 
-fn main() {
-    banner(
-        "E4",
-        "least-fixpoint existence by the FONP oracle algorithm",
-        "Theorem 3 (US-hard; in FONP = first-order closure of NP)",
-    );
-    let full = full_mode();
+pub(crate) fn run(full: bool) {
     let max_n = if full { 12 } else { 8 };
     let mut rng = StdRng::seed_from_u64(44);
 

@@ -5,23 +5,17 @@
 //! Succinct track: the π_SC construction on circuit-presented graphs, with
 //! the exponential circuit → graph → grounding blowup measured.
 
+use crate::report::Table;
 use inflog::circuit::encode::{from_explicit_graph, hypercube, succinct_cycle};
 use inflog::circuit::succinct_coloring_reduction;
 use inflog::core::graphs::DiGraph;
 use inflog::fixpoint::FixpointAnalyzer;
 use inflog::reductions::coloring::is_3colorable_sat;
 use inflog::reductions::programs::pi_col;
-use inflog_bench::{banner, full_mode, Table};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-fn main() {
-    banner(
-        "E5",
-        "3-COLORING as fixpoint existence; the succinct construction",
-        "Lemma 1, Lemma 2, Theorem 4",
-    );
-    let full = full_mode();
+pub(crate) fn run(full: bool) {
     let mut rng = StdRng::seed_from_u64(55);
 
     println!("\ntrack A: explicit pi_COL (Lemma 1)");

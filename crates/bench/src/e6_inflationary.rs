@@ -6,21 +6,15 @@
 //! negation-free programs; (c) the paper's two §4 mini-examples
 //! (the toggle and π₁ stabilize after one round).
 
+use crate::report::Table;
 use inflog::core::graphs::DiGraph;
 use inflog::eval::{inflationary, least_fixpoint_seminaive};
 use inflog::reductions::programs::{distance_program, pi1, pi2, pi3_tc, toggle};
-use inflog_bench::{banner, full_mode, Table};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::time::Instant;
 
-fn main() {
-    banner(
-        "E6",
-        "Inflationary DATALOG: totality, conservativity, polynomial bound",
-        "Section 4 (definition, remarks, examples)",
-    );
-    let full = full_mode();
+pub(crate) fn run(full: bool) {
     let mut rng = StdRng::seed_from_u64(66);
 
     println!("\n(a) iteration counts vs the Σ|A|^k bound");
@@ -91,6 +85,11 @@ fn main() {
         db.universe_mut().intern(c);
     }
     let (inf, trace) = inflationary(&toggle(), &db).expect("total");
+    assert_eq!(
+        (inf.total_tuples(), trace.rounds),
+        (3, 1),
+        "toggle: Theta^inf = Theta^1 = A"
+    );
     t.row(&[
         &"T(x) <- !T(y)",
         &"A = {a,b,c}",
@@ -100,6 +99,12 @@ fn main() {
     ]);
     let g = DiGraph::path(5);
     let (inf, trace) = inflationary(&pi1(), &g.to_database("E")).expect("total");
+    // Every vertex of L_5 but the source v0 has an in-edge.
+    assert_eq!(
+        (inf.total_tuples(), trace.rounds),
+        (4, 1),
+        "pi_1 on L_5: Theta^inf = {{x : ∃y E(y,x)}}"
+    );
     t.row(&[
         &"pi_1",
         &"L_5",

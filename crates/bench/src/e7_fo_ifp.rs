@@ -5,23 +5,17 @@
 //! inflationary inductions, and hand-built existential IFP systems compiled
 //! to DATALOG¬.
 
+use crate::report::Table;
 use inflog::core::graphs::DiGraph;
 use inflog::eval::{ensure_program_constants, inflationary, CompiledProgram};
 use inflog::logic::fo::Fo;
 use inflog::logic::IfpSystem;
 use inflog::reductions::programs::{distance_program, pi1, pi3_tc};
 use inflog::syntax::var;
-use inflog_bench::{banner, full_mode, Table};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-fn main() {
-    banner(
-        "E7",
-        "Inflationary DATALOG == existential FO+IFP (both directions)",
-        "Proposition 1",
-    );
-    let full = full_mode();
+pub(crate) fn run(full: bool) {
     let mut rng = StdRng::seed_from_u64(77);
 
     println!("\ndirection 1: DATALOG~ -> existential FO+IFP (from_datalog)");

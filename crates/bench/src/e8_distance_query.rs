@@ -1,22 +1,16 @@
 //! E8 — Proposition 2: the distance query, and the inflationary/stratified
 //! divergence on the very same program.
 
+use crate::report::Table;
 use inflog::core::graphs::DiGraph;
 use inflog::eval::{inflationary, stratified_eval, CompiledProgram};
 use inflog::reductions::distance::{distance_query_baseline, stratified_reading_baseline};
 use inflog::reductions::programs::distance_program;
-use inflog_bench::{banner, full_mode, Table};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::time::Instant;
 
-fn main() {
-    banner(
-        "E8",
-        "the distance query: inflationary vs stratified vs BFS baselines",
-        "Proposition 2 + Section 4 closing remark",
-    );
-    let full = full_mode();
+pub(crate) fn run(full: bool) {
     let mut rng = StdRng::seed_from_u64(88);
     let program = distance_program();
 

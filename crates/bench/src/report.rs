@@ -1,4 +1,4 @@
-//! Minimal aligned-table reporting for the experiment binaries.
+//! Aligned-table printing and the banner that opens each experiment.
 
 use std::fmt::Display;
 
@@ -26,22 +26,6 @@ impl Table {
         assert_eq!(cells.len(), self.header.len(), "row width mismatch");
         self.rows
             .push(cells.iter().map(|c| c.to_string()).collect());
-    }
-
-    /// Convenience for all-string rows.
-    pub fn row_strings(&mut self, cells: Vec<String>) {
-        assert_eq!(cells.len(), self.header.len(), "row width mismatch");
-        self.rows.push(cells);
-    }
-
-    /// Number of data rows.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// Whether the table has no data rows.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
     }
 
     /// Renders with aligned columns.
@@ -72,22 +56,18 @@ impl Table {
         out
     }
 
-    /// Renders as CSV (for EXPERIMENTS.md appendices).
-    pub fn to_csv(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&self.header.join(","));
-        out.push('\n');
-        for row in &self.rows {
-            out.push_str(&row.join(","));
-            out.push('\n');
-        }
-        out
-    }
-
     /// Prints the rendered table.
     pub fn print(&self) {
         print!("{}", self.render());
     }
+}
+
+/// Standard experiment banner.
+pub(crate) fn banner(id: &str, claim: &str, paper_ref: &str) {
+    println!("================================================================");
+    println!("{id}: {claim}");
+    println!("paper: {paper_ref}");
+    println!("================================================================");
 }
 
 #[cfg(test)]
@@ -108,12 +88,14 @@ mod tests {
     }
 
     #[test]
-    fn csv_output() {
+    fn columns_widen_to_their_longest_cell() {
         let mut t = Table::new(&["a", "b"]);
-        t.row_strings(vec!["1".into(), "2".into()]);
-        assert_eq!(t.to_csv(), "a,b\n1,2\n");
-        assert_eq!(t.len(), 1);
-        assert!(!t.is_empty());
+        t.row(&[&"long cell", &2]);
+        let r = t.render();
+        let lines: Vec<&str> = r.lines().collect();
+        assert_eq!(lines[0], "a          b");
+        assert_eq!(lines[1], "-".repeat(12));
+        assert_eq!(lines[2], "long cell  2");
     }
 
     #[test]

@@ -142,7 +142,7 @@ impl EvalOptions {
     /// [`EvalOptions::default`] with an explicit environment accessor, so
     /// the parsing rules are testable without mutating the process
     /// environment. `INFLOG_THREADS=0` means auto (all hardware threads),
-    /// exactly as `bench_report --threads 0` documents.
+    /// exactly as `EvalOptions::with_threads(0)` does.
     fn from_env_with(get: impl Fn(&str) -> Option<String>) -> Self {
         EvalOptions {
             threads: env_usize("INFLOG_THREADS", &get).unwrap_or(1),

@@ -533,6 +533,40 @@ mod tests {
     }
 
     #[test]
+    fn cone_of_a_win_goal_never_reaches_safe() {
+        let src = "Win(x) :- Move(x, y), !Win(y).
+                   Safe(x, y) :- Move(x, y), !Win(x).
+                   Safe(x, y) :- Safe(x, z), Move(z, y), !Win(y).";
+        let p = parse_program(src).unwrap();
+        let rw = rewrite_cone(&p, &atom("Win", &[c("v240")]));
+        // Safe depends on Win, never the reverse: a point query for Win
+        // must not evaluate the quadratic Safe closure.
+        for program in [&rw.demand, &rw.guarded] {
+            let printed = program.to_string();
+            assert!(!printed.contains("Safe"), "{printed}");
+        }
+        assert_eq!(rw.magic_preds, vec!["M#Win#b".to_string()]);
+    }
+
+    #[test]
+    fn left_linear_tc_demands_only_the_goal_source() {
+        let p = parse_program("S(x, y) :- E(x, y). S(x, y) :- S(x, z), E(z, y).").unwrap();
+        let rw = rewrite_stratified(&p, &atom("S", &[c("v0"), v("y")]));
+        // The recursive occurrence S(x, z) keeps the head's source bound, so
+        // its magic rule only copies existing demand: no rule binds a new
+        // source, demand stays exactly {v0}, and the query is single-source
+        // reachability.
+        let magic: Vec<String> = rw
+            .program
+            .rules
+            .iter()
+            .filter(|r| r.head.predicate.starts_with("M#"))
+            .map(Rule::to_string)
+            .collect();
+        assert_eq!(magic, ["M#S#bf('v0').", "M#S#bf(x) :- M#S#bf(x)."]);
+    }
+
+    #[test]
     fn equality_binds_for_adornment() {
         let src = "Q(x) :- R(x). P(x, y) :- V(x), x = y, Q(y).";
         let p = parse_program(src).unwrap();
