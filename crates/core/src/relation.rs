@@ -70,10 +70,11 @@ pub struct Relation {
     /// mutation so `sorted()` only re-sorts relations that changed.
     ///
     /// A `Mutex` rather than a `RefCell` so that `Relation` is [`Sync`]:
-    /// parallel evaluation rounds share relations read-only across worker
-    /// threads. Every mutation path holds `&mut self` and clears the cache
-    /// through the lock-free [`Mutex::get_mut`]; only [`sorted`](Self::sorted)
-    /// (display/tests, never an evaluation hot path) actually locks.
+    /// published epochs share their relations read-only across the
+    /// server's reader threads. Every mutation path holds `&mut self` and
+    /// clears the cache through the lock-free [`Mutex::get_mut`]; only
+    /// [`sorted`](Self::sorted) (display/tests, never an evaluation hot
+    /// path) actually locks.
     sorted_cache: Mutex<Option<Vec<u32>>>,
 }
 
@@ -685,8 +686,8 @@ mod tests {
 
     #[test]
     fn relation_is_send_and_sync() {
-        // Parallel evaluation rounds share relations read-only across
-        // worker threads; this fails to compile if an interior-mutability
+        // Published epochs share relations read-only across reader
+        // threads; this fails to compile if an interior-mutability
         // change ever takes `Sync` away again.
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<Relation>();

@@ -296,11 +296,9 @@ impl Epoch {
         let ctx = EvalContext::new(&self.cp, &self.db)?;
         let empty = self.cp.empty_interp();
         let (s, undefined) = match self.engine {
-            Engine::Seminaive => (
-                crate::seminaive::least_fixpoint_seminaive_compiled_with(&self.cp, &ctx, opts)?.0,
-                empty,
-            ),
-            Engine::Inflationary => (
+            // Θ^∞ is the least fixpoint on the positive programs the
+            // semi-naive engine accepts (§4).
+            Engine::Seminaive | Engine::Inflationary => (
                 crate::inflationary::inflationary_compiled_with(&self.cp, &ctx, opts)?.0,
                 empty,
             ),

@@ -57,9 +57,9 @@ pub enum EvalError {
         /// [`BudgetKind::Deadline`], a count otherwise).
         limit: u64,
     },
-    /// A parallel worker task panicked. The panic was contained per task
-    /// (`catch_unwind`) so the evaluation returns an error instead of
-    /// aborting the process; the output of the application is discarded.
+    /// The evaluation panicked during a [`Materialized`](crate::Materialized)
+    /// update. The panic was contained (`catch_unwind`) and the update
+    /// rolled back, so the handle stays usable.
     WorkerPanic {
         /// The panic payload, when it was a string.
         message: String,
@@ -149,7 +149,7 @@ impl fmt::Display for EvalError {
                 write!(f, "evaluation budget exceeded: {kind} limit {limit}")
             }
             EvalError::WorkerPanic { message } => {
-                write!(f, "a parallel worker task panicked: {message}")
+                write!(f, "evaluation panicked: {message}")
             }
             EvalError::FaultInjected { site } => {
                 write!(f, "failpoint `{site}` fired (fault injection)")
@@ -170,6 +170,18 @@ impl std::error::Error for EvalError {
             EvalError::Store { source } => Some(source),
             _ => None,
         }
+    }
+}
+
+/// Extracts a human-readable message from a caught panic payload (the
+/// common `&str` / `String` cases; anything else gets a placeholder).
+pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    if let Some(s) = payload.downcast_ref::<&'static str>() {
+        (*s).to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "non-string panic payload".to_string()
     }
 }
 

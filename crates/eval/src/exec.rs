@@ -20,11 +20,10 @@
 //!
 //! The VM's iteration order is identical to the tree executor's by
 //! construction (same dense order, same posting order, same filter points),
-//! so its output is bit-identical — same tuples, same insertion order — at
-//! every thread count; `run_program` takes the same outer-range restriction
-//! the parallel sharding uses. `INFLOG_EXEC=tree` switches the whole
-//! process back to the tree oracle, and debug builds cross-check every VM
-//! application against it (see [`operator`](crate::operator)).
+//! so its output is bit-identical — same tuples, same insertion order.
+//! `INFLOG_EXEC=tree` switches the whole process back to the tree oracle,
+//! and debug builds cross-check every VM application against it (see
+//! [`operator`](crate::operator)).
 
 use crate::index::{Index, IndexSet};
 use crate::interp::Interp;
@@ -766,26 +765,15 @@ fn resolve_op<'a>(env: &ExecEnv<'a>, op: &'a Op) -> ROp<'a> {
     }
 }
 
-/// Opens the cursor for a loop op. `range` restricts the iteration extent
-/// (the parallel sharding unit) and is passed only for the program's first
-/// op; probes ignore it — the planner never splits a keyed loop, exactly
-/// like the tree executor's slice entry point.
-fn open_cursor<'a>(
-    env: &ExecEnv<'_>,
-    rop: &ROp<'a>,
-    range: Option<(usize, usize)>,
-    vals: &[Const],
-) -> Cursor<'a> {
+/// Opens the cursor for a loop op.
+fn open_cursor<'a>(env: &ExecEnv<'_>, rop: &ROp<'a>, vals: &[Const]) -> Cursor<'a> {
     match *rop {
-        ROp::Scan { tuples, cols, .. } => {
-            let (pos, end) = range.unwrap_or((0, tuples.len()));
-            Cursor::Dense {
-                tuples,
-                pos,
-                end,
-                cols,
-            }
-        }
+        ROp::Scan { tuples, cols, .. } => Cursor::Dense {
+            tuples,
+            pos: 0,
+            end: tuples.len(),
+            cols,
+        },
         ROp::Probe {
             tuples,
             index,
@@ -811,14 +799,11 @@ fn open_cursor<'a>(
                 },
             }
         }
-        ROp::Domain { reg, .. } => {
-            let (lo, end) = range.unwrap_or((0, env.ctx.universe_size));
-            Cursor::Domain {
-                next: lo as u32,
-                end: end as u32,
-                reg,
-            }
-        }
+        ROp::Domain { reg, .. } => Cursor::Domain {
+            next: 0,
+            end: env.ctx.universe_size as u32,
+            reg,
+        },
         _ => unreachable!("open_cursor on a non-loop op"),
     }
 }
@@ -881,21 +866,10 @@ fn run_tail(
 }
 
 /// Runs a lowered program, collecting emitted head tuples into `out`.
-///
-/// `range` restricts the **outermost** loop to the contiguous slice
-/// `lo..hi` — the unit of parallel execution (only legal when the first op
-/// is an unkeyed scan or a `Domain` op, exactly like the tree executor's
-/// slice entry point). Outputs arrive in the same order as the
-/// corresponding slice of a full sequential run.
-pub(crate) fn run_program(
-    env: &ExecEnv<'_>,
-    prog: &RuleProgram,
-    out: &mut Relation,
-    range: Option<(usize, usize)>,
-) {
+pub(crate) fn run_program(env: &ExecEnv<'_>, prog: &RuleProgram, out: &mut Relation) {
     let mut vals = vec![Const(0); prog.num_regs];
     let resolved = resolve_program(env, prog);
-    drive_resolved(env, &resolved, range, &mut vals, &mut Sink::Collect(out));
+    drive_resolved(env, &resolved, &mut vals, &mut Sink::Collect(out));
 }
 
 /// A lowered program resolved once against an environment snapshot —
@@ -927,7 +901,7 @@ impl<'a> ResolvedProgram<'a> {
     /// registers reach `Emit`? Returns on the first witness — the one-step
     /// derivability checks run entire check-plan bodies through this.
     pub(crate) fn probe(&self, env: &ExecEnv<'_>, vals: &mut [Const]) -> bool {
-        drive_resolved(env, self, None, vals, &mut Sink::First)
+        drive_resolved(env, self, vals, &mut Sink::First)
     }
 }
 
@@ -943,7 +917,6 @@ impl<'a> ResolvedProgram<'a> {
 fn drive_resolved<'a>(
     env: &ExecEnv<'_>,
     resolved: &ResolvedProgram<'a>,
-    range: Option<(usize, usize)>,
     vals: &mut [Const],
     sink: &mut Sink<'_>,
 ) -> bool {
@@ -962,13 +935,12 @@ fn drive_resolved<'a>(
             while pc < last {
                 match &rops[pc] {
                     op if op.is_loop() => {
-                        let cursor = open_cursor(env, op, if pc == 0 { range } else { None }, vals);
                         let mut frame = Frame {
                             #[cfg(debug_assertions)]
                             loop_pc: pc,
                             resume: pc + 1,
                             fail: op.loop_fail(),
-                            cursor,
+                            cursor: open_cursor(env, op, vals),
                         };
                         if !frame.cursor.advance(vals) {
                             break 'fail frame.fail;
@@ -1003,8 +975,7 @@ fn drive_resolved<'a>(
                 pc += 1;
             }
             // The innermost loop, fused with its straight-line tail.
-            let mut cursor =
-                open_cursor(env, &rops[last], if last == 0 { range } else { None }, vals);
+            let mut cursor = open_cursor(env, &rops[last], vals);
             while cursor.advance(vals) {
                 if run_tail(rops, last + 1, resolved.head, vals, sink, env.gov) {
                     return true;

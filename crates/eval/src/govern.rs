@@ -135,11 +135,11 @@ pub const SITE_OVERDELETE_CLOSE: &str = "overdelete-close";
 /// (fires once per closed, non-empty cone, before its members are checked;
 /// a repair that gives up on the cone and re-evaluates never reaches it).
 pub const SITE_REDERIVE_SWEEP: &str = "rederive-sweep";
-/// Failpoint site: **panics** inside a parallel worker task instead of
-/// returning an error — exercises the per-task `catch_unwind` containment.
-/// Only reachable when the application actually forks (force with
-/// `parallel_threshold = 0`).
-pub const SITE_WORKER_PANIC: &str = "worker-panic";
+/// Failpoint site: a genuine `panic!` at a round boundary
+/// ([`Governor::check_round`]) instead of a typed error — exercises the
+/// `catch_unwind` containment and rollback of
+/// [`Materialized`](crate::Materialized) updates.
+pub const SITE_PANIC: &str = "panic";
 
 /// Every registered failpoint site, for sweep harnesses.
 pub const FAILPOINT_SITES: &[&str] = &[
@@ -147,7 +147,7 @@ pub const FAILPOINT_SITES: &[&str] = &[
     SITE_INDEX_EXTEND,
     SITE_OVERDELETE_CLOSE,
     SITE_REDERIVE_SWEEP,
-    SITE_WORKER_PANIC,
+    SITE_PANIC,
 ];
 
 /// Serving-layer failpoint sites (`inflog-serve`). The registry constant
@@ -299,8 +299,7 @@ const POLL_MASK: u64 = (1 << 12) - 1;
 /// The per-call governance runtime: resolved limits plus shared trip
 /// state. Engines build one at entry ([`Governor::new`]) and thread a
 /// reference through the [`DeltaDriver`](crate::DeltaDriver) into both
-/// executors; parallel workers share it through the execution
-/// environment, so a trip on any worker stops all of them.
+/// executors.
 ///
 /// The trip is **one-shot**: the first limit violation (or cancellation,
 /// or fired failpoint) stores its typed error and flips an atomic flag;
@@ -360,7 +359,7 @@ impl Governor {
     }
 
     /// Whether a limit has already tripped (relaxed; safe to poll from
-    /// any worker).
+    /// any thread).
     #[inline]
     pub fn tripped(&self) -> bool {
         self.tripped.load(Ordering::Relaxed)
@@ -404,13 +403,20 @@ impl Governor {
         self.check()
     }
 
-    /// Round-boundary check: fires the `round` failpoint, counts one
-    /// round against [`Budget::max_rounds`], and polls deadline and
-    /// cancellation. Called by the driver before the full first
-    /// application and before every delta round, by naive iteration per
-    /// step, and by the well-founded engine per alternation.
+    /// Round-boundary check: fires the `round` failpoint (and panics when
+    /// the [`SITE_PANIC`] failpoint is due), counts one round against
+    /// [`Budget::max_rounds`], and polls deadline and cancellation. Called
+    /// by the driver before the full first application and before every
+    /// delta round, by naive iteration per step, and by the well-founded
+    /// engine per alternation.
+    ///
+    /// # Panics
+    /// Deliberately, when the armed [`SITE_PANIC`] failpoint fires.
     pub fn check_round(&self) -> Result<()> {
         self.fail_at(SITE_ROUND)?;
+        if self.failpoints.fire(SITE_PANIC) {
+            panic!("panic failpoint fired");
+        }
         let r = self.rounds.fetch_add(1, Ordering::Relaxed) + 1;
         if let Some(max) = self.max_rounds {
             if r > max {
@@ -457,13 +463,6 @@ impl Governor {
             return Err(e);
         }
         self.check()
-    }
-
-    /// Whether the [`SITE_WORKER_PANIC`] failpoint is due — the parallel
-    /// task runner panics deliberately when it is (inside the per-task
-    /// `catch_unwind`), proving panic containment end to end.
-    pub(crate) fn should_inject_worker_panic(&self) -> bool {
-        self.failpoints.fire(SITE_WORKER_PANIC)
     }
 
     /// Total head-tuple emissions observed so far (for tests/diagnostics).

@@ -233,14 +233,14 @@ impl IndexSet {
     /// below the watermark, and every indexed dense position appears in
     /// exactly the bucket of its key projection.
     ///
-    /// The parallel round executor reads postings concurrently and merges
-    /// worker output by position order, so a posting that went stale or out
-    /// of order after a [`patch_swap_remove`](Self::patch_swap_remove) or a
-    /// `shrink_epoch` rollback would silently drop or misorder join
-    /// matches. The sweep is `O(total postings)`, so it runs per *batch* of
-    /// patches, not per patch (the incremental well-founded engine
-    /// validates once per alternation in debug builds); tests call it
-    /// directly around rollback + parallel-round sequences.
+    /// Probes iterate postings in position order, so a posting that went
+    /// stale or out of order after a
+    /// [`patch_swap_remove`](Self::patch_swap_remove) or a `shrink_epoch`
+    /// rollback would silently drop or misorder join matches. The sweep is
+    /// `O(total postings)`, so it runs per *batch* of patches, not per patch
+    /// (the incremental well-founded engine validates once per alternation
+    /// in debug builds); tests call it directly around rollback +
+    /// re-extension sequences.
     ///
     /// The check is **epoch-aware**, matching the lazy contract between
     /// `Relation::truncate` and `Index::sync`: an index exactly one
@@ -495,7 +495,7 @@ mod tests {
     fn validate_passes_after_patch_and_rollback_sequences() {
         // Interleave growth, tracked removals and truncation rollbacks; the
         // postings must stay sorted and complete at every step — this is
-        // what lets a parallel round trust posting order right after the
+        // what lets the next round trust posting order right after the
         // incremental well-founded engine's patch/rollback paths.
         let mut r = rel(&[&[0, 1], &[0, 2], &[1, 3], &[0, 4], &[2, 5]]);
         let mut set = IndexSet::default();

@@ -87,7 +87,7 @@ pub fn inflationary_naive_compiled_with(
 }
 
 /// Computes `Θ^∞` semi-naively (the default engine), with
-/// [`EvalOptions::default`] (sequential unless the environment overrides).
+/// [`EvalOptions::default`].
 ///
 /// # Errors
 /// Compilation errors only — inflationary semantics is total.
@@ -95,9 +95,8 @@ pub fn inflationary(program: &Program, db: &Database) -> Result<(Interp, EvalTra
     inflationary_with(program, db, &EvalOptions::default())
 }
 
-/// [`inflationary`] with explicit evaluation options — e.g. a worker-thread
-/// count for the parallel round executor. The result is bit-identical for
-/// every thread count.
+/// [`inflationary`] with explicit evaluation options (executor, budget,
+/// cancellation, failpoints).
 ///
 /// # Errors
 /// Compilation errors only — inflationary semantics is total.
@@ -131,7 +130,7 @@ pub fn inflationary_compiled(cp: &CompiledProgram, ctx: &EvalContext) -> (Interp
 /// # Errors
 /// [`EvalError::Cancelled`](crate::EvalError::Cancelled),
 /// [`EvalError::BudgetExceeded`](crate::EvalError::BudgetExceeded), a fault
-/// injected by an armed failpoint, or a contained worker panic.
+/// injected by an armed failpoint.
 pub fn inflationary_compiled_with(
     cp: &CompiledProgram,
     ctx: &EvalContext,

@@ -11,15 +11,12 @@
 //! * [`driver`] — the one semi-naive round loop every delta-capable engine
 //!   drives, with reusable scratch buffers and a debug cross-check against
 //!   the naive round;
-//! * [`options`] — per-evaluation knobs, notably the worker-thread count of
-//!   the parallel round executor (rounds over a size threshold shard their
-//!   work across `std::thread::scope` workers and merge deterministically —
-//!   results are bit-identical to sequential evaluation at any count);
+//! * [`options`] — per-evaluation knobs: the executor choice (VM or tree
+//!   oracle), resource limits, cancellation and failpoints;
 //! * [`govern`] — resource governance: [`Budget`] limits and
 //!   [`CancelToken`] cancellation enforced at round boundaries and in the
-//!   executor inner loops, per-task panic containment in the parallel
-//!   runner, and the `INFLOG_FAILPOINT` fault-injection layer the
-//!   transactional-update tests drive;
+//!   executor inner loops, and the `INFLOG_FAILPOINT` fault-injection layer
+//!   the transactional-update tests drive;
 //! * [`naive`] / [`seminaive`] — least-fixpoint evaluation of *positive*
 //!   DATALOG programs (the paper's standard semantics);
 //! * [`inflationary()`](inflationary()) — the paper's §4 proposal: Θ̃(S) = S ∪ Θ(S) iterated to
@@ -84,7 +81,7 @@ pub mod wellfounded;
 pub use driver::DeltaDriver;
 pub use durable::{Durability, DurableMaterialized, DurableOpts};
 pub use epoch::{Epoch, EpochCell, Truth};
-pub use error::{BudgetKind, EvalError};
+pub use error::{panic_message, BudgetKind, EvalError};
 pub use exec::{ColAction, Op, RuleProgram, ValSrc};
 pub use govern::{
     Budget, CancelToken, Failpoints, Governor, FAILPOINT_SITES, SERVE_FAILPOINT_SITES,

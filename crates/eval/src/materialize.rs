@@ -162,8 +162,8 @@ pub enum RepairStrategy {
 pub struct MaterializeOpts {
     /// The semantics to maintain.
     pub engine: Engine,
-    /// Engine options (worker threads etc.), used by the initial evaluation
-    /// and by every repair.
+    /// Engine options (executor, budget, failpoints), used by the initial
+    /// evaluation and by every repair.
     pub eval: EvalOptions,
 }
 
@@ -759,7 +759,7 @@ impl Materialized {
             Err(payload) => {
                 self.rollback(log, saved_driver);
                 Err(EvalError::WorkerPanic {
-                    message: operator::panic_message(&*payload),
+                    message: crate::error::panic_message(&*payload),
                 })
             }
         }
@@ -1000,7 +1000,7 @@ impl Materialized {
             neg,
             None,
             out,
-            &self.opts,
+            self.opts.exec_kind(),
             gov,
         )
     }
@@ -1268,13 +1268,8 @@ impl Materialized {
         // by definition already spent).
         let opts = self.opts.without_governance();
         let (s, undefined) = match self.engine {
-            Engine::Seminaive => (
-                crate::seminaive::least_fixpoint_seminaive_compiled_with(&self.cp, &fresh, &opts)
-                    .expect("ungoverned verification evaluation cannot fail")
-                    .0,
-                empty,
-            ),
-            Engine::Inflationary => (
+            // Θ^∞ is the least fixpoint on positive programs (§4).
+            Engine::Seminaive | Engine::Inflationary => (
                 inflationary_compiled_with(&self.cp, &fresh, &opts)
                     .expect("ungoverned verification evaluation cannot fail")
                     .0,

@@ -5,9 +5,9 @@
 //! least fixpoint (Tarski) — the paper's *standard semantics* for DATALOG.
 
 use crate::error::EvalError;
-use crate::govern::Governor;
+use crate::inflationary::inflationary_naive_compiled_with;
 use crate::interp::Interp;
-use crate::operator::{apply_governed, EvalContext};
+use crate::operator::EvalContext;
 use crate::options::EvalOptions;
 use crate::resolve::CompiledProgram;
 use crate::trace::EvalTrace;
@@ -44,6 +44,10 @@ pub fn least_fixpoint_naive(program: &Program, db: &Database) -> Result<(Interp,
 
 /// [`least_fixpoint_naive`] with explicit evaluation options.
 ///
+/// For a monotone Θ the naive chain `Θⁿ⁺¹(∅) = Θ(Θⁿ(∅))` is increasing, so
+/// it equals the inflationary chain `S ← S ∪ Θ(S)` step for step (§4):
+/// after the positivity check this runs the naive inflationary loop.
+///
 /// The [`Budget`](crate::govern::Budget), cancellation token and failpoints
 /// in `opts` are honored: exceeding the budget's `max_rounds` cap reports
 /// [`EvalError::BudgetExceeded`], and deadline/cancellation are polled at
@@ -60,56 +64,7 @@ pub fn least_fixpoint_naive_with(
     require_positive(program)?;
     let cp = CompiledProgram::compile(program, db)?;
     let ctx = EvalContext::new(&cp, db)?;
-    least_fixpoint_naive_compiled_with(&cp, &ctx, opts)
-}
-
-/// Naive iteration over an already-compiled positive program.
-///
-/// Θ must be monotone (callers ensure positivity); iteration therefore
-/// terminates within `Σ |A|^{k_i}` rounds. This convenience wrapper runs
-/// ungoverned (no budget, token or failpoints) and is therefore infallible.
-pub fn least_fixpoint_naive_compiled(
-    cp: &CompiledProgram,
-    ctx: &EvalContext,
-) -> (Interp, EvalTrace) {
-    least_fixpoint_naive_compiled_with(cp, ctx, &EvalOptions::sequential())
-        .expect("ungoverned naive evaluation cannot fail")
-}
-
-/// [`least_fixpoint_naive_compiled`] with explicit evaluation options; the
-/// governed form checks budget, cancellation and failpoints at every round
-/// boundary (see [`least_fixpoint_naive_with`]).
-///
-/// # Errors
-/// [`EvalError::Cancelled`], [`EvalError::BudgetExceeded`], or a fault
-/// injected by an armed failpoint.
-pub fn least_fixpoint_naive_compiled_with(
-    cp: &CompiledProgram,
-    ctx: &EvalContext,
-    opts: &EvalOptions,
-) -> Result<(Interp, EvalTrace)> {
-    let governor = Governor::new(opts);
-    let gov = governor.as_active();
-    let mut trace = EvalTrace::default();
-    let mut s = cp.empty_interp();
-    loop {
-        if let Some(g) = gov {
-            g.check_round()?;
-        }
-        let next = apply_governed(cp, ctx, &s, gov)?;
-        // Monotone Θ iterated from ∅ is an increasing chain (Θⁿ⁺¹(∅) ⊇
-        // Θⁿ(∅)), so in-place union computes exactly s ← Θ(s) while keeping
-        // relation identities stable — the context's persistent indexes
-        // extend incrementally instead of rebuilding every round — and "no
-        // new tuples" is exactly the fixpoint test.
-        let added = s.union_with(&next);
-        if added == 0 {
-            break;
-        }
-        trace.record_round(added);
-    }
-    trace.final_tuples = s.total_tuples();
-    Ok((s, trace))
+    inflationary_naive_compiled_with(&cp, &ctx, opts)
 }
 
 #[cfg(test)]

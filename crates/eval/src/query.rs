@@ -38,10 +38,10 @@
 //! evaluation could never derive a tuple mentioning it).
 
 use crate::error::EvalError;
+use crate::inflationary::inflationary_compiled_with;
 use crate::operator::EvalContext;
 use crate::options::EvalOptions;
 use crate::resolve::CompiledProgram;
-use crate::seminaive::least_fixpoint_seminaive_compiled_with;
 use crate::stratified::{stratified_eval_compiled_with, stratify};
 use crate::wellfounded::well_founded_compiled_with;
 use crate::Result;
@@ -90,8 +90,8 @@ pub enum NonStratifiedPolicy {
 /// Options for [`query`].
 #[derive(Debug, Clone, Default)]
 pub struct QueryOpts {
-    /// Engine options (worker threads etc.), forwarded to every evaluation
-    /// phase the query runs.
+    /// Engine options (executor, budget, failpoints), forwarded to every
+    /// evaluation phase the query runs.
     pub eval: EvalOptions,
     /// Policy for non-stratifiable programs.
     pub non_stratified: NonStratifiedPolicy,
@@ -297,7 +297,8 @@ fn query_cone(
     debug_assert!(rw.demand.is_positive(), "demand programs are positive");
     let dcp = CompiledProgram::compile(&rw.demand, db)?;
     let dctx = EvalContext::new(&dcp, db)?;
-    let (demand, _) = least_fixpoint_seminaive_compiled_with(&dcp, &dctx, eval)?;
+    // Positive, so Θ^∞ is its least fixpoint (§4).
+    let (demand, _) = inflationary_compiled_with(&dcp, &dctx, eval)?;
 
     // Phase 2 reads the magic predicates as EDB relations. They are absent
     // from the database, so compilation gives them empty relations in the

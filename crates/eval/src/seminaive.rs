@@ -4,10 +4,8 @@
 //! can only produce a *new* tuple if its body uses at least one tuple that
 //! was new in the previous round, so each rule is re-run once per positive
 //! IDB atom occurrence with that occurrence restricted to the delta.
-//! Ablation bench `seminaive.rs` measures the win over naive iteration.
 
-use crate::driver::DeltaDriver;
-use crate::govern::Governor;
+use crate::inflationary::inflationary_compiled_with;
 use crate::interp::Interp;
 use crate::naive::require_positive;
 use crate::operator::EvalContext;
@@ -19,7 +17,7 @@ use inflog_core::Database;
 use inflog_syntax::Program;
 
 /// Computes the least fixpoint of a positive program semi-naively, with
-/// [`EvalOptions::default`] (sequential unless the environment overrides).
+/// [`EvalOptions::default`].
 ///
 /// # Errors
 /// Same conditions as [`least_fixpoint_naive`](crate::least_fixpoint_naive).
@@ -27,12 +25,18 @@ pub fn least_fixpoint_seminaive(program: &Program, db: &Database) -> Result<(Int
     least_fixpoint_seminaive_with(program, db, &EvalOptions::default())
 }
 
-/// [`least_fixpoint_seminaive`] with explicit evaluation options — e.g. a
-/// worker-thread count for the parallel round executor. The result is
-/// bit-identical for every thread count.
+/// [`least_fixpoint_seminaive`] with explicit evaluation options.
+///
+/// On a positive program Θ is monotone, so the inflationary iteration
+/// `S ← S ∪ Θ(S)` climbs exactly the chain `Θⁿ(∅)` and its inductive
+/// fixpoint is the least fixpoint (§4). After the positivity check this
+/// therefore runs the semi-naive inflationary engine over the shared
+/// [`DeltaDriver`](crate::DeltaDriver): all rules, standard negation
+/// context, cold start from ∅.
 ///
 /// # Errors
-/// Same conditions as [`least_fixpoint_naive`](crate::least_fixpoint_naive).
+/// Same conditions as [`least_fixpoint_naive`](crate::least_fixpoint_naive),
+/// plus the governance errors (budget, cancellation, failpoints).
 pub fn least_fixpoint_seminaive_with(
     program: &Program,
     db: &Database,
@@ -41,50 +45,7 @@ pub fn least_fixpoint_seminaive_with(
     require_positive(program)?;
     let cp = CompiledProgram::compile(program, db)?;
     let ctx = EvalContext::new(&cp, db)?;
-    least_fixpoint_seminaive_compiled_with(&cp, &ctx, opts)
-}
-
-/// Semi-naive iteration over an already-compiled positive program.
-///
-/// The round loop itself lives in [`DeltaDriver::extend`]; this engine is
-/// the trivial instantiation (all rules, standard negation context, cold
-/// start from ∅). This convenience wrapper strips any environment-supplied
-/// governance (budget, token, failpoints) and is therefore infallible.
-pub fn least_fixpoint_seminaive_compiled(
-    cp: &CompiledProgram,
-    ctx: &EvalContext,
-) -> (Interp, EvalTrace) {
-    least_fixpoint_seminaive_compiled_with(cp, ctx, &EvalOptions::default().without_governance())
-        .expect("ungoverned semi-naive evaluation cannot fail")
-}
-
-/// [`least_fixpoint_seminaive_compiled`] with explicit evaluation options;
-/// the governed form checks budget, cancellation and failpoints at every
-/// round boundary and every few thousand emitted tuples.
-///
-/// # Errors
-/// [`EvalError::Cancelled`](crate::EvalError::Cancelled),
-/// [`EvalError::BudgetExceeded`](crate::EvalError::BudgetExceeded), a fault
-/// injected by an armed failpoint, or a contained worker panic.
-pub fn least_fixpoint_seminaive_compiled_with(
-    cp: &CompiledProgram,
-    ctx: &EvalContext,
-    opts: &EvalOptions,
-) -> Result<(Interp, EvalTrace)> {
-    let governor = Governor::new(opts);
-    let mut trace = EvalTrace::default();
-    let mut s = cp.empty_interp();
-    DeltaDriver::with_options(cp, opts.clone()).extend(
-        cp,
-        ctx,
-        &mut s,
-        None,
-        None,
-        Some(&mut trace),
-        &governor,
-    )?;
-    trace.final_tuples = s.total_tuples();
-    Ok((s, trace))
+    inflationary_compiled_with(&cp, &ctx, opts)
 }
 
 #[cfg(test)]
@@ -211,11 +172,11 @@ mod tests {
         let db = DiGraph::path(10).to_database("E");
         let cp = CompiledProgram::compile(&p, &db).unwrap();
         let ctx = crate::operator::EvalContext::new(&cp, &db).unwrap();
-        let (a, _) = least_fixpoint_seminaive_compiled(&cp, &ctx);
+        let (a, _) = crate::inflationary::inflationary_compiled(&cp, &ctx);
         let warm = ctx.num_indexes();
         assert!(warm > 0, "keyed scans must have registered indexes");
         // A second run over the same context reuses them.
-        let (b, _) = least_fixpoint_seminaive_compiled(&cp, &ctx);
+        let (b, _) = crate::inflationary::inflationary_compiled(&cp, &ctx);
         assert_eq!(a, b);
         assert!(ctx.num_indexes() >= warm);
     }

@@ -98,8 +98,7 @@ pub fn stratify(program: &Program) -> Result<Stratification> {
 }
 
 /// Evaluates a stratified program bottom-up; returns the perfect model.
-/// Uses [`EvalOptions::default`] (sequential unless the environment
-/// overrides).
+/// Uses [`EvalOptions::default`].
 ///
 /// # Errors
 /// [`EvalError::NotStratified`] or compilation errors.
@@ -107,9 +106,8 @@ pub fn stratified_eval(program: &Program, db: &Database) -> Result<(Interp, Eval
     stratified_eval_with(program, db, &EvalOptions::default())
 }
 
-/// [`stratified_eval`] with explicit evaluation options — e.g. a
-/// worker-thread count for the parallel round executor. The result is
-/// bit-identical for every thread count.
+/// [`stratified_eval`] with explicit evaluation options (executor, budget,
+/// cancellation, failpoints).
 ///
 /// # Errors
 /// [`EvalError::NotStratified`] or compilation errors.
@@ -151,7 +149,7 @@ pub fn stratified_eval_compiled(
 ///
 /// # Errors
 /// [`EvalError::Cancelled`], [`EvalError::BudgetExceeded`], a fault
-/// injected by an armed failpoint, or a contained worker panic.
+/// injected by an armed failpoint.
 pub fn stratified_eval_compiled_with(
     cp: &CompiledProgram,
     ctx: &EvalContext,

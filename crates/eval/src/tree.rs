@@ -20,51 +20,6 @@ pub(crate) fn run_plan(env: &ExecEnv<'_>, plan: &Plan, out: &mut Relation) {
     let _ = step(env, plan, 0, &mut vals, &mut bound, out);
 }
 
-/// Runs `plan` with its **outermost** iteration restricted to the
-/// contiguous range `lo..hi` — the unit of parallel execution. Only
-/// called for plans whose first step is an unkeyed scan or a `Domain`
-/// step; outputs arrive in the same order as the corresponding slice of a
-/// full sequential run.
-pub(crate) fn run_plan_slice(
-    env: &ExecEnv<'_>,
-    plan: &Plan,
-    lo: usize,
-    hi: usize,
-    out: &mut Relation,
-) {
-    let mut vals: Vec<Const> = vec![Const(0); plan.num_vars];
-    let mut bound = vec![false; plan.num_vars];
-    match plan.steps.first() {
-        Some(Step::Scan {
-            pred,
-            source,
-            terms,
-            key_cols,
-        }) if key_cols.is_empty() => {
-            let tuples = env.scan_tuples(*pred, *source);
-            let binds_mask = scan_binds_mask(terms, &bound);
-            for t in &tuples[lo..hi] {
-                if !scan_candidate(
-                    env, plan, 0, &mut vals, &mut bound, out, t, terms, binds_mask,
-                ) {
-                    return;
-                }
-            }
-        }
-        Some(Step::Domain { var }) => {
-            let var = *var;
-            bound[var] = true;
-            for c in lo..hi {
-                vals[var] = Const(c as u32);
-                if !step(env, plan, 1, &mut vals, &mut bound, out) {
-                    return;
-                }
-            }
-        }
-        _ => unreachable!("range tasks are built only for splittable first steps"),
-    }
-}
-
 /// Satisfiability probe over a whole plan with pre-seeded bindings: does
 /// any completion reach the head? Returns on the first witness.
 pub(crate) fn probe_plan(

@@ -109,8 +109,7 @@ impl WellFoundedModel {
     }
 }
 
-/// Computes the well-founded model, with [`EvalOptions::default`]
-/// (sequential unless the environment overrides).
+/// Computes the well-founded model, with [`EvalOptions::default`].
 ///
 /// # Errors
 /// Compilation errors only — the well-founded semantics is total on
@@ -119,11 +118,8 @@ pub fn well_founded(program: &Program, db: &Database) -> Result<WellFoundedModel
     well_founded_with(program, db, &EvalOptions::default())
 }
 
-/// [`well_founded`] with explicit evaluation options — e.g. a worker-thread
-/// count for the parallel round executor, which both Γ sides (the
-/// warm-started `T` fixpoints and the damage/overdeletion sweeps on `U`)
-/// drive. The model — facts, insertion orders, alternation count — is
-/// bit-identical for every thread count.
+/// [`well_founded`] with explicit evaluation options (executor, budget,
+/// cancellation, failpoints).
 ///
 /// # Errors
 /// Compilation errors only — the well-founded semantics is total on
@@ -156,7 +152,7 @@ pub fn well_founded_compiled(cp: &CompiledProgram, ctx: &EvalContext) -> WellFou
 /// # Errors
 /// [`EvalError::Cancelled`](crate::EvalError::Cancelled),
 /// [`EvalError::BudgetExceeded`](crate::EvalError::BudgetExceeded), a fault
-/// injected by an armed failpoint, or a contained worker panic.
+/// injected by an armed failpoint.
 pub fn well_founded_compiled_with(
     cp: &CompiledProgram,
     ctx: &EvalContext,
@@ -211,7 +207,7 @@ pub fn well_founded_compiled_with(
             Some(&empty_neg),
             None,
             &mut heads,
-            opts,
+            opts.exec_kind(),
             gov,
         )?;
         // Overdeletion cone, closed through positive IDB dependencies. A
@@ -247,7 +243,7 @@ pub fn well_founded_compiled_with(
                 Some(&empty_neg),
                 None,
                 &mut heads,
-                opts,
+                opts.exec_kind(),
                 gov,
             )?;
             for (i, list) in cone.iter_mut().enumerate() {
@@ -293,8 +289,8 @@ pub fn well_founded_compiled_with(
             // One postings sweep per alternation (not per patched removal —
             // that would make debug-build overdeletion quadratic): after the
             // whole overdelete/rederive batch, every index over `u` must
-            // still be sorted and complete before the next parallel round
-            // trusts its posting order.
+            // still be sorted and complete before the next round trusts its
+            // posting order.
             for i in 0..num_idb {
                 ctx.debug_validate_indexes(u.get(i));
             }

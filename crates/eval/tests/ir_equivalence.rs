@@ -4,8 +4,8 @@
 //! (`exec::run_program` / `exec::ResolvedProgram::probe`) promise to be observationally
 //! indistinguishable from the recursive tree walker they replaced: the **same
 //! tuples in the same insertion order**, the same per-round deltas, and the
-//! same alternation counts, at every thread count. Debug builds already
-//! assert this per Θ application; these tests enforce it end to end with the
+//! same alternation counts. Debug builds already assert this per Θ
+//! application; these tests enforce it end to end with the
 //! executor choice **pinned** through [`EvalOptions::exec`] (so they hold in
 //! release builds too, where the per-application oracle is compiled out),
 //! over fixed-seed random programs and graphs plus hand-picked templates
@@ -23,15 +23,9 @@ use inflog_syntax::{parse_program, Program};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// Thread counts under test: sequential, plus forced-parallel fan-outs.
-const THREAD_COUNTS: [usize; 3] = [1, 2, 4];
-
-/// Options with the executor pinned. `threads > 1` also drops the fork
-/// threshold to zero so every round with any work takes the parallel path.
-fn pinned(kind: ExecKind, threads: usize) -> EvalOptions {
+/// Options with the executor pinned.
+fn pinned(kind: ExecKind) -> EvalOptions {
     EvalOptions {
-        threads,
-        parallel_threshold: if threads > 1 { 0 } else { usize::MAX },
         exec: Some(kind),
         ..EvalOptions::sequential()
     }
@@ -52,51 +46,48 @@ fn assert_bit_identical(tree: &Interp, vm: &Interp, label: &str) {
 
 /// Runs every engine whose semantics is defined for `program` under both
 /// executors and asserts bit-identity of models, traces, and alternation
-/// counts at each thread count.
+/// counts.
 fn assert_vm_matches_tree(program: &Program, db: &Database, label: &str) {
     let positive = program.is_positive();
-    for threads in THREAD_COUNTS {
-        let tree = pinned(ExecKind::Tree, threads);
-        let vm = pinned(ExecKind::Vm, threads);
-        let label = format!("{label}, {threads} threads");
+    let tree = pinned(ExecKind::Tree);
+    let vm = pinned(ExecKind::Vm);
 
-        if positive {
-            let (t, tt) = least_fixpoint_seminaive_with(program, db, &tree).unwrap();
-            let (v, vt) = least_fixpoint_seminaive_with(program, db, &vm).unwrap();
-            assert_bit_identical(&t, &v, &format!("seminaive {label}"));
-            assert_eq!(tt.rounds, vt.rounds, "seminaive rounds: {label}");
-            assert_eq!(
-                tt.added_per_round, vt.added_per_round,
-                "seminaive deltas: {label}"
-            );
-        }
-
-        let (t, tt) = inflationary_with(program, db, &tree).unwrap();
-        let (v, vt) = inflationary_with(program, db, &vm).unwrap();
-        assert_bit_identical(&t, &v, &format!("inflationary {label}"));
-        assert_eq!(tt.rounds, vt.rounds, "inflationary rounds: {label}");
+    if positive {
+        let (t, tt) = least_fixpoint_seminaive_with(program, db, &tree).unwrap();
+        let (v, vt) = least_fixpoint_seminaive_with(program, db, &vm).unwrap();
+        assert_bit_identical(&t, &v, &format!("seminaive {label}"));
+        assert_eq!(tt.rounds, vt.rounds, "seminaive rounds: {label}");
         assert_eq!(
             tt.added_per_round, vt.added_per_round,
-            "inflationary deltas: {label}"
+            "seminaive deltas: {label}"
         );
-
-        if stratify(program).is_ok() {
-            let (t, tt) = stratified_eval_with(program, db, &tree).unwrap();
-            let (v, vt) = stratified_eval_with(program, db, &vm).unwrap();
-            assert_bit_identical(&t, &v, &format!("stratified {label}"));
-            assert_eq!(tt.rounds, vt.rounds, "stratified rounds: {label}");
-            assert_eq!(
-                tt.added_per_round, vt.added_per_round,
-                "stratified deltas: {label}"
-            );
-        }
-
-        let t = well_founded_with(program, db, &tree).unwrap();
-        let v = well_founded_with(program, db, &vm).unwrap();
-        assert_bit_identical(&t.true_facts, &v.true_facts, &format!("wf true {label}"));
-        assert_bit_identical(&t.undefined, &v.undefined, &format!("wf undef {label}"));
-        assert_eq!(t.alternations, v.alternations, "wf alternations: {label}");
     }
+
+    let (t, tt) = inflationary_with(program, db, &tree).unwrap();
+    let (v, vt) = inflationary_with(program, db, &vm).unwrap();
+    assert_bit_identical(&t, &v, &format!("inflationary {label}"));
+    assert_eq!(tt.rounds, vt.rounds, "inflationary rounds: {label}");
+    assert_eq!(
+        tt.added_per_round, vt.added_per_round,
+        "inflationary deltas: {label}"
+    );
+
+    if stratify(program).is_ok() {
+        let (t, tt) = stratified_eval_with(program, db, &tree).unwrap();
+        let (v, vt) = stratified_eval_with(program, db, &vm).unwrap();
+        assert_bit_identical(&t, &v, &format!("stratified {label}"));
+        assert_eq!(tt.rounds, vt.rounds, "stratified rounds: {label}");
+        assert_eq!(
+            tt.added_per_round, vt.added_per_round,
+            "stratified deltas: {label}"
+        );
+    }
+
+    let t = well_founded_with(program, db, &tree).unwrap();
+    let v = well_founded_with(program, db, &vm).unwrap();
+    assert_bit_identical(&t.true_facts, &v.true_facts, &format!("wf true {label}"));
+    assert_bit_identical(&t.undefined, &v.undefined, &format!("wf undef {label}"));
+    assert_eq!(t.alternations, v.alternations, "wf alternations: {label}");
 }
 
 /// Generates a random program: 2–4 rules over IDB `P/2`, `Q/1` and EDB

@@ -27,9 +27,8 @@
 
 use inflog_core::graphs::DiGraph;
 use inflog_core::{Database, Tuple};
-use inflog_eval::govern::SITE_WORKER_PANIC;
 use inflog_eval::govern::{
-    SITE_INDEX_EXTEND, SITE_OVERDELETE_CLOSE, SITE_REDERIVE_SWEEP, SITE_ROUND,
+    SITE_INDEX_EXTEND, SITE_OVERDELETE_CLOSE, SITE_PANIC, SITE_REDERIVE_SWEEP, SITE_ROUND,
 };
 use inflog_eval::materialize::{Engine, MaterializeOpts, Materialized, RepairStats};
 use inflog_eval::{
@@ -517,18 +516,9 @@ fn snapshot(m: &Materialized) -> Snapshot {
     }
 }
 
-/// Options arming `site` to fire on its first hit. The worker-panic site
-/// only exists inside forked applications, so arming it also forces the
-/// parallel path (two workers, zero threshold).
+/// Options arming `site` to fire on its first hit.
 fn armed(site: &str) -> EvalOptions {
-    let (threads, parallel_threshold) = if site == SITE_WORKER_PANIC {
-        (2, 0)
-    } else {
-        (1, usize::MAX)
-    };
     EvalOptions {
-        threads,
-        parallel_threshold,
         failpoints: Failpoints::armed(site, 1),
         ..EvalOptions::sequential()
     }
@@ -595,7 +585,9 @@ fn workloads() -> Vec<Workload> {
 /// batch goes through and lands on the recompute. A site that is not on
 /// the update's path (e.g. the overdelete cone during a pure insert) must
 /// not disturb a normal update. Every site must fire somewhere in the
-/// sweep — a registered site the sweep cannot reach would be dead code.
+/// sweep — a registered site the sweep cannot reach would be dead code —
+/// and the `panic` site, which sits on every round boundary, must fire on
+/// every update: a genuine panic takes `catch_unwind`'s rollback path.
 #[test]
 fn failpoint_sweep_rolls_back_every_site_on_every_engine() {
     let mut fired: BTreeSet<&str> = BTreeSet::new();
@@ -621,16 +613,19 @@ fn failpoint_sweep_rolls_back_every_site_on_every_engine() {
                 } else {
                     m.retract(&batch)
                 };
+                assert!(
+                    site != SITE_PANIC || result.is_err(),
+                    "{label}: the panic site must fire on every update"
+                );
                 match result {
                     Err(e) => {
                         fired.insert(site);
-                        assert!(
-                            matches!(
-                                e,
-                                EvalError::FaultInjected { .. } | EvalError::WorkerPanic { .. }
-                            ),
-                            "{label}: unexpected error {e:?}"
-                        );
+                        let expected = if site == SITE_PANIC {
+                            matches!(e, EvalError::WorkerPanic { .. })
+                        } else {
+                            matches!(e, EvalError::FaultInjected { .. })
+                        };
+                        assert!(expected, "{label}: unexpected error {e:?}");
                         assert_eq!(snapshot(&m), pre, "{label}: rollback not bit-identical");
                         // The handle must remain fully usable: disarm and
                         // retry the identical batch.
@@ -714,20 +709,20 @@ fn every_failpoint_hit_rolls_back_in_place_repairs_and_recomputes() {
     }
 }
 
-/// A worker panic under forced parallelism is contained: the update returns
-/// a typed error instead of aborting the process, and the rollback holds.
+/// A genuine panic inside a repair is contained: the update returns a typed
+/// error instead of unwinding into the caller, and the rollback holds.
 #[test]
 fn worker_panic_is_contained_and_rolled_back() {
     let program = parse_program(TC).unwrap();
     let db = DiGraph::cycle(6).to_database("E");
     let mut m = handle(&program, &db, Engine::Seminaive);
     let pre = snapshot(&m);
-    m.set_eval_options(armed(SITE_WORKER_PANIC));
+    m.set_eval_options(armed(SITE_PANIC));
     let edge = db.relation("E").unwrap().dense()[0].clone();
     let err = m.retract(&[("E", edge.clone())]).unwrap_err();
     assert!(
-        matches!(err, EvalError::WorkerPanic { .. }),
-        "expected a contained panic, got {err:?}"
+        matches!(&err, EvalError::WorkerPanic { message } if message == "panic failpoint fired"),
+        "expected the contained panic's own message, got {err:?}"
     );
     assert_eq!(snapshot(&m), pre, "panic rollback not bit-identical");
     m.set_eval_options(EvalOptions::sequential());
@@ -766,7 +761,7 @@ fn randomized_churn_with_rotating_failpoints_keeps_the_invariant() {
             let pre = snapshot(&m);
             m.set_eval_options(EvalOptions {
                 failpoints: Failpoints::armed(site, trigger),
-                ..armed(site)
+                ..EvalOptions::sequential()
             });
             let result = if present {
                 m.retract(&[("E", t.clone())])
@@ -911,9 +906,8 @@ fn round_and_tuple_caps_surface_typed_errors_from_every_engine() {
     }
 }
 
-/// CI drives this with `INFLOG_FAILPOINT=<site>[:<n>]` in the environment
-/// (plus `INFLOG_THREADS`/`INFLOG_PARALLEL_THRESHOLD` for the worker-panic
-/// site): [`EvalOptions::default`] picks the armed failpoint up from the
+/// CI drives this with `INFLOG_FAILPOINT=<site>[:<n>]` in the environment:
+/// [`EvalOptions::default`] picks the armed failpoint up from the
 /// environment, the governed update must fail, roll back bit-identically,
 /// and accept a clean retry. Ignored by default — it asserts the variable
 /// is set.

@@ -24,7 +24,7 @@ use crate::ground::GroundProgram;
 use crate::Result;
 use inflog_core::Database;
 use inflog_eval::{CompiledProgram, EvalContext, Interp};
-use inflog_sat::{SolveResult, Solver};
+use inflog_sat::{count_models, enumerate_models, has_unique_model, SolveResult, Solver};
 use inflog_syntax::Program;
 
 /// Outcome of a least-fixpoint query.
@@ -107,44 +107,29 @@ impl FixpointAnalyzer {
     }
 
     /// Enumerates fixpoints (up to `limit`), via blocking clauses on the
-    /// tuple variables.
+    /// tuple variables. They are allocated first, in tuple-id order, so each
+    /// projected model is exactly a tuple bit vector.
     pub fn enumerate_fixpoints(&self, limit: u64) -> Vec<Interp> {
-        let mut solver = Solver::from_cnf(&self.encoding.cnf);
-        let mut out = Vec::new();
-        while (out.len() as u64) < limit {
-            match solver.solve() {
-                SolveResult::Unsat => break,
-                SolveResult::Sat(model) => {
-                    let s = self.encoding.interp_from_model(&self.ground, &model);
-                    let blocking: Vec<inflog_sat::Lit> = self
-                        .encoding
-                        .tuple_vars
-                        .iter()
-                        .map(|&v| if model[v.index()] { v.neg() } else { v.pos() })
-                        .collect();
-                    debug_assert!(self.is_fixpoint(&s));
-                    out.push(s);
-                    if blocking.is_empty() || !solver.add_clause(&blocking) {
-                        break;
-                    }
-                }
-            }
-        }
-        out
+        enumerate_models(&self.encoding.cnf, &self.encoding.tuple_vars, limit)
+            .iter()
+            .map(|bits| {
+                let s = self.ground.bits_to_interp(bits);
+                debug_assert!(self.is_fixpoint(&s), "encoding produced a non-fixpoint");
+                s
+            })
+            .collect()
     }
 
     /// Counts fixpoints up to `limit`; `(count, complete?)`.
     pub fn count_fixpoints(&self, limit: u64) -> (u64, bool) {
-        let fps = self.enumerate_fixpoints(limit);
-        let complete = (fps.len() as u64) < limit;
-        (fps.len() as u64, complete)
+        let r = count_models(&self.encoding.cnf, &self.encoding.tuple_vars, limit);
+        (r.count, r.complete)
     }
 
     /// Whether exactly one fixpoint exists — the π-UNIQUE-FIXPOINT problem
     /// of Theorem 2.
     pub fn has_unique_fixpoint(&self) -> bool {
-        let (count, complete) = self.count_fixpoints(2);
-        count == 1 && complete
+        has_unique_model(&self.encoding.cnf, &self.encoding.tuple_vars)
     }
 
     /// The FONP least-fixpoint algorithm of Theorem 3.

@@ -30,5 +30,5 @@ pub mod solver;
 
 pub use cnf::{Clause, Cnf, Lit, Var};
 pub use dpll::{brute_force_count, brute_force_sat, dpll_sat};
-pub use enumerate::{count_models, enumerate_models, CountResult};
+pub use enumerate::{count_models, enumerate_models, has_unique_model, CountResult};
 pub use solver::{SolveResult, Solver};

@@ -43,7 +43,8 @@ use inflog_core::{Database, Tuple, Universe};
 use inflog_eval::materialize::Engine;
 use inflog_eval::query::QueryAnswer;
 use inflog_eval::{
-    Change, Durability, DurableMaterialized, DurableOpts, Epoch, EpochCell, EvalOptions,
+    panic_message, Change, Durability, DurableMaterialized, DurableOpts, Epoch, EpochCell,
+    EvalOptions,
 };
 use inflog_syntax::{Atom, Program};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -349,7 +350,7 @@ impl Server {
             Ok(Ok(answer)) => Ok(QueryReply { epoch, answer }),
             Ok(Err(e)) => Err(ServeError::Eval(e)),
             Err(payload) => Err(ServeError::ReaderPanic {
-                message: panic_message(&payload),
+                message: panic_message(&*payload),
             }),
         }
     }
@@ -454,16 +455,6 @@ impl Server {
 impl Drop for Server {
     fn drop(&mut self) {
         self.shutdown();
-    }
-}
-
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
     }
 }
 

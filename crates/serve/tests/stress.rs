@@ -8,9 +8,8 @@
 //! epoch's own database**. A torn publish — any mix of two epochs — would
 //! make that recompute diverge.
 //!
-//! The same test body runs in the CI matrix's forced-parallel
-//! (`INFLOG_THREADS=4 INFLOG_PARALLEL_THRESHOLD=0`) and tree-executor
-//! (`INFLOG_EXEC=tree`) re-runs, covering all three execution modes.
+//! The same test body runs again in CI's tree-executor
+//! (`INFLOG_EXEC=tree`) pass, covering both executors.
 
 use inflog_core::graphs::DiGraph;
 use inflog_core::Tuple;

@@ -87,7 +87,7 @@ impl Failpoints {
     /// Parses `INFLOG_FAILPOINT` from the environment.
     ///
     /// Sites not in the store registry (for example the evaluation layer's
-    /// `round` or `worker-panic`) are ignored without a warning: the layer
+    /// `round` or `panic`) are ignored without a warning: the layer
     /// that owns them arms them itself, and the eval-side parser owns the
     /// unknown-site diagnostic.
     pub fn from_env() -> Self {
