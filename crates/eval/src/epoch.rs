@@ -22,6 +22,27 @@
 //! holds the last reference, and keeps at most one retired epoch alive;
 //! otherwise it publishes a deep copy ([`Materialized::publish`]).
 //!
+//! # Reads are lookups
+//!
+//! A published epoch holds a finished fixpoint, so [`Epoch::select`] only
+//! looks into it: a membership probe for a fully bound goal, an index
+//! probe for a partly bound one, the relation's cached sorted order for an
+//! unbound one. Each epoch owns its indexes (`u32` positions into its
+//! relations, behind one `RwLock`), and their lifetime follows the
+//! invariant above:
+//! - **readers build**: the first `select` that needs an index on some
+//!   relation's bound columns builds it, and every later reader shares it;
+//! - **only the writer patches**, in `Epoch::apply`, and only under
+//!   [`Arc::get_mut`] — so through [`RwLock::get_mut`], with no lock taken.
+//!   Removals patch their postings in place and appends are consumed from
+//!   the dense suffix, so a recycled epoch keeps its indexes across
+//!   writes;
+//! - a deep copy starts with none, so a writer nobody reads from builds
+//!   none.
+//!
+//! A panic while building poisons the lock; the next access drops every
+//! index before trusting the set again.
+//!
 //! [`EpochCell`] is the publication point: the single writer commits an
 //! update through the transactional (and optionally durable) path, then
 //! swaps the new `Arc<Epoch>` into the cell. Readers
@@ -36,6 +57,7 @@
 //! [`Materialized::publish_over`]: crate::Materialized::publish_over
 
 use crate::error::{BudgetKind, EvalError};
+use crate::index::{col_mask, IndexSet};
 use crate::interp::Interp;
 use crate::materialize::{Change, Engine};
 use crate::operator::EvalContext;
@@ -47,7 +69,7 @@ use crate::Result;
 use inflog_core::{Const, Database, Relation, Tuple};
 use inflog_syntax::{Atom, Program, Term};
 use std::borrow::Cow;
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex, PoisonError, RwLock, RwLockWriteGuard};
 use std::time::Instant;
 
 /// Three-valued membership of a fact in an epoch's model.
@@ -61,7 +83,7 @@ pub enum Truth {
     Undefined,
 }
 
-/// How often scan loops poll a deadline (every `SCAN_POLL_MASK + 1`
+/// How often the unbound read polls a deadline (every `SCAN_POLL_MASK + 1`
 /// tuples) — same cadence as the evaluation executors.
 const SCAN_POLL_MASK: usize = (1 << 12) - 1;
 
@@ -82,6 +104,10 @@ pub struct Epoch {
     db: Database,
     s: Interp,
     undefined: Interp,
+    /// Lookup indexes over this epoch's relations, keyed by relation id and
+    /// bound columns: built by the first [`select`](Epoch::select) that
+    /// needs one, patched forward by [`apply`](Epoch::apply).
+    indexes: RwLock<IndexSet>,
 }
 
 impl Epoch {
@@ -111,6 +137,7 @@ impl Epoch {
             db,
             s,
             undefined,
+            indexes: RwLock::default(),
         }
     }
 
@@ -121,23 +148,43 @@ impl Epoch {
     /// [`Materialized::publish_over`]: crate::Materialized::publish_over
     pub(crate) fn apply(&mut self, change: &Change, number: u64) {
         debug_assert_eq!(self.state + 1, change.to, "changes apply in order");
+        // Sole owner: the readers' indexes are patched without locking. A
+        // set a panicking reader left torn is dropped, not patched.
+        let indexes = self.indexes.get_mut().unwrap_or_else(|poisoned| {
+            let set = poisoned.into_inner();
+            *set = IndexSet::default();
+            set
+        });
         for (id, name) in self.cp.edb_names.iter().enumerate() {
-            for t in change.edb.get(id).iter() {
-                if change.inserting {
-                    self.db
-                        .insert_fact(name, t.clone())
-                        .expect("committed facts fit the database");
-                } else if let Some(rel) = self.db.relation_mut(name) {
-                    rel.remove(t);
+            let facts = change.edb.get(id);
+            match self.db.relation_mut(name) {
+                Some(rel) => {
+                    let none = Relation::new(rel.arity());
+                    let (removed, added) = if change.inserting {
+                        (&none, facts)
+                    } else {
+                        (facts, &none)
+                    };
+                    patch(indexes, rel, removed, added);
                 }
+                // A relation the database never declared has no index yet.
+                None if change.inserting => {
+                    for t in facts.iter() {
+                        self.db
+                            .insert_fact(name, t.clone())
+                            .expect("committed facts fit the database");
+                    }
+                }
+                None => {}
             }
         }
         for i in 0..self.s.len() {
-            let rel = self.s.get_mut(i);
-            for t in change.removed.get(i).iter() {
-                rel.remove(t);
-            }
-            rel.union_with(change.added.get(i));
+            patch(
+                indexes,
+                self.s.get_mut(i),
+                change.removed.get(i),
+                change.added.get(i),
+            );
         }
         self.state = change.to;
         self.number = number;
@@ -203,21 +250,37 @@ impl Epoch {
         }
     }
 
-    /// Answers a goal by scanning this epoch's *materialized* relations —
-    /// the cheap serving read path: no evaluation, just a filter over the
-    /// committed fixpoint. Constants in the goal must exist in the epoch's
-    /// universe; repeated variables constrain positions to be equal.
-    /// Results are sorted lexicographically, so for IDB goals the answer
-    /// equals what a from-scratch [`Epoch::query`] over this epoch's EDB
-    /// returns (the stress harness asserts exactly that).
+    /// Answers a goal by looking it up in this epoch's *materialized*
+    /// relations — the serving read path: no evaluation, and work
+    /// proportional to the answer, not the relation. Constants in the goal
+    /// must exist in the epoch's universe; repeated variables constrain
+    /// positions to be equal. Results are sorted lexicographically, so for
+    /// IDB goals the answer equals what a from-scratch [`Epoch::query`] over
+    /// this epoch's EDB returns (the stress harness asserts exactly that).
     ///
-    /// `deadline` bounds the scan: the loop polls it every few thousand
-    /// tuples and gives up with [`EvalError::BudgetExceeded`]
-    /// ([`BudgetKind::Deadline`]).
+    /// The goal's shape picks the path, for the true and then the undefined
+    /// relation:
+    /// - **every column bound:** one membership probe;
+    /// - **some bound:** the postings of this epoch's index on exactly those
+    ///   columns, filtered for repeated variables; only the answer is
+    ///   sorted. The first reader that needs an index builds it, and every
+    ///   later reader of the epoch shares it. Only the writer changes an
+    ///   index afterwards, when [`Materialized::publish_over`] patches the
+    ///   epoch forward — which it does only once [`Arc::get_mut`] proves no
+    ///   reader can see it — so indexes follow the epoch and are never
+    ///   rebuilt per write;
+    /// - **none bound:** the relation's cached sorted order, filtered for
+    ///   repeated variables — sorted once per epoch, not once per read.
+    ///
+    /// `deadline` trips before any work when it has already passed, and the
+    /// unbound path polls it every few thousand tuples; either gives up with
+    /// [`EvalError::BudgetExceeded`] ([`BudgetKind::Deadline`]).
     ///
     /// # Errors
     /// [`EvalError::UnknownRelation`], [`EvalError::ArityMismatch`],
     /// [`EvalError::UnknownConstant`], or the deadline trip.
+    ///
+    /// [`Materialized::publish_over`]: crate::Materialized::publish_over
     pub fn select(&self, goal: &Atom, deadline: Option<Instant>) -> Result<QueryAnswer> {
         let (rel, undef) = self.relations_of(&goal.predicate)?;
         if goal.terms.len() != rel.arity() {
@@ -230,45 +293,96 @@ impl Epoch {
         let pattern = self.pattern_of(goal)?;
         // An already-expired deadline trips before any work, so callers get
         // a deterministic budget error regardless of relation size.
-        if let Some(d) = deadline {
-            if Instant::now() >= d {
-                return Err(EvalError::BudgetExceeded {
-                    kind: BudgetKind::Deadline,
-                    limit: 0,
-                });
-            }
+        if deadline.is_some_and(|d| Instant::now() >= d) {
+            return Err(deadline_tripped());
         }
-        let mut scanned = 0usize;
-        let mut scan = |rel: &Relation| -> Result<Vec<Tuple>> {
-            let mut out = Vec::new();
-            for t in rel.iter() {
-                scanned += 1;
-                if scanned & SCAN_POLL_MASK == 0 {
-                    if let Some(d) = deadline {
-                        if Instant::now() >= d {
-                            return Err(EvalError::BudgetExceeded {
-                                kind: BudgetKind::Deadline,
-                                limit: 0,
-                            });
-                        }
-                    }
-                }
-                if pattern_matches(&pattern, t) {
-                    out.push(t.clone());
-                }
-            }
-            out.sort_unstable();
-            Ok(out)
-        };
-        let tuples = scan(&rel)?;
+        let (cols, key): (Vec<usize>, Vec<Const>) = pattern
+            .iter()
+            .enumerate()
+            .filter_map(|(i, slot)| match slot {
+                Slot::Bound(c) => Some((i, *c)),
+                _ => None,
+            })
+            .unzip();
+        let key = Tuple::from_slice(&key);
+        let tuples = self.read(&rel, &pattern, &cols, &key, deadline)?;
         let undefined = match undef {
-            Some(u) => scan(u)?,
+            Some(u) => self.read(u, &pattern, &cols, &key, deadline)?,
             None => Vec::new(),
         };
         Ok(QueryAnswer {
             tuples,
             undefined,
             strategy: query::QueryStrategy::EdbScan,
+        })
+    }
+
+    /// One relation's share of a [`select`](Epoch::select) answer: the
+    /// tuples of `rel` matching `pattern`, whose bound columns `cols` hold
+    /// `key`.
+    fn read(
+        &self,
+        rel: &Relation,
+        pattern: &[Slot],
+        cols: &[usize],
+        key: &Tuple,
+        deadline: Option<Instant>,
+    ) -> Result<Vec<Tuple>> {
+        // Never indexed: this is also the stand-in for an undeclared EDB
+        // relation, whose id is fresh on every read.
+        if rel.is_empty() {
+            return Ok(Vec::new());
+        }
+        if cols.len() == pattern.len() {
+            return Ok(if rel.contains(key) {
+                vec![key.clone()]
+            } else {
+                Vec::new()
+            });
+        }
+        if cols.is_empty() || col_mask(cols).is_none() {
+            return scan_sorted(rel, pattern, deadline);
+        }
+        Ok(self.probe(rel, pattern, cols, key))
+    }
+
+    /// The tuples of `rel` filed under `key` in this epoch's index on
+    /// `cols`, filtered by `pattern` and sorted. A reader checks under the
+    /// read guard; on a miss it drops that guard, takes the write guard,
+    /// re-checks, and builds. It never holds both.
+    fn probe(&self, rel: &Relation, pattern: &[Slot], cols: &[usize], key: &Tuple) -> Vec<Tuple> {
+        let answer = |set: &IndexSet| {
+            let dense = rel.dense();
+            let mut out: Vec<Tuple> = (set.resolve(rel.id(), cols)?.postings(key).iter())
+                .map(|&p| &dense[p as usize])
+                .filter(|t| pattern_matches(pattern, t))
+                .cloned()
+                .collect();
+            out.sort_unstable();
+            Some(out)
+        };
+        // A poisoned lock reads as a miss; the write guard below clears it.
+        if let Some(out) = self.indexes.read().ok().and_then(|set| answer(&set)) {
+            return out;
+        }
+        let mut set = self.write_indexes();
+        // Another reader may have built it between the two guards.
+        if set.resolve(rel.id(), cols).is_none() {
+            set.ensure(rel, cols);
+        }
+        answer(&set).expect("an index on fewer than 128 columns was just built")
+    }
+
+    /// The write guard on the index set. A reader that panicked while
+    /// building poisoned the lock and may have left a torn index, which
+    /// would serve wrong answers silently; indexes are derived data, so
+    /// recovery drops them all (as [`Relation::sorted`] does its cache).
+    fn write_indexes(&self) -> RwLockWriteGuard<'_, IndexSet> {
+        self.indexes.write().unwrap_or_else(|poisoned| {
+            let mut set = poisoned.into_inner();
+            *set = IndexSet::default();
+            self.indexes.clear_poison();
+            set
         })
     }
 
@@ -390,6 +504,50 @@ fn pattern_matches(pattern: &[Slot], t: &Tuple) -> bool {
     })
 }
 
+/// The read with no usable index: `rel`'s cached sorted order, filtered by
+/// `pattern` in place. This is the one read loop as long as the relation,
+/// so it polls `deadline`.
+fn scan_sorted(rel: &Relation, pattern: &[Slot], deadline: Option<Instant>) -> Result<Vec<Tuple>> {
+    let mut out = rel.sorted();
+    let mut kept = 0;
+    for i in 0..out.len() {
+        if i & SCAN_POLL_MASK == SCAN_POLL_MASK && deadline.is_some_and(|d| Instant::now() >= d) {
+            return Err(deadline_tripped());
+        }
+        if pattern_matches(pattern, &out[i]) {
+            out.swap(kept, i);
+            kept += 1;
+        }
+    }
+    out.truncate(kept);
+    Ok(out)
+}
+
+fn deadline_tripped() -> EvalError {
+    EvalError::BudgetExceeded {
+        kind: BudgetKind::Deadline,
+        limit: 0,
+    }
+}
+
+/// Patches `rel` by one committed change — `removed` out, then `added` in
+/// — and brings every index over it along. A tracked removal patches the
+/// two postings its swap-remove moved (a plain `remove` would refresh the
+/// id and orphan every index); the appends are consumed from the dense
+/// suffix.
+fn patch(indexes: &mut IndexSet, rel: &mut Relation, removed: &Relation, added: &Relation) {
+    for t in removed.iter() {
+        let old_len = rel.len();
+        if let Some((pos, moved_from)) = rel.remove_tracked(t) {
+            indexes.patch_swap_remove(rel, t, pos, moved_from, old_len);
+        }
+    }
+    rel.union_with(added);
+    indexes.catch_up(rel);
+    #[cfg(debug_assertions)]
+    indexes.debug_validate(rel);
+}
+
 /// The single-writer / many-reader publication point for epochs. See the
 /// module docs: [`publish`](EpochCell::publish) atomically replaces the
 /// current epoch, [`pin`](EpochCell::pin) hands a reader a refcounted
@@ -494,9 +652,12 @@ mod tests {
             for goal in [
                 "S(x, y)",
                 "S('v0', y)",
+                "S(x, 'v3')",
                 "S(x, x)",
                 "S('v0', 'v3')",
+                "S('v3', 'v0')",
                 "E(x, y)",
+                "E(x, 'v1')",
             ] {
                 let goal = parse_atom(goal).unwrap();
                 let scanned = ep.select(&goal, None).unwrap();
@@ -505,6 +666,77 @@ mod tests {
                 assert_eq!(scanned.undefined, evaluated.undefined);
             }
         }
+    }
+
+    fn tc_epoch(n: usize) -> Arc<Epoch> {
+        let db = DiGraph::path(n).to_database("E");
+        let program = inflog_syntax::parse_program(TC).unwrap();
+        let m = Materialized::new(&program, &db, &MaterializeOpts::default()).unwrap();
+        m.publish(0).unwrap()
+    }
+
+    #[test]
+    fn concurrent_first_readers_agree_and_share_one_index() {
+        let ep = tc_epoch(64);
+        let goal = parse_atom("S(x, 'v40')").unwrap();
+        let start = std::sync::Barrier::new(8);
+        let answers: Vec<QueryAnswer> = std::thread::scope(|s| {
+            let readers: Vec<_> = (0..8)
+                .map(|_| {
+                    s.spawn(|| {
+                        start.wait();
+                        ep.select(&goal, None).unwrap()
+                    })
+                })
+                .collect();
+            readers.into_iter().map(|r| r.join().unwrap()).collect()
+        });
+        let want = ep.query(&goal, &QueryOpts::default()).unwrap().tuples;
+        assert_eq!(want.len(), 40);
+        for answer in &answers {
+            assert_eq!(answer.tuples, want);
+        }
+        let indexes = ep.indexes.read().unwrap();
+        assert_eq!(indexes.len(), 1, "one index, built once and shared");
+    }
+
+    #[test]
+    fn a_reader_panicking_mid_build_leaves_no_torn_index() {
+        let ep = tc_epoch(12);
+        let s = ep.interp().get(ep.compiled().idb_id("S").unwrap());
+        let died = std::thread::scope(|scope| {
+            scope
+                .spawn(|| {
+                    let mut set = ep.indexes.write().unwrap();
+                    set.tear(s, &[0]);
+                    panic!("reader dies mid-build");
+                })
+                .join()
+        });
+        assert!(died.is_err() && ep.indexes.is_poisoned());
+        for v in 0..12 {
+            let goal = parse_atom(&format!("S('v{v}', y)")).unwrap();
+            let want = ep.query(&goal, &QueryOpts::default()).unwrap().tuples;
+            assert_eq!(want.len(), 11 - v);
+            assert_eq!(ep.select(&goal, None).unwrap().tuples, want, "{goal:?}");
+        }
+        assert!(!ep.indexes.is_poisoned());
+    }
+
+    #[test]
+    fn empty_and_undeclared_relations_are_never_indexed() {
+        let src = "S(x, y) :- E(x, y). T(x, y) :- F(x, y).";
+        let db = DiGraph::path(4).to_database("E");
+        let program = inflog_syntax::parse_program(src).unwrap();
+        let m = Materialized::new(&program, &db, &MaterializeOpts::default()).unwrap();
+        let ep = m.publish(0).unwrap();
+        for _ in 0..3 {
+            for goal in ["F('v0', y)", "T('v0', y)", "F(x, x)"] {
+                let answer = ep.select(&parse_atom(goal).unwrap(), None).unwrap();
+                assert!(answer.tuples.is_empty() && answer.undefined.is_empty());
+            }
+        }
+        assert!(ep.indexes.read().unwrap().is_empty());
     }
 
     #[test]

@@ -4,7 +4,8 @@
 //! indexes (key projection ↦ positions in the relation's dense storage).
 //! Rebuilding those indexes on every Θ application would dominate the
 //! evaluation cost, and fixpoint iteration only ever *grows* relations — so
-//! indexes live here, in an [`IndexSet`] owned by the evaluation context,
+//! indexes live here, in an [`IndexSet`] owned by the evaluation context
+//! (and one owned by each published [`Epoch`](crate::Epoch), for reads),
 //! and are maintained incrementally:
 //!
 //! * each index records the dense-prefix watermark `upto` it has consumed;
@@ -173,6 +174,18 @@ impl IndexSet {
         ix.sync(rel);
     }
 
+    /// Brings every index already registered for `rel` up to date with the
+    /// dense suffix appended since its last sync, building none. A
+    /// published epoch's writer calls this after each patch so that the
+    /// indexes its readers built follow the epoch forward.
+    pub fn catch_up(&mut self, rel: &Relation) {
+        for (&(id, _), ix) in &mut self.indexes {
+            if id == rel.id() {
+                ix.sync(rel);
+            }
+        }
+    }
+
     /// Drops every index keyed by `rel_id`. Stale ids are never *served*
     /// (a refreshed id simply misses), but their postings would otherwise
     /// stay allocated until eviction — call this when an id is retired.
@@ -331,6 +344,18 @@ impl IndexSet {
     /// Whether no indexes are held.
     pub fn is_empty(&self) -> bool {
         self.indexes.is_empty()
+    }
+
+    /// Leaves the index on `(rel, cols)` as a build that panicked halfway
+    /// through [`ensure`](Self::ensure) would: the first half of the
+    /// relation filed, the watermark not yet advanced.
+    #[cfg(test)]
+    pub(crate) fn tear(&mut self, rel: &Relation, cols: &[usize]) {
+        self.ensure(rel, cols);
+        let ix = self.indexes.get_mut(&(rel.id(), col_mask(cols).unwrap()));
+        let ix = ix.expect("just built");
+        ix.rollback_to(rel.len() / 2);
+        ix.upto = 0;
     }
 }
 
@@ -590,6 +615,22 @@ mod tests {
         // now point at tuples filed under stale keys.
         r.remove_tracked(&t(&[0, 1])).unwrap();
         r.insert(t(&[5, 5]));
+        set.debug_validate(&r);
+    }
+
+    #[test]
+    fn catch_up_syncs_only_existing_indexes_of_the_relation() {
+        let mut r = rel(&[&[0, 1]]);
+        let other = rel(&[&[5, 6]]);
+        let mut set = IndexSet::default();
+        set.ensure(&r, &[0]);
+        set.ensure(&r, &[1]);
+        r.union_with(&rel(&[&[0, 2], &[3, 1]]));
+        set.catch_up(&r);
+        set.catch_up(&other);
+        assert_eq!(set.len(), 2, "catch_up builds nothing");
+        assert_eq!(set.probe(r.id(), &[0], &t(&[0])).unwrap().len(), 2);
+        assert_eq!(set.probe(r.id(), &[1], &t(&[1])).unwrap().len(), 2);
         set.debug_validate(&r);
     }
 

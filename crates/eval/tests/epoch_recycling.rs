@@ -10,19 +10,28 @@
 //! together with when the patch must give way to the copy: a pinned retired
 //! epoch, an update that re-evaluated, a Restart engine, a rolled-back
 //! update, an epoch from another handle.
+//!
+//! An epoch's read indexes are patched with it, so every epoch is also read
+//! while it is current — every relation, in every goal shape — which builds
+//! the indexes a later patch must carry forward; each answer, on a copy or
+//! a patched epoch alike, must equal a scan-filter-sort over the epoch's
+//! relations.
 
 use inflog_core::graphs::DiGraph;
-use inflog_core::{Database, Tuple};
+use inflog_core::{Const, Database, Relation, Tuple, Universe};
 use inflog_eval::govern::SITE_ROUND;
 use inflog_eval::materialize::{Engine, MaterializeOpts, Materialized};
 use inflog_eval::{Change, Epoch, EvalOptions, Failpoints};
-use inflog_syntax::{parse_atom, parse_program};
+use inflog_syntax::{parse_atom, parse_program, Atom, Term};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 const TC: &str = "S(x, y) :- E(x, y). S(x, y) :- E(x, z), S(z, y).";
-const WIN: &str = "Win(x) :- Move(x, y), !Win(y).";
+/// Not stratifiable; on odd cycles both relations are undefined, and the
+/// binary one is read through an index.
+const WIN: &str = "Win(x) :- Move(x, y), !Win(y). Good(x, y) :- Move(x, y), !Win(y).";
 /// Three strata; retracting an edge of a strongly connected graph condemns
 /// most of `S` and re-evaluates instead of repairing in place.
 const TC_CUT_MUTUAL: &str = "
@@ -50,8 +59,10 @@ struct Publisher {
 
 impl Publisher {
     fn new(m: &Materialized) -> Publisher {
+        let current = m.publish(0).unwrap();
+        check_reads(&current, "epoch 0");
         Publisher {
-            current: m.publish(0).unwrap(),
+            current,
             retired: None,
             recycled: 0,
             copied: 0,
@@ -59,7 +70,8 @@ impl Publisher {
     }
 
     /// Publishes the handle's committed state, checks it against a deep
-    /// copy and the recompute oracle, and reports whether it was recycled.
+    /// copy, the recompute oracle and the read oracle, and reports whether
+    /// it was recycled.
     fn publish(&mut self, m: &mut Materialized, ctx: &str) -> bool {
         let number = self.current.number() + 1;
         let recycling = self.retired.is_some();
@@ -74,6 +86,7 @@ impl Publisher {
             epoch.matches_recompute(&EvalOptions::default()).unwrap(),
             "{ctx}: published epoch fails the recompute oracle"
         );
+        check_reads(&epoch, ctx);
         if recycled {
             self.recycled += 1;
         } else {
@@ -83,6 +96,78 @@ impl Publisher {
         self.retired = Some((superseded, m.take_change()));
         recycled
     }
+}
+
+/// Reads every IDB and EDB relation of `epoch` in every goal shape and
+/// checks each answer, true and undefined, against [`scan_filter_sort`].
+fn check_reads(epoch: &Epoch, ctx: &str) {
+    let cp = epoch.compiled();
+    let universe = epoch.database().universe();
+    let empty: Vec<Relation> = cp.edb_arities.iter().map(|&k| Relation::new(k)).collect();
+    let mut relations: Vec<(&str, &Relation, &Relation)> = Vec::new();
+    for (i, name) in cp.idb_names.iter().enumerate() {
+        relations.push((name, epoch.interp().get(i), epoch.undefined().get(i)));
+    }
+    for (i, name) in cp.edb_names.iter().enumerate() {
+        let rel = epoch.database().relation(name).unwrap_or(&empty[i]);
+        relations.push((name, rel, &empty[i]));
+    }
+    for (name, s, u) in relations {
+        for goal in goal_shapes(name, s.arity(), universe) {
+            let answer = epoch.select(&goal, None).unwrap();
+            let at = format!("{ctx}: epoch {} {goal:?}", epoch.number());
+            assert_eq!(answer.tuples, scan_filter_sort(s, &goal, universe), "{at}");
+            assert_eq!(
+                answer.undefined,
+                scan_filter_sort(u, &goal, universe),
+                "{at}"
+            );
+        }
+    }
+}
+
+/// Goals over `pred` covering each set of bound columns: points, each
+/// column bound alone, a repeated variable, and the open goal.
+fn goal_shapes(pred: &str, arity: usize, universe: &Universe) -> Vec<Atom> {
+    let names: Vec<&str> = universe.iter_named().map(|(_, name)| name).collect();
+    let sample: Vec<&str> = names.iter().step_by(3).copied().collect();
+    let mut shapes = Vec::new();
+    match arity {
+        1 => {
+            shapes.push(format!("{pred}(x)"));
+            shapes.extend(names.iter().map(|a| format!("{pred}('{a}')")));
+        }
+        2 => {
+            shapes.push(format!("{pred}(x, y)"));
+            shapes.push(format!("{pred}(x, x)"));
+            for a in &names {
+                shapes.push(format!("{pred}('{a}', y)"));
+                shapes.push(format!("{pred}(x, '{a}')"));
+            }
+            for a in &sample {
+                shapes.extend(sample.iter().map(|b| format!("{pred}('{a}', '{b}')")));
+            }
+        }
+        _ => panic!("no goal shapes for arity {arity}"),
+    }
+    shapes.iter().map(|s| parse_atom(s).unwrap()).collect()
+}
+
+/// The oracle: every tuple of `rel` that unifies with `goal`, sorted.
+fn scan_filter_sort(rel: &Relation, goal: &Atom, universe: &Universe) -> Vec<Tuple> {
+    let unifies = |t: &Tuple| {
+        let mut env: HashMap<&str, Const> = HashMap::new();
+        goal.terms
+            .iter()
+            .zip(t.items())
+            .all(|(term, &c)| match term {
+                Term::Const(name) => universe.lookup(name) == Some(c),
+                Term::Var(v) => *env.entry(v).or_insert(c) == c,
+            })
+    };
+    let mut out: Vec<Tuple> = rel.iter().filter(|t| unifies(t)).cloned().collect();
+    out.sort();
+    out
 }
 
 fn assert_same_state(got: &Epoch, want: &Epoch, ctx: &str) {
@@ -168,6 +253,8 @@ fn churn_across_strata_recycles_around_recomputes() {
 fn non_stratifiable_well_founded_restarts_and_always_copies() {
     let db = DiGraph::cycle(5).to_database("Move");
     let mut m = handle(WIN, &db, Engine::WellFounded);
+    let good = m.compiled().idb_id("Good").unwrap();
+    assert_eq!(m.undefined().get(good).len(), 5);
     let mut publisher = Publisher::new(&m);
     for (i, edge) in [["v0", "v2"], ["v1", "v3"], ["v0", "v2"]]
         .iter()

@@ -22,7 +22,7 @@ use inflog_core::Database;
 use inflog_eval::materialize::Engine;
 use inflog_serve::{serve_session, ServeOptions, Server};
 use inflog_syntax::{parse_program, Program, Term};
-use std::io::{BufReader, BufWriter, Write};
+use std::io::{BufReader, Write};
 use std::net::TcpListener;
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -235,9 +235,11 @@ fn serve_tcp(server: &Arc<Server>, addr: &str) -> ExitCode {
     while !stop.load(Ordering::SeqCst) {
         match listener.accept() {
             Ok((stream, _peer)) => {
-                // Replies are one write per request line: without this, a
-                // reply larger than the send buffer's first segment waits
-                // for the client's delayed ACK (tens of milliseconds).
+                // A session hands each reply to the socket in one write
+                // (up to 128 KiB), so nothing is gained by Nagle's delay:
+                // without this, a reply larger than the send buffer's first
+                // segment waits for the client's delayed ACK (tens of
+                // milliseconds).
                 if let Err(e) = stream.set_nodelay(true) {
                     eprintln!("inflog-serve: set_nodelay: {e}");
                 }
@@ -248,10 +250,10 @@ fn serve_tcp(server: &Arc<Server>, addr: &str) -> ExitCode {
                         Ok(s) => BufReader::new(s),
                         Err(_) => return,
                     };
-                    let writer = BufWriter::new(stream);
+                    // Unbuffered: the session buffers each reply itself.
                     // A dropped connection mid-reply is an io::Error here;
                     // the thread ends and the server keeps serving.
-                    if let Ok(outcome) = serve_session(&server, reader, writer) {
+                    if let Ok(outcome) = serve_session(&server, reader, stream) {
                         if outcome.shutdown {
                             stop.store(true, Ordering::SeqCst);
                         }

@@ -11,7 +11,7 @@ use crate::proto::{parse_request, render_error, render_tuple, Request};
 use crate::server::{QueryReply, Server};
 use inflog_core::Tuple;
 use inflog_syntax::{Atom, Term};
-use std::io::{self, BufRead, Write};
+use std::io::{self, BufRead, BufWriter, Write};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Duration;
 
@@ -31,9 +31,19 @@ enum Flow {
     Shutdown,
 }
 
+/// The session's reply buffer, flushed once per request: a reply up to
+/// this size — a few thousand answer rows — reaches the transport in one
+/// `write`. A longer one goes out in writes of this size, so a session
+/// never holds a second, rendered copy of a large answer.
+const REPLY_BUFFER: usize = 128 << 10;
+
 /// Runs one session: reads request lines from `input`, writes reply lines
 /// to `out`, until EOF, a dropped connection, or `SHUTDOWN`. Blank lines
 /// and `#` comments are ignored (so scripted sessions can be commented).
+///
+/// Replies are rendered into one buffer the session reuses and flushed
+/// once per request, so an unbuffered socket gets one `write` per reply
+/// of up to 128 KiB.
 ///
 /// # Errors
 /// Only transport-level `io::Error`s; every protocol- and serving-layer
@@ -41,8 +51,9 @@ enum Flow {
 pub fn serve_session<R: BufRead, W: Write>(
     server: &Server,
     input: R,
-    mut out: W,
+    out: W,
 ) -> io::Result<SessionOutcome> {
+    let mut out = BufWriter::with_capacity(REPLY_BUFFER, out);
     // Per-connection deadline override, seeded from the server default.
     let mut deadline = server.query_deadline();
     for line in input.lines() {
@@ -132,8 +143,7 @@ fn query<W: Write>(
     writeln!(out, "EPOCH {number}")?;
     if server.failpoints().fire(SITE_REPLY_DROP) {
         // Chaos: the connection dies mid-reply, after the epoch header but
-        // before the tuples. The flush makes the torn reply observable.
-        out.flush()?;
+        // before the tuples; the session still flushes what was rendered.
         return Ok(Flow::CloseConn);
     }
     let universe = server.universe();

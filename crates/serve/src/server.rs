@@ -316,8 +316,8 @@ impl Server {
     }
 
     /// Answers `goal` from the epoch current at admission: admission
-    /// check, pin, scan ([`Epoch::select`]) under `deadline` (falling back
-    /// to the server default), panic containment.
+    /// check, pin, lookup ([`Epoch::select`]) under `deadline` (falling
+    /// back to the server default), panic containment.
     ///
     /// # Errors
     /// [`ServeError::Overloaded`] / [`ServeError::ShuttingDown`] at

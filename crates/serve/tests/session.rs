@@ -6,7 +6,7 @@ use inflog_core::graphs::DiGraph;
 use inflog_eval::materialize::Engine;
 use inflog_serve::{serve_session, ServeOptions, Server};
 use inflog_syntax::parse_atom;
-use std::io::Cursor;
+use std::io::{Cursor, Write};
 use std::path::PathBuf;
 use std::time::Duration;
 
@@ -156,6 +156,65 @@ fn shutdown_drains_and_refuses_new_work() {
         )])
         .unwrap_err();
     assert_eq!(e.code(), "shutting-down");
+}
+
+/// A transport that records the size of every `write` call it receives.
+#[derive(Default)]
+struct CountingWriter {
+    writes: Vec<usize>,
+    bytes: Vec<u8>,
+}
+
+impl Write for CountingWriter {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.writes.push(buf.len());
+        self.bytes.extend_from_slice(buf);
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+/// Runs `script` against TC over a path of `n` vertices; returns the size
+/// of every write the transport saw and the `OK` lines.
+fn writes_of(name: &str, n: usize, script: &str) -> (Vec<usize>, Vec<String>) {
+    let program = inflog_syntax::parse_program(TC).unwrap();
+    let db = DiGraph::path(n).to_database("E");
+    let server = Server::create(&program, &db, &tmp_dir(name), &quiet_opts()).unwrap();
+    let mut out = CountingWriter::default();
+    serve_session(&server, Cursor::new(script.to_string()), &mut out).unwrap();
+    let text = String::from_utf8(out.bytes).unwrap();
+    let oks = text
+        .lines()
+        .filter(|l| l.starts_with("OK"))
+        .map(String::from);
+    (out.writes, oks.collect())
+}
+
+#[test]
+fn each_reply_is_one_write() {
+    let script = "QUERY S(x, y)\nPING\nQUERY S('v0', y)\nQUERY S(x, x)\n";
+    let (writes, oks) = writes_of("session_one_write", 48, script);
+    assert_eq!(writes.len(), 4, "one write per request: {writes:?}");
+    assert!(writes[0] > 8 * 1024, "the open answer outgrows 8 KiB");
+    let n = 48 * 47 / 2;
+    let open = format!("OK true={n} undef=0");
+    assert_eq!(
+        oks,
+        [&open, "OK pong", "OK true=47 undef=0", "OK true=0 undef=0"]
+    );
+}
+
+#[test]
+fn a_reply_past_the_buffer_goes_out_in_bounded_writes() {
+    let (writes, oks) = writes_of("session_long_reply", 160, "QUERY S(x, y)\nPING\n");
+    let reply: usize = writes[..writes.len() - 1].iter().sum();
+    assert!(reply > 128 * 1024, "{reply} bytes");
+    assert!(writes.iter().all(|&w| w <= 128 * 1024), "{writes:?}");
+    assert_eq!(writes.len(), reply.div_ceil(128 * 1024) + 1, "{writes:?}");
+    assert_eq!(oks, ["OK true=12720 undef=0", "OK pong"]);
 }
 
 #[test]

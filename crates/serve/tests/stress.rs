@@ -57,9 +57,9 @@ fn stress(engine: Engine, program_src: &str, edb: &str, readers: usize, writes: 
     let server = Arc::new(Server::create(&program, &db, &dir, &opts).unwrap());
 
     let goal_srcs: &[&str] = if edb == "E" {
-        &["S(x, y)", "S('v0', y)", "E(x, y)"]
+        &["S(x, y)", "S('v0', y)", "S(x, 'v2')", "E(x, y)"]
     } else {
-        &["Win(x)", "Win('v0')", "Move(x, y)"]
+        &["Win(x)", "Win('v0')", "Move(x, y)", "Move(x, 'v1')"]
     };
     let goals: Vec<_> = goal_srcs.iter().map(|s| parse_atom(s).unwrap()).collect();
 
@@ -97,14 +97,14 @@ fn stress(engine: Engine, program_src: &str, edb: &str, readers: usize, writes: 
                         epoch <= acked.load(Ordering::SeqCst) + 1,
                         "reader {r}: reply from unacked epoch {epoch}"
                     );
-                    // The oracle: the scan over the pinned epoch must equal
+                    // The oracle: the lookup in the pinned epoch must equal
                     // a from-scratch magic-sets/well-founded evaluation of
                     // that same epoch's EDB. Any cross-epoch mixing breaks
                     // this determinism check.
                     let scratch = reply.epoch.query(goal, &qopts).unwrap();
                     assert_eq!(
                         reply.answer.tuples, scratch.tuples,
-                        "reader {r}: pinned scan diverged from recompute at epoch {epoch}"
+                        "reader {r}: pinned read diverged from recompute at epoch {epoch}"
                     );
                     assert_eq!(
                         reply.answer.undefined, scratch.undefined,
@@ -167,7 +167,9 @@ fn snapshot_isolation_8_readers() {
 
 /// A reader pinning an epoch across later writes keeps its snapshot while
 /// the writer recycles around it: the pinned retired epoch is deep-copied
-/// past exactly once, every unpinned one is patched forward in place.
+/// past exactly once, every unpinned one is patched forward in place —
+/// read indexes included, so every goal shape is read before each write
+/// and checked against a recompute after it.
 #[test]
 fn a_pinned_epoch_survives_recycling_unchanged() {
     let program = inflog_syntax::parse_program(TC).unwrap();
@@ -175,7 +177,28 @@ fn a_pinned_epoch_survives_recycling_unchanged() {
     let dir = tmp_dir("stress_pinned_recycling");
     let server = Server::create(&program, &db, &dir, &ServeOptions::quiet()).unwrap();
     let edge = |a: u32, b: u32| vec![("E".to_string(), Tuple::from_ids(&[a, b]))];
+    let mut goals = vec![
+        "S(x, y)".to_string(),
+        "S('v0', 'v4')".to_string(),
+        "S('v4', 'v0')".to_string(),
+        "S(x, x)".to_string(),
+    ];
+    for v in 0..10 {
+        goals.push(format!("S('v{v}', y)"));
+        goals.push(format!("S(x, 'v{v}')"));
+        goals.push(format!("E('v{v}', y)"));
+    }
+    let goals: Vec<_> = goals.iter().map(|g| parse_atom(g).unwrap()).collect();
+    // Each reply unpins before the next write, so the counts below hold.
+    let read_all = || {
+        for goal in &goals {
+            let reply = server.query(goal, None).unwrap();
+            let scratch = reply.epoch.query(goal, &QueryOpts::default()).unwrap();
+            assert_eq!(reply.answer.tuples, scratch.tuples, "{goal:?}");
+        }
+    };
     for (a, b) in [(0, 2), (2, 4), (4, 6)] {
+        read_all();
         server.insert(edge(a, b)).unwrap();
     }
     // The first publish has nothing retired yet; the next two recycle.
@@ -184,11 +207,20 @@ fn a_pinned_epoch_survives_recycling_unchanged() {
 
     let pinned = server.pin();
     assert_eq!(pinned.number(), 3);
-    let goal = parse_atom("S(x, y)").unwrap();
-    let before = pinned.select(&goal, None).unwrap();
-    server.retract(edge(0, 2)).unwrap();
-    server.insert(edge(6, 8)).unwrap();
-    server.retract(edge(2, 4)).unwrap();
+    let select_all = || -> Vec<_> {
+        let answers = goals.iter().map(|g| pinned.select(g, None).unwrap());
+        answers.map(|a| a.tuples).collect()
+    };
+    let before = select_all();
+    for (a, b, inserting) in [(0, 2, false), (6, 8, true), (2, 4, false)] {
+        read_all();
+        if inserting {
+            server.insert(edge(a, b)).unwrap();
+        } else {
+            server.retract(edge(a, b)).unwrap();
+        }
+    }
+    read_all();
     assert_eq!(server.epoch(), 6);
     let counts = server.publishes();
     assert_eq!(
@@ -197,7 +229,7 @@ fn a_pinned_epoch_survives_recycling_unchanged() {
         "only the publish that found epoch 3 pinned may copy"
     );
     assert_eq!(pinned.number(), 3);
-    assert_eq!(pinned.select(&goal, None).unwrap().tuples, before.tuples);
+    assert_eq!(select_all(), before);
     assert!(pinned.matches_recompute(&EvalOptions::default()).unwrap());
     assert!(reply_matches_recompute(&server));
     server.shutdown();
