@@ -14,13 +14,17 @@
 //! * [`Database`] — a named collection of relations over one universe;
 //! * [`Schema`] — the vocabulary `(R_1/m_1, ..., R_l/m_l)`;
 //! * [`graphs`] — directed-graph workloads used throughout the paper
-//!   (paths `L_n`, cycles `C_n`, disjoint unions `G_n`, random graphs, ...).
+//!   (paths `L_n`, cycles `C_n`, disjoint unions `G_n`, random graphs, ...);
+//! * [`failpoints`] — the fault-injection sites of every layer above (eval,
+//!   store, serve) and the one [`Failpoints`](failpoints::Failpoints)
+//!   handle that arms them.
 //!
 //! Everything else in the workspace (syntax, evaluation, fixpoint analysis,
 //! logic, circuits, reductions) builds on these types.
 
 pub mod database;
 pub mod error;
+pub mod failpoints;
 pub mod fxhash;
 pub mod graphs;
 pub mod relation;

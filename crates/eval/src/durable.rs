@@ -51,15 +51,14 @@ pub use inflog_store::Durability;
 pub struct DurableOpts {
     /// The semantics to maintain (as in [`MaterializeOpts`]).
     pub engine: Engine,
-    /// Evaluation options for the initial run and every repair.
+    /// Evaluation options for the initial run and every repair. Their
+    /// [`failpoints`](EvalOptions::failpoints) are the handle's one arming:
+    /// the store fires its `store-*` sites on a clone, so the default picks
+    /// a store site up from `INFLOG_FAILPOINT` like an evaluation site.
     pub eval: EvalOptions,
     /// Whether WAL appends fsync before acknowledging ([`Durability::Sync`],
     /// the default) or leave flushing to the OS.
     pub durability: Durability,
-    /// Store-layer crash-injection sites (inert by default; the test
-    /// harness arms them, or use [`StoreOptions::from_env`] semantics via
-    /// [`inflog_store::Failpoints::from_env`]).
-    pub store_failpoints: inflog_store::Failpoints,
 }
 
 impl DurableOpts {
@@ -73,7 +72,7 @@ impl DurableOpts {
     fn store(&self) -> StoreOptions {
         StoreOptions {
             durability: self.durability,
-            failpoints: self.store_failpoints.clone(),
+            failpoints: self.eval.failpoints.clone(),
         }
     }
 }

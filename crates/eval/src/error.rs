@@ -65,7 +65,7 @@ pub enum EvalError {
         message: String,
     },
     /// A registered failpoint fired (`INFLOG_FAILPOINT=<site>[:<n>]`, or a
-    /// programmatically armed [`Failpoints`](crate::Failpoints)). Only used
+    /// programmatically armed [`Failpoints`](inflog_core::failpoints::Failpoints)). Only used
     /// by the fault-injection test harness.
     FaultInjected {
         /// The failpoint site that fired.

@@ -1,5 +1,5 @@
-//! Resource governance: evaluation budgets, cooperative cancellation,
-//! panic containment support, and the failpoint fault-injection layer.
+//! Resource governance: evaluation budgets, cooperative cancellation, and
+//! the evaluation layer's failpoint sites.
 //!
 //! The paper's own landscape motivates this machinery: inflationary and
 //! well-founded fixpoints on adversarial programs have genuinely large
@@ -10,10 +10,10 @@
 //!   derived-tuple cap) carried on [`EvalOptions`];
 //! * [`CancelToken`] — a shared, cloneable flag another thread can flip to
 //!   stop an in-flight evaluation;
-//! * [`Failpoints`] — env-driven (`INFLOG_FAILPOINT=<site>[:<n>]`) or
-//!   programmatically armed injection points that force a typed failure at
-//!   a registered site, used by the fault-injection test harness to prove
-//!   every mid-flight failure leaves [`Materialized`](crate::Materialized)
+//! * [`EvalOptions::failpoints`] — the stack's one failpoint arming
+//!   ([`inflog_core::failpoints`]); the governor fires the evaluation sites
+//!   as typed failures, used by the fault-injection harness to prove every
+//!   mid-flight failure leaves [`Materialized`](crate::Materialized)
 //!   handles transactionally intact.
 //!
 //! At evaluation entry every engine resolves its options into a
@@ -26,12 +26,13 @@
 //! surfaces the stored [`EvalError`]. When no limit, token, or failpoint
 //! is configured the governor reports itself inert
 //! ([`Governor::as_active`] returns `None`) and the inner loops carry
-//! **zero** governance overhead — the bench gate holds the budget checks
-//! to noise on the headline suites.
+//! **zero** governance overhead. (A failpoint armed at a store or serve
+//! site also counts as configured; that only happens under test.)
 
 use crate::error::{BudgetKind, EvalError};
 use crate::options::EvalOptions;
 use crate::Result;
+use inflog_core::failpoints::{Failpoints, SITE_PANIC, SITE_ROUND};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
@@ -121,173 +122,6 @@ impl PartialEq for CancelToken {
 }
 
 impl Eq for CancelToken {}
-
-/// Failpoint site: the top of every [`DeltaDriver`](crate::DeltaDriver)
-/// round (including each engine's first full application).
-pub const SITE_ROUND: &str = "round";
-/// Failpoint site: index preparation/extension at the start of a Θ
-/// application (`prepare_plan`, under the index write lock's scope).
-pub const SITE_INDEX_EXTEND: &str = "index-extend";
-/// Failpoint site: closing the overdelete cone of a delete–rederive
-/// repair (fires per cone round, after damage has been removed).
-pub const SITE_OVERDELETE_CLOSE: &str = "overdelete-close";
-/// Failpoint site: the rederivation pass of a delete–rederive repair
-/// (fires once per closed, non-empty cone, before its members are checked;
-/// a repair that gives up on the cone and re-evaluates never reaches it).
-pub const SITE_REDERIVE_SWEEP: &str = "rederive-sweep";
-/// Failpoint site: a genuine `panic!` at a round boundary
-/// ([`Governor::check_round`]) instead of a typed error — exercises the
-/// `catch_unwind` containment and rollback of
-/// [`Materialized`](crate::Materialized) updates.
-pub const SITE_PANIC: &str = "panic";
-
-/// Every registered failpoint site, for sweep harnesses.
-pub const FAILPOINT_SITES: &[&str] = &[
-    SITE_ROUND,
-    SITE_INDEX_EXTEND,
-    SITE_OVERDELETE_CLOSE,
-    SITE_REDERIVE_SWEEP,
-    SITE_PANIC,
-];
-
-/// Serving-layer failpoint sites (`inflog-serve`). The registry constant
-/// lives here — not in the serve crate — because the shared
-/// `INFLOG_FAILPOINT` diagnostic below must enumerate every layer's sites,
-/// and `inflog-serve` depends on this crate (the reverse import would be a
-/// cycle). The serve crate re-exports these names and owns their semantics:
-///
-/// - `serve-epoch-publish`: the writer dies after the WAL record is durable
-///   and applied but before the new epoch is swapped in — readers keep the
-///   old epoch; recovery may legitimately land one epoch past the last ack.
-/// - `serve-queue-full`: the write admission path behaves as if the bounded
-///   writer queue were full — a typed `Overloaded` shed, never a hang.
-/// - `serve-reply-drop`: the connection is dropped mid-reply, after the
-///   epoch header but before the tuples — the server must keep serving.
-/// - `serve-writer-crash`: the writer dies *before* logging the batch —
-///   recovery must restore exactly the last acked epoch.
-pub const SERVE_FAILPOINT_SITES: &[&str] = &[
-    "serve-epoch-publish",
-    "serve-queue-full",
-    "serve-reply-drop",
-    "serve-writer-crash",
-];
-
-#[derive(Debug)]
-struct ArmedFailpoint {
-    site: String,
-    /// 1-based: the failpoint fires on exactly the `trigger`-th hit of its
-    /// site, then never again — so a retried operation runs clean.
-    trigger: u64,
-    hits: AtomicU64,
-}
-
-/// An armed fault-injection point. At most one site is armed per value;
-/// the hit counter is shared across clones (`Arc`), so arming a handle's
-/// options once and retrying after the injected failure runs clean.
-///
-/// Environment form (parsed by [`EvalOptions::default`]):
-/// `INFLOG_FAILPOINT=<site>[:<n>]` arms `<site>` to fire on its `n`-th hit
-/// (default 1). Sites are listed in [`FAILPOINT_SITES`]; an unknown site
-/// warns on stderr and is ignored, like the other `INFLOG_*` knobs.
-#[derive(Debug, Clone, Default)]
-pub struct Failpoints(Option<Arc<ArmedFailpoint>>);
-
-impl Failpoints {
-    /// No failpoint armed (the default).
-    pub fn none() -> Self {
-        Failpoints::default()
-    }
-
-    /// Arms `site` to fire on its `trigger`-th hit (1-based; 0 is clamped
-    /// to 1). Panics on unregistered sites — arming a typo'd site would
-    /// silently test nothing.
-    pub fn armed(site: &str, trigger: u64) -> Self {
-        assert!(
-            FAILPOINT_SITES.contains(&site),
-            "unknown failpoint site `{site}` (registered: {FAILPOINT_SITES:?})"
-        );
-        Failpoints(Some(Arc::new(ArmedFailpoint {
-            site: site.to_owned(),
-            trigger: trigger.max(1),
-            hits: AtomicU64::new(0),
-        })))
-    }
-
-    /// Parses the `INFLOG_FAILPOINT` value form `<site>[:<n>]`. Empty
-    /// means none; malformed values warn on stderr and arm nothing.
-    pub fn from_env_value(raw: &str) -> Self {
-        let trimmed = raw.trim();
-        if trimmed.is_empty() {
-            return Failpoints::none();
-        }
-        let (site, trigger) = match trimmed.split_once(':') {
-            None => (trimmed, 1),
-            Some((site, n)) => match n.trim().parse::<u64>() {
-                Ok(n) => (site.trim(), n.max(1)),
-                Err(_) => {
-                    eprintln!(
-                        "warning: ignoring INFLOG_FAILPOINT={raw:?}: \
-                         expected <site>[:<n>] with integer n"
-                    );
-                    return Failpoints::none();
-                }
-            },
-        };
-        if !FAILPOINT_SITES.contains(&site) {
-            // Store- and serve-layer sites are valid arming targets for the
-            // same variable — the durable store parses them itself
-            // (`inflog_store::Failpoints::from_env`) and the serving layer
-            // parses [`SERVE_FAILPOINT_SITES`]; the evaluation layer just
-            // stays inert, without a spurious warning.
-            if !inflog_store::STORE_FAILPOINT_SITES.contains(&site)
-                && !SERVE_FAILPOINT_SITES.contains(&site)
-            {
-                eprintln!(
-                    "warning: ignoring INFLOG_FAILPOINT={raw:?}: unknown site \
-                     (registered: {FAILPOINT_SITES:?} for evaluation, {:?} \
-                     for the durable store, {SERVE_FAILPOINT_SITES:?} for the \
-                     serving layer)",
-                    inflog_store::STORE_FAILPOINT_SITES
-                );
-            }
-            return Failpoints::none();
-        }
-        Failpoints(Some(Arc::new(ArmedFailpoint {
-            site: site.to_owned(),
-            trigger,
-            hits: AtomicU64::new(0),
-        })))
-    }
-
-    /// Whether any site is armed.
-    pub fn is_armed(&self) -> bool {
-        self.0.is_some()
-    }
-
-    /// Records a hit at `site`; returns `true` exactly when this hit is
-    /// the armed site's trigger-th (the injection moment).
-    pub fn fire(&self, site: &str) -> bool {
-        let Some(armed) = &self.0 else { return false };
-        if armed.site != site {
-            return false;
-        }
-        armed.hits.fetch_add(1, Ordering::Relaxed) + 1 == armed.trigger
-    }
-}
-
-/// Failpoints compare by identity (or both-unarmed), keeping
-/// [`EvalOptions`]'s derived equality meaningful.
-impl PartialEq for Failpoints {
-    fn eq(&self, other: &Self) -> bool {
-        match (&self.0, &other.0) {
-            (None, None) => true,
-            (Some(a), Some(b)) => Arc::ptr_eq(a, b),
-            _ => false,
-        }
-    }
-}
-
-impl Eq for Failpoints {}
 
 /// How many emissions pass between deadline/cancellation polls in the
 /// executor inner loops (power of two; the counter is masked). Small
@@ -479,6 +313,7 @@ impl Governor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use inflog_core::failpoints::SITE_INDEX_EXTEND;
 
     fn opts_with_budget(budget: Budget) -> EvalOptions {
         EvalOptions {
@@ -559,36 +394,6 @@ mod tests {
         // Equality is identity: clones are equal, fresh tokens are not.
         assert_eq!(token, token.clone());
         assert_ne!(token, CancelToken::new());
-    }
-
-    #[test]
-    fn failpoint_fires_on_exactly_the_nth_hit() {
-        let fp = Failpoints::armed(SITE_ROUND, 3);
-        assert!(!fp.fire(SITE_ROUND));
-        assert!(!fp.fire(SITE_INDEX_EXTEND), "other sites never fire");
-        assert!(!fp.fire(SITE_ROUND));
-        assert!(fp.fire(SITE_ROUND), "third hit is the trigger");
-        assert!(!fp.fire(SITE_ROUND), "one-shot: never fires again");
-    }
-
-    #[test]
-    fn failpoint_env_parsing() {
-        assert!(!Failpoints::from_env_value("").is_armed());
-        assert!(!Failpoints::from_env_value("  ").is_armed());
-        let fp = Failpoints::from_env_value("round");
-        assert!(fp.is_armed());
-        assert!(fp.fire(SITE_ROUND), "default trigger is the first hit");
-        let fp = Failpoints::from_env_value(" rederive-sweep : 2 ");
-        assert!(fp.is_armed());
-        assert!(!fp.fire(SITE_REDERIVE_SWEEP));
-        assert!(fp.fire(SITE_REDERIVE_SWEEP));
-        // Malformed and unknown values arm nothing (and warn on stderr).
-        assert!(!Failpoints::from_env_value("round:x").is_armed());
-        assert!(!Failpoints::from_env_value("no-such-site").is_armed());
-        // Store- and serve-layer sites are foreign here: inert, no warning.
-        assert!(!Failpoints::from_env_value("store-wal-bit-flip").is_armed());
-        assert!(!Failpoints::from_env_value("serve-epoch-publish").is_armed());
-        assert!(!Failpoints::from_env_value("serve-writer-crash:3").is_armed());
     }
 
     #[test]

@@ -15,8 +15,9 @@
 //!   oracle), resource limits, cancellation and failpoints;
 //! * [`govern`] — resource governance: [`Budget`] limits and
 //!   [`CancelToken`] cancellation enforced at round boundaries and in the
-//!   executor inner loops, and the `INFLOG_FAILPOINT` fault-injection layer
-//!   the transactional-update tests drive;
+//!   executor inner loops, and the evaluation sites of the fault-injection
+//!   registry (`inflog_core::failpoints`) the transactional-update tests
+//!   drive;
 //! * [`naive`] / [`seminaive`] — least-fixpoint evaluation of *positive*
 //!   DATALOG programs (the paper's standard semantics);
 //! * [`inflationary()`](inflationary()) — the paper's §4 proposal: Θ̃(S) = S ∪ Θ(S) iterated to
@@ -83,9 +84,7 @@ pub use durable::{Durability, DurableMaterialized, DurableOpts};
 pub use epoch::{Epoch, EpochCell, Truth};
 pub use error::{panic_message, BudgetKind, EvalError};
 pub use exec::{ColAction, Op, RuleProgram, ValSrc};
-pub use govern::{
-    Budget, CancelToken, Failpoints, Governor, FAILPOINT_SITES, SERVE_FAILPOINT_SITES,
-};
+pub use govern::{Budget, CancelToken, Governor};
 pub use index::IndexSet;
 pub use inflationary::{inflationary, inflationary_naive, inflationary_with};
 pub use interp::Interp;

@@ -114,7 +114,7 @@
 use crate::driver::DeltaDriver;
 use crate::epoch::Epoch;
 use crate::error::EvalError;
-use crate::govern::{Governor, SITE_OVERDELETE_CLOSE, SITE_REDERIVE_SWEEP};
+use crate::govern::Governor;
 use crate::inflationary::inflationary_compiled_with;
 use crate::interp::Interp;
 use crate::naive::require_positive;
@@ -125,6 +125,7 @@ use crate::resolve::CompiledProgram;
 use crate::stratified::{stratify, Stratification};
 use crate::wellfounded::well_founded_compiled_with;
 use crate::Result;
+use inflog_core::failpoints::{SITE_OVERDELETE_CLOSE, SITE_REDERIVE_SWEEP};
 use inflog_core::{Const, Database, Tuple};
 use inflog_syntax::{Atom, Program};
 use std::sync::Arc;
@@ -642,7 +643,7 @@ impl Materialized {
     /// Replaces the evaluation options used by subsequent repairs — the
     /// way to attach a [`Budget`](crate::Budget),
     /// [`CancelToken`](crate::CancelToken) or armed
-    /// [`Failpoints`](crate::Failpoints) to a live handle. Arming at
+    /// [`Failpoints`](inflog_core::failpoints::Failpoints) to a live handle. Arming at
     /// construction instead would let the initial evaluation spend the
     /// budget (or a one-shot failpoint trigger) before the first update
     /// runs.
@@ -1322,6 +1323,7 @@ fn log_watermarks(s: &Interp, log: &mut Vec<UndoOp>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use inflog_core::failpoints::{Failpoints, SITE_ROUND};
     use inflog_core::graphs::DiGraph;
     use inflog_syntax::parse_program;
 
@@ -1472,7 +1474,7 @@ mod tests {
         let mut seen = Vec::new();
         for _ in 0..200 {
             m.set_eval_options(EvalOptions {
-                failpoints: crate::Failpoints::armed(crate::govern::SITE_ROUND, 1),
+                failpoints: Failpoints::armed(SITE_ROUND, 1),
                 ..EvalOptions::sequential()
             });
             assert!(m.retract(&batch).is_err());

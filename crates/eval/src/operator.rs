@@ -44,7 +44,7 @@
 //! application on the tree executor and asserts dense-storage equality.
 
 use crate::exec::{self, ExecEnv};
-use crate::govern::{Governor, SITE_INDEX_EXTEND};
+use crate::govern::Governor;
 use crate::index::IndexSet;
 use crate::interp::Interp;
 use crate::options::{EvalOptions, ExecKind};
@@ -52,6 +52,7 @@ use crate::plan::{CTerm, Plan, PredRef, Source, Step};
 use crate::resolve::{CompiledProgram, CompiledRule, RulePlans};
 use crate::tree;
 use crate::Result;
+use inflog_core::failpoints::SITE_INDEX_EXTEND;
 use inflog_core::{Const, Database, Relation, Tuple};
 use std::sync::{PoisonError, RwLock};
 

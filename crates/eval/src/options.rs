@@ -10,7 +10,8 @@
 //! so a whole test run can be switched onto the oracle executor (or have a
 //! failpoint armed) without touching call sites.
 
-use crate::govern::{Budget, CancelToken, Failpoints};
+use crate::govern::{Budget, CancelToken};
+use inflog_core::failpoints::Failpoints;
 use std::sync::OnceLock;
 
 /// Which Θ-application executor runs the rule plans.
@@ -54,13 +55,16 @@ pub struct EvalOptions {
     pub cancel: Option<CancelToken>,
     /// Fault injection for the robustness test harness; unarmed by
     /// default, armed process-wide via `INFLOG_FAILPOINT=<site>[:<n>]`.
+    /// The durable handle and the server hand this one arming down to the
+    /// store and fire their own sites on it too.
     pub failpoints: Failpoints,
 }
 
 impl Default for EvalOptions {
     /// [`EvalOptions::sequential`] plus whatever the environment arms:
     /// `INFLOG_EXEC` picks the executor and `INFLOG_FAILPOINT` arms a
-    /// failpoint. Malformed values are **loudly ignored** (warning on
+    /// failpoint at a site of any layer (this is the only reader of that
+    /// variable). Malformed values are **loudly ignored** (warning on
     /// stderr).
     fn default() -> Self {
         EvalOptions::from_env_with(|key| std::env::var(key).ok())

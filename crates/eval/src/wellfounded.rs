@@ -82,12 +82,13 @@
 //! rederivation restores the cone's surviving part exactly.
 
 use crate::driver::DeltaDriver;
-use crate::govern::{Governor, SITE_OVERDELETE_CLOSE, SITE_REDERIVE_SWEEP};
+use crate::govern::Governor;
 use crate::interp::Interp;
 use crate::operator::{self, EvalContext};
 use crate::options::EvalOptions;
 use crate::resolve::CompiledProgram;
 use crate::Result;
+use inflog_core::failpoints::{SITE_OVERDELETE_CLOSE, SITE_REDERIVE_SWEEP};
 use inflog_core::{Database, Tuple};
 use inflog_syntax::Program;
 

@@ -19,18 +19,18 @@
 //!   then the parent recovers the directory and checks it against a replay
 //!   of the child's acknowledged prefix.
 
+use inflog_core::failpoints::{
+    Failpoints, SITE_COMPACT_TRUNCATE, SITE_SNAPSHOT_RENAME, SITE_WAL_APPEND_SYNC,
+    SITE_WAL_BIT_FLIP, SITE_WAL_TORN_WRITE, SITE_WAL_TRUNCATED_TAIL, STORE_SITES,
+};
 use inflog_core::graphs::DiGraph;
 use inflog_core::{Database, Tuple};
 use inflog_eval::durable::{dense_fingerprint, DurableMaterialized, DurableOpts};
 use inflog_eval::materialize::{Engine, MaterializeOpts, Materialized};
 use inflog_eval::{
-    inflationary, least_fixpoint_seminaive, stratified_eval, well_founded, EvalError,
+    inflationary, least_fixpoint_seminaive, stratified_eval, well_founded, EvalError, EvalOptions,
 };
-use inflog_store::{
-    fsck, Failpoints, StoreError, SITE_COMPACT_TRUNCATE, SITE_SNAPSHOT_RENAME,
-    SITE_WAL_APPEND_SYNC, SITE_WAL_BIT_FLIP, SITE_WAL_TORN_WRITE, SITE_WAL_TRUNCATED_TAIL,
-    STORE_FAILPOINT_SITES,
-};
+use inflog_store::{fsck, StoreError};
 use inflog_syntax::{parse_program, Program};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -108,6 +108,23 @@ fn assert_matches_recompute(m: &Materialized, program: &Program, ctx: &str) {
             assert_eq!(*m.undefined(), model.undefined, "{ctx}: wf undefined");
         }
     }
+}
+
+/// Durable options with `fp` as the one failpoint arming.
+fn armed(fp: Failpoints) -> DurableOpts {
+    DurableOpts {
+        eval: EvalOptions {
+            failpoints: fp,
+            ..EvalOptions::sequential()
+        },
+        ..DurableOpts::default()
+    }
+}
+
+/// Durable options that stay unarmed under a CI pass that sets
+/// `INFLOG_FAILPOINT`, which [`DurableOpts::default`] would pick up.
+fn clean() -> DurableOpts {
+    armed(Failpoints::none())
 }
 
 fn flip(dm: &mut DurableMaterialized, rel: &str, t: Tuple) -> usize {
@@ -195,8 +212,7 @@ fn sweep_site(site: &str, fp: Failpoints) {
     let program = parse_program(TC).unwrap();
     let db = DiGraph::path(5).to_database("E");
     let dir = tmp_dir(&format!("sweep_{site}"));
-    let clean = DurableOpts::default();
-    let mut dm = DurableMaterialized::create(&program, &db, &dir, &clean).unwrap();
+    let mut dm = DurableMaterialized::create(&program, &db, &dir, &clean()).unwrap();
     dm.insert(&[("E", Tuple::from_ids(&[0, 2]))]).unwrap();
     dm.retract(&[("E", Tuple::from_ids(&[1, 2]))]).unwrap();
     let pre_epoch = dm.epoch();
@@ -205,11 +221,7 @@ fn sweep_site(site: &str, fp: Failpoints) {
 
     // Re-open with the failpoint armed (recovery itself appends nothing, so
     // the site cannot fire early), then provoke it.
-    let armed = DurableOpts {
-        store_failpoints: fp,
-        ..DurableOpts::default()
-    };
-    let mut dm = DurableMaterialized::open(&program, &dir, &armed).unwrap();
+    let mut dm = DurableMaterialized::open(&program, &dir, &armed(fp)).unwrap();
     assert_eq!(dm.epoch(), pre_epoch);
     let next = ("E", Tuple::from_ids(&[2, 0]));
 
@@ -274,7 +286,7 @@ fn sweep_site(site: &str, fp: Failpoints) {
                 "{site}: memory changed"
             );
             drop(dm);
-            let dm = DurableMaterialized::open(&program, &dir, &DurableOpts::default()).unwrap();
+            let dm = DurableMaterialized::open(&program, &dir, &clean()).unwrap();
             assert_eq!(
                 dm.epoch(),
                 pre_epoch + 1,
@@ -291,8 +303,7 @@ fn sweep_site(site: &str, fp: Failpoints) {
             drop(dm);
             // ...and recovery refuses with the corrupt frame's offset rather
             // than serving a wrong answer.
-            let err =
-                DurableMaterialized::open(&program, &dir, &DurableOpts::default()).unwrap_err();
+            let err = DurableMaterialized::open(&program, &dir, &clean()).unwrap_err();
             let EvalError::Store {
                 source: StoreError::CorruptFrame { offset, .. },
             } = &err
@@ -327,7 +338,7 @@ fn sweep_site(site: &str, fp: Failpoints) {
             assert_eq!(dm.epoch(), pre_epoch, "{site}");
             dm.insert(std::slice::from_ref(&next)).unwrap();
             drop(dm);
-            let dm = DurableMaterialized::open(&program, &dir, &DurableOpts::default()).unwrap();
+            let dm = DurableMaterialized::open(&program, &dir, &clean()).unwrap();
             assert_eq!(dm.epoch(), pre_epoch + 1, "{site}");
             assert_matches_recompute(dm.handle(), &program, site);
             accepts_updates(dm, &program, ("E", Tuple::from_ids(&[3, 0])), site);
@@ -363,7 +374,7 @@ fn recover_expecting(
     fp: &[(String, Vec<Tuple>)],
     ctx: &str,
 ) -> DurableMaterialized {
-    let dm = DurableMaterialized::open(program, dir, &DurableOpts::default()).unwrap();
+    let dm = DurableMaterialized::open(program, dir, &clean()).unwrap();
     assert_eq!(dm.epoch(), epoch, "{ctx}: wrong recovered epoch");
     assert_eq!(
         dense_fingerprint(dm.handle()),
@@ -385,7 +396,7 @@ fn accepts_updates(mut dm: DurableMaterialized, program: &Program, fact: (&str, 
 
 #[test]
 fn store_failpoint_sweep_every_site() {
-    for site in STORE_FAILPOINT_SITES {
+    for site in STORE_SITES {
         sweep_site(site, Failpoints::armed(site, 1));
     }
 }
@@ -396,13 +407,11 @@ fn store_failpoint_sweep_every_site() {
 #[test]
 #[ignore]
 fn env_driven_store_site() {
-    let fp = Failpoints::from_env();
-    assert!(
-        fp.is_armed(),
-        "run with INFLOG_FAILPOINT set to a store site"
-    );
-    let site = fp.site().unwrap().to_string();
-    sweep_site(&site, fp);
+    let fp = EvalOptions::default().failpoints;
+    let site = fp
+        .site()
+        .expect("run with INFLOG_FAILPOINT set to a store site");
+    sweep_site(site, fp);
 }
 
 #[test]
@@ -491,15 +500,11 @@ fn subprocess_child_runner() {
     // Create clean, then re-open with the env-armed failpoints: arming from
     // the start would fire snapshot sites inside `create` itself, before
     // there is any committed state to recover.
-    let dm = DurableMaterialized::create(&program, &db, &dir, &DurableOpts::default()).unwrap();
+    let dm = DurableMaterialized::create(&program, &db, &dir, &clean()).unwrap();
     writeln!(out, "acked {}", dm.epoch()).unwrap();
     out.flush().unwrap();
     drop(dm);
-    let opts = DurableOpts {
-        store_failpoints: Failpoints::from_env(),
-        ..DurableOpts::default()
-    };
-    let mut dm = DurableMaterialized::open(&program, &dir, &opts).unwrap();
+    let mut dm = DurableMaterialized::open(&program, &dir, &DurableOpts::default()).unwrap();
     let n = db.universe_size() as u32;
     for i in 1..=CHILD_STEPS {
         let t = churn_fact(i, n);
@@ -531,7 +536,7 @@ fn subprocess_kill_and_recover_sweep() {
     let exe = std::env::current_exe().unwrap();
 
     let mut cases: Vec<Option<&str>> = vec![None];
-    cases.extend(STORE_FAILPOINT_SITES.iter().map(|s| Some(*s)));
+    cases.extend(STORE_SITES.iter().map(|s| Some(*s)));
     for site in cases {
         let label = site.unwrap_or("clean-kill");
         let dir = tmp_dir(&format!("subprocess_{label}"));
@@ -572,8 +577,7 @@ fn subprocess_kill_and_recover_sweep() {
 
         if site == Some(SITE_WAL_BIT_FLIP) {
             // Silent corruption: recovery must refuse with the frame offset.
-            let err =
-                DurableMaterialized::open(&program, &dir, &DurableOpts::default()).unwrap_err();
+            let err = DurableMaterialized::open(&program, &dir, &clean()).unwrap_err();
             assert!(
                 matches!(
                     &err,
@@ -587,7 +591,7 @@ fn subprocess_kill_and_recover_sweep() {
             continue;
         }
 
-        let mut dm = DurableMaterialized::open(&program, &dir, &DurableOpts::default())
+        let mut dm = DurableMaterialized::open(&program, &dir, &clean())
             .unwrap_or_else(|e| panic!("{label}: recovery failed: {e}"));
         // Acknowledged updates are never lost; at most the one in-flight
         // record (fully written, unacknowledged) may additionally survive.

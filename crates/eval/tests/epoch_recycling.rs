@@ -17,11 +17,11 @@
 //! a patched epoch alike, must equal a scan-filter-sort over the epoch's
 //! relations.
 
+use inflog_core::failpoints::{Failpoints, SITE_ROUND};
 use inflog_core::graphs::DiGraph;
 use inflog_core::{Const, Database, Relation, Tuple, Universe};
-use inflog_eval::govern::SITE_ROUND;
 use inflog_eval::materialize::{Engine, MaterializeOpts, Materialized};
-use inflog_eval::{Change, Epoch, EvalOptions, Failpoints};
+use inflog_eval::{Change, Epoch, EvalOptions};
 use inflog_syntax::{parse_atom, parse_program, Atom, Term};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};

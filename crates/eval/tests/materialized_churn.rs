@@ -25,17 +25,17 @@
 //! batch; plus cross-thread cancellation, deadline, and round/tuple budget
 //! coverage on deliberately slow programs.
 
+use inflog_core::failpoints::{
+    Failpoints, EVAL_SITES, SITE_INDEX_EXTEND, SITE_OVERDELETE_CLOSE, SITE_PANIC,
+    SITE_REDERIVE_SWEEP, SITE_ROUND,
+};
 use inflog_core::graphs::DiGraph;
 use inflog_core::{Database, Tuple};
-use inflog_eval::govern::{
-    SITE_INDEX_EXTEND, SITE_OVERDELETE_CLOSE, SITE_PANIC, SITE_REDERIVE_SWEEP, SITE_ROUND,
-};
 use inflog_eval::materialize::{Engine, MaterializeOpts, Materialized, RepairStats};
 use inflog_eval::{
     inflationary, inflationary_with, least_fixpoint_naive_with, least_fixpoint_seminaive,
     least_fixpoint_seminaive_with, stratified_eval, stratified_eval_with, well_founded,
-    well_founded_with, Budget, BudgetKind, CancelToken, EvalError, EvalOptions, Failpoints,
-    QueryOpts, FAILPOINT_SITES,
+    well_founded_with, Budget, BudgetKind, CancelToken, EvalError, EvalOptions, QueryOpts,
 };
 use inflog_syntax::{parse_program, Atom, Program, Term};
 use rand::rngs::StdRng;
@@ -593,7 +593,7 @@ fn failpoint_sweep_rolls_back_every_site_on_every_engine() {
     let mut fired: BTreeSet<&str> = BTreeSet::new();
     for w in &workloads() {
         let program = parse_program(w.src).unwrap();
-        for &site in FAILPOINT_SITES {
+        for &site in EVAL_SITES {
             for inserting in [false, true] {
                 let mut m = handle(&program, &w.db, w.engine);
                 let t = if inserting {
@@ -645,7 +645,7 @@ fn failpoint_sweep_rolls_back_every_site_on_every_engine() {
             }
         }
     }
-    for site in FAILPOINT_SITES {
+    for site in EVAL_SITES {
         assert!(
             fired.contains(site),
             "site `{site}` never fired in the sweep"
@@ -755,7 +755,7 @@ fn randomized_churn_with_rotating_failpoints_keeps_the_invariant() {
         for step in 0..20 {
             let t = Tuple::from_ids(&[rng.gen_range(0..7), rng.gen_range(0..7)]);
             let present = m.contains("E", &t);
-            let site = FAILPOINT_SITES[step % FAILPOINT_SITES.len()];
+            let site = EVAL_SITES[step % EVAL_SITES.len()];
             let trigger = rng.gen_range(1..3);
             let label = format!("{engine:?} step {step} site {site}:{trigger}");
             let pre = snapshot(&m);

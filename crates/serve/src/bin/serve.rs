@@ -14,9 +14,10 @@
 //!
 //! `--create` evaluates the program over the facts file (one ground atom
 //! per line, `#` comments) and initializes the store directory; without it
-//! the directory is recovered (newest snapshot + WAL replay). Set
-//! `INFLOG_SERVE_ABORT=1` to make crash-shaped failpoints abort the whole
-//! process (the chaos harness does).
+//! the directory is recovered (newest snapshot + WAL replay). A
+//! crash-shaped failpoint armed through `INFLOG_FAILPOINT`
+//! (`serve-writer-crash`, `serve-epoch-publish`) aborts the whole process,
+//! because it models a process crash.
 
 use inflog_core::Database;
 use inflog_eval::materialize::Engine;
@@ -58,7 +59,7 @@ fn parse_args() -> Result<Args, ExitCode> {
         universe: Vec::new(),
         listen: None,
         opts: ServeOptions {
-            abort_on_crash: std::env::var("INFLOG_SERVE_ABORT").as_deref() == Ok("1"),
+            abort_on_crash: true,
             ..ServeOptions::default()
         },
     };

@@ -6,9 +6,9 @@
 //! and leaves the server — and every other connection — serving.
 
 use crate::error::ServeError;
-use crate::failpoints::SITE_REPLY_DROP;
 use crate::proto::{parse_request, render_error, render_tuple, Request};
 use crate::server::{QueryReply, Server};
+use inflog_core::failpoints::SITE_REPLY_DROP;
 use inflog_core::Tuple;
 use inflog_syntax::{Atom, Term};
 use std::io::{self, BufRead, BufWriter, Write};

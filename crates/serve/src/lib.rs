@@ -36,8 +36,10 @@
 //! contained per request; slow queries are cancelled at their deadline;
 //! writer failures roll back transactionally without disturbing the
 //! published epoch; shutdown drains. Chaos sites (`serve-writer-crash`,
-//! `serve-epoch-publish`, `serve-queue-full`, `serve-reply-drop`) inject
-//! crashes into the exact protocol windows — see [`failpoints`].
+//! `serve-epoch-publish`, `serve-queue-full`, `serve-reply-drop`, in the
+//! shared registry `inflog_core::failpoints`) inject crashes into the exact
+//! protocol windows; they are armed on [`ServeOptions::eval`] like every
+//! other site.
 //!
 //! ## Protocol
 //!
@@ -47,15 +49,10 @@
 
 pub mod conn;
 pub mod error;
-pub mod failpoints;
 pub mod proto;
 pub mod server;
 
 pub use conn::{serve_session, SessionOutcome};
 pub use error::{Load, ServeError};
-pub use failpoints::{
-    Failpoints, SERVE_FAILPOINT_SITES, SITE_EPOCH_PUBLISH, SITE_QUEUE_FULL, SITE_REPLY_DROP,
-    SITE_WRITER_CRASH,
-};
 pub use proto::{parse_request, render_error, render_tuple, Request};
 pub use server::{PublishCounts, QueryReply, ServeOptions, Server, WriteAck};

@@ -38,7 +38,7 @@
 //!   finish, then the writer joins.
 
 use crate::error::{Load, ServeError};
-use crate::failpoints::{Failpoints, SITE_EPOCH_PUBLISH, SITE_QUEUE_FULL, SITE_WRITER_CRASH};
+use inflog_core::failpoints::{Failpoints, SITE_EPOCH_PUBLISH, SITE_QUEUE_FULL, SITE_WRITER_CRASH};
 use inflog_core::{Database, Tuple, Universe};
 use inflog_eval::materialize::Engine;
 use inflog_eval::query::QueryAnswer;
@@ -60,7 +60,10 @@ use std::time::{Duration, Instant};
 pub struct ServeOptions {
     /// The semantics to maintain.
     pub engine: Engine,
-    /// Evaluation options for the initial run and every repair.
+    /// Evaluation options for the initial run and every repair. Their
+    /// [`failpoints`](EvalOptions::failpoints) are the server's one arming:
+    /// the server fires its `serve-*` sites on them and hands them down to
+    /// the evaluator and the store, which fire their own.
     pub eval: EvalOptions,
     /// WAL durability of the underlying store.
     pub durability: Durability,
@@ -73,15 +76,10 @@ pub struct ServeOptions {
     pub writer_queue: usize,
     /// Default per-query deadline (individual requests can override).
     pub query_deadline: Option<Duration>,
-    /// Serve-layer chaos sites (inert by default in code; the environment
-    /// arms them via `INFLOG_FAILPOINT`).
-    pub failpoints: Failpoints,
-    /// Store-layer crash sites, passed through to the durable store.
-    pub store_failpoints: inflog_store::Failpoints,
     /// When true, crash-shaped failpoints (`serve-writer-crash`,
     /// `serve-epoch-publish`) abort the whole process instead of killing
-    /// only the writer thread — the subprocess chaos harness uses this to
-    /// die inside an exact protocol window.
+    /// only the writer thread. The `serve` binary sets it, so that it dies
+    /// inside the exact protocol window; in-process chaos tests leave it off.
     pub abort_on_crash: bool,
 }
 
@@ -94,24 +92,20 @@ impl Default for ServeOptions {
             max_inflight: 64,
             writer_queue: 16,
             query_deadline: None,
-            failpoints: Failpoints::from_env(),
-            store_failpoints: inflog_store::Failpoints::from_env(),
             abort_on_crash: false,
         }
     }
 }
 
 impl ServeOptions {
-    /// Defaults with both failpoint registries explicitly inert, regardless
-    /// of the environment — for embedders (benches, examples) that must
+    /// Defaults with the failpoint arming explicitly inert, regardless of
+    /// the environment — for embedders (benches, examples, tests) that must
     /// never inherit an `INFLOG_FAILPOINT` arming from a CI chaos pass.
     #[must_use]
     pub fn quiet() -> Self {
-        ServeOptions {
-            failpoints: Failpoints::none(),
-            store_failpoints: inflog_store::Failpoints::none(),
-            ..ServeOptions::default()
-        }
+        let mut opts = ServeOptions::default();
+        opts.eval.failpoints = Failpoints::none();
+        opts
     }
 
     fn durable(&self) -> DurableOpts {
@@ -119,7 +113,6 @@ impl ServeOptions {
             engine: self.engine,
             eval: self.eval.clone(),
             durability: self.durability,
-            store_failpoints: self.store_failpoints.clone(),
         }
     }
 }
@@ -244,7 +237,7 @@ impl Server {
             max_inflight: opts.max_inflight.max(1),
             draining: AtomicBool::new(false),
             writer_alive: AtomicBool::new(true),
-            failpoints: opts.failpoints.clone(),
+            failpoints: opts.eval.failpoints.clone(),
             query_deadline: opts.query_deadline,
         });
         let (tx, rx) = mpsc::sync_channel(opts.writer_queue.max(1));
@@ -309,7 +302,7 @@ impl Server {
         &self.shared.universe
     }
 
-    /// The serve-layer failpoints handle (the connection layer fires the
+    /// The server's failpoint arming (the connection layer fires the
     /// reply-drop site through it).
     pub fn failpoints(&self) -> &Failpoints {
         &self.shared.failpoints

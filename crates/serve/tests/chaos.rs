@@ -1,21 +1,24 @@
 //! Chaos harness for the serving layer: every `serve-*` failpoint site
 //! driven in-process, the same scenarios driven from the environment (the
-//! CI per-site passes), and a real `kill -9` of the serving binary
-//! mid-churn with recovery verified over the line protocol.
+//! CI per-site passes), a store fault under a running server, and a real
+//! `kill -9` of the serving binary mid-churn with recovery verified over
+//! the line protocol.
 //!
 //! The recovery oracle is the paper's determinism: each committed epoch is
 //! the unique model of its EDB, so the parent can replay the acknowledged
 //! command prefix into a shadow handle and demand the recovered server's
 //! replies match bit for bit.
 
+use inflog_core::failpoints::{
+    Failpoints, SERVE_SITES, SITE_EPOCH_PUBLISH, SITE_QUEUE_FULL, SITE_REPLY_DROP,
+    SITE_WAL_TORN_WRITE, SITE_WRITER_CRASH,
+};
 use inflog_core::graphs::DiGraph;
 use inflog_core::{Database, Tuple};
 use inflog_eval::materialize::{MaterializeOpts, Materialized};
-use inflog_eval::EvalOptions;
-use inflog_serve::{
-    serve_session, Failpoints, Load, ServeError, ServeOptions, Server, SERVE_FAILPOINT_SITES,
-    SITE_EPOCH_PUBLISH, SITE_QUEUE_FULL, SITE_REPLY_DROP, SITE_WRITER_CRASH,
-};
+use inflog_eval::{EvalError, EvalOptions};
+use inflog_serve::{serve_session, Load, ServeError, ServeOptions, Server};
+use inflog_store::StoreError;
 use inflog_syntax::{parse_atom, parse_program};
 use std::io::{BufRead, BufReader, Cursor, Write};
 use std::net::TcpStream;
@@ -31,11 +34,14 @@ fn tmp_dir(name: &str) -> PathBuf {
     dir
 }
 
-fn quiet_opts() -> ServeOptions {
+/// Quiet server options with `fp` as the one failpoint arming.
+fn armed_opts(fp: Failpoints) -> ServeOptions {
     ServeOptions {
-        failpoints: Failpoints::none(),
-        store_failpoints: inflog_store::Failpoints::none(),
-        ..ServeOptions::default()
+        eval: EvalOptions {
+            failpoints: fp,
+            ..EvalOptions::sequential()
+        },
+        ..ServeOptions::quiet()
     }
 }
 
@@ -52,10 +58,7 @@ fn chaos_site(site: &str, fp: Failpoints) {
     // Crash sites fire on the trigger-th write: ack trigger-1 writes first
     // so the scenario works for any arming (the env-driven CI pass uses 1).
     let trigger = fp.trigger().unwrap_or(1);
-    let opts = ServeOptions {
-        failpoints: fp,
-        ..quiet_opts()
-    };
+    let opts = armed_opts(fp);
     let goal = parse_atom("S(x, y)").unwrap();
 
     match site {
@@ -162,7 +165,7 @@ fn degraded_then_recovers(server: &Server, dir: &Path, site: &str, published: u6
     );
     server.shutdown();
 
-    let reopened = Server::open(&program, dir, &quiet_opts()).unwrap();
+    let reopened = Server::open(&program, dir, &ServeOptions::quiet()).unwrap();
     assert_eq!(reopened.epoch(), recovered, "{site}: wrong recovered epoch");
     assert!(
         reopened
@@ -178,7 +181,7 @@ fn degraded_then_recovers(server: &Server, dir: &Path, site: &str, published: u6
 
 #[test]
 fn chaos_sweep_every_serve_site() {
-    for site in SERVE_FAILPOINT_SITES {
+    for site in SERVE_SITES {
         let trigger = match *site {
             s if s == SITE_WRITER_CRASH || s == SITE_EPOCH_PUBLISH => 3,
             _ => 1,
@@ -193,13 +196,55 @@ fn chaos_sweep_every_serve_site() {
 #[test]
 #[ignore]
 fn env_driven_serve_site() {
-    let fp = Failpoints::from_env();
+    let fp = EvalOptions::default().failpoints;
+    let site = fp
+        .site()
+        .expect("run with INFLOG_FAILPOINT set to a serve site");
+    chaos_site(site, fp);
+}
+
+/// A store fault under a running server, armed through the server's one
+/// failpoint field: the torn WAL append fails the write with the store's
+/// typed error, the published epoch and its reads stay as they were, and a
+/// reopen recovers exactly the last acked epoch.
+#[test]
+fn store_fault_under_a_server_fails_typed_and_recovers_the_last_ack() {
+    let program = parse_program(TC).unwrap();
+    let db = DiGraph::path(5).to_database("E");
+    let dir = tmp_dir("chaos_store_torn_write");
+    let site = SITE_WAL_TORN_WRITE;
+    let server =
+        Server::create(&program, &db, &dir, &armed_opts(Failpoints::armed(site, 2))).unwrap();
+    let acked = ack_writes(&server, 1, site);
+    let goal = parse_atom("S(x, y)").unwrap();
+    let before = server.query(&goal, None).unwrap().answer;
+
+    let err = server.insert(vec![edb_fact(0, 4)]).unwrap_err();
     assert!(
-        fp.is_armed(),
-        "run with INFLOG_FAILPOINT set to a serve site"
+        matches!(
+            &err,
+            ServeError::Eval(EvalError::Store {
+                source: StoreError::FaultInjected { .. }
+            })
+        ),
+        "{err:?}"
     );
-    let site = fp.site().unwrap().to_string();
-    chaos_site(&site, fp);
+    assert_eq!(server.epoch(), acked, "a failed write advanced the epoch");
+    let after = server.query(&goal, None).unwrap();
+    assert_eq!(after.epoch.number(), acked);
+    assert_eq!(after.answer, before, "a failed write changed the reads");
+    drop(after);
+    server.shutdown();
+
+    let reopened = Server::open(&program, &dir, &ServeOptions::quiet()).unwrap();
+    assert_eq!(reopened.epoch(), acked, "wrong recovered epoch");
+    assert!(
+        reopened
+            .pin()
+            .matches_recompute(&EvalOptions::sequential())
+            .unwrap(),
+        "recovered epoch fails the determinism oracle"
+    );
 }
 
 // ---------------------------------------------------------------------------
@@ -431,9 +476,9 @@ fn kill_dash_nine_mid_churn_recovers_last_acked_epoch() {
     assert!(status.success(), "serve exited uncleanly after SHUTDOWN");
 }
 
-/// The binary's crash window end to end: `INFLOG_SERVE_ABORT=1` plus an
-/// armed `serve-epoch-publish` makes the process die between WAL ack and
-/// epoch swap; restart must recover last-acked + 1 (durable, unacked).
+/// The binary's crash window end to end: an armed `serve-epoch-publish`
+/// makes the `serve` process abort between WAL ack and epoch swap; restart
+/// must recover last-acked + 1 (durable, unacked).
 #[test]
 fn abort_inside_publish_window_recovers_plus_one() {
     let dir = tmp_dir("abort_publish");
@@ -456,7 +501,6 @@ fn abort_inside_publish_window_recovers_plus_one() {
         .arg("127.0.0.1:0")
         .stdout(Stdio::piped())
         .stderr(Stdio::piped())
-        .env("INFLOG_SERVE_ABORT", "1")
         .env("INFLOG_FAILPOINT", format!("{SITE_EPOCH_PUBLISH}:2"));
     let mut child = cmd.spawn().unwrap();
     let mut banner = String::new();
@@ -485,7 +529,7 @@ fn abort_inside_publish_window_recovers_plus_one() {
     assert!(!status.success(), "the abort failpoint did not kill serve");
 
     let program = parse_program(TC).unwrap();
-    let recovered = Server::open(&program, &dir, &quiet_opts()).unwrap();
+    let recovered = Server::open(&program, &dir, &ServeOptions::quiet()).unwrap();
     assert_eq!(
         recovered.epoch(),
         2,

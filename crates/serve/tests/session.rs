@@ -18,16 +18,6 @@ fn tmp_dir(name: &str) -> PathBuf {
     dir
 }
 
-fn quiet_opts() -> ServeOptions {
-    // Explicitly inert failpoints: these tests must not pick up an
-    // `INFLOG_FAILPOINT` arming from a CI chaos pass.
-    ServeOptions {
-        failpoints: inflog_serve::Failpoints::none(),
-        store_failpoints: inflog_store::Failpoints::none(),
-        ..ServeOptions::default()
-    }
-}
-
 fn server(name: &str, opts: &ServeOptions) -> Server {
     let program = inflog_syntax::parse_program(TC).unwrap();
     let db = DiGraph::path(4).to_database("E");
@@ -43,7 +33,7 @@ fn run(server: &Server, script: &str) -> (Vec<String>, bool) {
 
 #[test]
 fn scripted_session_covers_the_protocol() {
-    let server = server("session_full", &quiet_opts());
+    let server = server("session_full", &ServeOptions::quiet());
     let (lines, shutdown) = run(
         &server,
         "# a comment and a blank line are ignored\n\
@@ -84,7 +74,7 @@ fn scripted_session_covers_the_protocol() {
 
 #[test]
 fn errors_are_rendered_not_fatal() {
-    let server = server("session_errors", &quiet_opts());
+    let server = server("session_errors", &ServeOptions::quiet());
     let (lines, shutdown) = run(
         &server,
         "FROBNICATE\n\
@@ -111,7 +101,7 @@ fn per_connection_deadline_overrides_the_default() {
     // A zero default deadline trips every query...
     let opts = ServeOptions {
         query_deadline: Some(Duration::ZERO),
-        ..quiet_opts()
+        ..ServeOptions::quiet()
     };
     let server = server("session_deadline", &opts);
     let (lines, _) = run(
@@ -139,7 +129,7 @@ fn per_connection_deadline_overrides_the_default() {
 
 #[test]
 fn shutdown_drains_and_refuses_new_work() {
-    let server = server("session_shutdown", &quiet_opts());
+    let server = server("session_shutdown", &ServeOptions::quiet());
     let (lines, shutdown) = run(&server, "INSERT E('v3', 'v0')\nSHUTDOWN\n");
     assert_eq!(lines, vec!["OK epoch=1 changed=1", "OK draining"]);
     assert!(shutdown, "SHUTDOWN must propagate to the accept loop");
@@ -182,7 +172,7 @@ impl Write for CountingWriter {
 fn writes_of(name: &str, n: usize, script: &str) -> (Vec<usize>, Vec<String>) {
     let program = inflog_syntax::parse_program(TC).unwrap();
     let db = DiGraph::path(n).to_database("E");
-    let server = Server::create(&program, &db, &tmp_dir(name), &quiet_opts()).unwrap();
+    let server = Server::create(&program, &db, &tmp_dir(name), &ServeOptions::quiet()).unwrap();
     let mut out = CountingWriter::default();
     serve_session(&server, Cursor::new(script.to_string()), &mut out).unwrap();
     let text = String::from_utf8(out.bytes).unwrap();
@@ -225,7 +215,7 @@ fn engine_flagged_server_serves_three_valued_answers() {
     let db = DiGraph::cycle(2).to_database("Move");
     let opts = ServeOptions {
         engine: Engine::WellFounded,
-        ..quiet_opts()
+        ..ServeOptions::quiet()
     };
     let server = Server::create(&program, &db, &tmp_dir("session_wf"), &opts).unwrap();
     let (lines, _) = run(&server, "QUERY Win(x)\n");

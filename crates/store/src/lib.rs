@@ -13,9 +13,8 @@
 //! checksummed frames ([`frame`]), epoch-stamped snapshots committed by
 //! tmp-write + rename + directory fsync ([`snapshot`]), a log-first WAL
 //! ([`wal`]), directory-level recovery and compaction ([`store`]), an offline
-//! checker ([`fsck`]), and crash-injection sites ([`failpoints`]) that the
-//! test harness drives through the same `INFLOG_FAILPOINT` variable as the
-//! evaluation layer's failpoints.
+//! checker ([`fsck`]), and crash-injection points that fire the `store-*`
+//! sites of the shared registry in `inflog_core::failpoints`.
 //!
 //! The evaluation-facing wrapper that pairs a live `Materialized` handle with
 //! a [`Store`] lives in `inflog-eval` (`DurableMaterialized`), keeping this
@@ -24,7 +23,6 @@
 pub mod crc;
 pub mod encode;
 pub mod error;
-pub mod failpoints;
 pub mod frame;
 pub mod fsck;
 pub mod snapshot;
@@ -33,10 +31,6 @@ pub mod wal;
 
 pub use crc::crc32;
 pub use error::StoreError;
-pub use failpoints::{
-    Failpoints, SITE_COMPACT_TRUNCATE, SITE_SNAPSHOT_RENAME, SITE_WAL_APPEND_SYNC,
-    SITE_WAL_BIT_FLIP, SITE_WAL_TORN_WRITE, SITE_WAL_TRUNCATED_TAIL, STORE_FAILPOINT_SITES,
-};
 pub use fsck::{fsck, truncate_repair, FsckReport, TruncateOutcome};
 pub use snapshot::SnapshotState;
 pub use store::{Store, StoreOptions};

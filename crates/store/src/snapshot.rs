@@ -13,9 +13,9 @@
 //! the final name.
 
 use crate::encode::{Reader, Writer};
-use crate::failpoints::{Failpoints, SITE_SNAPSHOT_RENAME};
 use crate::frame::{frame_bytes, read_frame, FrameOutcome};
 use crate::StoreError;
+use inflog_core::failpoints::{Failpoints, SITE_SNAPSHOT_RENAME};
 use inflog_core::{Database, Relation};
 use std::fs;
 use std::io::Write as _;

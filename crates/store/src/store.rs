@@ -14,12 +14,12 @@
 //! would be silently skipped, so recovery refuses with
 //! [`StoreError::MissingEpochs`] instead of returning a wrong answer.
 
-use crate::failpoints::{Failpoints, SITE_COMPACT_TRUNCATE};
 use crate::snapshot::{
     clean_tmp_files, list_snapshots, load_snapshot, write_snapshot, SnapshotState,
 };
 use crate::wal::{Durability, Wal, WalRecord, WAL_FILE};
 use crate::StoreError;
+use inflog_core::failpoints::{Failpoints, SITE_COMPACT_TRUNCATE};
 use std::fs;
 use std::path::{Path, PathBuf};
 
@@ -27,18 +27,8 @@ use std::path::{Path, PathBuf};
 #[derive(Debug, Clone, Default)]
 pub struct StoreOptions {
     pub durability: Durability,
+    /// Crash injection at the `store-*` sites; other sites are ignored.
     pub failpoints: Failpoints,
-}
-
-impl StoreOptions {
-    /// Default durability with failpoints armed from `INFLOG_FAILPOINT`
-    /// (non-store sites are ignored).
-    pub fn from_env() -> Self {
-        StoreOptions {
-            durability: Durability::Sync,
-            failpoints: Failpoints::from_env(),
-        }
-    }
 }
 
 /// A store directory with an open WAL.
@@ -182,7 +172,7 @@ impl Store {
     /// behind the atomic-rename protocol; prunes all but the two newest
     /// snapshots.
     ///
-    /// Crash windows: [`SITE_SNAPSHOT_RENAME`](crate::SITE_SNAPSHOT_RENAME)
+    /// Crash windows: [`SITE_SNAPSHOT_RENAME`](inflog_core::failpoints::SITE_SNAPSHOT_RENAME)
     /// dies before the snapshot rename (old world intact);
     /// [`SITE_COMPACT_TRUNCATE`] dies after the snapshot is in place but
     /// before the WAL reset — recovery then skips the WAL records the new

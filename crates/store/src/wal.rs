@@ -19,12 +19,12 @@
 //! truncates a torn tail and replays the survivors.
 
 use crate::encode::{Reader, Writer};
-use crate::failpoints::{
+use crate::frame::{frame_bytes, read_frame, FrameOutcome, FRAME_HEADER};
+use crate::StoreError;
+use inflog_core::failpoints::{
     Failpoints, SITE_WAL_APPEND_SYNC, SITE_WAL_BIT_FLIP, SITE_WAL_TORN_WRITE,
     SITE_WAL_TRUNCATED_TAIL,
 };
-use crate::frame::{frame_bytes, read_frame, FrameOutcome, FRAME_HEADER};
-use crate::StoreError;
 use inflog_core::Tuple;
 use std::fs::{self, File, OpenOptions};
 use std::io::{Seek, SeekFrom, Write as _};
@@ -293,7 +293,7 @@ impl Wal {
     ///
     /// Crash injection: the four WAL failpoint sites each leave the exact
     /// disk state of a process dying at that instant (see the site docs in
-    /// [`crate::failpoints`]); all but the bit-flip poison the handle and
+    /// [`inflog_core::failpoints`]); all but the bit-flip poison the handle and
     /// return [`StoreError::FaultInjected`]. The bit-flip site returns `Ok`
     /// with a silently corrupted frame, modelling bad media.
     pub fn append(&mut self, rec: &WalRecord) -> Result<u64, StoreError> {

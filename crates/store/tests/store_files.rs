@@ -1,13 +1,13 @@
 //! File-level tests for the store: atomic snapshot commit, WAL scan/truncate
 //! policies, compaction crash windows, and fsck classification.
 
+use inflog_core::failpoints::{
+    Failpoints, SITE_COMPACT_TRUNCATE, SITE_SNAPSHOT_RENAME, SITE_WAL_BIT_FLIP,
+    SITE_WAL_TORN_WRITE, SITE_WAL_TRUNCATED_TAIL,
+};
 use inflog_core::{Database, Relation, Tuple};
 use inflog_store::snapshot::{list_snapshots, load_snapshot, write_snapshot};
-use inflog_store::{
-    fsck, Failpoints, SnapshotState, Store, StoreError, StoreOptions, WalOp, WalRecord,
-    SITE_COMPACT_TRUNCATE, SITE_SNAPSHOT_RENAME, SITE_WAL_BIT_FLIP, SITE_WAL_TORN_WRITE,
-    SITE_WAL_TRUNCATED_TAIL,
-};
+use inflog_store::{fsck, SnapshotState, Store, StoreError, StoreOptions, WalOp, WalRecord};
 use std::fs;
 use std::path::PathBuf;
 
