@@ -23,7 +23,7 @@ use inflog_core::Database;
 use inflog_eval::materialize::Engine;
 use inflog_serve::{serve_session, ServeOptions, Server};
 use inflog_syntax::{parse_program, Program, Term};
-use std::io::{BufReader, Write};
+use std::io::Write;
 use std::net::TcpListener;
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -247,13 +247,13 @@ fn serve_tcp(server: &Arc<Server>, addr: &str) -> ExitCode {
                 let server = Arc::clone(server);
                 let stop = Arc::clone(&stop);
                 let handle = std::thread::spawn(move || {
-                    let reader = match stream.try_clone() {
-                        Ok(s) => BufReader::new(s),
-                        Err(_) => return,
+                    let Ok(reader) = stream.try_clone() else {
+                        return;
                     };
-                    // Unbuffered: the session buffers each reply itself.
-                    // A dropped connection mid-reply is an io::Error here;
-                    // the thread ends and the server keeps serving.
+                    // Unbuffered both ways: the session buffers its input
+                    // and its replies itself. A dropped connection
+                    // mid-reply is an io::Error here; the thread ends and
+                    // the server keeps serving.
                     if let Ok(outcome) = serve_session(&server, reader, stream) {
                         if outcome.shutdown {
                             stop.store(true, Ordering::SeqCst);

@@ -1,17 +1,25 @@
-//! One client session over any line-oriented transport (TCP socket,
-//! stdin/stdout REPL, or an in-memory pipe in tests).
+//! One client session over any byte transport (TCP socket, stdin/stdout
+//! REPL, or an in-memory pipe in tests).
+//!
+//! The session reads request lines through its own input buffer into one
+//! reused byte buffer, capped at [`MAX_REQUEST_LINE`] bytes. Replies are
+//! rendered straight into one reply buffer — answer rows borrow each
+//! constant's name from the universe, so a row allocates nothing — and the
+//! buffer goes to the transport only when no complete request line is
+//! waiting in the input. A closed-loop client gets one `write` per reply;
+//! a client with N requests in flight gets their N replies in one.
 //!
 //! Each request is handled under its own `catch_unwind`, so a panic in the
 //! protocol layer closes *this* connection with a final `ERR panic` line
 //! and leaves the server — and every other connection — serving.
 
 use crate::error::ServeError;
-use crate::proto::{parse_request, render_error, render_tuple, Request};
+use crate::proto::{parse_request, render_error, write_tuple, Request};
 use crate::server::{QueryReply, Server};
 use inflog_core::failpoints::SITE_REPLY_DROP;
 use inflog_core::Tuple;
 use inflog_syntax::{Atom, Term};
-use std::io::{self, BufRead, BufWriter, Write};
+use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Duration;
 
@@ -31,34 +39,72 @@ enum Flow {
     Shutdown,
 }
 
-/// The session's reply buffer, flushed once per request: a reply up to
-/// this size — a few thousand answer rows — reaches the transport in one
-/// `write`. A longer one goes out in writes of this size, so a session
-/// never holds a second, rendered copy of a large answer.
+/// The session's reply buffer: replies accumulate here until no complete
+/// request is waiting, so a reply up to this size — a few thousand answer
+/// rows — reaches the transport in one `write`. A longer one goes out in
+/// writes of this size, so a session never holds a second, rendered copy
+/// of a large answer.
 const REPLY_BUFFER: usize = 128 << 10;
 
+/// The longest request line a session accepts, newline excluded. A longer
+/// one gets `ERR protocol` and closes the connection; the session never
+/// buffers more than this of one line.
+pub const MAX_REQUEST_LINE: usize = 64 << 10;
+
 /// Runs one session: reads request lines from `input`, writes reply lines
-/// to `out`, until EOF, a dropped connection, or `SHUTDOWN`. Blank lines
-/// and `#` comments are ignored (so scripted sessions can be commented).
+/// to `out`, until EOF, a dropped connection, `SHUTDOWN`, or a request
+/// line longer than [`MAX_REQUEST_LINE`]. Blank lines and `#` comments are
+/// ignored (so scripted sessions can be commented); a line that is not
+/// UTF-8 gets `ERR protocol` and the session continues.
 ///
-/// Replies are rendered into one buffer the session reuses and flushed
-/// once per request, so an unbuffered socket gets one `write` per reply
-/// of up to 128 KiB.
+/// The session buffers `input` itself and renders replies into one
+/// 128 KiB buffer it reuses. The buffer is flushed only when no complete
+/// request line is already buffered, so an unbuffered socket gets one
+/// `write` per reply from a closed-loop client and one per batch of
+/// replies from a pipelining one.
 ///
 /// # Errors
 /// Only transport-level `io::Error`s; every protocol- and serving-layer
 /// failure is rendered into the reply stream instead.
-pub fn serve_session<R: BufRead, W: Write>(
+pub fn serve_session<R: Read, W: Write>(
     server: &Server,
     input: R,
     out: W,
 ) -> io::Result<SessionOutcome> {
+    let mut input = BufReader::new(input);
     let mut out = BufWriter::with_capacity(REPLY_BUFFER, out);
     // Per-connection deadline override, seeded from the server default.
     let mut deadline = server.query_deadline();
-    for line in input.lines() {
-        let line = line?;
-        let trimmed = line.trim();
+    let mut line = Vec::new();
+    let mut shutdown = false;
+    loop {
+        // Hold finished replies only while the next request is already
+        // here: a read that may block must not keep them from the client.
+        if !input.buffer().contains(&b'\n') {
+            out.flush()?;
+        }
+        line.clear();
+        let cap = MAX_REQUEST_LINE as u64 + 1;
+        if input.by_ref().take(cap).read_until(b'\n', &mut line)? == 0 {
+            break;
+        }
+        if line.len() > MAX_REQUEST_LINE && line.last() != Some(&b'\n') {
+            let e = ServeError::Protocol {
+                detail: format!(
+                    "request line longer than {MAX_REQUEST_LINE} bytes; closing connection"
+                ),
+            };
+            writeln!(out, "{}", render_error(&e))?;
+            break;
+        }
+        let Ok(text) = std::str::from_utf8(&line) else {
+            let e = ServeError::Protocol {
+                detail: "request line is not UTF-8".to_string(),
+            };
+            writeln!(out, "{}", render_error(&e))?;
+            continue;
+        };
+        let trimmed = text.trim();
         if trimmed.is_empty() || trimmed.starts_with('#') {
             continue;
         }
@@ -71,18 +117,20 @@ pub fn serve_session<R: BufRead, W: Write>(
                     out,
                     "ERR panic: request handler panicked; closing connection"
                 )?;
-                out.flush()?;
-                return Ok(SessionOutcome { shutdown: false });
+                break;
             }
         };
-        out.flush()?;
         match flow {
             Flow::Continue => {}
-            Flow::CloseConn => return Ok(SessionOutcome { shutdown: false }),
-            Flow::Shutdown => return Ok(SessionOutcome { shutdown: true }),
+            Flow::CloseConn => break,
+            Flow::Shutdown => {
+                shutdown = true;
+                break;
+            }
         }
     }
-    Ok(SessionOutcome { shutdown: false })
+    out.flush()?;
+    Ok(SessionOutcome { shutdown })
 }
 
 fn handle_line<W: Write>(
@@ -147,11 +195,15 @@ fn query<W: Write>(
         return Ok(Flow::CloseConn);
     }
     let universe = server.universe();
-    for t in &answer.tuples {
-        writeln!(out, "TRUE {}", render_tuple(universe, &goal.predicate, t))?;
-    }
-    for t in &answer.undefined {
-        writeln!(out, "UNDEF {}", render_tuple(universe, &goal.predicate, t))?;
+    for (tag, rows) in [
+        (&b"TRUE "[..], &answer.tuples),
+        (b"UNDEF ", &answer.undefined),
+    ] {
+        for t in rows {
+            out.write_all(tag)?;
+            write_tuple(out, universe, &goal.predicate, t)?;
+            out.write_all(b"\n")?;
+        }
     }
     writeln!(
         out,

@@ -44,7 +44,7 @@
 //! ## Protocol
 //!
 //! [`proto`] documents the line protocol; [`conn::serve_session`] runs it
-//! over any `BufRead`/`Write` pair; the `serve` binary wires it to stdin
+//! over any `Read`/`Write` pair; the `serve` binary wires it to stdin
 //! (REPL) or a TCP listener.
 
 pub mod conn;

@@ -20,11 +20,14 @@
 //!
 //! Failures: `ERR <code>: <detail>` (see [`ServeError::code`]); admission
 //! sheds use the distinguished `OVERLOADED <readers|writer>` line so
-//! clients can retry without parsing the error detail.
+//! clients can retry without parsing the error detail. A request line
+//! longer than [`MAX_REQUEST_LINE`](crate::conn::MAX_REQUEST_LINE) gets
+//! `ERR protocol` and ends the connection.
 
 use crate::error::ServeError;
 use inflog_core::{Tuple, Universe};
 use inflog_syntax::{parse_atom, Atom};
+use std::io::{self, Write};
 
 /// A parsed protocol request.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -104,18 +107,35 @@ fn parse_goal(keyword: &str, rest: &str) -> Result<Atom, ServeError> {
     })
 }
 
+/// Writes a tuple as `pred(a, b)` using the universe's constant names
+/// (`?<id>` for a constant outside it, as [`Universe::display`] does).
+/// Names are borrowed from the universe, so a tuple costs a few copies
+/// into `out` and no allocation.
+pub(crate) fn write_tuple<W: Write>(
+    out: &mut W,
+    universe: &Universe,
+    pred: &str,
+    t: &Tuple,
+) -> io::Result<()> {
+    out.write_all(pred.as_bytes())?;
+    out.write_all(b"(")?;
+    for (i, &c) in t.items().iter().enumerate() {
+        if i > 0 {
+            out.write_all(b", ")?;
+        }
+        match universe.name(c) {
+            Some(name) => out.write_all(name.as_bytes())?,
+            None => write!(out, "?{}", c.id())?,
+        }
+    }
+    out.write_all(b")")
+}
+
 /// Renders a tuple as `pred(a, b)` using the universe's constant names.
 pub fn render_tuple(universe: &Universe, pred: &str, t: &Tuple) -> String {
-    let mut out = String::from(pred);
-    out.push('(');
-    for (i, c) in t.items().iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        out.push_str(&universe.display(*c));
-    }
-    out.push(')');
-    out
+    let mut out = Vec::new();
+    write_tuple(&mut out, universe, pred, t).expect("writing into a Vec cannot fail");
+    String::from_utf8(out).expect("predicate and constant names are UTF-8")
 }
 
 /// Renders the final reply line for a failed request.
@@ -179,6 +199,19 @@ mod tests {
             let e = parse_request(bad).unwrap_err();
             assert_eq!(e.code(), "protocol", "line {bad:?} gave {e}");
         }
+    }
+
+    #[test]
+    fn tuples_render_with_names_and_foreign_ids() {
+        let mut universe = Universe::new();
+        let a = universe.intern("a");
+        let b = universe.intern("b");
+        let t = Tuple::from_slice(&[a, b, a]);
+        assert_eq!(render_tuple(&universe, "P", &t), "P(a, b, a)");
+        // A constant outside the universe prints as `display` does.
+        let foreign = Tuple::from_ids(&[a.id(), 42]);
+        assert_eq!(render_tuple(&universe, "E", &foreign), "E(a, ?42)");
+        assert_eq!(render_tuple(&universe, "Z", &Tuple::from_ids(&[])), "Z()");
     }
 
     #[test]
