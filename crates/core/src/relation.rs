@@ -220,36 +220,6 @@ impl Relation {
         self.truncate(0);
     }
 
-    /// Like [`truncate`](Self::truncate), but returns the removed suffix (in
-    /// insertion order) instead of dropping it. Same epoch/index semantics.
-    pub fn split_off(&mut self, len: usize) -> Vec<Tuple> {
-        if len >= self.tuples.len() {
-            return Vec::new();
-        }
-        self.shrink_epoch += 1;
-        self.last_truncate_len = len;
-        self.clear_sorted_cache();
-        let suffix = self.tuples.split_off(len);
-        if len == 0 {
-            self.slots.fill(EMPTY);
-            self.used = 0;
-        } else if suffix.len() * 4 >= len {
-            self.rebuild_slots(self.tuples.len());
-        } else {
-            let mask = self.slots.len() as u64 - 1;
-            for (off, t) in suffix.iter().enumerate() {
-                let dense_idx = (len + off) as u32;
-                let mut slot = (hash_tuple(t) & mask) as usize;
-                while self.slots[slot] != dense_idx {
-                    debug_assert!(self.slots[slot] != EMPTY, "split tuple must be indexed");
-                    slot = (slot + 1) & mask as usize;
-                }
-                self.slots[slot] = TOMBSTONE;
-            }
-        }
-        suffix
-    }
-
     /// Pre-reserves capacity for `extra` additional tuples.
     pub fn reserve(&mut self, extra: usize) {
         self.tuples.reserve(extra);
@@ -1012,21 +982,6 @@ mod tests {
         assert_eq!(r.sorted(), vec![t(&[0]), t(&[1]), t(&[2])]);
         assert!(!r.sorted_cache.is_poisoned(), "poison cleared on recovery");
         assert_eq!(r.sorted(), vec![t(&[0]), t(&[1]), t(&[2])]);
-    }
-
-    #[test]
-    fn split_off_returns_suffix_in_insertion_order() {
-        let mut r = rel(1, &[&[5], &[3], &[8], &[1]]);
-        let id0 = r.id();
-        let suffix = r.split_off(2);
-        assert_eq!(suffix, vec![t(&[8]), t(&[1])]);
-        assert_eq!(r.len(), 2);
-        assert!(r.contains(&t(&[5])) && r.contains(&t(&[3])));
-        assert!(!r.contains(&t(&[8])) && !r.contains(&t(&[1])));
-        assert_eq!(r.id(), id0);
-        assert_eq!(r.shrink_epoch(), 1);
-        assert_eq!(r.last_truncate_len(), 2);
-        assert!(r.split_off(2).is_empty());
     }
 
     #[test]

@@ -16,9 +16,9 @@
 //!   append-only growth and refreshed by clones and removals — a stale id
 //!   simply misses and the index is rebuilt, never served incorrectly;
 //! * relations that *shrink* stay indexed through two paths: a rollback to
-//!   a watermark ([`Relation::truncate`] / `split_off`) keeps the id and
-//!   the dense prefix, so the index detects it via
-//!   [`Relation::shrink_epoch`] and drops only the postings past the cut;
+//!   a watermark ([`Relation::truncate`]) keeps the id and the dense
+//!   prefix, so the index detects it via [`Relation::shrink_epoch`] and
+//!   drops only the postings past the cut;
 //!   and a tracked single-tuple removal ([`Relation::remove_tracked`] — how
 //!   the incremental well-founded engine deletes the few tuples that leave
 //!   its decreasing side each alternation) has its two affected postings

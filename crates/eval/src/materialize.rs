@@ -64,20 +64,25 @@
 //! therefore closes the cone of stratum k only while it holds **at most
 //! half of the live tuples of strata ≥ k** — half of what re-evaluating
 //! from k would rebuild. The frontier that would cross that line is not
-//! removed: the relations of strata ≥ k are emptied in place (same relation
-//! ids, probe tables and indexes; the old tuples go to the undo log) and
-//! the per-stratum driver loop of [`Materialized::new`] runs from k. A
-//! repair thus costs at most the overdeletion done so far — under half a
-//! re-evaluation's worth of tuples — plus one re-evaluation of the strata
-//! it condemned; work stays proportional to the change exactly when the
-//! change's cone is small. [`Materialized::last_repair`] reports which way
-//! an update went.
+//! removed: the per-stratum driver loop of [`Materialized::new`] runs from
+//! k into fresh relations, and each live relation of strata ≥ k is then
+//! patched to its fresh counterpart — swap-removed with its indexes
+//! patched where the fresh one lacks a tuple, appended to where it has a
+//! new one. A relation thus keeps its id, the dense order of what stayed
+//! and its warm indexes: the update after a re-evaluation catches the
+//! indexes up by what changed instead of rebuilding them. A repair costs
+//! at most the overdeletion done so far — under half a re-evaluation's
+//! worth of tuples — plus one re-evaluation of the strata it condemned and
+//! one probe per tuple to patch them; work stays proportional to the
+//! change exactly when the change's cone is small.
+//! [`Materialized::last_repair`] reports which way an update went.
 //!
 //! The case the bound exists for is a retracted edge of a strongly
 //! connected graph under transitive closure, which condemns the whole
 //! closure: closing that cone and rederiving it cost ≈ 3× a re-evaluation,
 //! the bounded repair costs ≈ 1.5× (phase table in the README's
-//! "Incremental updates").
+//! "Incremental updates"). The closure comes out as it was, so the patch
+//! only puts back the overdeleted tuples.
 //!
 //! In debug builds every update re-evaluates from scratch and asserts the
 //! repaired state — true facts and undefined sets — is identical, and
@@ -95,14 +100,15 @@
 //! [`CancelToken`](crate::govern::CancelToken) trip, an armed failpoint) or
 //! through a contained panic; every mutation a repair makes is therefore
 //! recorded in an undo log — swap-remove positions for deletions, the
-//! former content of relations emptied for re-evaluation, dense watermarks
-//! for appended suffixes — and on failure the log is replayed in reverse:
-//! appended suffixes are truncated away, emptied relations refilled in
-//! order, and swap-removed tuples re-inserted at their exact former dense
-//! positions. Relations touched by the rollback get a fresh relation id and
-//! the indexes over the retired one are dropped, so the persistent
+//! relations swapped out for re-evaluation, dense watermarks for appended
+//! suffixes — and on failure the log is replayed in reverse: appended
+//! suffixes are truncated away, swapped-out relations put back, and
+//! swap-removed tuples re-inserted at their exact former dense positions.
+//! Relations touched by the rollback get a fresh relation id and the
+//! indexes over the retired one are dropped, so the persistent
 //! [`IndexSet`](crate::IndexSet) never serves postings patched during the
-//! aborted repair. The
+//! aborted repair. A relation swapped out and put back was not touched: it
+//! keeps its id and indexes. The
 //! [`RepairStrategy::Restart`] engines get the same guarantee cheaply:
 //! their re-evaluation builds the new model in fresh interpretations and
 //! the handle's state is assigned only after it fully succeeds, so only the
@@ -126,7 +132,7 @@ use crate::stratified::{stratify, Stratification};
 use crate::wellfounded::well_founded_compiled_with;
 use crate::Result;
 use inflog_core::failpoints::{SITE_OVERDELETE_CLOSE, SITE_REDERIVE_SWEEP};
-use inflog_core::{Const, Database, Tuple};
+use inflog_core::{Const, Database, Relation, Tuple};
 use inflog_syntax::{Atom, Program};
 use std::sync::Arc;
 
@@ -174,7 +180,7 @@ pub struct MaterializeOpts {
 pub struct RepairStats {
     /// Tuples overdeleted: the damage cones of all strata, as far as they
     /// were closed (a stratum that gave up contributes what it had removed
-    /// by then).
+    /// by then; the re-evaluation's patch puts back what survives).
     pub cone: usize,
     /// Overdeleted tuples that came back, confirmed by the one-step
     /// derivability check or by a later round.
@@ -182,7 +188,8 @@ pub struct RepairStats {
     /// Tuples the top-up added that the model did not hold before.
     pub added: usize,
     /// The stratum whose cone outgrew the bound, if any: strata from this
-    /// one up were emptied and re-evaluated instead of repaired.
+    /// one up were re-evaluated and patched to the result instead of
+    /// repaired.
     pub recomputed_from: Option<usize>,
 }
 
@@ -191,10 +198,11 @@ pub struct RepairStats {
 /// [`Materialized::publish_over`] brings a retired epoch forward with it
 /// instead of deep-copying the whole state.
 ///
-/// Known for no-op batches and for [`RepairStrategy::DeleteRederive`]
-/// updates repaired in place: an update that re-evaluated —
-/// [`RepairStats::recomputed_from`] or [`RepairStrategy::Restart`] — does
-/// not track what changed.
+/// Known for no-op batches and for every [`RepairStrategy::DeleteRederive`]
+/// update — one that re-evaluated from a stratum
+/// ([`RepairStats::recomputed_from`]) too, from the patch that brought its
+/// relations to the result. A [`RepairStrategy::Restart`] update does not
+/// track what changed.
 #[derive(Debug)]
 pub struct Change {
     /// [`Materialized::epoch`] right after the update: the change leads from
@@ -216,10 +224,12 @@ pub struct Change {
 /// reverse-order replay guarantees.
 #[derive(Debug)]
 enum UndoOp {
-    /// IDB `idb` was emptied in place for a from-scratch re-evaluation of
-    /// its stratum; `tuples` is its former dense content, in order. The
-    /// relation is empty again at undo time.
-    IdbClear { idb: usize, tuples: Vec<Tuple> },
+    /// IDB `idb` was swapped out for a fresh relation to re-evaluate its
+    /// stratum; `old` is the relation itself, untouched since — same id,
+    /// dense order and indexes. The fresh relation is empty again at undo
+    /// time. Boxed: a removal is logged per overdeleted tuple, and every op
+    /// is as large as the largest.
+    IdbSwap { idb: usize, old: Box<Relation> },
     /// `t` was swap-removed from IDB `idb` at dense position `pos`
     /// (overdeletion).
     IdbRemove { idb: usize, pos: usize, t: Tuple },
@@ -284,8 +294,8 @@ pub struct Materialized {
     /// [`RepairStrategy::Restart`] update or a no-op batch).
     last_repair: RepairStats,
     /// Net change of the last committed update, until
-    /// [`Materialized::take_change`] moves it out; `None` when that update
-    /// re-evaluated or the last update failed.
+    /// [`Materialized::take_change`] moves it out; `None` after a
+    /// [`RepairStrategy::Restart`] update or a failed one.
     change: Option<Change>,
 }
 
@@ -303,7 +313,8 @@ impl Materialized {
         match m.strategy {
             RepairStrategy::DeleteRederive => {
                 let governor = Governor::new(&m.opts);
-                m.evaluate_from(0, &governor, &mut Vec::new())?;
+                let none = m.cp.empty_interp();
+                m.evaluate_from(0, &governor, &mut Vec::new(), &none, &mut none.clone())?;
             }
             RepairStrategy::Restart => m.reevaluate()?,
         }
@@ -634,8 +645,9 @@ impl Materialized {
 
     /// Moves out the net change of the last committed update — the `gap` a
     /// later [`Materialized::publish_over`] needs to bring forward the
-    /// epoch this update's publish superseded. `None` when that update
-    /// re-evaluated or failed, or the change was already taken.
+    /// epoch this update's publish superseded. `None` when that update was a
+    /// [`RepairStrategy::Restart`] one or failed, or the change was already
+    /// taken.
     pub fn take_change(&mut self) -> Option<Change> {
         self.change.take()
     }
@@ -728,7 +740,10 @@ impl Materialized {
             std::panic::catch_unwind(std::panic::AssertUnwindSafe(
                 move || -> Result<(RepairStats, Option<NetChange>)> {
                     match this.strategy {
-                        RepairStrategy::DeleteRederive => this.repair(staged, inserting, log),
+                        RepairStrategy::DeleteRederive => {
+                            let (stats, net) = this.repair(staged, inserting, log)?;
+                            Ok((stats, Some(net)))
+                        }
                         RepairStrategy::Restart => {
                             this.mutate_edb(staged, inserting, log);
                             this.reevaluate()?;
@@ -779,13 +794,14 @@ impl Materialized {
         let mut touched_edb = vec![false; self.ctx.edb.len()];
         for op in log.into_iter().rev() {
             match op {
-                UndoOp::IdbClear { idb, tuples } => {
-                    let rel = self.s.get_mut(idb);
-                    debug_assert!(rel.is_empty(), "appends are undone before the clear");
-                    for t in tuples {
-                        rel.insert(t);
-                    }
-                    touched_idb[idb] = true;
+                UndoOp::IdbSwap { idb, old } => {
+                    let fresh = std::mem::replace(self.s.get_mut(idb), *old);
+                    debug_assert!(fresh.is_empty(), "appends are undone before the swap");
+                    self.ctx.forget_indexes(fresh.id());
+                    // The appends just undone went to the fresh relation;
+                    // `old` sat in the log, so nothing patched its indexes.
+                    // Ops before the swap that touched it set this again.
+                    touched_idb[idb] = false;
                 }
                 UndoOp::IdbRemove { idb, pos, t } => {
                     self.s.get_mut(idb).restore_swap_removed(pos, t);
@@ -945,20 +961,36 @@ impl Materialized {
     }
 
     /// Evaluates strata `from..` from scratch over the (current) strata
-    /// below them: empties their relations in place — same relation ids,
-    /// probe tables and persistent indexes; the old tuples go to the undo
-    /// log — and runs the driver once per stratum. `from == 0` over an
-    /// empty model is the initial evaluation.
+    /// below them, leaving alone what comes out the same. Each non-empty
+    /// relation of those strata is swapped out for a fresh one — the undo
+    /// log holds the old one meanwhile — and the driver runs once per
+    /// stratum into the fresh relations. Then each old relation goes back,
+    /// patched to the fresh one's content: what is gone leaves through
+    /// [`EvalContext::remove_patched`] into `removed`, what is new is
+    /// appended. It keeps its id, the dense order of what stayed and its
+    /// warm indexes. An empty relation is filled in place. `from == 0` over
+    /// an empty model is the initial evaluation.
+    ///
+    /// `overdeleted` is what the update already removed from these
+    /// relations: a fresh relation has room for it too, so it starts at the
+    /// size the old one had before the update. Returns, per IDB, the dense
+    /// length past which every tuple is new.
     fn evaluate_from(
         &mut self,
         from: usize,
         governor: &Governor,
         log: &mut Vec<UndoOp>,
-    ) -> Result<()> {
+        overdeleted: &Interp,
+        removed: &mut Interp,
+    ) -> Result<Vec<usize>> {
+        let start = log.len();
         for (idb, &stratum) in self.strata_of_idb.iter().enumerate() {
-            if stratum >= from && !self.s.get(idb).is_empty() {
-                let tuples = self.s.get_mut(idb).split_off(0);
-                log.push(UndoOp::IdbClear { idb, tuples });
+            let rel = self.s.get_mut(idb);
+            if stratum >= from && !rel.is_empty() {
+                let room = rel.len() + overdeleted.get(idb).len();
+                let fresh = Relation::with_capacity(rel.arity(), room);
+                let old = Box::new(std::mem::replace(rel, fresh));
+                log.push(UndoOp::IdbSwap { idb, old });
             }
         }
         for rules in self.rules_by_stratum[from..]
@@ -976,7 +1008,69 @@ impl Materialized {
                 governor,
             )?;
         }
-        Ok(())
+        // Nothing below is governed or can fail. The watermarks just logged
+        // are of relations about to be dropped: the log goes back to where
+        // it stood, plus the ops that put the old relations back.
+        let mut old: Vec<Option<Box<Relation>>> = (0..self.cp.num_idb()).map(|_| None).collect();
+        for op in log.split_off(start) {
+            if let UndoOp::IdbSwap { idb, old: rel } = op {
+                old[idb] = Some(rel);
+            }
+        }
+        let mut marks: Vec<usize> = self.s.relations().iter().map(Relation::len).collect();
+        for (idb, mark) in marks.iter_mut().enumerate() {
+            if self.strata_of_idb[idb] < from {
+                continue;
+            }
+            match old[idb].take() {
+                None => {
+                    *mark = 0;
+                    log.push(UndoOp::IdbAppend { idb, before: 0 });
+                }
+                Some(rel) => {
+                    let fresh = std::mem::replace(self.s.get_mut(idb), *rel);
+                    *mark = self.patch_to(idb, &fresh, log, removed);
+                    self.ctx.forget_indexes(fresh.id());
+                }
+            }
+        }
+        Ok(marks)
+    }
+
+    /// Patches IDB `idb` in place to `target`'s content: swap-removes what
+    /// `target` lacks into `removed`, keeping the indexes patched, then
+    /// appends what it adds. Logged like a repair's own removals and
+    /// appends. Returns the dense length the appends start at.
+    fn patch_to(
+        &mut self,
+        idb: usize,
+        target: &Relation,
+        log: &mut Vec<UndoOp>,
+        removed: &mut Interp,
+    ) -> usize {
+        let rel = self.s.get_mut(idb);
+        let gone: Vec<Tuple> = rel
+            .dense()
+            .iter()
+            .filter(|t| !target.contains(t))
+            .cloned()
+            .collect();
+        for t in gone {
+            let (pos, _) = self
+                .ctx
+                .remove_patched(rel, &t)
+                .expect("the tuple was just read from the relation");
+            removed.insert(idb, t.clone());
+            log.push(UndoOp::IdbRemove { idb, pos, t });
+        }
+        let before = rel.len();
+        log.push(UndoOp::IdbAppend { idb, before });
+        for t in target.dense() {
+            if !rel.contains(t) {
+                rel.insert(t.clone());
+            }
+        }
+        before
     }
 
     /// One Θ application over the current model restricted to the rule
@@ -1011,13 +1105,13 @@ impl Materialized {
     /// stratum whose cone outgrows the module docs' cost bound. Every
     /// mutation is recorded in `log`; on `Err` the caller reverse-replays it
     /// (see the module docs' transactional invariant). Returns the phase
-    /// sizes and, unless it fell back, the net IDB change.
+    /// sizes and the net IDB change.
     fn repair(
         &mut self,
         staged: &Interp,
         inserting: bool,
         log: &mut Vec<UndoOp>,
-    ) -> Result<(RepairStats, Option<NetChange>)> {
+    ) -> Result<(RepairStats, NetChange)> {
         let governor = Governor::new(&self.opts);
         let gov = governor.as_active();
         let num_idb = self.cp.num_idb();
@@ -1115,8 +1209,26 @@ impl Materialized {
                 if 2 * condemned > live {
                     stats.cone += cone_len;
                     stats.recomputed_from = Some(k);
-                    self.evaluate_from(k, &governor, log)?;
-                    return Ok((stats, None));
+                    // The closing loop's scratch is dead: free it before the
+                    // fresh relations are allocated.
+                    drop((heads, frontier, pending, seed, scratch));
+                    let marks = self.evaluate_from(k, &governor, log, &cone, &mut removed_acc)?;
+                    // The patch ran against the overdeleted state: a cone
+                    // member it appended merely came back, and one it left
+                    // out is a removal it could not see.
+                    for (i, &mark) in marks.iter().enumerate() {
+                        for t in &self.s.get(i).dense()[mark..] {
+                            if !cone.contains(i, t) {
+                                added_acc.insert(i, t.clone());
+                            }
+                        }
+                        for t in cone.get(i).dense() {
+                            if !self.s.get(i).contains(t) {
+                                removed_acc.insert(i, t.clone());
+                            }
+                        }
+                    }
+                    return Ok((stats, (added_acc, removed_acc)));
                 }
                 self.apply_delta(
                     None,
@@ -1247,7 +1359,7 @@ impl Materialized {
                 }
             }
         }
-        Ok((stats, Some((added_acc, removed_acc))))
+        Ok((stats, (added_acc, removed_acc)))
     }
 
     /// Debug invariant: the handle's state is identical to a from-scratch
@@ -1484,6 +1596,37 @@ mod tests {
             seen.iter().all(|&n| n == seen[0]),
             "index count drifted across rollbacks: {seen:?}"
         );
+    }
+
+    #[test]
+    fn a_recompute_keeps_the_id_and_indexes_of_each_relation() {
+        // A chord of a cycle: the closure is complete with or without it,
+        // yet its retract condemns past the bound and re-evaluates.
+        let src = format!("{TC} Cut(x, y) :- E(x, y), !S(y, x).");
+        let db = DiGraph::cycle(8).to_database("E");
+        let mut m = handle(&src, &db, Engine::Stratified);
+        let sid = m.compiled().idb_id("S").unwrap();
+        let state = |m: &Materialized| {
+            let s = m.interp().get(sid);
+            let epoch = (s.shrink_epoch(), s.last_truncate_len());
+            (s.id(), epoch, s.len(), m.ctx.num_indexes())
+        };
+        let chord = [("E", Tuple::from_ids(&[0, 4]))];
+        // One pair first, so that every index either update builds exists.
+        m.insert(&chord).unwrap();
+        m.retract(&chord).unwrap();
+        m.insert(&chord).unwrap();
+        let before = state(&m);
+        m.retract(&chord).unwrap();
+        assert_eq!(m.last_repair().recomputed_from, Some(0));
+        // No truncation: an index synced before is caught up, not rebuilt.
+        assert_eq!(state(&m), before);
+        // A recompute that does change `S` patches it in place.
+        m.retract(&[("E", Tuple::from_ids(&[0, 1]))]).unwrap();
+        assert_eq!(m.last_repair().recomputed_from, Some(0));
+        let (id, epoch, len, _) = state(&m);
+        assert_eq!((id, epoch), (before.0, before.1));
+        assert!(len < before.2);
     }
 
     #[test]

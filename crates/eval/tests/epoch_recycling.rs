@@ -8,8 +8,9 @@
 //! way the server's writer does — keep the superseded epoch and the change
 //! that followed it, patch it at the next publish — and check exactly that,
 //! together with when the patch must give way to the copy: a pinned retired
-//! epoch, an update that re-evaluated, a Restart engine, a rolled-back
-//! update, an epoch from another handle.
+//! epoch, a Restart engine, a rolled-back update, an epoch from another
+//! handle. An update that re-evaluated from a stratum is patched like any
+//! other.
 //!
 //! An epoch's read indexes are patched with it, so every epoch is also read
 //! while it is current — every relation, in every goal shape — which builds
@@ -177,11 +178,12 @@ fn assert_same_state(got: &Epoch, want: &Epoch, ctx: &str) {
 }
 
 /// Flips random forward edges `u → v`, `u < v` (one in eight a deliberate
-/// no-op), and publishes after every update; returns (recycled, copied)
-/// publish counts.
-fn churn(src: &str, rel: &str, db: &Database, engine: Engine, seed: u64) -> (usize, usize) {
+/// no-op), and publishes after every update; returns the (recycled,
+/// copied) publish counts and how many updates re-evaluated from a stratum.
+fn churn(src: &str, rel: &str, db: &Database, engine: Engine, seed: u64) -> (usize, usize, usize) {
     let mut m = handle(src, db, engine);
     let mut publisher = Publisher::new(&m);
+    let mut recomputed = 0;
     let n = db.universe_size() as u32;
     let mut rng = StdRng::seed_from_u64(seed);
     for step in 0..40 {
@@ -194,9 +196,10 @@ fn churn(src: &str, rel: &str, db: &Database, engine: Engine, seed: u64) -> (usi
         } else {
             m.retract(&[(rel, t)]).unwrap();
         }
+        recomputed += usize::from(m.last_repair().recomputed_from.is_some());
         publisher.publish(&mut m, &format!("{engine:?} seed {seed} step {step}"));
     }
-    (publisher.recycled, publisher.copied)
+    (publisher.recycled, publisher.copied, recomputed)
 }
 
 #[test]
@@ -215,7 +218,7 @@ fn churn_publishes_recycled_epochs_equal_to_deep_copies_on_every_engine() {
     ] {
         let (mut recycled, mut copied) = (0, 0);
         for (g, graph) in graphs.iter().enumerate() {
-            let (r, c) = churn(TC, "E", &graph.to_database("E"), engine, 40 + g as u64);
+            let (r, c, _) = churn(TC, "E", &graph.to_database("E"), engine, 40 + g as u64);
             recycled += r;
             copied += c;
         }
@@ -224,15 +227,14 @@ fn churn_publishes_recycled_epochs_equal_to_deep_copies_on_every_engine() {
             // the odd publish straddling two of them may recycle.
             assert!(copied > 5 * recycled, "{engine:?}: {recycled} recycled");
         } else {
-            // In-place repairs: everything but each churn's first publish
-            // and the two next to a recompute.
-            assert!(recycled > 10 * copied, "{engine:?}: {copied} copied");
+            // Delete–rederive: everything but each churn's first publish.
+            assert_eq!(copied, graphs.len(), "{engine:?}: {recycled} recycled");
         }
     }
 }
 
 #[test]
-fn churn_across_strata_recycles_around_recomputes() {
+fn churn_across_strata_recycles_through_recomputes() {
     for engine in [Engine::Stratified, Engine::WellFounded] {
         let mut rng = StdRng::seed_from_u64(9);
         let db = loop {
@@ -241,10 +243,12 @@ fn churn_across_strata_recycles_around_recomputes() {
                 break g.to_database("E");
             }
         };
-        let (recycled, copied) = churn(TC_CUT_MUTUAL, "E", &db, engine, 77);
-        assert!(
-            recycled > 0 && copied > 1,
-            "{engine:?}: {recycled}/{copied}"
+        let (recycled, copied, recomputed) = churn(TC_CUT_MUTUAL, "E", &db, engine, 77);
+        assert!(recomputed > 0, "{engine:?}: no update re-evaluated");
+        assert_eq!(
+            (recycled, copied),
+            (39, 1),
+            "{engine:?}: only the first publish copies"
         );
     }
 }
@@ -271,7 +275,7 @@ fn non_stratifiable_well_founded_restarts_and_always_copies() {
 }
 
 #[test]
-fn a_retract_that_recomputes_falls_back_to_the_copy() {
+fn a_retract_that_recomputes_is_patched_like_any_other() {
     let src = format!("{TC} Cut(x, y) :- E(x, y), !S(y, x).");
     let db = DiGraph::cycle(8).to_database("E");
     let mut m = handle(&src, &db, Engine::Stratified);
@@ -280,12 +284,13 @@ fn a_retract_that_recomputes_falls_back_to_the_copy() {
     assert!(!publisher.publish(&mut m, "first publish has nothing retired"));
     m.retract_named("E", &["v0", "v1"]).unwrap();
     assert_eq!(m.last_repair().recomputed_from, Some(0));
-    assert!(!publisher.publish(&mut m, "recomputed retract"));
-    // The next publish needs the recompute's change as its gap: copy again.
+    assert!(publisher.publish(&mut m, "recomputed retract"));
     m.retract_named("E", &["v0", "v0"]).unwrap();
-    assert!(!publisher.publish(&mut m, "one past the recompute"));
-    m.insert_named("E", &["v0", "v0"]).unwrap();
-    assert!(publisher.publish(&mut m, "two past the recompute"));
+    assert!(publisher.publish(&mut m, "one past the recompute"));
+    // Closing the cycle again re-evaluates `Cut` above a repaired `S`.
+    m.insert_named("E", &["v0", "v1"]).unwrap();
+    assert_eq!(m.last_repair().recomputed_from, Some(1));
+    assert!(publisher.publish(&mut m, "recomputed insert"));
 }
 
 #[test]

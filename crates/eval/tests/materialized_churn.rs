@@ -657,9 +657,10 @@ fn failpoint_sweep_rolls_back_every_site_on_every_engine() {
 /// rolls back bit-identically — on an update repaired in place and on one
 /// that gives up overdeleting and re-evaluates. In the latter every `round`
 /// hit (and all but the first `index-extend` ones) falls inside the
-/// re-evaluation, after ten tuples were swap-removed and the rest cleared:
-/// the cleared tuples and each extension's watermarks must already be in
-/// the undo log, in that order, for the dense orders to come back.
+/// re-evaluation, after ten tuples were swap-removed and the relation
+/// swapped out for a fresh one: the old relation and each extension's
+/// watermarks must already be in the undo log, in that order, for the dense
+/// orders to come back.
 #[test]
 fn every_failpoint_hit_rolls_back_in_place_repairs_and_recomputes() {
     let program = parse_program(TC).unwrap();
@@ -707,6 +708,34 @@ fn every_failpoint_hit_rolls_back_in_place_repairs_and_recomputes() {
             }
         }
     }
+}
+
+/// A failure inside a re-evaluation puts back the relations it swapped out
+/// as they were. `Cut` sits above the condemned `S` and the overdeletion
+/// never touched it, so it comes back with its id — the key of its warm
+/// indexes — and keeps that id when the retry patches it.
+#[test]
+fn failpoint_in_a_recompute_puts_the_swapped_out_relation_back() {
+    let program = parse_program(&format!("{TC} Cut(x, y) :- E(x, y), !S(y, x).")).unwrap();
+    // An 8-cycle with a tail: `Cut(v7, v8)` is the one edge on no cycle.
+    let graph = DiGraph::from_edges(9, (0..8).map(|i| (i, (i + 1) % 8)).chain([(7, 8)]));
+    let mut m = handle(&program, &graph.to_database("E"), Engine::Stratified);
+    let cut = m.compiled().idb_id("Cut").unwrap();
+    let cut_id = m.interp().get(cut).id();
+    assert_eq!(m.interp().get(cut).len(), 1);
+    let batch = [("E", Tuple::from_ids(&[0, 1]))];
+    let pre = snapshot(&m);
+    m.set_eval_options(armed(SITE_ROUND));
+    let err = m.retract(&batch).unwrap_err();
+    assert!(matches!(err, EvalError::FaultInjected { .. }), "{err:?}");
+    assert_eq!(snapshot(&m), pre, "rollback not bit-identical");
+    assert_eq!(m.interp().get(cut).id(), cut_id, "rollback replaced Cut");
+    m.set_eval_options(EvalOptions::sequential());
+    assert_eq!(m.retract(&batch).unwrap(), 1);
+    assert_eq!(m.last_repair().recomputed_from, Some(0));
+    assert_eq!(m.interp().get(cut).len(), 8);
+    assert_eq!(m.interp().get(cut).id(), cut_id, "the retry replaced Cut");
+    assert_matches_recompute(&m, &program, "retried recompute");
 }
 
 /// A genuine panic inside a repair is contained: the update returns a typed
