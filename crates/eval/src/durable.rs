@@ -23,22 +23,28 @@
 //!
 //! # Recovery
 //!
-//! [`DurableMaterialized::open`] loads the newest valid snapshot, replays
-//! the WAL records past its epoch through the normal update path, and
-//! returns a warm handle. Because every maintained semantics is a
-//! deterministic function of the EDB (the paper's central observation), the
-//! recovered state must equal a from-scratch recompute over the recovered
-//! database — debug builds assert it on every step, and the crash tests
-//! assert it (down to dense tuple order) in release mode. Recovery either
-//! restores the last committed epoch exactly or fails with a typed
-//! [`StoreError`] naming the corrupt offset — never a wrong answer.
+//! A snapshot holds only the database and its epoch. Every maintained
+//! semantics is a deterministic function of the EDB (the paper's central
+//! observation), so the model is never stored: [`DurableMaterialized::open`]
+//! loads the newest valid snapshot, applies the WAL records past its epoch
+//! to that database in log order as set operations — each fact validated
+//! as [`Materialized::insert`] validates it — and evaluates once, exactly
+//! as [`Materialized::new`] does. Recovery costs one decode and one
+//! evaluation however many repairs the WAL encodes. The crash tests check
+//! the recovered EDB against an uncrashed copy down to dense tuple order,
+//! and the model against that copy as a set and against `new` over the
+//! recovered EDB down to dense order. Recovery either restores the last
+//! committed epoch exactly or fails with a typed error — a
+//! [`StoreError`](inflog_store::StoreError) naming the corrupt offset, or
+//! the validation error of a record that does not fit the program — never
+//! a wrong answer.
 
 use crate::epoch::Epoch;
 use crate::interp::Interp;
 use crate::materialize::{Change, Engine, MaterializeOpts, Materialized, RepairStrategy};
 use crate::options::EvalOptions;
 use crate::Result;
-use inflog_core::{Database, Relation, Tuple};
+use inflog_core::{Database, Tuple};
 use inflog_store::{SnapshotState, Store, StoreOptions, WalOp, WalRecord};
 use inflog_syntax::Program;
 use std::path::Path;
@@ -82,8 +88,9 @@ impl DurableOpts {
 pub struct DurableMaterialized {
     m: Materialized,
     store: Store,
-    /// Epoch of the snapshot the in-memory handle was built from; the
-    /// durable epoch is `base_epoch + m.epoch()`.
+    /// Durable epoch the in-memory handle was built at: the snapshot's
+    /// epoch plus the WAL records folded into it. The durable epoch is
+    /// `base_epoch + m.epoch()`.
     base_epoch: u64,
 }
 
@@ -104,8 +111,6 @@ impl DurableMaterialized {
         let state = SnapshotState {
             epoch: 0,
             db: m.database().clone(),
-            idb: m.interp().relations().to_vec(),
-            undefined: m.undefined().relations().to_vec(),
         };
         let store = Store::create(dir, &state, &opts.store())?;
         Ok(DurableMaterialized {
@@ -115,43 +120,25 @@ impl DurableMaterialized {
         })
     }
 
-    /// Recovers the handle from `dir`: newest valid snapshot, then WAL
-    /// replay through the normal update path.
+    /// Recovers the handle from `dir`: the newest valid snapshot's database
+    /// with the WAL records past it applied, evaluated once (see the module
+    /// docs).
     ///
     /// # Errors
     /// Typed [`StoreError`](inflog_store::StoreError)s (via
-    /// [`EvalError::Store`]) for corrupt frames (with the byte offset),
-    /// epoch gaps, or state that does not fit `program`; plus any
-    /// evaluation error a replayed record hits.
+    /// [`EvalError::Store`]) for corrupt frames (with the byte offset) or
+    /// epoch gaps; [`EvalError::UnknownRelation`],
+    /// [`EvalError::ArityMismatch`] or [`EvalError::UnknownConstant`] for a
+    /// record that does not fit `program`; plus the construction errors of
+    /// [`Materialized::new`]. The directory is not modified on a validation
+    /// error.
     pub fn open(program: &Program, dir: &Path, opts: &DurableOpts) -> Result<DurableMaterialized> {
         let (store, state, records) = Store::open(dir, &opts.store())?;
-        let base_epoch = state.epoch;
-        let SnapshotState {
-            db, idb, undefined, ..
-        } = state;
-        let mut m = Materialized::with_state(
-            program,
-            &db,
-            &opts.materialize(),
-            Interp::from_relations(idb),
-            Interp::from_relations(undefined),
-        )?;
-        for rec in &records {
-            let facts: Vec<(&str, Tuple)> = rec
-                .facts
-                .iter()
-                .map(|(name, t)| (name.as_str(), t.clone()))
-                .collect();
-            match rec.op {
-                WalOp::Insert => m.insert(&facts)?,
-                WalOp::Retract => m.retract(&facts)?,
-            };
-        }
-        debug_assert_eq!(m.epoch(), records.len() as u64);
+        let m = Materialized::recover(program, &state.db, &records, &opts.materialize())?;
         Ok(DurableMaterialized {
             m,
             store,
-            base_epoch,
+            base_epoch: state.epoch + records.len() as u64,
         })
     }
 
@@ -213,8 +200,6 @@ impl DurableMaterialized {
         let state = SnapshotState {
             epoch: self.epoch(),
             db: self.m.database().clone(),
-            idb: self.m.interp().relations().to_vec(),
-            undefined: self.m.undefined().relations().to_vec(),
         };
         self.store.compact(&state)?;
         Ok(())
@@ -308,25 +293,4 @@ impl DurableMaterialized {
     pub fn is_poisoned(&self) -> bool {
         self.store.is_poisoned()
     }
-}
-
-/// Bit-level comparison helper used by the crash tests: the dense tuple
-/// order of every IDB/undefined/database relation, not just set equality.
-pub fn dense_fingerprint(m: &Materialized) -> Vec<(String, Vec<Tuple>)> {
-    let mut out = Vec::new();
-    for (i, rel) in m.interp().relations().iter().enumerate() {
-        out.push((format!("idb:{i}"), rel.dense().to_vec()));
-    }
-    for (i, rel) in m.undefined().relations().iter().enumerate() {
-        out.push((format!("undef:{i}"), rel.dense().to_vec()));
-    }
-    for (name, rel) in m.database().iter() {
-        out.push((format!("edb:{name}"), rel.dense().to_vec()));
-    }
-    out
-}
-
-/// Convenience for tests: total tuples across a relation list.
-pub fn total_tuples(rels: &[Relation]) -> usize {
-    rels.iter().map(Relation::len).sum()
 }

@@ -40,9 +40,9 @@
 //!   fixpoints) instead of recomputing it;
 //! * [`durable`] — crash durability for a materialized handle: every
 //!   committed batch goes to an `inflog-store` write-ahead log before it is
-//!   acknowledged, snapshots compact the log, and recovery replays the WAL
-//!   into a warm handle that is bit-identical to a from-scratch recompute
-//!   (the determinism of the paper's semantics is the recovery oracle);
+//!   acknowledged, snapshots hold only the EDB, and recovery folds the WAL
+//!   into it and evaluates once (the model is a deterministic function of
+//!   the EDB — the paper's semantics are the recovery oracle);
 //! * [`epoch`] — immutable epoch snapshots of a materialized model and the
 //!   single-writer/many-reader [`EpochCell`] publication point that
 //!   `inflog-serve` builds on: readers pin the epoch they started on while

@@ -133,6 +133,7 @@ use crate::wellfounded::well_founded_compiled_with;
 use crate::Result;
 use inflog_core::failpoints::{SITE_OVERDELETE_CLOSE, SITE_REDERIVE_SWEEP};
 use inflog_core::{Const, Database, Relation, Tuple};
+use inflog_store::{WalOp, WalRecord};
 use inflog_syntax::{Atom, Program};
 use std::sync::Arc;
 
@@ -309,7 +310,36 @@ impl Materialized {
     /// [`EvalError::NotStratified`] for [`Engine::Stratified`] on
     /// non-stratifiable programs.
     pub fn new(program: &Program, db: &Database, opts: &MaterializeOpts) -> Result<Materialized> {
+        Self::recover(program, db, &[], opts)
+    }
+
+    /// Evaluates `program` over `db` with `records` applied to it first, in
+    /// log order: the recovery path of `DurableMaterialized`, and with no
+    /// records the whole of [`Materialized::new`].
+    ///
+    /// Each record is validated as [`Materialized::insert`] /
+    /// [`Materialized::retract`] validate a batch and applied to the EDB as
+    /// set operations; no repair runs, because the model is a function of
+    /// the EDB alone. The model is the one `new` builds over the folded
+    /// database, down to dense order: the compiled plans saw the unfolded
+    /// sizes, but every evaluation re-plans from the live ones.
+    ///
+    /// # Errors
+    /// The construction errors of [`Materialized::new`], and the validation
+    /// errors of [`Materialized::insert`] for a record that does not fit
+    /// the program.
+    pub(crate) fn recover(
+        program: &Program,
+        db: &Database,
+        records: &[WalRecord],
+        opts: &MaterializeOpts,
+    ) -> Result<Materialized> {
         let mut m = Self::build(program, db, opts)?;
+        for rec in records {
+            let inserting = rec.op == WalOp::Insert;
+            let staged = m.stage(&rec.facts, inserting)?;
+            m.mutate_edb(&staged, inserting, &mut Vec::new());
+        }
         match m.strategy {
             RepairStrategy::DeleteRederive => {
                 let governor = Governor::new(&m.opts);
@@ -323,69 +353,9 @@ impl Materialized {
         Ok(m)
     }
 
-    /// Rebuilds a warm handle around a previously committed model instead of
-    /// evaluating — the recovery path of `DurableMaterialized`.
-    ///
-    /// The caller asserts that `s`/`undefined` are exactly what the chosen
-    /// engine produces over `db`; debug builds re-verify that with a
-    /// from-scratch evaluation, and the crash-recovery tests assert it (down
-    /// to dense tuple order) in release mode. Installing the state directly
-    /// is sound because the handle's incremental machinery carries no
-    /// cross-update deltas: `DeltaDriver::extend` always opens with a full
-    /// application and sets its per-call delta marks itself, so a fresh
-    /// driver over an installed interpretation repairs exactly like the
-    /// original handle would have.
-    ///
-    /// # Errors
-    /// The same construction errors as [`Materialized::new`], plus a
-    /// [`StoreError::Mismatch`](inflog_store::StoreError::Mismatch)-carrying
-    /// [`EvalError::Store`] when the supplied state does not fit the
-    /// program's IDB shape.
-    pub fn with_state(
-        program: &Program,
-        db: &Database,
-        opts: &MaterializeOpts,
-        s: Interp,
-        undefined: Interp,
-    ) -> Result<Materialized> {
-        let mut m = Self::build(program, db, opts)?;
-        for (what, interp) in [("model", &s), ("undefined set", &undefined)] {
-            if interp.len() != m.cp.num_idb() {
-                return Err(EvalError::Store {
-                    source: inflog_store::StoreError::Mismatch {
-                        detail: format!(
-                            "recovered {what} has {} relations, program has {} IDB predicates",
-                            interp.len(),
-                            m.cp.num_idb()
-                        ),
-                    },
-                });
-            }
-            for (i, arity) in m.cp.idb_arities.iter().enumerate() {
-                if interp.get(i).arity() != *arity {
-                    return Err(EvalError::Store {
-                        source: inflog_store::StoreError::Mismatch {
-                            detail: format!(
-                                "recovered {what} relation {} ({}) has arity {}, expected {arity}",
-                                i,
-                                m.cp.idb_names[i],
-                                interp.get(i).arity()
-                            ),
-                        },
-                    });
-                }
-            }
-        }
-        m.s = s;
-        m.undefined = undefined;
-        #[cfg(debug_assertions)]
-        m.debug_check();
-        Ok(m)
-    }
-
-    /// Everything [`Materialized::new`] does except the initial evaluation:
-    /// compile, stratify, pick the repair strategy, build the warm context
-    /// and driver, leave the model empty.
+    /// The handle before its first evaluation: compile, stratify, pick the
+    /// repair strategy, build the warm context and driver, leave the model
+    /// empty.
     fn build(program: &Program, db: &Database, opts: &MaterializeOpts) -> Result<Materialized> {
         let cp = CompiledProgram::compile(program, db)?;
         let strat = match opts.engine {
@@ -870,17 +840,18 @@ impl Materialized {
     /// Validates a batch and reduces it to the facts that actually change
     /// the EDB (new facts for an insert, present facts for a retract),
     /// shaped as an EDB-indexed interpretation. Nothing mutates on error.
-    fn stage(&self, facts: &[(&str, Tuple)], inserting: bool) -> Result<Interp> {
+    fn stage<S: AsRef<str>>(&self, facts: &[(S, Tuple)], inserting: bool) -> Result<Interp> {
         let mut staged = Interp::empty(&self.cp.edb_arities);
         for (name, t) in facts {
+            let name = name.as_ref();
             let Some(id) = self.cp.edb_id(name) else {
                 return Err(EvalError::UnknownRelation {
-                    name: (*name).to_owned(),
+                    name: name.to_owned(),
                 });
             };
             if t.arity() != self.cp.edb_arities[id] {
                 return Err(EvalError::ArityMismatch {
-                    predicate: (*name).to_owned(),
+                    predicate: name.to_owned(),
                     expected: self.cp.edb_arities[id],
                     found: t.arity(),
                 });

@@ -14,7 +14,7 @@
 //!
 //! `--create` evaluates the program over the facts file (one ground atom
 //! per line, `#` comments) and initializes the store directory; without it
-//! the directory is recovered (newest snapshot + WAL replay). A
+//! the directory is recovered (newest snapshot + WAL, evaluated once). A
 //! crash-shaped failpoint armed through `INFLOG_FAILPOINT`
 //! (`serve-writer-crash`, `serve-epoch-publish`) aborts the whole process,
 //! because it models a process crash.

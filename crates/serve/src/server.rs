@@ -214,7 +214,7 @@ impl Server {
         Server::start(dm, opts)
     }
 
-    /// Recovers the store directory (newest snapshot + WAL replay) and
+    /// Recovers the store directory (newest snapshot + WAL, evaluated once) and
     /// starts serving at the recovered epoch.
     ///
     /// # Errors

@@ -70,8 +70,8 @@ fn main() -> ExitCode {
 
     for s in &report.snapshots {
         match &s.result {
-            Ok(tuples) => println!(
-                "snapshot {} (epoch {}): ok, {tuples} tuples",
+            Ok(facts) => println!(
+                "snapshot {} (epoch {}): ok, {facts} EDB facts",
                 s.path.display(),
                 s.name_epoch
             ),

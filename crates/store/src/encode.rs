@@ -156,6 +156,26 @@ impl<'a> Reader<'a> {
         ]))
     }
 
+    /// Reads a `u32` element count and refuses one the rest of the payload
+    /// cannot hold at `min_bytes` per element, so a corrupt count fails
+    /// here, before anything is reserved for it. The error names the
+    /// count's own offset.
+    pub fn take_count(&mut self, min_bytes: usize) -> Result<usize, StoreError> {
+        let at = self.offset();
+        let count = self.take_u32()? as usize;
+        if count > self.remaining() / min_bytes {
+            return Err(StoreError::CorruptFrame {
+                path: self.path.clone(),
+                offset: at,
+                detail: format!(
+                    "count {count} needs at least {min_bytes} bytes each, frame has {} left",
+                    self.remaining()
+                ),
+            });
+        }
+        Ok(count)
+    }
+
     pub fn take_str(&mut self) -> Result<String, StoreError> {
         let len = self.take_u32()? as usize;
         let bytes = self.take(len)?;
@@ -354,6 +374,22 @@ mod tests {
             r.take_relation(),
             Err(StoreError::CorruptFrame { .. })
         ));
+    }
+
+    #[test]
+    fn oversized_wal_fact_count_rejected_without_allocating() {
+        let mut w = Writer::new();
+        w.put_u64(1); // epoch
+        w.put_u8(1); // insert
+        w.put_u32(u32::MAX); // fact count, and no facts follow
+        let bytes = w.into_bytes();
+        let base = 100;
+        match crate::wal::WalRecord::decode(Reader::new(&bytes, base, "test")) {
+            // Refused at the count itself (after epoch and op), not at the
+            // first missing fact.
+            Err(StoreError::CorruptFrame { offset, .. }) => assert_eq!(offset, base + 9),
+            other => panic!("expected CorruptFrame, got {other:?}"),
+        }
     }
 
     #[test]

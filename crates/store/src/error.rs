@@ -29,8 +29,8 @@ pub enum StoreError {
         offset: u64,
         detail: String,
     },
-    /// WAL record epochs are not contiguous past the snapshot epoch: replay
-    /// would silently skip committed updates, so recovery refuses.
+    /// WAL record epochs are not contiguous past the snapshot epoch: folding
+    /// them in would silently skip committed updates, so recovery refuses.
     MissingEpochs {
         path: String,
         expected: u64,
@@ -38,9 +38,6 @@ pub enum StoreError {
     },
     /// The directory holds no loadable snapshot.
     NoSnapshot { dir: String },
-    /// Recovered state does not fit the program it is being restored under
-    /// (wrong relation count or arities).
-    Mismatch { detail: String },
     /// A previous append failed partway; the log handle refuses further
     /// writes until the directory is re-opened through recovery.
     Poisoned { path: String },
@@ -91,9 +88,6 @@ impl fmt::Display for StoreError {
             ),
             StoreError::NoSnapshot { dir } => {
                 write!(f, "no loadable snapshot in {dir}")
-            }
-            StoreError::Mismatch { detail } => {
-                write!(f, "recovered state does not match the program: {detail}")
             }
             StoreError::Poisoned { path } => write!(
                 f,

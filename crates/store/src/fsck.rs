@@ -19,7 +19,7 @@ use std::path::{Path, PathBuf};
 pub struct SnapshotCheck {
     pub path: PathBuf,
     pub name_epoch: u64,
-    /// `Ok(total tuple count)` or the load error.
+    /// `Ok(number of EDB facts)` or the load error.
     pub result: Result<usize, StoreError>,
 }
 
@@ -159,16 +159,9 @@ pub fn fsck(dir: &Path) -> Result<FsckReport, StoreError> {
     let mut newest_valid_epoch: Option<u64> = None;
     for (name_epoch, path) in snaps {
         let result = load_snapshot(&path).map(|state| {
-            let tuples: usize = state
-                .idb
-                .iter()
-                .chain(&state.undefined)
-                .map(|r| r.len())
-                .sum::<usize>()
-                + state.db.iter().map(|(_, r)| r.len()).sum::<usize>();
             debug_assert_eq!(state.epoch, name_epoch);
             newest_valid_epoch = Some(state.epoch);
-            tuples
+            state.db.total_tuples()
         });
         snapshots.push(SnapshotCheck {
             path,

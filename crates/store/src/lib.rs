@@ -3,10 +3,11 @@
 //! Every negation semantics this workspace evaluates (inflationary,
 //! semi-naive least fixpoint, stratified, well-founded) is a *deterministic
 //! function of the EDB* — the central observation of Kolaitis &
-//! Papadimitriou's paper. That determinism is an unusually strong recovery
-//! oracle: a handle rebuilt from a snapshot plus replayed WAL records must be
-//! **bit-identical** to recomputing from scratch over the recovered EDB, and
-//! the crash tests assert exactly that instead of trusting the format.
+//! Papadimitriou's paper. So the store keeps only the EDB: a snapshot is the
+//! database at an epoch, a WAL record is one insert or retract batch, and
+//! recovery folds the records into the snapshot's database and evaluates
+//! once. The crash tests check the recovered handle against a from-scratch
+//! evaluation and against an uncrashed copy instead of trusting the format.
 //!
 //! The crate is deliberately low-level and dependency-free (the vendored tree
 //! has no serde): a hand-rolled little-endian encoding ([`encode`]), CRC-32

@@ -16,23 +16,25 @@ use crate::encode::{Reader, Writer};
 use crate::frame::{frame_bytes, read_frame, FrameOutcome};
 use crate::StoreError;
 use inflog_core::failpoints::{Failpoints, SITE_SNAPSHOT_RENAME};
-use inflog_core::{Database, Relation};
+use inflog_core::Database;
 use std::fs;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
 pub const SNAPSHOT_MAGIC: &[u8; 8] = b"INFLOGSN";
-pub const FORMAT_VERSION: u32 = 1;
+pub const FORMAT_VERSION: u32 = 2;
 
-/// Everything needed to rebuild a warm `Materialized` handle: the EDB, the
-/// epoch it was committed at, and the engine's output (IDB relations plus, for
-/// the well-founded engine, the undefined stratum) in IDB index order.
+/// What a snapshot holds: the EDB and the epoch it was committed at.
+///
+/// Nothing derived is stored. Every semantics a `Materialized` handle
+/// maintains is a deterministic function of the EDB, so recovery folds the
+/// WAL records past `epoch` into `db` and evaluates once; a stored model
+/// would only be a second copy of that evaluation's result. Version 1
+/// snapshots also carried the model and are refused by [`load_snapshot`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct SnapshotState {
     pub epoch: u64,
     pub db: Database,
-    pub idb: Vec<Relation>,
-    pub undefined: Vec<Relation>,
 }
 
 impl SnapshotState {
@@ -40,37 +42,14 @@ impl SnapshotState {
         let mut w = Writer::new();
         w.put_u64(self.epoch);
         w.put_database(&self.db);
-        w.put_u32(self.idb.len() as u32);
-        for r in &self.idb {
-            w.put_relation(r);
-        }
-        w.put_u32(self.undefined.len() as u32);
-        for r in &self.undefined {
-            w.put_relation(r);
-        }
         w.into_bytes()
     }
 
     pub fn decode(mut r: Reader<'_>) -> Result<SnapshotState, StoreError> {
         let epoch = r.take_u64()?;
         let db = r.take_database()?;
-        let n = r.take_u32()? as usize;
-        let mut idb = Vec::with_capacity(n.min(1 << 16));
-        for _ in 0..n {
-            idb.push(r.take_relation()?);
-        }
-        let n = r.take_u32()? as usize;
-        let mut undefined = Vec::with_capacity(n.min(1 << 16));
-        for _ in 0..n {
-            undefined.push(r.take_relation()?);
-        }
         r.finish()?;
-        Ok(SnapshotState {
-            epoch,
-            db,
-            idb,
-            undefined,
-        })
+        Ok(SnapshotState { epoch, db })
     }
 }
 

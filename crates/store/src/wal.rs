@@ -16,7 +16,7 @@
 //! in-place repair, because repairing would destroy exactly the crash-shaped
 //! disk state that recovery (and the crash tests) must handle. The only way
 //! past a poisoned log is to re-open the directory through recovery, which
-//! truncates a torn tail and replays the survivors.
+//! truncates a torn tail and folds the surviving records into the EDB.
 
 use crate::encode::{Reader, Writer};
 use crate::frame::{frame_bytes, read_frame, FrameOutcome, FRAME_HEADER};
@@ -31,6 +31,8 @@ use std::io::{Seek, SeekFrom, Write as _};
 use std::path::{Path, PathBuf};
 
 pub const WAL_MAGIC: &[u8; 8] = b"INFLOGWL";
+/// The WAL's own format version, independent of the snapshot's.
+pub const WAL_VERSION: u32 = 1;
 pub const WAL_FILE: &str = "wal.bin";
 
 /// How hard an append must be on disk before it is acknowledged.
@@ -45,7 +47,7 @@ pub enum Durability {
     Buffered,
 }
 
-/// The operation a WAL record replays.
+/// The operation a WAL record applies to the EDB.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WalOp {
     Insert,
@@ -89,8 +91,9 @@ impl WalRecord {
                 })
             }
         };
-        let n = r.take_u32()? as usize;
-        let mut facts = Vec::with_capacity(n.min(1 << 20));
+        // A fact is at least a name length and an arity: 8 bytes.
+        let n = r.take_count(8)?;
+        let mut facts = Vec::with_capacity(n);
         for _ in 0..n {
             let name = r.take_str()?;
             let t = r.take_tuple()?;
@@ -116,7 +119,7 @@ pub struct Wal {
 fn header_bytes() -> Vec<u8> {
     let mut bytes = Vec::with_capacity(12);
     bytes.extend_from_slice(WAL_MAGIC);
-    bytes.extend_from_slice(&crate::snapshot::FORMAT_VERSION.to_le_bytes());
+    bytes.extend_from_slice(&WAL_VERSION.to_le_bytes());
     bytes
 }
 
@@ -339,7 +342,7 @@ impl Wal {
         }
         if self.failpoints.fire(SITE_WAL_APPEND_SYNC) {
             // Die between the full write and the fsync: the record is intact
-            // in the file but was never acknowledged. Recovery may replay it.
+            // in the file but was never acknowledged. Recovery may apply it.
             self.poisoned = true;
             self.write_at_end(&frame)?;
             return Err(StoreError::FaultInjected {

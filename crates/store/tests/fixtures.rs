@@ -4,12 +4,19 @@
 //! give CI a stable target for the `store_fsck` binary: the corrupt fixture
 //! must be reported with its exact first corrupt offset.
 //!
+//! The snapshot is format version 2: the epoch and the database, no model.
+//! The WAL has its own version (1), unchanged by the snapshot's, so the
+//! corrupt WAL's first bad frame stays at offset 12.
+//!
 //! Regenerate after a deliberate format-version bump with
 //! `INFLOG_REGEN_FIXTURES=1 cargo test -p inflog-store --test fixtures`.
 //! Everything the store serializes is deterministic (names, arities, dense
 //! tuple order — never hashes or ids), so regeneration is reproducible.
 
-use inflog_core::{Database, Relation, Tuple};
+use inflog_core::{Database, Tuple};
+use inflog_store::encode::Reader;
+use inflog_store::frame::FRAME_HEADER;
+use inflog_store::snapshot::{load_snapshot, FORMAT_VERSION};
 use inflog_store::wal::WAL_FILE;
 use inflog_store::{
     fsck, truncate_repair, SnapshotState, Store, StoreError, StoreOptions, TruncateOutcome, WalOp,
@@ -36,16 +43,7 @@ fn fixture_state() -> SnapshotState {
     db.insert_named_fact("E", &["a", "b"]).unwrap();
     db.insert_named_fact("E", &["b", "c"]).unwrap();
     db.insert_named_fact("E", &["c", "d"]).unwrap();
-    let mut idb = Relation::new(2);
-    idb.insert(Tuple::from_ids(&[0, 1]));
-    idb.insert(Tuple::from_ids(&[0, 2]));
-    idb.insert(Tuple::from_ids(&[0, 3]));
-    SnapshotState {
-        epoch: 0,
-        db,
-        idb: vec![idb],
-        undefined: vec![Relation::new(2)],
-    }
+    SnapshotState { epoch: 0, db }
 }
 
 fn regenerate(root: &Path) {
@@ -113,6 +111,65 @@ fn committed_fixtures_validate() {
     match report.first_error() {
         Some(StoreError::CorruptFrame { offset, .. }) => assert_eq!(*offset, WAL_HEADER),
         other => panic!("fsck on corrupt fixture saw {other:?}"),
+    }
+}
+
+/// The valid fixture's snapshot file.
+fn fixture_snapshot() -> PathBuf {
+    fixture_root().join("valid/snapshot-0000000000000000.bin")
+}
+
+/// A snapshot whose header says version 1 — the format that also stored
+/// the model — is refused by its header, never decoded as version 2.
+#[test]
+fn version_1_snapshot_is_refused() {
+    assert_eq!(FORMAT_VERSION, 2);
+    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("snapshot_v1");
+    let _ = fs::remove_dir_all(&dir);
+    fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("snapshot-0000000000000000.bin");
+    let mut bytes = fs::read(fixture_snapshot()).unwrap();
+    bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
+    fs::write(&path, bytes).unwrap();
+    match load_snapshot(&path) {
+        Err(StoreError::BadHeader { detail, .. }) => {
+            assert!(detail.contains("unsupported version 1"), "{detail}")
+        }
+        other => panic!("expected BadHeader, got {other:?}"),
+    }
+}
+
+/// Every truncation and every single-bit flip of the valid snapshot's
+/// payload, decoded with the checksum bypassed: each gives `Ok` or a
+/// `CorruptFrame` whose offset lies in the file (at most its end, where a
+/// read ran out), and none panics.
+#[test]
+fn snapshot_decoder_survives_truncations_and_bit_flips() {
+    let path = fixture_snapshot();
+    let file = fs::read(&path).unwrap();
+    let shown = path.display().to_string();
+    let base = 12 + FRAME_HEADER;
+    let payload = &file[base..];
+    let check = |bytes: &[u8], what: &str| match SnapshotState::decode(Reader::new(
+        bytes,
+        base as u64,
+        &shown,
+    )) {
+        Ok(_) => {}
+        Err(StoreError::CorruptFrame { offset, .. }) => assert!(
+            offset >= base as u64 && offset <= file.len() as u64,
+            "{what}: offset {offset} outside the file"
+        ),
+        Err(other) => panic!("{what}: expected CorruptFrame, got {other:?}"),
+    };
+    for len in 0..payload.len() {
+        check(&payload[..len], &format!("truncated to {len}"));
+    }
+    let mut flipped = payload.to_vec();
+    for bit in 0..payload.len() * 8 {
+        flipped[bit / 8] ^= 1 << (bit % 8);
+        check(&flipped, &format!("bit {bit} flipped"));
+        flipped[bit / 8] ^= 1 << (bit % 8);
     }
 }
 

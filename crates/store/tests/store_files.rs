@@ -5,7 +5,7 @@ use inflog_core::failpoints::{
     Failpoints, SITE_COMPACT_TRUNCATE, SITE_SNAPSHOT_RENAME, SITE_WAL_BIT_FLIP,
     SITE_WAL_TORN_WRITE, SITE_WAL_TRUNCATED_TAIL,
 };
-use inflog_core::{Database, Relation, Tuple};
+use inflog_core::{Database, Tuple};
 use inflog_store::snapshot::{list_snapshots, load_snapshot, write_snapshot};
 use inflog_store::{fsck, SnapshotState, Store, StoreError, StoreOptions, WalOp, WalRecord};
 use std::fs;
@@ -27,17 +27,9 @@ fn sample_state(epoch: u64) -> SnapshotState {
     for name in ["a", "b", "c", "d"] {
         db.universe_mut().intern(name);
     }
-    db.insert_named_fact("E", &["a", "b"]).unwrap();
     db.insert_named_fact("E", &["b", "c"]).unwrap();
-    let mut idb0 = Relation::new(2);
-    idb0.insert(t(&[0, 1]));
-    idb0.insert(t(&[0, 2]));
-    SnapshotState {
-        epoch,
-        db,
-        idb: vec![idb0, Relation::new(1)],
-        undefined: vec![Relation::new(2), Relation::new(1)],
-    }
+    db.insert_named_fact("E", &["a", "b"]).unwrap();
+    SnapshotState { epoch, db }
 }
 
 fn rec(epoch: u64, op: WalOp, facts: &[(&str, &[u32])]) -> WalRecord {
@@ -59,7 +51,10 @@ fn snapshot_write_load_round_trip() {
     let back = load_snapshot(&path).unwrap();
     assert_eq!(back, state);
     // Dense order is preserved bit-for-bit.
-    assert_eq!(back.idb[0].dense(), state.idb[0].dense());
+    assert_eq!(
+        back.db.relation("E").unwrap().dense(),
+        state.db.relation("E").unwrap().dense()
+    );
 }
 
 #[test]
