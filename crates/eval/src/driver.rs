@@ -42,7 +42,6 @@
 use crate::govern::Governor;
 use crate::interp::Interp;
 use crate::operator::{apply_general_into, DeltaSource, EvalContext, PlanKind};
-use crate::options::EvalOptions;
 use crate::plan::CardSnapshot;
 use crate::resolve::{CompiledProgram, CompiledRule, RulePlans};
 use crate::trace::EvalTrace;
@@ -65,9 +64,6 @@ pub struct DeltaDriver {
     /// serves directly, eliminating a clone and a hash insert per derived
     /// tuple per round.
     delta_marks: Vec<usize>,
-    /// Evaluation options; their executor choice runs every Θ application
-    /// this driver issues.
-    opts: EvalOptions,
     /// Live plans, rebuilt before every application from a fresh
     /// [`CardSnapshot`] of the EDB and the growing interpretation — so the
     /// planner's cardinality tie-break tracks the relations as they exist
@@ -84,32 +80,18 @@ pub struct DeltaDriver {
 }
 
 impl DeltaDriver {
-    /// Builds a driver with scratch buffers shaped for `cp`'s IDB arities,
-    /// using [`EvalOptions::default`].
+    /// Builds a driver with scratch buffers shaped for `cp`'s IDB arities.
+    /// Governance is not the driver's: every call takes the caller's
+    /// [`Governor`].
     pub fn new(cp: &CompiledProgram) -> Self {
-        DeltaDriver::with_options(cp, EvalOptions::default())
-    }
-
-    /// Builds a driver with explicit evaluation options.
-    pub fn with_options(cp: &CompiledProgram, opts: EvalOptions) -> Self {
         let derived = cp.empty_interp();
         DeltaDriver {
             delta_marks: vec![0; derived.len()],
             derived,
-            opts,
             plans: Vec::new(),
             cards: CardSnapshot::unknown(),
             order_sensitive: None,
         }
-    }
-
-    /// Replaces the driver's evaluation options (executor choice) for
-    /// subsequent rounds. Cardinality and delta state are
-    /// preserved — this exists so a long-lived caller (a
-    /// [`Materialized`](crate::Materialized) handle) can re-arm governance
-    /// between updates without rebuilding the driver.
-    pub fn set_options(&mut self, opts: EvalOptions) {
-        self.opts = opts;
     }
 
     /// Re-plans every rule against the live relation cardinalities (the
@@ -162,7 +144,7 @@ impl DeltaDriver {
     /// rounds. Subsequent rounds are delta-restricted.
     ///
     /// `gov` enforces the caller's budget/cancellation at every round
-    /// boundary and inside the executors' inner loops; pass
+    /// boundary and inside the VM's inner loop; pass
     /// [`Governor::free`] for ungoverned evaluation. On `Err`, `s` holds a
     /// sound partial extension (every absorbed round was complete), but is
     /// generally **not** a fixpoint.
@@ -192,7 +174,6 @@ impl DeltaDriver {
             frozen_neg,
             Self::overrides(&self.plans),
             &mut self.derived,
-            self.opts.exec_kind(),
             Some(gov),
         )?;
         self.drain_rounds(cp, ctx, s, rules, frozen_neg, trace, gov)
@@ -236,7 +217,6 @@ impl DeltaDriver {
             Some(frozen_neg),
             Self::overrides(&self.plans),
             &mut self.derived,
-            self.opts.exec_kind(),
             Some(gov),
         )?;
         #[cfg(debug_assertions)]
@@ -331,7 +311,6 @@ impl DeltaDriver {
                 frozen_neg,
                 Self::overrides(&self.plans),
                 &mut self.derived,
-                self.opts.exec_kind(),
                 Some(gov),
             )?;
             #[cfg(debug_assertions)]
@@ -369,7 +348,6 @@ impl DeltaDriver {
             frozen_neg,
             None,
             &mut full,
-            EvalOptions::sequential().exec_kind(),
             None,
         )
         .expect("ungoverned application cannot fail");
@@ -401,6 +379,7 @@ mod tests {
     use super::*;
     use crate::naive::least_fixpoint_naive;
     use crate::operator::apply_with_neg;
+    use crate::options::EvalOptions;
     use inflog_core::graphs::DiGraph;
     use inflog_syntax::parse_program;
 

@@ -84,7 +84,7 @@ pub enum Truth {
 }
 
 /// How often the unbound read polls a deadline (every `SCAN_POLL_MASK + 1`
-/// tuples) — same cadence as the evaluation executors.
+/// tuples) — same cadence as the evaluation VM.
 const SCAN_POLL_MASK: usize = (1 << 12) - 1;
 
 /// One committed, immutable snapshot of a materialized model. See the
@@ -408,36 +408,9 @@ impl Epoch {
     /// cancellation, armed failpoints).
     pub fn matches_recompute(&self, opts: &EvalOptions) -> Result<bool> {
         let ctx = EvalContext::new(&self.cp, &self.db)?;
-        let empty = self.cp.empty_interp();
-        let (s, undefined) = match self.engine {
-            // Θ^∞ is the least fixpoint on the positive programs the
-            // semi-naive engine accepts (§4).
-            Engine::Seminaive | Engine::Inflationary => (
-                crate::inflationary::inflationary_compiled_with(&self.cp, &ctx, opts)?.0,
-                empty,
-            ),
-            Engine::Stratified => {
-                let strat = self
-                    .strat
-                    .as_ref()
-                    .expect("stratified engine publishes its stratification");
-                (
-                    crate::stratified::stratified_eval_compiled_with(
-                        &self.cp,
-                        &ctx,
-                        strat,
-                        &self.program,
-                        opts,
-                    )?
-                    .0,
-                    empty,
-                )
-            }
-            Engine::WellFounded => {
-                let model = crate::wellfounded::well_founded_compiled_with(&self.cp, &ctx, opts)?;
-                (model.true_facts, model.undefined)
-            }
-        };
+        let (s, undefined) =
+            self.engine
+                .evaluate(&self.cp, &ctx, self.strat.as_ref(), &self.program, opts)?;
         Ok(self.s == s && self.undefined == undefined)
     }
 

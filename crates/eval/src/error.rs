@@ -103,7 +103,7 @@ pub enum BudgetKind {
     /// rounds, naive iterations, and well-founded alternations all count.
     Rounds,
     /// The derived-tuple cap ([`Budget::max_tuples`](crate::Budget)),
-    /// counted as tuple emissions in the executors' inner loops.
+    /// counted as tuple emissions in the VM's inner loop.
     Tuples,
 }
 

@@ -1,7 +1,7 @@
 //! The flat register-machine executor: rule plans lowered to a
 //! [`RuleProgram`] of sequential [`Op`]s, driven by an **iterative** VM.
 //!
-//! The tree executor (kept as the debug oracle in [`tree`](crate::tree))
+//! The tree executor (kept as the debug-build oracle in `tree`)
 //! interprets the [`Step`](crate::plan::Step) tree recursively, paying a
 //! dynamic `match` per step per candidate plus a save/restore of the
 //! `bound` bitmap around every scan candidate. Lowering
@@ -21,9 +21,10 @@
 //! The VM's iteration order is identical to the tree executor's by
 //! construction (same dense order, same posting order, same filter points),
 //! so its output is bit-identical — same tuples, same insertion order.
-//! `INFLOG_EXEC=tree` switches the whole process back to the tree oracle,
-//! and debug builds cross-check every VM application against it (see
-//! [`operator`](crate::operator)).
+//! The VM is the only executor that runs; debug builds cross-check every
+//! VM application against the tree oracle (see
+//! [`operator`](crate::operator)), and release builds compile no tree
+//! code.
 
 use crate::index::{Index, IndexSet};
 use crate::interp::Interp;
@@ -327,8 +328,8 @@ impl fmt::Display for RuleProgram {
     }
 }
 
-/// The shared evaluation environment both executors resolve relations
-/// against: the context's EDB, the current interpretation, the optional
+/// The shared evaluation environment the VM (and, in debug builds, the
+/// tree oracle) resolves relations against: the context's EDB, the current interpretation, the optional
 /// delta, the negation context, and the read-locked persistent indexes.
 pub(crate) struct ExecEnv<'a> {
     pub ctx: &'a EvalContext,
@@ -337,7 +338,7 @@ pub(crate) struct ExecEnv<'a> {
     pub neg: &'a Interp,
     /// Read guard shared by every worker of one application.
     pub indexes: &'a IndexSet,
-    /// Active resource governor, if any: the executors report every emitted
+    /// Active resource governor, if any: the VM reports every emitted
     /// tuple through [`Governor::note_emit`] so budgets and cancellation
     /// interrupt long single applications, not just round boundaries. `None`
     /// when governance is inert (the common case) — the hot loops then pay

@@ -21,8 +21,8 @@
 //! the shared counters, and the one-shot trip state. The governor is
 //! checked at **round boundaries** ([`Governor::check_round`], which also
 //! hosts the `round` failpoint) and **every few thousand emitted tuples**
-//! in the executors' inner loops ([`Governor::note_emit`]); a trip is
-//! recorded once, the executors drain out early, and the evaluation
+//! in the VM's inner loop ([`Governor::note_emit`]); a trip is
+//! recorded once, the VM drains out early, and the evaluation
 //! surfaces the stored [`EvalError`]. When no limit, token, or failpoint
 //! is configured the governor reports itself inert
 //! ([`Governor::as_active`] returns `None`) and the inner loops carry
@@ -132,8 +132,7 @@ const POLL_MASK: u64 = (1 << 12) - 1;
 
 /// The per-call governance runtime: resolved limits plus shared trip
 /// state. Engines build one at entry ([`Governor::new`]) and thread a
-/// reference through the [`DeltaDriver`](crate::DeltaDriver) into both
-/// executors.
+/// reference through the [`DeltaDriver`](crate::DeltaDriver) into the VM.
 ///
 /// The trip is **one-shot**: the first limit violation (or cancellation,
 /// or fired failpoint) stores its typed error and flips an atomic flag;
@@ -179,8 +178,8 @@ impl Governor {
         Governor::new(&EvalOptions::sequential())
     }
 
-    /// `Some(self)` when any check could ever trip — the executors only
-    /// carry a governor reference in that case, so inert evaluations pay
+    /// `Some(self)` when any check could ever trip — the VM only
+    /// carries a governor reference in that case, so inert evaluations pay
     /// nothing in the inner loops. Round caps alone still count as
     /// active: the round counter lives here.
     pub fn as_active(&self) -> Option<&Governor> {
@@ -263,11 +262,12 @@ impl Governor {
         self.poll_signals()
     }
 
-    /// Inner-loop hook, called per emitted head tuple by both executors:
-    /// counts against [`Budget::max_tuples`] and polls deadline and
-    /// cancellation every [`POLL_MASK`]` + 1` emissions. Returns `true`
-    /// when the evaluation must stop (the executors then drain out; the
-    /// caller surfaces [`Governor::check`]).
+    /// Inner-loop hook, called per emitted head tuple by the VM: counts
+    /// against [`Budget::max_tuples`] and polls deadline and cancellation
+    /// every [`POLL_MASK`]` + 1` emissions. Returns `true` when the
+    /// evaluation must stop (the VM then drains out; the caller surfaces
+    /// [`Governor::check`]). The debug-build tree oracle always runs
+    /// ungoverned and never calls this.
     #[inline]
     pub(crate) fn note_emit(&self) -> bool {
         let n = self.emitted.fetch_add(1, Ordering::Relaxed) + 1;

@@ -34,32 +34,27 @@ use crate::Result;
 use inflog_core::Database;
 use inflog_syntax::Program;
 
-/// Computes `Θ^∞` by the definition: `S ← S ∪ Θ(S)` until stable.
+/// Computes `Θ^∞` by the definition: `S ← S ∪ Θ(S)` until stable, with
+/// [`EvalOptions::default`].
 ///
 /// # Errors
-/// Compilation errors only — inflationary semantics is total.
+/// Compilation errors, or a fault injected by a failpoint armed through
+/// `INFLOG_FAILPOINT` — inflationary semantics itself is total.
 pub fn inflationary_naive(program: &Program, db: &Database) -> Result<(Interp, EvalTrace)> {
     let cp = CompiledProgram::compile(program, db)?;
     let ctx = EvalContext::new(&cp, db)?;
     inflationary_naive_compiled_with(&cp, &ctx, &EvalOptions::default())
 }
 
-/// Naive inflationary iteration over a compiled program. This convenience
-/// wrapper runs ungoverned (no budget, token or failpoints) and is
-/// therefore infallible.
-pub fn inflationary_naive_compiled(cp: &CompiledProgram, ctx: &EvalContext) -> (Interp, EvalTrace) {
-    inflationary_naive_compiled_with(cp, ctx, &EvalOptions::sequential())
-        .expect("ungoverned inflationary evaluation cannot fail")
-}
-
-/// [`inflationary_naive_compiled`] with explicit evaluation options; the
-/// governed form checks budget, cancellation and failpoints at every round
-/// boundary and every few thousand emitted tuples.
+/// Naive inflationary iteration over a compiled program; the governed
+/// form checks budget, cancellation and failpoints at every round boundary
+/// and every few thousand emitted tuples.
 ///
 /// # Errors
 /// [`EvalError::Cancelled`](crate::EvalError::Cancelled),
-/// [`EvalError::BudgetExceeded`](crate::EvalError::BudgetExceeded), or a
-/// fault injected by an armed failpoint.
+/// [`EvalError::BudgetExceeded`](crate::EvalError::BudgetExceeded), or
+/// [`EvalError::FaultInjected`](crate::EvalError::FaultInjected) by an
+/// armed failpoint.
 pub fn inflationary_naive_compiled_with(
     cp: &CompiledProgram,
     ctx: &EvalContext,
@@ -90,16 +85,17 @@ pub fn inflationary_naive_compiled_with(
 /// [`EvalOptions::default`].
 ///
 /// # Errors
-/// Compilation errors only — inflationary semantics is total.
+/// Same conditions as [`inflationary_naive`].
 pub fn inflationary(program: &Program, db: &Database) -> Result<(Interp, EvalTrace)> {
     inflationary_with(program, db, &EvalOptions::default())
 }
 
-/// [`inflationary`] with explicit evaluation options (executor, budget,
+/// [`inflationary`] with explicit evaluation options (budget,
 /// cancellation, failpoints).
 ///
 /// # Errors
-/// Compilation errors only — inflationary semantics is total.
+/// Compilation errors, or the governance errors of
+/// [`inflationary_compiled_with`].
 pub fn inflationary_with(
     program: &Program,
     db: &Database,
@@ -116,21 +112,14 @@ pub fn inflationary_with(
 /// is the only round in which rules without positive IDB atoms can add
 /// anything — negations against the *current* state can re-enable nothing
 /// (they only decay) — and its delta rounds are exactly §4's increasing
-/// iteration. This convenience wrapper strips any environment-supplied
-/// governance (budget, token, failpoints) and is therefore infallible.
-pub fn inflationary_compiled(cp: &CompiledProgram, ctx: &EvalContext) -> (Interp, EvalTrace) {
-    inflationary_compiled_with(cp, ctx, &EvalOptions::default().without_governance())
-        .expect("ungoverned inflationary evaluation cannot fail")
-}
-
-/// [`inflationary_compiled`] with explicit evaluation options; the governed
-/// form checks budget, cancellation and failpoints at every round boundary
-/// and every few thousand emitted tuples.
+/// iteration. The governed form checks budget, cancellation and failpoints
+/// at every round boundary and every few thousand emitted tuples.
 ///
 /// # Errors
 /// [`EvalError::Cancelled`](crate::EvalError::Cancelled),
-/// [`EvalError::BudgetExceeded`](crate::EvalError::BudgetExceeded), a fault
-/// injected by an armed failpoint.
+/// [`EvalError::BudgetExceeded`](crate::EvalError::BudgetExceeded), or
+/// [`EvalError::FaultInjected`](crate::EvalError::FaultInjected) by an
+/// armed failpoint.
 pub fn inflationary_compiled_with(
     cp: &CompiledProgram,
     ctx: &EvalContext,
@@ -139,15 +128,7 @@ pub fn inflationary_compiled_with(
     let governor = Governor::new(opts);
     let mut trace = EvalTrace::default();
     let mut s = cp.empty_interp();
-    DeltaDriver::with_options(cp, opts.clone()).extend(
-        cp,
-        ctx,
-        &mut s,
-        None,
-        None,
-        Some(&mut trace),
-        &governor,
-    )?;
+    DeltaDriver::new(cp).extend(cp, ctx, &mut s, None, None, Some(&mut trace), &governor)?;
     trace.final_tuples = s.total_tuples();
     Ok((s, trace))
 }

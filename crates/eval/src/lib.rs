@@ -11,8 +11,8 @@
 //! * [`driver`] — the one semi-naive round loop every delta-capable engine
 //!   drives, with reusable scratch buffers and a debug cross-check against
 //!   the naive round;
-//! * [`options`] — per-evaluation knobs: the executor choice (VM or tree
-//!   oracle), resource limits, cancellation and failpoints;
+//! * [`options`] — per-evaluation knobs: resource limits, cancellation
+//!   and failpoints;
 //! * [`govern`] — resource governance: [`Budget`] limits and
 //!   [`CancelToken`] cancellation enforced at round boundaries and in the
 //!   executor inner loops, and the evaluation sites of the fault-injection
@@ -76,7 +76,8 @@ pub mod resolve;
 pub mod seminaive;
 pub mod stratified;
 pub mod trace;
-pub(crate) mod tree;
+#[cfg(debug_assertions)]
+mod tree;
 pub mod wellfounded;
 
 pub use driver::DeltaDriver;
@@ -94,7 +95,7 @@ pub use operator::{
     apply, apply_delta, apply_delta_with_neg, apply_subset, apply_with_neg, enumerate_bindings,
     EvalContext,
 };
-pub use options::{EvalOptions, ExecKind};
+pub use options::EvalOptions;
 pub use plan::lower;
 pub use query::{
     demand_support, query, DemandSupport, NonStratifiedPolicy, QueryAnswer, QueryOpts,

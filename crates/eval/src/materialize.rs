@@ -128,7 +128,7 @@ use crate::operator::{self, EvalContext, PlanKind};
 use crate::options::EvalOptions;
 use crate::query::{self, QueryAnswer, QueryOpts};
 use crate::resolve::CompiledProgram;
-use crate::stratified::{stratify, Stratification};
+use crate::stratified::{stratified_eval_compiled_with, stratify, Stratification};
 use crate::wellfounded::well_founded_compiled_with;
 use crate::Result;
 use inflog_core::failpoints::{SITE_OVERDELETE_CLOSE, SITE_REDERIVE_SWEEP};
@@ -151,6 +151,43 @@ pub enum Engine {
     WellFounded,
 }
 
+impl Engine {
+    /// Evaluates this engine from scratch over `(cp, ctx)`: the true facts
+    /// and the undefined ones (empty but for the well-founded engine).
+    /// `Seminaive` evaluates through the inflationary engine: Θ^∞ is the
+    /// least fixpoint on the positive programs it accepts (§4). `strat` is
+    /// the program's stratification, required for `Stratified`.
+    ///
+    /// # Errors
+    /// The governance errors of the engine under `opts`.
+    pub(crate) fn evaluate(
+        self,
+        cp: &CompiledProgram,
+        ctx: &EvalContext,
+        strat: Option<&Stratification>,
+        program: &Program,
+        opts: &EvalOptions,
+    ) -> Result<(Interp, Interp)> {
+        Ok(match self {
+            Engine::Seminaive | Engine::Inflationary => (
+                inflationary_compiled_with(cp, ctx, opts)?.0,
+                cp.empty_interp(),
+            ),
+            Engine::Stratified => {
+                let strat = strat.expect("the stratified engine has a stratification");
+                (
+                    stratified_eval_compiled_with(cp, ctx, strat, program, opts)?.0,
+                    cp.empty_interp(),
+                )
+            }
+            Engine::WellFounded => {
+                let model = well_founded_compiled_with(cp, ctx, opts)?;
+                (model.true_facts, model.undefined)
+            }
+        })
+    }
+}
+
 /// How a handle brings its state back in line after an update.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RepairStrategy {
@@ -170,7 +207,7 @@ pub enum RepairStrategy {
 pub struct MaterializeOpts {
     /// The semantics to maintain.
     pub engine: Engine,
-    /// Engine options (executor, budget, failpoints), used by the initial
+    /// Engine options (budget, cancellation, failpoints), used by the initial
     /// evaluation and by every repair.
     pub eval: EvalOptions,
 }
@@ -385,7 +422,7 @@ impl Materialized {
             None => (Vec::new(), vec![0; cp.num_idb()]),
         };
         let ctx = EvalContext::new(&cp, db)?;
-        let driver = DeltaDriver::with_options(&cp, opts.eval.clone());
+        let driver = DeltaDriver::new(&cp);
         let s = cp.empty_interp();
         let undefined = cp.empty_interp();
         let m = Materialized {
@@ -630,7 +667,6 @@ impl Materialized {
     /// budget (or a one-shot failpoint trigger) before the first update
     /// runs.
     pub fn set_eval_options(&mut self, opts: EvalOptions) {
-        self.driver.set_options(opts.clone());
         self.opts = opts;
     }
 
@@ -914,20 +950,13 @@ impl Materialized {
     /// handle's state untouched (the EDB mutation is the caller's to roll
     /// back).
     fn reevaluate(&mut self) -> Result<()> {
-        match self.engine {
-            Engine::Inflationary => {
-                let (s, _) = inflationary_compiled_with(&self.cp, &self.ctx, &self.opts)?;
-                self.s = s;
-            }
-            Engine::WellFounded => {
-                let model = well_founded_compiled_with(&self.cp, &self.ctx, &self.opts)?;
-                self.s = model.true_facts;
-                self.undefined = model.undefined;
-            }
-            Engine::Seminaive | Engine::Stratified => {
-                unreachable!("delete\u{2013}rederive engines repair in place")
-            }
-        }
+        (self.s, self.undefined) = self.engine.evaluate(
+            &self.cp,
+            &self.ctx,
+            self.strat.as_ref(),
+            &self.program,
+            &self.opts,
+        )?;
         Ok(())
     }
 
@@ -1066,7 +1095,6 @@ impl Materialized {
             neg,
             None,
             out,
-            self.opts.exec_kind(),
             gov,
         )
     }
@@ -1260,7 +1288,6 @@ impl Materialized {
                         list,
                         &self.s,
                         &self.s,
-                        self.opts.exec_kind(),
                         |j| {
                             out.insert(list[j].clone());
                         },
@@ -1345,38 +1372,20 @@ impl Materialized {
             self.ctx.debug_validate_indexes(rel);
         }
         let fresh = EvalContext::new(&self.cp, &self.db).expect("handle state recompiles");
-        let empty = self.cp.empty_interp();
         // The ground truth runs without governance: the verification pass
         // must not double-spend the update's budget or re-fire one-shot
         // failpoints (it also runs *after a rollback*, where the budget is
         // by definition already spent).
-        let opts = self.opts.without_governance();
-        let (s, undefined) = match self.engine {
-            // Θ^∞ is the least fixpoint on positive programs (§4).
-            Engine::Seminaive | Engine::Inflationary => (
-                inflationary_compiled_with(&self.cp, &fresh, &opts)
-                    .expect("ungoverned verification evaluation cannot fail")
-                    .0,
-                empty,
-            ),
-            Engine::Stratified => (
-                crate::stratified::stratified_eval_compiled_with(
-                    &self.cp,
-                    &fresh,
-                    self.strat.as_ref().expect("stratified engine stratifies"),
-                    &self.program,
-                    &opts,
-                )
-                .expect("ungoverned verification evaluation cannot fail")
-                .0,
-                empty,
-            ),
-            Engine::WellFounded => {
-                let model = well_founded_compiled_with(&self.cp, &fresh, &opts)
-                    .expect("ungoverned verification evaluation cannot fail");
-                (model.true_facts, model.undefined)
-            }
-        };
+        let (s, undefined) = self
+            .engine
+            .evaluate(
+                &self.cp,
+                &fresh,
+                self.strat.as_ref(),
+                &self.program,
+                &EvalOptions::sequential(),
+            )
+            .expect("ungoverned verification evaluation cannot fail");
         debug_assert_eq!(
             self.s, s,
             "materialized state diverged from a from-scratch evaluation"

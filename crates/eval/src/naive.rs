@@ -55,7 +55,8 @@ pub fn least_fixpoint_naive(program: &Program, db: &Database) -> Result<(Interp,
 ///
 /// # Errors
 /// Same conditions as [`least_fixpoint_naive`], plus the governance errors
-/// [`EvalError::Cancelled`] and [`EvalError::BudgetExceeded`].
+/// [`EvalError::Cancelled`], [`EvalError::BudgetExceeded`] and
+/// [`EvalError::FaultInjected`].
 pub fn least_fixpoint_naive_with(
     program: &Program,
     db: &Database,

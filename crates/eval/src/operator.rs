@@ -35,21 +35,20 @@
 //!
 //! # Executors
 //!
-//! Plan execution itself lives elsewhere: the default flat register-machine
-//! VM in [`exec`](crate::exec) (every [`Plan`] embeds its lowered
-//! [`RuleProgram`](crate::exec::RuleProgram)), and the recursive tree
-//! walker in [`tree`](crate::tree), kept as the oracle. This module only
-//! selects between them per application ([`EvalOptions::exec_kind`], i.e.
-//! the `INFLOG_EXEC` switch) — and, in debug builds, replays every VM
-//! application on the tree executor and asserts dense-storage equality.
+//! Plan execution itself lives elsewhere: the flat register-machine VM in
+//! [`exec`](crate::exec) runs every application (every [`Plan`] embeds its
+//! lowered [`RuleProgram`](crate::exec::RuleProgram)). Debug builds also
+//! compile the recursive tree walker (`tree`), the VM's oracle, and replay
+//! every VM application, probe and binding enumeration on it, asserting
+//! dense-storage equality; release builds carry no tree code.
 
 use crate::exec::{self, ExecEnv};
 use crate::govern::Governor;
 use crate::index::IndexSet;
 use crate::interp::Interp;
-use crate::options::{EvalOptions, ExecKind};
 use crate::plan::{CTerm, Plan, PredRef, Source, Step};
 use crate::resolve::{CompiledProgram, CompiledRule, RulePlans};
+#[cfg(debug_assertions)]
 use crate::tree;
 use crate::Result;
 use inflog_core::failpoints::SITE_INDEX_EXTEND;
@@ -317,7 +316,6 @@ pub(crate) fn apply_governed(
             overrides: None,
         },
         &mut out,
-        EvalOptions::sequential().exec_kind(),
         gov,
     )?;
     Ok(out)
@@ -419,14 +417,14 @@ pub fn apply_delta_with_neg(
 
 /// Fully general Θ application (any combination of rule subset, delta
 /// restriction and frozen negation context), written into a caller-owned
-/// output buffer by the executor `kind`.
+/// output buffer.
 ///
 /// `out` is cleared first ([`Relation::clear`] keeps its allocations), so a
 /// round driver can reuse one scratch interpretation across every round of a
 /// fixpoint instead of allocating fresh relations per application.
 ///
 /// `gov` is the round driver's resource governor: emissions are reported to
-/// it from the executors' inner loops and the `index-extend` failpoint fires
+/// it from the VM's inner loop and the `index-extend` failpoint fires
 /// here. On any `Err` the contents of `out` are unspecified (partially
 /// filled) and must be discarded by the caller.
 ///
@@ -443,7 +441,6 @@ pub(crate) fn apply_general_into(
     neg: Option<&Interp>,
     overrides: Option<&[RulePlans]>,
     out: &mut Interp,
-    kind: ExecKind,
     gov: Option<&Governor>,
 ) -> Result<()> {
     debug_assert_eq!(
@@ -467,7 +464,6 @@ pub(crate) fn apply_general_into(
             overrides,
         },
         out,
-        kind,
         gov,
     )
 }
@@ -558,10 +554,9 @@ pub fn enumerate_bindings(plan: &Plan, ctx: &EvalContext) -> Vec<Tuple> {
         indexes: &indexes,
         gov: None,
     };
-    let kind = EvalOptions::sequential().exec_kind();
-    exec_plan(&env, kind, plan, &mut out);
+    exec::run_program(&env, &plan.program, &mut out);
     #[cfg(debug_assertions)]
-    if kind == ExecKind::Vm {
+    {
         let mut oracle = Relation::new(plan.num_vars);
         tree::run_plan(&env, plan, &mut oracle);
         assert_eq!(
@@ -606,7 +601,6 @@ pub(crate) fn derivable_batch(
     list: &[Tuple],
     s: &Interp,
     neg: &Interp,
-    kind: ExecKind,
     mut confirm: impl FnMut(usize),
 ) {
     let indexes = ctx.read_indexes();
@@ -619,13 +613,10 @@ pub(crate) fn derivable_batch(
         gov: None,
     };
     let rules: Vec<&CompiledRule> = cp.rules.iter().filter(|r| r.head_pred == pred).collect();
-    let resolved: Vec<exec::ResolvedProgram<'_>> = match kind {
-        ExecKind::Vm => rules
-            .iter()
-            .map(|r| exec::resolve_program(&env, &r.check_plan.program))
-            .collect(),
-        ExecKind::Tree => Vec::new(),
-    };
+    let resolved: Vec<exec::ResolvedProgram<'_>> = rules
+        .iter()
+        .map(|r| exec::resolve_program(&env, &r.check_plan.program))
+        .collect();
     let mut vals: Vec<Const> = Vec::new();
     let mut bound: Vec<bool> = Vec::new();
     for (ti, tuple) in list.iter().enumerate() {
@@ -637,25 +628,19 @@ pub(crate) fn derivable_batch(
             if !unify_head(&rule.head_terms, tuple, &mut vals, &mut bound) {
                 continue;
             }
-            let hit = match kind {
-                ExecKind::Vm => {
-                    #[cfg(debug_assertions)]
-                    let expected = tree::probe_plan(
-                        &env,
-                        &rule.check_plan,
-                        &mut vals.clone(),
-                        &mut bound.clone(),
-                    );
-                    let hit = resolved[ri].probe(&env, &mut vals);
-                    #[cfg(debug_assertions)]
-                    assert_eq!(
-                        hit, expected,
-                        "VM probe diverged from the tree oracle in derivable_batch"
-                    );
-                    hit
-                }
-                ExecKind::Tree => tree::probe_plan(&env, &rule.check_plan, &mut vals, &mut bound),
-            };
+            #[cfg(debug_assertions)]
+            let expected = tree::probe_plan(
+                &env,
+                &rule.check_plan,
+                &mut vals.clone(),
+                &mut bound.clone(),
+            );
+            let hit = resolved[ri].probe(&env, &mut vals);
+            #[cfg(debug_assertions)]
+            assert_eq!(
+                hit, expected,
+                "VM probe diverged from the tree oracle in derivable_batch"
+            );
             if hit {
                 confirm(ti);
                 break 'rules;
@@ -690,18 +675,9 @@ fn unify_head(head: &[CTerm], tuple: &Tuple, vals: &mut [Const], bound: &mut [bo
     true
 }
 
-/// Runs one plan through the selected executor.
-fn exec_plan(env: &ExecEnv<'_>, kind: ExecKind, plan: &Plan, out: &mut Relation) {
-    match kind {
-        ExecKind::Vm => exec::run_program(env, &plan.program, out),
-        ExecKind::Tree => tree::run_plan(env, plan, out),
-    }
-}
-
 fn run(cp: &CompiledProgram, ctx: &EvalContext, s: &Interp, opts: &ApplyOpts<'_>) -> Interp {
     let mut out = cp.empty_interp();
-    let kind = EvalOptions::sequential().exec_kind();
-    run_into(cp, ctx, s, opts, &mut out, kind, None).expect("ungoverned application cannot fail");
+    run_into(cp, ctx, s, opts, &mut out, None).expect("ungoverned application cannot fail");
     out
 }
 
@@ -711,11 +687,10 @@ fn run_into(
     s: &Interp,
     opts: &ApplyOpts<'_>,
     out: &mut Interp,
-    kind: ExecKind,
     gov: Option<&Governor>,
 ) -> Result<()> {
-    // Demote an inert governor to `None` up front so the executors' inner
-    // loops pay nothing when no budget, token or failpoint is armed.
+    // Demote an inert governor to `None` up front so the VM's inner loop
+    // pays nothing when no budget, token or failpoint is armed.
     let gov = gov.and_then(Governor::as_active);
 
     for i in 0..out.len() {
@@ -761,7 +736,7 @@ fn run_into(
     'rules: for &ri in selected {
         let rule = &cp.rules[ri];
         for plan in plans_of(cp, ri, opts.overrides, opts.plans) {
-            exec_plan(&env, kind, plan, out.get_mut(rule.head_pred));
+            exec::run_program(&env, &plan.program, out.get_mut(rule.head_pred));
             if gov.is_some_and(Governor::tripped) {
                 break 'rules;
             }
@@ -782,7 +757,7 @@ fn run_into(
     // the candidate order exactly. The replay runs ungoverned so it cannot
     // double-count emissions or re-fire one-shot failpoints.
     #[cfg(debug_assertions)]
-    if kind == ExecKind::Vm {
+    {
         let oracle_env = ExecEnv {
             ctx,
             s,

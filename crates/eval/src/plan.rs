@@ -27,8 +27,8 @@
 //! relation (and is scanned first, since the delta is the smallest input).
 //!
 //! Every plan is additionally [`lower`]ed at construction into a flat
-//! [`RuleProgram`] — the register-machine IR the default executor runs (the
-//! step tree survives as the oracle executor's input and for plan
+//! [`RuleProgram`] — the register-machine IR the VM runs (the step tree
+//! survives as the debug-build oracle's input and for plan
 //! introspection). Because lowering happens inside the planner, every path
 //! that builds or re-builds plans (compile-time planning, per-round
 //! replanning, grounding, check plans) gets a fresh program for free.
@@ -239,8 +239,8 @@ pub struct Plan {
     pub head: Vec<CTerm>,
     /// Number of variable slots in the rule.
     pub num_vars: usize,
-    /// The steps [`lower`]ed to the flat register-machine IR the default
-    /// executor runs. Always consistent with `steps`: both are produced
+    /// The steps [`lower`]ed to the flat register-machine IR the VM
+    /// runs. Always consistent with `steps`: both are produced
     /// together by the planner.
     pub program: RuleProgram,
 }

@@ -39,6 +39,8 @@
 
 use crate::error::EvalError;
 use crate::inflationary::inflationary_compiled_with;
+#[cfg(debug_assertions)]
+use crate::materialize::Engine;
 use crate::operator::EvalContext;
 use crate::options::EvalOptions;
 use crate::resolve::CompiledProgram;
@@ -90,7 +92,7 @@ pub enum NonStratifiedPolicy {
 /// Options for [`query`].
 #[derive(Debug, Clone, Default)]
 pub struct QueryOpts {
-    /// Engine options (executor, budget, failpoints), forwarded to every
+    /// Engine options (budget, cancellation, failpoints), forwarded to every
     /// evaluation phase the query runs.
     pub eval: EvalOptions,
     /// Policy for non-stratifiable programs.
@@ -254,7 +256,7 @@ pub fn query(
     }?;
 
     #[cfg(debug_assertions)]
-    verify_against_full(program, goal, db, &pattern, &answer, &opts.eval);
+    verify_against_full(program, goal, db, &pattern, &answer);
 
     Ok(answer)
 }
@@ -362,29 +364,28 @@ fn verify_against_full(
     db: &Database,
     pattern: &[Slot],
     answer: &QueryAnswer,
-    eval: &EvalOptions,
 ) {
-    // Run the ground truth without governance: the verification pass must
-    // not double-spend the caller's budget or re-fire one-shot failpoints.
-    let eval = eval.without_governance();
     let cp = CompiledProgram::compile(program, db).expect("query compiled the same program");
     let ctx = EvalContext::new(&cp, db).expect("query built the same context");
     let gid = cp.idb_id(&goal.predicate).expect("IDB goal");
-    let (full_true, full_undef) = match stratify(program) {
-        Ok(strat) => {
-            let (m, _) = stratified_eval_compiled_with(&cp, &ctx, &strat, program, &eval)
-                .expect("ungoverned verification evaluation cannot fail");
-            (filter_relation(m.get(gid), pattern), Vec::new())
-        }
-        Err(_) => {
-            let wf = well_founded_compiled_with(&cp, &ctx, &eval)
-                .expect("ungoverned verification evaluation cannot fail");
-            (
-                filter_relation(wf.true_facts.get(gid), pattern),
-                filter_relation(wf.undefined.get(gid), pattern),
-            )
-        }
+    let strat = stratify(program).ok();
+    let engine = match strat {
+        Some(_) => Engine::Stratified,
+        None => Engine::WellFounded,
     };
+    // Run the ground truth without governance: the verification pass must
+    // not double-spend the caller's budget or re-fire one-shot failpoints.
+    let (t, u) = engine
+        .evaluate(
+            &cp,
+            &ctx,
+            strat.as_ref(),
+            program,
+            &EvalOptions::sequential(),
+        )
+        .expect("ungoverned verification evaluation cannot fail");
+    let full_true = filter_relation(t.get(gid), pattern);
+    let full_undef = filter_relation(u.get(gid), pattern);
     assert_eq!(
         answer.tuples, full_true,
         "goal-directed answers diverged from full-fixpoint-then-filter for `{goal}`"

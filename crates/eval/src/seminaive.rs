@@ -172,11 +172,15 @@ mod tests {
         let db = DiGraph::path(10).to_database("E");
         let cp = CompiledProgram::compile(&p, &db).unwrap();
         let ctx = crate::operator::EvalContext::new(&cp, &db).unwrap();
-        let (a, _) = crate::inflationary::inflationary_compiled(&cp, &ctx);
+        let (a, _) =
+            crate::inflationary::inflationary_compiled_with(&cp, &ctx, &EvalOptions::sequential())
+                .unwrap();
         let warm = ctx.num_indexes();
         assert!(warm > 0, "keyed scans must have registered indexes");
         // A second run over the same context reuses them.
-        let (b, _) = crate::inflationary::inflationary_compiled(&cp, &ctx);
+        let (b, _) =
+            crate::inflationary::inflationary_compiled_with(&cp, &ctx, &EvalOptions::sequential())
+                .unwrap();
         assert_eq!(a, b);
         assert!(ctx.num_indexes() >= warm);
     }

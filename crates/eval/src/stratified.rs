@@ -101,16 +101,18 @@ pub fn stratify(program: &Program) -> Result<Stratification> {
 /// Uses [`EvalOptions::default`].
 ///
 /// # Errors
-/// [`EvalError::NotStratified`] or compilation errors.
+/// [`EvalError::NotStratified`], compilation errors, or a fault injected by
+/// a failpoint armed through `INFLOG_FAILPOINT`.
 pub fn stratified_eval(program: &Program, db: &Database) -> Result<(Interp, EvalTrace)> {
     stratified_eval_with(program, db, &EvalOptions::default())
 }
 
-/// [`stratified_eval`] with explicit evaluation options (executor, budget,
+/// [`stratified_eval`] with explicit evaluation options (budget,
 /// cancellation, failpoints).
 ///
 /// # Errors
-/// [`EvalError::NotStratified`] or compilation errors.
+/// [`EvalError::NotStratified`], compilation errors, or the governance
+/// errors of [`stratified_eval_compiled_with`].
 pub fn stratified_eval_with(
     program: &Program,
     db: &Database,
@@ -122,34 +124,14 @@ pub fn stratified_eval_with(
     stratified_eval_compiled_with(&cp, &ctx, &strat, program, opts)
 }
 
-/// Stratified evaluation over a compiled program. This convenience wrapper
-/// strips any environment-supplied governance (budget, token, failpoints)
-/// and is therefore infallible.
-pub fn stratified_eval_compiled(
-    cp: &CompiledProgram,
-    ctx: &EvalContext,
-    strat: &Stratification,
-    program: &Program,
-) -> (Interp, EvalTrace) {
-    stratified_eval_compiled_with(
-        cp,
-        ctx,
-        strat,
-        program,
-        &EvalOptions::default().without_governance(),
-    )
-    .expect("ungoverned stratified evaluation cannot fail")
-}
-
-/// [`stratified_eval_compiled`] with explicit evaluation options; the
-/// governed form checks budget, cancellation and failpoints at every round
-/// boundary of every stratum, and every few thousand emitted tuples. One
-/// budget spans all strata — rounds and derived tuples accumulate across
-/// them.
+/// Stratified evaluation over a compiled program; the governed form checks
+/// budget, cancellation and failpoints at every round boundary of every
+/// stratum, and every few thousand emitted tuples. One budget spans all
+/// strata — rounds and derived tuples accumulate across them.
 ///
 /// # Errors
-/// [`EvalError::Cancelled`], [`EvalError::BudgetExceeded`], a fault
-/// injected by an armed failpoint.
+/// [`EvalError::Cancelled`], [`EvalError::BudgetExceeded`], or
+/// [`EvalError::FaultInjected`] by an armed failpoint.
 pub fn stratified_eval_compiled_with(
     cp: &CompiledProgram,
     ctx: &EvalContext,
@@ -174,7 +156,7 @@ pub fn stratified_eval_compiled_with(
     // call of the shared semi-naive driver: within the stratum the operator
     // is monotone (negations see lower strata only), so delta iteration
     // computes its least fixpoint.
-    let mut driver = DeltaDriver::with_options(cp, opts.clone());
+    let mut driver = DeltaDriver::new(cp);
     for rules in &rules_by_stratum {
         if rules.is_empty() {
             continue;

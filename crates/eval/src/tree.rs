@@ -1,11 +1,12 @@
 //! The recursive tree executor — the original `Step`-tree walker, kept as
 //! the **oracle** for the flat register-machine VM of [`exec`](crate::exec).
 //!
-//! Debug builds cross-check every VM application against this executor
-//! (see [`operator`](crate::operator)), and `INFLOG_EXEC=tree` routes whole
-//! runs through it. Its candidate order — dense order for unkeyed scans,
-//! posting order for keyed ones, universe order for `Domain` steps — is the
-//! specification the VM reproduces bit-identically.
+//! Compiled in debug builds only: [`operator`](crate::operator) replays
+//! every VM application, probe and binding enumeration on it and asserts
+//! identical output; nothing else calls it, and release builds carry none
+//! of it. It always runs ungoverned. Its candidate order — dense order for
+//! unkeyed scans, posting order for keyed ones, universe order for `Domain`
+//! steps — is the specification the VM reproduces bit-identically.
 
 use crate::exec::ExecEnv;
 use crate::plan::{CTerm, Plan, Source, Step};
@@ -15,9 +16,7 @@ use inflog_core::{Const, Relation, Tuple};
 pub(crate) fn run_plan(env: &ExecEnv<'_>, plan: &Plan, out: &mut Relation) {
     let mut vals: Vec<Const> = vec![Const(0); plan.num_vars];
     let mut bound = vec![false; plan.num_vars];
-    // A `false` return means an active governor tripped mid-walk; the
-    // caller reads the verdict off the governor and discards the output.
-    let _ = step(env, plan, 0, &mut vals, &mut bound, out);
+    step(env, plan, 0, &mut vals, &mut bound, out);
 }
 
 /// Satisfiability probe over a whole plan with pre-seeded bindings: does
@@ -64,11 +63,8 @@ fn build_tuple(terms: &[CTerm], vals: &[Const]) -> Tuple {
     terms.iter().map(|t| value(t, vals)).collect()
 }
 
-/// Returns `true` to keep enumerating candidates; `false` when an active
-/// governor tripped on an emit (budget exhausted, cancelled, failpoint) —
-/// the whole walk unwinds immediately and the caller reads the verdict off
-/// the governor.
-#[allow(clippy::too_many_lines)]
+/// Enumerates every completion of the current binding through the plan's
+/// remaining steps, inserting each head tuple into `out`.
 fn step(
     env: &ExecEnv<'_>,
     plan: &Plan,
@@ -76,11 +72,10 @@ fn step(
     vals: &mut Vec<Const>,
     bound: &mut Vec<bool>,
     out: &mut Relation,
-) -> bool {
+) {
     if idx == plan.steps.len() {
-        let head = build_tuple(&plan.head, vals);
-        out.insert(head);
-        return !matches!(env.gov, Some(g) if g.note_emit());
+        out.insert(build_tuple(&plan.head, vals));
+        return;
     }
     match &plan.steps[idx] {
         Step::Scan {
@@ -95,9 +90,7 @@ fn step(
                 // delta) in place.
                 let tuples = env.scan_tuples(*pred, *source);
                 for t in tuples {
-                    if !scan_candidate(env, plan, idx, vals, bound, out, t, terms, binds_mask) {
-                        return false;
-                    }
+                    scan_candidate(env, plan, idx, vals, bound, out, t, terms, binds_mask);
                 }
             } else {
                 // Keyed scan: probe the persistent index; the postings
@@ -109,9 +102,7 @@ fn step(
                 if let Some(postings) = env.indexes.probe(rel.id(), key_cols, &key) {
                     for &ti in postings {
                         let t = &rel.dense()[ti as usize];
-                        if !scan_candidate(env, plan, idx, vals, bound, out, t, terms, binds_mask) {
-                            return false;
-                        }
+                        scan_candidate(env, plan, idx, vals, bound, out, t, terms, binds_mask);
                     }
                 } else {
                     // No index registered (unprepared plan): filtered
@@ -121,57 +112,55 @@ fn step(
                         if key_cols.iter().enumerate().any(|(r, &c)| t[c] != key[r]) {
                             continue;
                         }
-                        if !scan_candidate(env, plan, idx, vals, bound, out, t, terms, binds_mask) {
-                            return false;
-                        }
+                        scan_candidate(env, plan, idx, vals, bound, out, t, terms, binds_mask);
                     }
                 }
             }
-            true
         }
         Step::Domain { var } => {
             let var = *var;
             bound[var] = true;
             for c in 0..env.ctx.universe_size as u32 {
                 vals[var] = Const(c);
-                if !step(env, plan, idx + 1, vals, bound, out) {
-                    bound[var] = false;
-                    return false;
-                }
+                step(env, plan, idx + 1, vals, bound, out);
             }
             bound[var] = false;
-            true
         }
         Step::FilterPos { pred, terms } => {
             let t = build_tuple(terms, vals);
-            !env.relation(*pred, Source::Full).contains(&t)
-                || step(env, plan, idx + 1, vals, bound, out)
+            if env.relation(*pred, Source::Full).contains(&t) {
+                step(env, plan, idx + 1, vals, bound, out);
+            }
         }
         Step::FilterNeg { pred, terms } => {
             let t = build_tuple(terms, vals);
-            env.neg_relation(*pred).contains(&t) || step(env, plan, idx + 1, vals, bound, out)
+            if !env.neg_relation(*pred).contains(&t) {
+                step(env, plan, idx + 1, vals, bound, out);
+            }
         }
         Step::BindEq { var, from } => {
             let var = *var;
             vals[var] = value(from, vals);
             bound[var] = true;
-            let keep_going = step(env, plan, idx + 1, vals, bound, out);
+            step(env, plan, idx + 1, vals, bound, out);
             bound[var] = false;
-            keep_going
         }
         Step::FilterEq { a, b } => {
-            value(a, vals) != value(b, vals) || step(env, plan, idx + 1, vals, bound, out)
+            if value(a, vals) == value(b, vals) {
+                step(env, plan, idx + 1, vals, bound, out);
+            }
         }
         Step::FilterNeq { a, b } => {
-            value(a, vals) == value(b, vals) || step(env, plan, idx + 1, vals, bound, out)
+            if value(a, vals) != value(b, vals) {
+                step(env, plan, idx + 1, vals, bound, out);
+            }
         }
     }
 }
 
 /// Tries one scan candidate: unify `t` against `terms`, recurse into the
 /// remaining steps on success, then restore the bindings this scan step
-/// introduced (`binds_mask` marks the term positions that bind). Returns
-/// `false` only when the recursion stopped on a governor trip.
+/// introduced (`binds_mask` marks the term positions that bind).
 #[allow(clippy::too_many_arguments)]
 fn scan_candidate(
     env: &ExecEnv<'_>,
@@ -183,7 +172,7 @@ fn scan_candidate(
     t: &Tuple,
     terms: &[CTerm],
     binds_mask: u128,
-) -> bool {
+) {
     let mut ok = true;
     for (col, term) in terms.iter().enumerate() {
         match term {
@@ -204,7 +193,9 @@ fn scan_candidate(
             }
         }
     }
-    let keep_going = !ok || step(env, plan, idx + 1, vals, bound, out);
+    if ok {
+        step(env, plan, idx + 1, vals, bound, out);
+    }
     let mut mask = binds_mask;
     while mask != 0 {
         let col = mask.trailing_zeros() as usize;
@@ -214,7 +205,6 @@ fn scan_candidate(
         };
         bound[v] = false;
     }
-    keep_going
 }
 
 /// Satisfiability probe: does any completion of the current binding

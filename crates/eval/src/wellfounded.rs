@@ -113,18 +113,19 @@ impl WellFoundedModel {
 /// Computes the well-founded model, with [`EvalOptions::default`].
 ///
 /// # Errors
-/// Compilation errors only — the well-founded semantics is total on
+/// Compilation errors, or a fault injected by a failpoint armed through
+/// `INFLOG_FAILPOINT` — the well-founded semantics itself is total on
 /// programs.
 pub fn well_founded(program: &Program, db: &Database) -> Result<WellFoundedModel> {
     well_founded_with(program, db, &EvalOptions::default())
 }
 
-/// [`well_founded`] with explicit evaluation options (executor, budget,
+/// [`well_founded`] with explicit evaluation options (budget,
 /// cancellation, failpoints).
 ///
 /// # Errors
-/// Compilation errors only — the well-founded semantics is total on
-/// programs.
+/// Compilation errors, or the governance errors of
+/// [`well_founded_compiled_with`].
 pub fn well_founded_with(
     program: &Program,
     db: &Database,
@@ -136,24 +137,17 @@ pub fn well_founded_with(
 }
 
 /// Computes the well-founded model over a compiled program, incrementally
-/// (see the module docs for the construction and its soundness). This
-/// convenience wrapper strips any environment-supplied governance (budget,
-/// token, failpoints) and is therefore infallible.
-pub fn well_founded_compiled(cp: &CompiledProgram, ctx: &EvalContext) -> WellFoundedModel {
-    well_founded_compiled_with(cp, ctx, &EvalOptions::default().without_governance())
-        .expect("ungoverned well-founded evaluation cannot fail")
-}
-
-/// [`well_founded_compiled`] with explicit evaluation options; the governed
-/// form checks budget, cancellation and failpoints at every round boundary
-/// of every inner fixpoint, at every overdeletion-closure frontier, before
-/// every rederive sweep, and every few thousand emitted tuples. One budget
-/// spans the whole alternating fixpoint.
+/// (see the module docs for the construction and its soundness). The
+/// governed form checks budget, cancellation and failpoints at every round
+/// boundary of every inner fixpoint, at every overdeletion-closure
+/// frontier, before every rederive sweep, and every few thousand emitted
+/// tuples. One budget spans the whole alternating fixpoint.
 ///
 /// # Errors
 /// [`EvalError::Cancelled`](crate::EvalError::Cancelled),
-/// [`EvalError::BudgetExceeded`](crate::EvalError::BudgetExceeded), a fault
-/// injected by an armed failpoint.
+/// [`EvalError::BudgetExceeded`](crate::EvalError::BudgetExceeded), or
+/// [`EvalError::FaultInjected`](crate::EvalError::FaultInjected) by an
+/// armed failpoint.
 pub fn well_founded_compiled_with(
     cp: &CompiledProgram,
     ctx: &EvalContext,
@@ -162,7 +156,7 @@ pub fn well_founded_compiled_with(
     let governor = Governor::new(opts);
     let gov = governor.as_active();
     let num_idb = cp.num_idb();
-    let mut driver = DeltaDriver::with_options(cp, opts.clone());
+    let mut driver = DeltaDriver::new(cp);
     // `t` grows and `u` shrinks monotonically across alternations (after
     // the first); both keep their relation identities for the whole run, so
     // the context's persistent indexes stay warm throughout.
@@ -208,7 +202,6 @@ pub fn well_founded_compiled_with(
             Some(&empty_neg),
             None,
             &mut heads,
-            opts.exec_kind(),
             gov,
         )?;
         // Overdeletion cone, closed through positive IDB dependencies. A
@@ -244,7 +237,6 @@ pub fn well_founded_compiled_with(
                 Some(&empty_neg),
                 None,
                 &mut heads,
-                opts.exec_kind(),
                 gov,
             )?;
             for (i, list) in cone.iter_mut().enumerate() {
@@ -279,7 +271,7 @@ pub fn well_founded_compiled_with(
             }
             for (i, list) in cone.iter().enumerate() {
                 let seed = frontier.get_mut(i);
-                operator::derivable_batch(cp, ctx, i, list, &u, &t, opts.exec_kind(), |k| {
+                operator::derivable_batch(cp, ctx, i, list, &u, &t, |k| {
                     seed.insert(list[k].clone());
                 });
             }
@@ -480,7 +472,7 @@ mod tests {
         }
         let cp = CompiledProgram::compile(&p, &db).unwrap();
         let ctx = EvalContext::new(&cp, &db).unwrap();
-        let wf = well_founded_compiled(&cp, &ctx);
+        let wf = well_founded_compiled_with(&cp, &ctx, &EvalOptions::sequential()).unwrap();
         assert!(
             wf.alternations >= 2,
             "needs a real alternation to exercise rollback"
@@ -490,7 +482,7 @@ mod tests {
             "keyed scans must have registered indexes"
         );
         // Rerunning over the same warm context gives the identical model.
-        let wf2 = well_founded_compiled(&cp, &ctx);
+        let wf2 = well_founded_compiled_with(&cp, &ctx, &EvalOptions::sequential()).unwrap();
         assert_eq!(wf, wf2);
     }
 }

@@ -15,7 +15,8 @@
 use inflog_core::graphs::DiGraph;
 use inflog_core::Database;
 use inflog_eval::{
-    apply_with_neg, stratified_eval, well_founded, CompiledProgram, EvalContext, Interp,
+    apply_with_neg, stratified_eval, well_founded, CompiledProgram, EvalContext, EvalOptions,
+    Interp,
 };
 use inflog_syntax::{parse_program, Program};
 use rand::rngs::StdRng;
@@ -174,9 +175,13 @@ fn warm_context_reuse_is_deterministic() {
     let db = g.to_database("E");
     let cp = CompiledProgram::compile(&program, &db).unwrap();
     let ctx = EvalContext::new(&cp, &db).unwrap();
-    let first = inflog_eval::wellfounded::well_founded_compiled(&cp, &ctx);
+    let run = || {
+        inflog_eval::wellfounded::well_founded_compiled_with(&cp, &ctx, &EvalOptions::sequential())
+            .unwrap()
+    };
+    let first = run();
     for _ in 0..3 {
-        let again = inflog_eval::wellfounded::well_founded_compiled(&cp, &ctx);
+        let again = run();
         assert_eq!(first, again);
     }
 }

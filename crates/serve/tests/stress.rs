@@ -8,8 +8,8 @@
 //! epoch's own database**. A torn publish — any mix of two epochs — would
 //! make that recompute diverge.
 //!
-//! The same test body runs again in CI's tree-executor
-//! (`INFLOG_EXEC=tree`) pass, covering both executors.
+//! In debug builds every Θ application of the server and of the recompute
+//! is also replayed on the tree executor, the VM's oracle.
 
 use inflog_core::graphs::DiGraph;
 use inflog_core::Tuple;
