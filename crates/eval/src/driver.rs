@@ -194,12 +194,17 @@ impl DeltaDriver {
     /// incremental well-founded engine calls this for every alternation
     /// after the first; the debug cross-check verifies the argument against
     /// a full naive round.
+    ///
+    /// `rules` restricts every round to these rule indices, as in
+    /// [`extend`](Self::extend): the well-founded engine alternates one
+    /// dependency component at a time.
     #[allow(clippy::too_many_arguments)]
     pub fn extend_from_removed(
         &mut self,
         cp: &CompiledProgram,
         ctx: &EvalContext,
         s: &mut Interp,
+        rules: Option<&[usize]>,
         removed: &Interp,
         frozen_neg: &Interp,
         trace: Option<&mut EvalTrace>,
@@ -211,7 +216,7 @@ impl DeltaDriver {
             cp,
             ctx,
             s,
-            None,
+            rules,
             PlanKind::NegDelta,
             Some(DeltaSource::Interp(removed)),
             Some(frozen_neg),
@@ -220,8 +225,8 @@ impl DeltaDriver {
             Some(gov),
         )?;
         #[cfg(debug_assertions)]
-        self.cross_check_against_naive_round(cp, ctx, s, None, Some(frozen_neg));
-        self.drain_rounds(cp, ctx, s, None, Some(frozen_neg), trace, gov)
+        self.cross_check_against_naive_round(cp, ctx, s, rules, Some(frozen_neg));
+        self.drain_rounds(cp, ctx, s, rules, Some(frozen_neg), trace, gov)
     }
 
     /// Like [`extend`](Self::extend), but the first round's derivations are

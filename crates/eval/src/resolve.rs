@@ -8,7 +8,7 @@ use crate::plan::{
 };
 use crate::Result;
 use inflog_core::{Database, Relation};
-use inflog_syntax::{Atom, Literal, Program, Term};
+use inflog_syntax::{Atom, DepGraph, Literal, Program, Term};
 use std::collections::HashMap;
 
 /// The re-plannable plan set of one rule: everything the round driver
@@ -171,6 +171,19 @@ fn build_plans(head: &[CTerm], body: &[RLit], num_vars: usize, cards: &CardSnaps
     }
 }
 
+/// One component of the program's signed dependency graph
+/// ([`DepGraph`]), resolved to IDB ids and rule indices.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct RuleComponent {
+    /// IDB ids of the component's predicates, ascending.
+    pub(crate) preds: Vec<usize>,
+    /// Indices of the rules whose head is one of `preds`, in source order.
+    pub(crate) rules: Vec<usize>,
+    /// Whether a negative edge stays inside the component (recursion
+    /// through negation).
+    pub(crate) has_negative_cycle: bool,
+}
+
 /// A program compiled against a database universe: dense IDB/EDB ids,
 /// resolved constants, and per-rule plans.
 #[derive(Debug, Clone)]
@@ -185,6 +198,8 @@ pub struct CompiledProgram {
     pub edb_arities: Vec<usize>,
     /// Compiled rules in source order.
     pub rules: Vec<CompiledRule>,
+    /// The components of the signed dependency graph, dependencies first.
+    pub(crate) components: Vec<RuleComponent>,
     idb_index: HashMap<String, usize>,
     edb_index: HashMap<String, usize>,
 }
@@ -330,12 +345,33 @@ impl CompiledProgram {
             dump_ir(&rules, &idb_names);
         }
 
+        // The graph numbers predicates in sorted-name order, as `idb_names`
+        // does, so its node ids are IDB ids.
+        let graph = DepGraph::new(program);
+        debug_assert_eq!(graph.names(), idb_names.as_slice());
+        let mut component_of = vec![0; idb_names.len()];
+        let mut components: Vec<RuleComponent> = Vec::new();
+        for (c, comp) in graph.components().iter().enumerate() {
+            for &p in &comp.nodes {
+                component_of[p] = c;
+            }
+            components.push(RuleComponent {
+                preds: comp.nodes.clone(),
+                rules: Vec::new(),
+                has_negative_cycle: comp.has_negative_cycle,
+            });
+        }
+        for (r, rule) in rules.iter().enumerate() {
+            components[component_of[rule.head_pred]].rules.push(r);
+        }
+
         Ok(CompiledProgram {
             idb_names,
             idb_arities,
             edb_names,
             edb_arities,
             rules,
+            components,
             idb_index,
             edb_index,
         })

@@ -23,7 +23,7 @@ use crate::resolve::CompiledProgram;
 use crate::trace::EvalTrace;
 use crate::Result;
 use inflog_core::Database;
-use inflog_syntax::{Literal, Program};
+use inflog_syntax::{DepGraph, Program};
 use std::collections::BTreeMap;
 
 /// A stratification: stratum index per IDB predicate, plus rule grouping.
@@ -45,55 +45,27 @@ impl Stratification {
 /// Computes a stratification, or fails with a recursion-through-negation
 /// witness.
 ///
-/// Uses the classic label-correcting iteration: `stratum(P) >= stratum(Q)`
-/// for positive body IDB atoms `Q`, `stratum(P) > stratum(Q)` for negated
-/// ones; a label exceeding the number of IDB predicates certifies a negative
-/// cycle.
+/// A predicate's stratum is the longest path of negative edges out of it
+/// over the condensation of the program's signed dependency graph
+/// ([`DepGraph::strata`]): the least labelling with
+/// `stratum(P) >= stratum(Q)` for positive body IDB atoms `Q` and
+/// `stratum(P) > stratum(Q)` for negated ones.
 ///
 /// # Errors
 /// [`EvalError::NotStratified`] when the program has recursion through
-/// negation (like the paper's `T(z) <- !Q(u), !T(w)` rule).
+/// negation (like the paper's `T(z) <- !Q(u), !T(w)` rule); the witness is
+/// a dependency cycle through a negative edge, e.g. `T -!-> T`.
 pub fn stratify(program: &Program) -> Result<Stratification> {
-    let idb = program.idb_predicates();
-    let n = idb.len();
-    let mut strata: BTreeMap<String, usize> = idb.iter().map(|p| (p.clone(), 0)).collect();
-
-    let mut changed = true;
-    while changed {
-        changed = false;
-        for rule in &program.rules {
-            let head = &rule.head.predicate;
-            let mut head_stratum = strata[head];
-            for lit in &rule.body {
-                let Some(atom) = lit.atom() else { continue };
-                let Some(&body_stratum) = strata.get(&atom.predicate) else {
-                    continue; // EDB: stratum 0
-                };
-                let required = match lit {
-                    Literal::Pos(_) => body_stratum,
-                    Literal::Neg(_) => body_stratum + 1,
-                    _ => unreachable!("atom() returned Some for eq literal"),
-                };
-                if required > head_stratum {
-                    head_stratum = required;
-                    if head_stratum > n {
-                        return Err(EvalError::NotStratified {
-                            witness: format!(
-                                "negative cycle through `{}` (rule: {rule})",
-                                atom.predicate
-                            ),
-                        });
-                    }
-                }
-            }
-            if head_stratum > strata[head] {
-                strata.insert(head.clone(), head_stratum);
-                changed = true;
-            }
-        }
-    }
-
-    let num_strata = strata.values().copied().max().map_or(0, |m| m + 1);
+    let graph = DepGraph::new(program);
+    let Some(levels) = graph.strata() else {
+        return Err(EvalError::NotStratified {
+            witness: graph
+                .negative_cycle()
+                .expect("a graph without strata has a negative cycle"),
+        });
+    };
+    let num_strata = levels.iter().max().map_or(0, |m| m + 1);
+    let strata = graph.names().iter().cloned().zip(levels).collect();
     Ok(Stratification { strata, num_strata })
 }
 
@@ -206,17 +178,43 @@ mod tests {
         assert_eq!(s.stratum("C"), 1);
     }
 
+    fn witness(src: &str) -> String {
+        match stratify(&parse_program(src).unwrap()) {
+            Err(EvalError::NotStratified { witness }) => witness,
+            other => panic!("expected NotStratified, got {other:?}"),
+        }
+    }
+
     #[test]
     fn pi1_is_not_stratified() {
         // T uses itself negatively: recursion through negation.
-        let p = parse_program("T(x) :- E(y, x), !T(y).").unwrap();
-        assert!(matches!(stratify(&p), Err(EvalError::NotStratified { .. })));
+        assert_eq!(witness("T(x) :- E(y, x), !T(y)."), "T -!-> T");
     }
 
     #[test]
     fn mutual_negative_recursion_rejected() {
-        let p = parse_program("A(x) :- V(x), !B(x). B(x) :- V(x), !A(x).").unwrap();
-        assert!(stratify(&p).is_err());
+        assert_eq!(
+            witness("A(x) :- V(x), !B(x). B(x) :- V(x), !A(x)."),
+            "A -!-> B -!-> A"
+        );
+    }
+
+    #[test]
+    fn witnesses_name_an_actual_cycle() {
+        // Chalk's `G1 :- not { G1 }` (SNIPPETS.md §3).
+        assert_eq!(witness("G1 :- !G1."), "G1 -!-> G1");
+        // Scallop's `is_true() = not is_true()` (SNIPPETS.md §2).
+        assert_eq!(witness("IsTrue :- !IsTrue."), "IsTrue -!-> IsTrue");
+        // Two predicates, one negative and one positive edge.
+        assert_eq!(
+            witness("P(x) :- V(x), !Q(x). Q(x) :- V(x), P(x). R(x) :- !P(x), V(x)."),
+            "P -!-> Q --> P"
+        );
+        // The paper's pivotal rule: `Q` is extensional, `T` negates itself.
+        assert_eq!(witness("T(z) :- !Q(u), !T(w)."), "T -!-> T");
+        // The error message carries the witness verbatim.
+        let err = stratify(&parse_program("G1 :- !G1.").unwrap()).unwrap_err();
+        assert_eq!(err.to_string(), "program is not stratified: G1 -!-> G1");
     }
 
     #[test]

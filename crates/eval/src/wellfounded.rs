@@ -1,4 +1,5 @@
-//! Well-founded semantics via an **incremental** alternating fixpoint.
+//! Well-founded semantics, by component, with an **incremental**
+//! alternating fixpoint inside each cycle through negation.
 //!
 //! An extension beyond the paper's text: the negation-semantics landscape the
 //! paper's introduction surveys (negation as failure, stratified semantics)
@@ -6,7 +7,7 @@
 //! DATALOG — assigns a meaning to *every* DATALOG¬ program, but a 3-valued
 //! one. Experiment E9 compares all the semantics side by side.
 //!
-//! # Construction
+//! # The alternating fixpoint
 //!
 //! Let `Γ(J)` be the least fixpoint of the *positivized* operator in which
 //! negative IDB literals are evaluated against the fixed interpretation `J`.
@@ -20,14 +21,45 @@
 //! For stratified programs the result is total (no undefined facts) and
 //! coincides with the perfect model.
 //!
-//! # Incremental evaluation
+//! # Construction by component
 //!
-//! Naively, every `Γ` is a fresh least fixpoint from ∅ — the engine this
-//! module replaces recomputed both sides in full every alternation. Here
-//! each alternation costs work proportional to what *changed*, and none of
-//! it changes the result: the `T_k`/`U_k` sequences — hence `T*`, `U*` and
-//! the alternation count — are identical to the naive engine's. (In debug
-//! builds every alternation is re-verified against a naive `Γ`.)
+//! The engine never alternates over the whole program. It walks the
+//! components of the signed predicate dependency graph
+//! (`CompiledProgram`'s `components`) dependencies first, keeping `T` and
+//! `U` as whole-program interpretations. When a component `C` comes up,
+//! every predicate `C` reads from below is final in both `T` and `U`:
+//!
+//! * **No negative cycle in `C`.** Every negated IDB literal in `C`'s rules
+//!   names a lower predicate, so `C`'s part of `Γ(J)` depends on `J` only
+//!   through the final lower part. At the fixpoint `U* = Γ(T*)` and
+//!   `T* = Γ(U*)`, so `C`'s possible facts are one least fixpoint of its
+//!   rules reading positive atoms from `U` and negations against `T`, and
+//!   its true facts one least fixpoint reading positive atoms from `T` and
+//!   negations against `U`. Two monotone fixpoints, no alternation.
+//! * **Negative cycle in `C`.** `C` alternates on its own: the sequence
+//!   `U_k = Γ_C(T_k)`, `T_{k+1} = Γ_C(U_k)` from `T_0 = ∅`, where `Γ_C`
+//!   runs only `C`'s rules over the frozen lower part. It reaches `C`'s
+//!   part of the well-founded model.
+//!
+//! Both cases are the splitting property of the well-founded semantics:
+//! with the lower part fixed, the rest of the program has the model it
+//! would have with the lower atoms given as (three-valued) facts. Ésik and
+//! Rondogiannis (*A Fixed Point Theorem for Non-Monotonic Functions*,
+//! PAPERS.md) prove the construction by levels gives the same model. The
+//! payoff is that a large stratified part above or beside a small negative
+//! cycle is evaluated twice, not once per alternation.
+//!
+//! [`WellFoundedModel::alternations`] is the largest alternation count of
+//! any negative-cycle component (1 when there is none).
+//!
+//! # Incremental evaluation inside a negative cycle
+//!
+//! Naively, every `Γ_C` is a fresh least fixpoint from ∅. Here each
+//! alternation costs work proportional to what *changed*, and none of it
+//! changes the result: the `T_k`/`U_k` sequences — hence the model and the
+//! alternation count — are those of the naive alternation. (In debug builds
+//! every alternation is re-verified against a naive `Γ_C`.) Every step below
+//! runs only the component's rules and touches only its predicates.
 //!
 //! 1. **Semi-naive Γ.** With negations frozen at `J`, the positivized
 //!    operator is monotone in `S`, so the standard delta argument applies
@@ -86,7 +118,7 @@ use crate::govern::Governor;
 use crate::interp::Interp;
 use crate::operator::{self, EvalContext};
 use crate::options::EvalOptions;
-use crate::resolve::CompiledProgram;
+use crate::resolve::{CompiledProgram, RuleComponent};
 use crate::Result;
 use inflog_core::failpoints::{SITE_OVERDELETE_CLOSE, SITE_REDERIVE_SWEEP};
 use inflog_core::{Database, Tuple};
@@ -99,7 +131,9 @@ pub struct WellFoundedModel {
     pub true_facts: Interp,
     /// Facts undefined in the well-founded model (`U* \ T*`).
     pub undefined: Interp,
-    /// Number of alternating iterations until `Γ²` stabilized.
+    /// The largest number of alternations any component with a cycle
+    /// through negation ran until its `Γ²` stabilized; 1 when no component
+    /// has one.
     pub alternations: usize,
 }
 
@@ -136,12 +170,13 @@ pub fn well_founded_with(
     well_founded_compiled_with(&cp, &ctx, opts)
 }
 
-/// Computes the well-founded model over a compiled program, incrementally
-/// (see the module docs for the construction and its soundness). The
-/// governed form checks budget, cancellation and failpoints at every round
-/// boundary of every inner fixpoint, at every overdeletion-closure
-/// frontier, before every rederive sweep, and every few thousand emitted
-/// tuples. One budget spans the whole alternating fixpoint.
+/// Computes the well-founded model over a compiled program, component by
+/// component, incrementally inside negative cycles (see the module docs for
+/// the construction and its soundness). The governed form checks budget,
+/// cancellation and failpoints at every round boundary of every inner
+/// fixpoint, at every alternation, at every overdeletion-closure frontier,
+/// before every rederive sweep, and every few thousand emitted tuples. One
+/// budget spans the whole evaluation.
 ///
 /// # Errors
 /// [`EvalError::Cancelled`](crate::EvalError::Cancelled),
@@ -154,34 +189,79 @@ pub fn well_founded_compiled_with(
     opts: &EvalOptions,
 ) -> Result<WellFoundedModel> {
     let governor = Governor::new(opts);
-    let gov = governor.as_active();
-    let num_idb = cp.num_idb();
     let mut driver = DeltaDriver::new(cp);
-    // `t` grows and `u` shrinks monotonically across alternations (after
-    // the first); both keep their relation identities for the whole run, so
-    // the context's persistent indexes stay warm throughout.
+    // `t` grows and `u` shrinks monotonically inside each component (after
+    // its first alternation); both keep their relation identities for the
+    // whole run, so the context's persistent indexes stay warm throughout.
     let mut t = cp.empty_interp();
     let mut u = cp.empty_interp();
-    // Scratch (reused across alternations, cleared in place):
+    let mut alternations = 1;
+    for comp in &cp.components {
+        let rules = Some(comp.rules.as_slice());
+        if comp.has_negative_cycle {
+            let k = alternate(cp, ctx, comp, &mut driver, &mut t, &mut u, &governor)?;
+            alternations = alternations.max(k);
+        } else {
+            // The lower components are final: U_C = Γ_C(T), then T_C = Γ_C(U).
+            driver.extend(cp, ctx, &mut u, rules, Some(&t), None, &governor)?;
+            driver.extend(cp, ctx, &mut t, rules, Some(&u), None, &governor)?;
+        }
+    }
+
+    // T* ⊆ U* throughout, so equal sizes mean a total model — the common
+    // case costs no difference pass at all; otherwise one pass over U*
+    // clones exactly the undefined tuples.
+    let undefined = if u.total_tuples() == t.total_tuples() {
+        cp.empty_interp()
+    } else {
+        u.difference(&t)
+    };
+    Ok(WellFoundedModel {
+        undefined,
+        true_facts: t,
+        alternations,
+    })
+}
+
+/// Runs the incremental alternating fixpoint of one component with a
+/// negative cycle, over the final lower components in `t` and `u`, and
+/// returns its alternation count.
+fn alternate(
+    cp: &CompiledProgram,
+    ctx: &EvalContext,
+    comp: &RuleComponent,
+    driver: &mut DeltaDriver,
+    t: &mut Interp,
+    u: &mut Interp,
+    governor: &Governor,
+) -> Result<usize> {
+    let gov = governor.as_active();
+    let rules = Some(comp.rules.as_slice());
+    let preds = &comp.preds;
+    // Scratch, reused across alternations. Only the component's predicates
+    // are ever filled, so a delta or neg-delta plan scanning a lower
+    // predicate's slot sees nothing there.
     let mut delta_t = cp.empty_interp(); // ΔT_k — drives damage enumeration
     let mut frontier = cp.empty_interp(); // current overdeletion frontier
     let mut heads = cp.empty_interp(); // enumeration output buffer
     let mut removed = cp.empty_interp(); // U_{k-1} \ U_k — drives the T restart
     let empty_neg = cp.empty_interp(); // permissive negation context (damage)
-    let mut t_marks = vec![0usize; num_idb];
-    let mut alternations = 1usize;
 
-    // Alternation 1 (cold): U_0 = Γ(∅), then T_1 = Γ(U_0), both by
+    // Dense length of each predicate's `t` at the previous alternation.
+    let mut t_marks = vec![0usize; preds.len()];
+    let mut alternations = 1;
+
+    // Alternation 1 (cold): U_0 = Γ_C(∅), then T_1 = Γ_C(U_0), both by
     // warm-seeded semi-naive Γ.
-    driver.extend(cp, ctx, &mut u, None, Some(&t), None, &governor)?;
-    let mut added = driver.extend(cp, ctx, &mut t, None, Some(&u), None, &governor)?;
+    driver.extend(cp, ctx, u, rules, Some(t), None, governor)?;
+    let mut added = driver.extend(cp, ctx, t, rules, Some(u), None, governor)?;
 
     while added > 0 {
         if let Some(g) = gov {
             g.check_round()?;
         }
         // ΔT_k: the tuples T gained in the previous alternation.
-        for (i, mark) in t_marks.iter_mut().enumerate() {
+        for (&i, mark) in preds.iter().zip(&mut t_marks) {
             let dt = delta_t.get_mut(i);
             dt.clear();
             for tuple in &t.get(i).dense()[*mark..] {
@@ -195,8 +275,8 @@ pub fn well_founded_compiled_with(
         operator::apply_general_into(
             cp,
             ctx,
-            &u,
-            None,
+            u,
+            rules,
             operator::PlanKind::NegDelta,
             Some(operator::DeltaSource::Interp(&delta_t)),
             Some(&empty_neg),
@@ -207,14 +287,14 @@ pub fn well_founded_compiled_with(
         // Overdeletion cone, closed through positive IDB dependencies. A
         // frontier is enumerated from `u` *before* it is removed, so every
         // dependent instance is seen at the first frontier touching it.
-        let mut cone: Vec<Vec<Tuple>> = vec![Vec::new(); num_idb];
+        let mut cone: Vec<Vec<Tuple>> = vec![Vec::new(); preds.len()];
         loop {
             if let Some(g) = gov {
                 g.fail_at(SITE_OVERDELETE_CLOSE)?;
                 g.check()?;
             }
             let mut any = false;
-            for i in 0..num_idb {
+            for &i in preds {
                 let fr = frontier.get_mut(i);
                 fr.clear();
                 for tuple in heads.get(i).dense() {
@@ -230,8 +310,8 @@ pub fn well_founded_compiled_with(
             operator::apply_general_into(
                 cp,
                 ctx,
-                &u,
-                None,
+                u,
+                rules,
                 operator::PlanKind::PosDelta,
                 Some(operator::DeltaSource::Interp(&frontier)),
                 Some(&empty_neg),
@@ -239,7 +319,7 @@ pub fn well_founded_compiled_with(
                 &mut heads,
                 gov,
             )?;
-            for (i, list) in cone.iter_mut().enumerate() {
+            for (&i, list) in preds.iter().zip(&mut cone) {
                 for tuple in frontier.get(i).dense() {
                     let _ = ctx.remove_patched(u.get_mut(i), tuple);
                     list.push(tuple.clone());
@@ -263,47 +343,26 @@ pub fn well_founded_compiled_with(
             if let Some(g) = gov {
                 g.fail_at(SITE_REDERIVE_SWEEP)?;
             }
-            operator::sync_check_indexes(cp, ctx, &u);
+            operator::sync_check_indexes(cp, ctx, u);
             // `frontier` is free after the overdeletion loop; reuse it as
             // the seed buffer for the rederive rounds.
-            for i in 0..num_idb {
-                frontier.get_mut(i).clear();
-            }
-            for (i, list) in cone.iter().enumerate() {
+            for (&i, list) in preds.iter().zip(&cone) {
                 let seed = frontier.get_mut(i);
-                operator::derivable_batch(cp, ctx, i, list, &u, &t, |k| {
+                seed.clear();
+                operator::derivable_batch(cp, ctx, i, list, u, t, |k| {
                     seed.insert(list[k].clone());
                 });
             }
-            driver.extend_seeded(cp, ctx, &mut u, None, Some(&t), &frontier, None, &governor)?;
+            driver.extend_seeded(cp, ctx, u, rules, Some(t), &frontier, None, governor)?;
         }
         #[cfg(debug_assertions)]
-        {
-            // One postings sweep per alternation (not per patched removal —
-            // that would make debug-build overdeletion quadratic): after the
-            // whole overdelete/rederive batch, every index over `u` must
-            // still be sorted and complete before the next round trusts its
-            // posting order.
-            for i in 0..num_idb {
-                ctx.debug_validate_indexes(u.get(i));
-            }
-            // Overdelete + rederive must land exactly on lfp(Γ_{T_k}) — the
-            // same set a naive Γ from ∅ computes.
-            let mut naive = cp.empty_interp();
-            loop {
-                let derived = operator::apply_with_neg(cp, ctx, &naive, &t);
-                if naive.union_with(&derived) == 0 {
-                    break;
-                }
-            }
-            debug_assert_eq!(u, naive, "incremental U diverged from naive Γ(T)");
-        }
+        debug_check_u(cp, ctx, comp, t, u);
 
         // The cone members that were never rederived back into `u` are
         // exactly U_{k-1} \ U_k: the tuples that just became false, driving
         // the T restart round.
         let mut any_removed = false;
-        for (i, list) in cone.into_iter().enumerate() {
+        for (&i, list) in preds.iter().zip(cone) {
             let rrel = removed.get_mut(i);
             rrel.clear();
             for tuple in list {
@@ -314,31 +373,67 @@ pub fn well_founded_compiled_with(
             }
         }
 
-        // T_{k+1} = Γ(U_k), warm-started from T_k ⊆ T_{k+1}. T_k is the
+        // T_{k+1} = Γ_C(U_k), warm-started from T_k ⊆ T_{k+1}. T_k is the
         // fixpoint of the previous context U_{k-1}, so only derivations a
         // negation newly enables (its atom left U) can be new — the
         // removed-driven restart round finds exactly those.
         added = if any_removed {
-            driver.extend_from_removed(cp, ctx, &mut t, &removed, &u, None, &governor)?
+            driver.extend_from_removed(cp, ctx, t, rules, &removed, u, None, governor)?
         } else {
             0 // U unchanged ⟹ Γ(U_k) = Γ(U_{k-1}) = T_k already.
         };
         alternations += 1;
     }
 
-    // T* ⊆ U* throughout, so equal sizes mean a total model — the common
-    // case costs no difference pass at all; otherwise one pass over U*
-    // clones exactly the undefined tuples.
-    let undefined = if u.total_tuples() == t.total_tuples() {
-        cp.empty_interp()
-    } else {
-        u.difference(&t)
-    };
-    Ok(WellFoundedModel {
-        undefined,
-        true_facts: t,
-        alternations,
-    })
+    Ok(alternations)
+}
+
+/// Debug-build invariants after one overdelete/rederive pass of `comp`:
+/// every index over the component's `u` relations is still sorted and
+/// complete (one postings sweep per alternation, not per patched removal —
+/// that would make debug-build overdeletion quadratic), and `u` landed
+/// exactly on `lfp(Γ_C(T_k))`, the set a naive `Γ_C` from ∅ computes over
+/// the same lower components.
+#[cfg(debug_assertions)]
+fn debug_check_u(
+    cp: &CompiledProgram,
+    ctx: &EvalContext,
+    comp: &RuleComponent,
+    t: &Interp,
+    u: &Interp,
+) {
+    for &i in &comp.preds {
+        ctx.debug_validate_indexes(u.get(i));
+    }
+    let mut naive = u.clone();
+    for &i in &comp.preds {
+        naive.get_mut(i).clear();
+    }
+    let mut derived = cp.empty_interp();
+    loop {
+        operator::apply_general_into(
+            cp,
+            ctx,
+            &naive,
+            Some(&comp.rules),
+            operator::PlanKind::Full,
+            None,
+            Some(t),
+            None,
+            &mut derived,
+            None,
+        )
+        .expect("ungoverned application cannot fail");
+        if naive.union_with(&derived) == 0 {
+            break;
+        }
+    }
+    for &i in &comp.preds {
+        debug_assert!(
+            u.get(i) == naive.get(i),
+            "incremental U diverged from naive Γ(T)"
+        );
+    }
 }
 
 #[cfg(test)]
@@ -450,6 +545,52 @@ mod tests {
         let wf = well_founded(&p, &db).unwrap();
         // Γ² is monotone on a lattice of height ≤ |A| here.
         assert!(wf.alternations <= 9, "alternations = {}", wf.alternations);
+    }
+
+    #[test]
+    fn only_negative_cycles_alternate() {
+        // `Safe` reads `!Win` from below and never alternates: adding it
+        // leaves the count at `Win`'s own, and a program with no negative
+        // cycle counts 1.
+        let win = "Win(x) :- Move(x, y), !Win(y).";
+        let safe = "Safe(x, y) :- Move(x, y), !Win(x).
+                    Safe(x, y) :- Safe(x, z), Move(z, y), !Win(y).";
+        let mut g = DiGraph::path(9);
+        g.add_edge(4, 1);
+        let db = g.to_database("Move");
+        let alone = well_founded(&parse_program(win).unwrap(), &db).unwrap();
+        let both = well_founded(&parse_program(&format!("{win} {safe}")).unwrap(), &db).unwrap();
+        assert!(alone.alternations > 1);
+        assert_eq!(both.alternations, alone.alternations);
+        let stratified = parse_program(
+            "S(x, y) :- Move(x, y). S(x, y) :- Move(x, z), S(z, y). C(x) :- Move(x, y), !S(y, x).",
+        )
+        .unwrap();
+        assert_eq!(well_founded(&stratified, &db).unwrap().alternations, 1);
+    }
+
+    #[test]
+    fn failpoints_fire_inside_a_negative_component() {
+        // The negative cycle `Win` sits above a positive-recursive `R`.
+        let p = parse_program(
+            "R(x, y) :- Move(x, y). R(x, y) :- R(x, z), Move(z, y).
+             Win(x) :- R(x, y), Move(x, y), !Win(y).",
+        )
+        .unwrap();
+        let db = DiGraph::path(8).to_database("Move");
+        for site in [SITE_OVERDELETE_CLOSE, SITE_REDERIVE_SWEEP] {
+            let opts = EvalOptions {
+                failpoints: inflog_core::failpoints::Failpoints::armed(site, 1),
+                ..EvalOptions::sequential()
+            };
+            assert!(
+                matches!(
+                    well_founded_with(&p, &db, &opts),
+                    Err(crate::EvalError::FaultInjected { .. })
+                ),
+                "{site} must fire"
+            );
+        }
     }
 
     #[test]

@@ -9,7 +9,8 @@
 //! - relation: `u32` arity + `u64` tuple count + tuples as flat `u32` ids, in
 //!   **`dense()` (insertion) order** — decoding re-inserts in that order, so a
 //!   round trip reproduces dense order bit-for-bit, which is what lets
-//!   recovered handles stay bit-identical to the pre-crash process.
+//!   recovered handles stay bit-identical to the pre-crash process. Inside a
+//!   database, decoding refuses any id at or past the universe's size.
 //! - universe: `u64` count + constant names in id order (decoding re-interns
 //!   in order and checks the ids come back out identical).
 //! - database: universe + `u32` relation count + `(name, relation)` pairs in
@@ -197,7 +198,10 @@ impl<'a> Reader<'a> {
         Ok(Tuple::from_ids(&ids))
     }
 
-    pub fn take_relation(&mut self) -> Result<Relation, StoreError> {
+    /// Reads a relation whose constant ids must all lie below
+    /// `universe_size`; an id at or past it is corrupt, reported at that
+    /// id's own offset.
+    pub fn take_relation(&mut self, universe_size: usize) -> Result<Relation, StoreError> {
         let arity = self.take_u32()? as usize;
         if arity > MAX_ARITY {
             return Err(self.corrupt(format!("implausible relation arity {arity}")));
@@ -217,7 +221,17 @@ impl<'a> Reader<'a> {
         let mut ids = vec![0u32; arity];
         for i in 0..count {
             for id in ids.iter_mut() {
+                let at = self.offset();
                 *id = self.take_u32()?;
+                if *id as usize >= universe_size {
+                    return Err(StoreError::CorruptFrame {
+                        path: self.path.clone(),
+                        offset: at,
+                        detail: format!(
+                            "constant id {id} out of range for a universe of {universe_size}"
+                        ),
+                    });
+                }
             }
             if !r.insert(Tuple::from_ids(&ids)) {
                 return Err(self.corrupt(format!("duplicate tuple at index {i} in relation")));
@@ -251,7 +265,7 @@ impl<'a> Reader<'a> {
             if prev.as_deref().is_some_and(|p| p >= name.as_str()) {
                 return Err(self.corrupt(format!("relation names out of order at {name:?}")));
             }
-            let rel = self.take_relation()?;
+            let rel = self.take_relation(db.universe().len())?;
             db.set_relation(&name, rel);
             prev = Some(name);
         }
@@ -307,7 +321,7 @@ mod tests {
         w.put_relation(&rel);
         let bytes = w.into_bytes();
         let mut r = Reader::new(&bytes, 0, "test");
-        let back = r.take_relation().unwrap();
+        let back = r.take_relation(4).unwrap();
         r.finish().unwrap();
         assert_eq!(back.dense(), rel.dense());
     }
@@ -358,7 +372,7 @@ mod tests {
         let bytes = w.into_bytes();
         let mut r = Reader::new(&bytes, 0, "test");
         assert!(matches!(
-            r.take_relation(),
+            r.take_relation(usize::MAX),
             Err(StoreError::CorruptFrame { .. })
         ));
     }
@@ -371,7 +385,7 @@ mod tests {
         let bytes = w.into_bytes();
         let mut r = Reader::new(&bytes, 0, "test");
         assert!(matches!(
-            r.take_relation(),
+            r.take_relation(usize::MAX),
             Err(StoreError::CorruptFrame { .. })
         ));
     }

@@ -186,6 +186,27 @@ fn bit_flip_is_a_typed_corrupt_frame_with_offset() {
 }
 
 #[test]
+fn out_of_range_snapshot_id_is_a_typed_corrupt_frame() {
+    // A snapshot whose frame and CRC are valid but whose last tuple names
+    // constant id 4 in a universe of 4 (`a`..`d`): recovery must refuse it
+    // at that id's offset, the last 4 bytes of the file.
+    let dir = tmp_dir("snap_id_range");
+    let mut state = sample_state(0);
+    let n = state.db.universe().len() as u32;
+    state.db.relation_mut("E").unwrap().insert(t(&[0, n]));
+    let path = write_snapshot(&dir, &state, &Failpoints::none()).unwrap();
+    let file_len = fs::metadata(&path).unwrap().len();
+    let err = Store::open(&dir, &StoreOptions::default()).unwrap_err();
+    match &err {
+        StoreError::CorruptFrame { offset, detail, .. } => {
+            assert_eq!(*offset, file_len - 4, "{detail}");
+            assert!(detail.contains("out of range"), "{detail}");
+        }
+        other => panic!("expected CorruptFrame, got {other:?}"),
+    }
+}
+
+#[test]
 fn compaction_resets_wal_and_prunes_snapshots() {
     let dir = tmp_dir("compact");
     let opts = StoreOptions::default();

@@ -39,11 +39,13 @@
 
 pub mod ast;
 pub mod builder;
+pub mod depgraph;
 pub mod lexer;
 pub mod parser;
 pub mod validate;
 
 pub use ast::{Atom, Literal, Program, Rule, Term};
 pub use builder::{atom, cst, fact, neg, pos, rule, var, ProgramBuilder};
+pub use depgraph::{Component, DepGraph};
 pub use parser::{parse_atom, parse_program, ParseError};
 pub use validate::{validate, SafetyWarning, ValidationError};
