@@ -1,7 +1,6 @@
 //! Finite `k`-ary relations on the universe, with set algebra and indexing.
 
-use crate::tuple::{Const, Tuple};
-use std::collections::{BTreeSet, HashMap};
+use crate::tuple::Tuple;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 use std::sync::Mutex;
@@ -110,16 +109,6 @@ impl Relation {
             r.insert(t);
         }
         r
-    }
-
-    /// Builds a relation of an explicit arity from an iterator — unlike the
-    /// `FromIterator` impl, an empty iterator yields an empty relation of
-    /// the *requested* arity instead of inferring arity 0.
-    ///
-    /// # Panics
-    /// Panics if any tuple's arity differs from `arity`.
-    pub fn from_iter_with_arity(arity: usize, tuples: impl IntoIterator<Item = Tuple>) -> Self {
-        Relation::from_tuples(arity, tuples)
     }
 
     /// The full relation `A^k` over a universe of the given size.
@@ -544,18 +533,6 @@ impl Relation {
         !self.is_subset(other) && !other.is_subset(self)
     }
 
-    /// Builds a hash index on the given key columns: key projection ↦ tuples.
-    ///
-    /// One-shot convenience; the evaluator maintains persistent positional
-    /// indexes over [`dense`](Self::dense) instead.
-    pub fn index_on(&self, cols: &[usize]) -> HashMap<Tuple, Vec<Tuple>> {
-        let mut idx: HashMap<Tuple, Vec<Tuple>> = HashMap::new();
-        for t in self.iter() {
-            idx.entry(t.project(cols)).or_default().push(t.clone());
-        }
-        idx
-    }
-
     /// Projects the relation onto the given columns (with dedup).
     pub fn project(&self, cols: &[usize]) -> Relation {
         let mut r = Relation::new(cols.len());
@@ -563,25 +540,6 @@ impl Relation {
             r.insert(t.project(cols));
         }
         r
-    }
-
-    /// Selects tuples where column `col` equals `value`.
-    pub fn select_eq(&self, col: usize, value: Const) -> Relation {
-        let mut r = Relation::new(self.arity);
-        for t in self.iter() {
-            if t[col] == value {
-                r.insert(t.clone());
-            }
-        }
-        r
-    }
-
-    /// The set of constants appearing anywhere in the relation (its active
-    /// domain contribution).
-    pub fn active_domain(&self) -> BTreeSet<Const> {
-        self.iter()
-            .flat_map(|t| t.items().iter().copied())
-            .collect()
     }
 }
 
@@ -634,7 +592,7 @@ impl FromIterator<Tuple> for Relation {
     /// Collects tuples into a relation, inferring arity from the first tuple.
     ///
     /// Empty iterators produce an arity-0 relation — if the arity is known,
-    /// prefer [`Relation::from_iter_with_arity`], which cannot mis-infer.
+    /// prefer [`Relation::from_tuples`], which cannot mis-infer.
     fn from_iter<I: IntoIterator<Item = Tuple>>(iter: I) -> Self {
         let mut it = iter.into_iter().peekable();
         let arity = it.peek().map_or(0, Tuple::arity);
@@ -645,6 +603,7 @@ impl FromIterator<Tuple> for Relation {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeSet;
 
     fn t(ids: &[u32]) -> Tuple {
         Tuple::from_ids(ids)
@@ -751,20 +710,9 @@ mod tests {
     }
 
     #[test]
-    fn index_groups_by_key() {
-        let r = rel(2, &[&[0, 1], &[0, 2], &[1, 2]]);
-        let idx = r.index_on(&[0]);
-        assert_eq!(idx.get(&t(&[0])).map(Vec::len), Some(2));
-        assert_eq!(idx.get(&t(&[1])).map(Vec::len), Some(1));
-        assert_eq!(idx.get(&t(&[2])), None);
-    }
-
-    #[test]
-    fn project_and_select() {
+    fn project_dedups() {
         let r = rel(2, &[&[0, 1], &[0, 2], &[1, 1]]);
         assert_eq!(r.project(&[0]), rel(1, &[&[0], &[1]]));
-        assert_eq!(r.select_eq(0, Const(0)).len(), 2);
-        assert_eq!(r.select_eq(1, Const(1)).len(), 2);
     }
 
     #[test]
@@ -793,13 +741,6 @@ mod tests {
     }
 
     #[test]
-    fn active_domain() {
-        let r = rel(2, &[&[0, 3], &[3, 5]]);
-        let dom: Vec<u32> = r.active_domain().iter().map(|c| c.id()).collect();
-        assert_eq!(dom, vec![0, 3, 5]);
-    }
-
-    #[test]
     fn from_iterator_infers_arity() {
         let r: Relation = vec![t(&[1, 2]), t(&[3, 4])].into_iter().collect();
         assert_eq!(r.arity(), 2);
@@ -807,16 +748,6 @@ mod tests {
         let empty: Relation = Vec::<Tuple>::new().into_iter().collect();
         assert_eq!(empty.arity(), 0);
         assert!(empty.is_empty());
-    }
-
-    #[test]
-    fn from_iter_with_arity_keeps_arity_when_empty() {
-        let r = Relation::from_iter_with_arity(3, Vec::<Tuple>::new());
-        assert_eq!(r.arity(), 3);
-        assert!(r.is_empty());
-        let r = Relation::from_iter_with_arity(2, vec![t(&[1, 2])]);
-        assert_eq!(r.arity(), 2);
-        assert_eq!(r.len(), 1);
     }
 
     #[test]

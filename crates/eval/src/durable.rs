@@ -40,6 +40,8 @@
 //! a wrong answer.
 
 use crate::epoch::Epoch;
+#[cfg(doc)]
+use crate::error::EvalError;
 use crate::interp::Interp;
 use crate::materialize::{Change, Engine, MaterializeOpts, Materialized, RepairStrategy};
 use crate::options::EvalOptions;

@@ -64,7 +64,6 @@ use crate::operator::EvalContext;
 use crate::options::EvalOptions;
 use crate::query::{self, QueryAnswer, QueryOpts};
 use crate::resolve::CompiledProgram;
-use crate::stratified::Stratification;
 use crate::Result;
 use inflog_core::{Const, Database, Relation, Tuple};
 use inflog_syntax::{Atom, Program, Term};
@@ -100,7 +99,6 @@ pub struct Epoch {
     /// handle whether an epoch is one of its own.
     pub(crate) cp: Arc<CompiledProgram>,
     engine: Engine,
-    strat: Option<Stratification>,
     db: Database,
     s: Interp,
     undefined: Interp,
@@ -122,7 +120,6 @@ impl Epoch {
         program: Arc<Program>,
         cp: Arc<CompiledProgram>,
         engine: Engine,
-        strat: Option<Stratification>,
         db: Database,
         s: Interp,
         undefined: Interp,
@@ -133,7 +130,6 @@ impl Epoch {
             program,
             cp,
             engine,
-            strat,
             db,
             s,
             undefined,
@@ -408,9 +404,7 @@ impl Epoch {
     /// cancellation, armed failpoints).
     pub fn matches_recompute(&self, opts: &EvalOptions) -> Result<bool> {
         let ctx = EvalContext::new(&self.cp, &self.db)?;
-        let (s, undefined) =
-            self.engine
-                .evaluate(&self.cp, &ctx, self.strat.as_ref(), &self.program, opts)?;
+        let (s, undefined) = self.engine.evaluate(&self.cp, &ctx, opts)?;
         Ok(self.s == s && self.undefined == undefined)
     }
 

@@ -21,7 +21,7 @@
 //! the shared counters, and the one-shot trip state. The governor is
 //! checked at **round boundaries** ([`Governor::check_round`], which also
 //! hosts the `round` failpoint) and **every few thousand emitted tuples**
-//! in the VM's inner loop ([`Governor::note_emit`]); a trip is
+//! in the VM's inner loop (`Governor::note_emit`); a trip is
 //! recorded once, the VM drains out early, and the evaluation
 //! surfaces the stored [`EvalError`]. When no limit, token, or failpoint
 //! is configured the governor reports itself inert

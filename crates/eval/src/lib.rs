@@ -47,7 +47,7 @@
 //!   single-writer/many-reader [`EpochCell`] publication point that
 //!   `inflog-serve` builds on: readers pin the epoch they started on while
 //!   the writer commits and publishes the next one;
-//! * [`query`] — goal-directed evaluation: the demand rewrites of
+//! * [`query`](mod@query) — goal-directed evaluation: the demand rewrites of
 //!   `inflog-rewrite` (adorned magic sets for stratified programs, the
 //!   demand-cone restriction for well-founded ones) plus an explicit
 //!   capability check, answering point queries without computing the full

@@ -128,7 +128,7 @@ use crate::operator::{self, EvalContext, PlanKind};
 use crate::options::EvalOptions;
 use crate::query::{self, QueryAnswer, QueryOpts};
 use crate::resolve::CompiledProgram;
-use crate::stratified::{stratified_eval_compiled_with, stratify, Stratification};
+use crate::stratified::stratified_eval_compiled_with;
 use crate::wellfounded::well_founded_compiled_with;
 use crate::Result;
 use inflog_core::failpoints::{SITE_OVERDELETE_CLOSE, SITE_REDERIVE_SWEEP};
@@ -155,17 +155,16 @@ impl Engine {
     /// Evaluates this engine from scratch over `(cp, ctx)`: the true facts
     /// and the undefined ones (empty but for the well-founded engine).
     /// `Seminaive` evaluates through the inflationary engine: Θ^∞ is the
-    /// least fixpoint on the positive programs it accepts (§4). `strat` is
-    /// the program's stratification, required for `Stratified`.
+    /// least fixpoint on the positive programs it accepts (§4).
     ///
     /// # Errors
-    /// The governance errors of the engine under `opts`.
+    /// The governance errors of the engine under `opts`;
+    /// [`EvalError::NotStratified`] for `Stratified` on a program without
+    /// strata.
     pub(crate) fn evaluate(
         self,
         cp: &CompiledProgram,
         ctx: &EvalContext,
-        strat: Option<&Stratification>,
-        program: &Program,
         opts: &EvalOptions,
     ) -> Result<(Interp, Interp)> {
         Ok(match self {
@@ -173,13 +172,10 @@ impl Engine {
                 inflationary_compiled_with(cp, ctx, opts)?.0,
                 cp.empty_interp(),
             ),
-            Engine::Stratified => {
-                let strat = strat.expect("the stratified engine has a stratification");
-                (
-                    stratified_eval_compiled_with(cp, ctx, strat, program, opts)?.0,
-                    cp.empty_interp(),
-                )
-            }
+            Engine::Stratified => (
+                stratified_eval_compiled_with(cp, ctx, opts)?.0,
+                cp.empty_interp(),
+            ),
             Engine::WellFounded => {
                 let model = well_founded_compiled_with(cp, ctx, opts)?;
                 (model.true_facts, model.undefined)
@@ -309,14 +305,10 @@ pub struct Materialized {
     ctx: EvalContext,
     driver: DeltaDriver,
     engine: Engine,
+    /// [`RepairStrategy::DeleteRederive`] exactly when the engine is not
+    /// inflationary and the compiled program has strata, which the repair
+    /// walks.
     strategy: RepairStrategy,
-    /// Stratification, when the program has one (always for `Seminaive` and
-    /// `Stratified`; opportunistically for `WellFounded`).
-    strat: Option<Stratification>,
-    /// Rule indices grouped by head stratum (source order within each).
-    rules_by_stratum: Vec<Vec<usize>>,
-    /// Stratum of each IDB predicate, by IDB id.
-    strata_of_idb: Vec<usize>,
     opts: EvalOptions,
     /// True facts of the maintained model.
     s: Interp,
@@ -390,36 +382,22 @@ impl Materialized {
         Ok(m)
     }
 
-    /// The handle before its first evaluation: compile, stratify, pick the
-    /// repair strategy, build the warm context and driver, leave the model
-    /// empty.
+    /// The handle before its first evaluation: compile, check the engine's
+    /// prerequisites, pick the repair strategy, build the warm context and
+    /// driver, leave the model empty.
     fn build(program: &Program, db: &Database, opts: &MaterializeOpts) -> Result<Materialized> {
         let cp = CompiledProgram::compile(program, db)?;
-        let strat = match opts.engine {
-            Engine::Seminaive => {
-                require_positive(program)?;
-                // Positive programs have no negative dependency edges.
-                Some(stratify(program).expect("positive programs stratify"))
+        match opts.engine {
+            Engine::Seminaive => require_positive(program)?,
+            Engine::Stratified => {
+                cp.strata()?;
             }
-            Engine::Stratified => Some(stratify(program)?),
-            Engine::WellFounded => stratify(program).ok(),
-            Engine::Inflationary => None,
-        };
-        let strategy = if matches!(opts.engine, Engine::Inflationary) || strat.is_none() {
-            RepairStrategy::Restart
-        } else {
+            Engine::Inflationary | Engine::WellFounded => {}
+        }
+        let strategy = if opts.engine != Engine::Inflationary && cp.strata().is_ok() {
             RepairStrategy::DeleteRederive
-        };
-        let (rules_by_stratum, strata_of_idb) = match &strat {
-            Some(st) => {
-                let mut by_stratum: Vec<Vec<usize>> = vec![Vec::new(); st.num_strata];
-                for (i, rule) in program.rules.iter().enumerate() {
-                    by_stratum[st.stratum(&rule.head.predicate)].push(i);
-                }
-                let of_idb = cp.idb_names.iter().map(|n| st.stratum(n)).collect();
-                (by_stratum, of_idb)
-            }
-            None => (Vec::new(), vec![0; cp.num_idb()]),
+        } else {
+            RepairStrategy::Restart
         };
         let ctx = EvalContext::new(&cp, db)?;
         let driver = DeltaDriver::new(&cp);
@@ -433,9 +411,6 @@ impl Materialized {
             driver,
             engine: opts.engine,
             strategy,
-            strat,
-            rules_by_stratum,
-            strata_of_idb,
             opts: opts.eval.clone(),
             s,
             undefined,
@@ -523,14 +498,6 @@ impl Materialized {
         self.strategy
     }
 
-    /// The stratification the per-stratum repair follows, when the program
-    /// is stratifiable (`None` exactly when the strategy is
-    /// [`RepairStrategy::Restart`] for the well-founded engine, or always
-    /// for the inflationary one).
-    pub fn stratification(&self) -> Option<&Stratification> {
-        self.strat.as_ref()
-    }
-
     /// Number of committed updates since construction (see the `epoch` field
     /// docs: no-op batches count, failed updates do not).
     pub fn epoch(&self) -> u64 {
@@ -583,7 +550,6 @@ impl Materialized {
             Arc::clone(&self.program),
             Arc::clone(&self.cp),
             self.engine,
-            self.strat.clone(),
             self.db.clone(),
             self.s.clone(),
             self.undefined.clone(),
@@ -950,13 +916,7 @@ impl Materialized {
     /// handle's state untouched (the EDB mutation is the caller's to roll
     /// back).
     fn reevaluate(&mut self) -> Result<()> {
-        (self.s, self.undefined) = self.engine.evaluate(
-            &self.cp,
-            &self.ctx,
-            self.strat.as_ref(),
-            &self.program,
-            &self.opts,
-        )?;
+        (self.s, self.undefined) = self.engine.evaluate(&self.cp, &self.ctx, &self.opts)?;
         Ok(())
     }
 
@@ -983,8 +943,10 @@ impl Materialized {
         overdeleted: &Interp,
         removed: &mut Interp,
     ) -> Result<Vec<usize>> {
+        let cp = Arc::clone(&self.cp);
+        let strata = cp.strata().expect("a delete-rederive handle has strata");
         let start = log.len();
-        for (idb, &stratum) in self.strata_of_idb.iter().enumerate() {
+        for (idb, &stratum) in strata.of_idb.iter().enumerate() {
             let rel = self.s.get_mut(idb);
             if stratum >= from && !rel.is_empty() {
                 let room = rel.len() + overdeleted.get(idb).len();
@@ -993,10 +955,7 @@ impl Materialized {
                 log.push(UndoOp::IdbSwap { idb, old });
             }
         }
-        for rules in self.rules_by_stratum[from..]
-            .iter()
-            .filter(|r| !r.is_empty())
-        {
+        for rules in strata.rules[from..].iter().filter(|r| !r.is_empty()) {
             log_watermarks(&self.s, log);
             self.driver.extend(
                 &self.cp,
@@ -1019,7 +978,7 @@ impl Materialized {
         }
         let mut marks: Vec<usize> = self.s.relations().iter().map(Relation::len).collect();
         for (idb, mark) in marks.iter_mut().enumerate() {
-            if self.strata_of_idb[idb] < from {
+            if strata.of_idb[idb] < from {
                 continue;
             }
             match old[idb].take() {
@@ -1143,7 +1102,9 @@ impl Materialized {
         let empty_neg = self.cp.empty_interp();
         let permissive = Some(&empty_neg);
 
-        for (k, rules) in self.rules_by_stratum.iter().enumerate() {
+        let cp = Arc::clone(&self.cp);
+        let strata = cp.strata().expect("a delete-rederive handle has strata");
+        for (k, rules) in strata.rules.iter().enumerate() {
             if rules.is_empty() {
                 continue; // no rule heads here, so no predicate lives here
             }
@@ -1175,7 +1136,7 @@ impl Materialized {
             // from-scratch path is the cheaper repair — and always a correct
             // one, the strata below being final.
             let live: usize = (0..num_idb)
-                .filter(|&i| self.strata_of_idb[i] >= k)
+                .filter(|&i| strata.of_idb[i] >= k)
                 .map(|i| self.s.get(i).len())
                 .sum();
             for i in 0..num_idb {
@@ -1191,7 +1152,7 @@ impl Materialized {
                 for i in 0..num_idb {
                     let fr = frontier.get_mut(i);
                     fr.clear();
-                    if self.strata_of_idb[i] != k {
+                    if strata.of_idb[i] != k {
                         continue;
                     }
                     for t in pending.get(i).dense() {
@@ -1378,13 +1339,7 @@ impl Materialized {
         // by definition already spent).
         let (s, undefined) = self
             .engine
-            .evaluate(
-                &self.cp,
-                &fresh,
-                self.strat.as_ref(),
-                &self.program,
-                &EvalOptions::sequential(),
-            )
+            .evaluate(&self.cp, &fresh, &EvalOptions::sequential())
             .expect("ungoverned verification evaluation cannot fail");
         debug_assert_eq!(
             self.s, s,
@@ -1613,16 +1568,31 @@ mod tests {
     fn engine_prerequisites_are_enforced() {
         let db = DiGraph::path(3).to_database("Move");
         let p = parse_program(WIN).unwrap();
-        let err = Materialized::new(
-            &p,
-            &db,
-            &MaterializeOpts {
-                engine: Engine::Seminaive,
+        let new = |engine| {
+            let opts = MaterializeOpts {
+                engine,
                 ..MaterializeOpts::default()
-            },
-        )
-        .unwrap_err();
-        assert!(matches!(err, EvalError::NotPositive { .. }));
+            };
+            Materialized::new(&p, &db, &opts).unwrap_err()
+        };
+        assert!(matches!(
+            new(Engine::Seminaive),
+            EvalError::NotPositive { .. }
+        ));
+        // The witness comes from the compiled strata.
+        let err = new(Engine::Stratified);
+        assert_eq!(
+            err,
+            EvalError::NotStratified {
+                witness: "Win -!-> Win".into()
+            }
+        );
+        // The well-founded engine repairs by strata exactly when they exist.
+        let wf = handle(WIN, &db, Engine::WellFounded);
+        assert_eq!(wf.repair_strategy(), RepairStrategy::Restart);
+        let db = DiGraph::path(3).to_database("E");
+        let wf = handle(TC, &db, Engine::WellFounded);
+        assert_eq!(wf.repair_strategy(), RepairStrategy::DeleteRederive);
     }
 
     #[test]

@@ -36,7 +36,7 @@
 //! # Executors
 //!
 //! Plan execution itself lives elsewhere: the flat register-machine VM in
-//! [`exec`](crate::exec) runs every application (every [`Plan`] embeds its
+//! [`exec`] runs every application (every [`Plan`] embeds its
 //! lowered [`RuleProgram`](crate::exec::RuleProgram)). Debug builds also
 //! compile the recursive tree walker (`tree`), the VM's oracle, and replay
 //! every VM application, probe and binding enumeration on it, asserting

@@ -5,7 +5,7 @@
 //! a program and a database. Instead of running the program to its full
 //! fixpoint and filtering afterwards, it rewrites the program with the
 //! demand transformations of `inflog-rewrite` and evaluates the rewritten
-//! program with the existing engines (the shared [`DeltaDriver`]
+//! program with the existing engines (the shared [`DeltaDriver`](crate::DeltaDriver)
 //! underneath), so that only goal-relevant tuples are ever derived. The
 //! answers are **set-identical** to full-fixpoint-then-filter — debug
 //! builds re-verify that identity on every call.
@@ -44,12 +44,12 @@ use crate::materialize::Engine;
 use crate::operator::EvalContext;
 use crate::options::EvalOptions;
 use crate::resolve::CompiledProgram;
-use crate::stratified::{stratified_eval_compiled_with, stratify};
+use crate::stratified::stratified_eval_compiled_with;
 use crate::wellfounded::well_founded_compiled_with;
 use crate::Result;
 use inflog_core::{Const, Database, Relation, Tuple};
 use inflog_rewrite::{rewrite_cone, rewrite_stratified};
-use inflog_syntax::{Atom, Program, Term};
+use inflog_syntax::{Atom, DepGraph, Program, Term};
 use std::collections::HashMap;
 
 /// What the demand-transformation subsystem can do with a program — the
@@ -65,9 +65,10 @@ pub enum DemandSupport {
     WellFoundedOnly,
 }
 
-/// Classifies `program` for goal-directed evaluation.
+/// Classifies `program` for goal-directed evaluation: stratified exactly
+/// when its signed dependency graph has no negative cycle.
 pub fn demand_support(program: &Program) -> DemandSupport {
-    if stratify(program).is_ok() {
+    if DepGraph::new(program).strata().is_ok() {
         DemandSupport::Stratified
     } else {
         DemandSupport::WellFoundedOnly
@@ -270,11 +271,10 @@ fn query_stratified(
     eval: &EvalOptions,
 ) -> Result<QueryAnswer> {
     let rw = rewrite_stratified(program, goal);
-    let strat = stratify(&rw.program)
-        .expect("the stratified magic rewrite preserves stratification by construction");
+    // Stratified by construction: demand never crosses a negation.
     let cp = CompiledProgram::compile(&rw.program, db)?;
     let ctx = EvalContext::new(&cp, db)?;
-    let (model, _) = stratified_eval_compiled_with(&cp, &ctx, &strat, &rw.program, eval)?;
+    let (model, _) = stratified_eval_compiled_with(&cp, &ctx, eval)?;
     let gid = cp
         .idb_id(&rw.goal_pred)
         .expect("the adorned goal predicate heads its guarded rules");
@@ -368,21 +368,15 @@ fn verify_against_full(
     let cp = CompiledProgram::compile(program, db).expect("query compiled the same program");
     let ctx = EvalContext::new(&cp, db).expect("query built the same context");
     let gid = cp.idb_id(&goal.predicate).expect("IDB goal");
-    let strat = stratify(program).ok();
-    let engine = match strat {
-        Some(_) => Engine::Stratified,
-        None => Engine::WellFounded,
+    let engine = if cp.strata().is_ok() {
+        Engine::Stratified
+    } else {
+        Engine::WellFounded
     };
     // Run the ground truth without governance: the verification pass must
     // not double-spend the caller's budget or re-fire one-shot failpoints.
     let (t, u) = engine
-        .evaluate(
-            &cp,
-            &ctx,
-            strat.as_ref(),
-            program,
-            &EvalOptions::sequential(),
-        )
+        .evaluate(&cp, &ctx, &EvalOptions::sequential())
         .expect("ungoverned verification evaluation cannot fail");
     let full_true = filter_relation(t.get(gid), pattern);
     let full_undef = filter_relation(u.get(gid), pattern);

@@ -1,5 +1,11 @@
 //! Name resolution: from a syntactic [`Program`] and a [`Database`] to a
 //! [`CompiledProgram`] of dense predicate ids and execution plans.
+//!
+//! Compilation also builds the program's signed dependency graph
+//! ([`DepGraph`]) — once — and resolves what every engine reads from it to
+//! rule indices and IDB ids: its components, which the well-founded engine
+//! evaluates one at a time, and its strata, which the stratified engine and
+//! the materialized view's repair walk bottom up.
 
 use crate::error::EvalError;
 use crate::interp::Interp;
@@ -184,6 +190,17 @@ pub(crate) struct RuleComponent {
     pub(crate) has_negative_cycle: bool,
 }
 
+/// The program's strata ([`DepGraph::strata`]), resolved to rule indices and
+/// IDB ids.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct Strata {
+    /// Indices of the rules whose head lives in each stratum, bottom up, in
+    /// source order within a stratum.
+    pub(crate) rules: Vec<Vec<usize>>,
+    /// Stratum of each IDB predicate, by IDB id.
+    pub(crate) of_idb: Vec<usize>,
+}
+
 /// A program compiled against a database universe: dense IDB/EDB ids,
 /// resolved constants, and per-rule plans.
 #[derive(Debug, Clone)]
@@ -200,6 +217,8 @@ pub struct CompiledProgram {
     pub rules: Vec<CompiledRule>,
     /// The components of the signed dependency graph, dependencies first.
     pub(crate) components: Vec<RuleComponent>,
+    /// The strata of the same graph, or its negative-cycle witness.
+    pub(crate) strata: std::result::Result<Strata, String>,
     idb_index: HashMap<String, usize>,
     edb_index: HashMap<String, usize>,
 }
@@ -364,6 +383,16 @@ impl CompiledProgram {
         for (r, rule) in rules.iter().enumerate() {
             components[component_of[rule.head_pred]].rules.push(r);
         }
+        let strata = graph.strata().map(|of_idb| {
+            let mut rules_of = vec![Vec::new(); of_idb.iter().max().map_or(0, |m| m + 1)];
+            for (r, rule) in rules.iter().enumerate() {
+                rules_of[of_idb[rule.head_pred]].push(r);
+            }
+            Strata {
+                rules: rules_of,
+                of_idb,
+            }
+        });
 
         Ok(CompiledProgram {
             idb_names,
@@ -372,9 +401,23 @@ impl CompiledProgram {
             edb_arities,
             rules,
             components,
+            strata,
             idb_index,
             edb_index,
         })
+    }
+
+    /// The program's strata, bottom up.
+    ///
+    /// # Errors
+    /// [`EvalError::NotStratified`] with the graph's negative cycle when the
+    /// program has recursion through negation.
+    pub(crate) fn strata(&self) -> Result<&Strata> {
+        self.strata
+            .as_ref()
+            .map_err(|witness| EvalError::NotStratified {
+                witness: witness.clone(),
+            })
     }
 
     /// Number of IDB predicates.

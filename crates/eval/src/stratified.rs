@@ -12,6 +12,11 @@
 //! stratum, negated IDB atoms refer only to lower (already fixed) strata, so
 //! the per-stratum operator is monotone and its least fixpoint is reached by
 //! accumulating iteration (semi-naive after the first round).
+//!
+//! Both read the same signed dependency graph ([`DepGraph::strata`]):
+//! [`stratify`] is its paper-facing view by predicate name, and the
+//! evaluator takes the strata [`CompiledProgram::compile`] resolved from it
+//! to rule indices, so evaluating a program builds the graph once.
 
 use crate::driver::DeltaDriver;
 use crate::error::EvalError;
@@ -57,13 +62,9 @@ impl Stratification {
 /// a dependency cycle through a negative edge, e.g. `T -!-> T`.
 pub fn stratify(program: &Program) -> Result<Stratification> {
     let graph = DepGraph::new(program);
-    let Some(levels) = graph.strata() else {
-        return Err(EvalError::NotStratified {
-            witness: graph
-                .negative_cycle()
-                .expect("a graph without strata has a negative cycle"),
-        });
-    };
+    let levels = graph
+        .strata()
+        .map_err(|witness| EvalError::NotStratified { witness })?;
     let num_strata = levels.iter().max().map_or(0, |m| m + 1);
     let strata = graph.names().iter().cloned().zip(levels).collect();
     Ok(Stratification { strata, num_strata })
@@ -83,17 +84,16 @@ pub fn stratified_eval(program: &Program, db: &Database) -> Result<(Interp, Eval
 /// cancellation, failpoints).
 ///
 /// # Errors
-/// [`EvalError::NotStratified`], compilation errors, or the governance
+/// Compilation errors, then [`EvalError::NotStratified`] or the governance
 /// errors of [`stratified_eval_compiled_with`].
 pub fn stratified_eval_with(
     program: &Program,
     db: &Database,
     opts: &EvalOptions,
 ) -> Result<(Interp, EvalTrace)> {
-    let strat = stratify(program)?;
     let cp = CompiledProgram::compile(program, db)?;
     let ctx = EvalContext::new(&cp, db)?;
-    stratified_eval_compiled_with(&cp, &ctx, &strat, program, opts)
+    stratified_eval_compiled_with(&cp, &ctx, opts)
 }
 
 /// Stratified evaluation over a compiled program; the governed form checks
@@ -102,24 +102,18 @@ pub fn stratified_eval_with(
 /// strata — rounds and derived tuples accumulate across them.
 ///
 /// # Errors
+/// [`EvalError::NotStratified`] when the compiled program has no strata;
 /// [`EvalError::Cancelled`], [`EvalError::BudgetExceeded`], or
 /// [`EvalError::FaultInjected`] by an armed failpoint.
 pub fn stratified_eval_compiled_with(
     cp: &CompiledProgram,
     ctx: &EvalContext,
-    strat: &Stratification,
-    program: &Program,
     opts: &EvalOptions,
 ) -> Result<(Interp, EvalTrace)> {
+    let strata = cp.strata()?;
     let governor = Governor::new(opts);
     let mut trace = EvalTrace::default();
     let mut s = cp.empty_interp();
-
-    // Group rule indices by the stratum of their head predicate.
-    let mut rules_by_stratum: Vec<Vec<usize>> = vec![Vec::new(); strat.num_strata];
-    for (i, rule) in program.rules.iter().enumerate() {
-        rules_by_stratum[strat.stratum(&rule.head.predicate)].push(i);
-    }
 
     // `s` grows in place across strata and rounds, so the context's
     // persistent hash-join indexes extend incrementally from each round's
@@ -129,7 +123,7 @@ pub fn stratified_eval_compiled_with(
     // is monotone (negations see lower strata only), so delta iteration
     // computes its least fixpoint.
     let mut driver = DeltaDriver::new(cp);
-    for rules in &rules_by_stratum {
+    for rules in &strata.rules {
         if rules.is_empty() {
             continue;
         }
@@ -215,6 +209,26 @@ mod tests {
         // The error message carries the witness verbatim.
         let err = stratify(&parse_program("G1 :- !G1.").unwrap()).unwrap_err();
         assert_eq!(err.to_string(), "program is not stratified: G1 -!-> G1");
+    }
+
+    #[test]
+    fn compiled_strata_carry_the_same_witness() {
+        for src in [
+            "T(x) :- E(y, x), !T(y).",
+            "P(x) :- V(x), !Q(x). Q(x) :- V(x), P(x). R(x) :- !P(x), V(x).",
+        ] {
+            let p = parse_program(src).unwrap();
+            let db = DiGraph::path(3).to_database("E");
+            let cp = CompiledProgram::compile(&p, &db).unwrap();
+            let ctx = EvalContext::new(&cp, &db).unwrap();
+            let err = stratified_eval_compiled_with(&cp, &ctx, &EvalOptions::sequential());
+            assert_eq!(err.unwrap_err(), stratify(&p).unwrap_err());
+        }
+        // Compilation comes first: a program that is both badly typed and
+        // not stratifiable reports the arity conflict.
+        let p = parse_program("T(x) :- E(y, x), !T(y, y).").unwrap();
+        let err = stratified_eval(&p, &DiGraph::path(3).to_database("E")).unwrap_err();
+        assert!(matches!(err, EvalError::ArityMismatch { .. }), "{err:?}");
     }
 
     #[test]

@@ -104,7 +104,7 @@ impl Eso {
 
     /// Like [`eval_brute`](Self::eval_brute) but returns the witnessing
     /// relations.
-    pub fn find_witness(&self, db: &Database) -> Option<ExtraRelations> {
+    fn find_witness(&self, db: &Database) -> Option<ExtraRelations> {
         let n = db.universe_size();
         fn rec(
             so: &[(String, usize)],

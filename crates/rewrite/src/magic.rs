@@ -58,7 +58,7 @@
 //!   re-verifies this set-identity in debug builds.
 
 use crate::adorn::{adorned_name, magic_name, pot_name, Adornment};
-use inflog_syntax::{Atom, Literal, Program, Rule, Term};
+use inflog_syntax::{Atom, DepGraph, Literal, Program, Rule, Term};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 /// Result of [`rewrite_stratified`]: one self-contained program.
@@ -108,12 +108,13 @@ pub fn rewrite_stratified(program: &Program, goal: &Atom) -> MagicRewrite {
     rules.extend(out.magic_rules);
     rules.extend(out.guarded_rules);
     // Unrewritten cones of negated predicates: original rules, source order.
-    let full = full_cone(program, &out.full_negs);
+    let graph = DepGraph::new(program);
+    let full = graph.reachable(out.full_negs.iter().map(String::as_str));
     rules.extend(
         program
             .rules
             .iter()
-            .filter(|r| full.contains(&r.head.predicate))
+            .filter(|r| full.contains(r.head.predicate.as_str()))
             .cloned(),
     );
     MagicRewrite {
@@ -363,28 +364,6 @@ fn adorn_rule(rule: &Rule, adn: &Adornment, idb: &BTreeSet<String>, mode: Mode) 
         demands,
         full_negs,
     }
-}
-
-/// Closure of `seeds` under "depends on" in the original program: every IDB
-/// predicate reachable from a seed through rule bodies (positive or
-/// negative). These are the predicates a stratified rewrite evaluates in
-/// full because a negation tests them.
-fn full_cone(program: &Program, seeds: &BTreeSet<String>) -> BTreeSet<String> {
-    let idb = program.idb_predicates();
-    let mut need: BTreeSet<String> = seeds.iter().filter(|p| idb.contains(*p)).cloned().collect();
-    let mut queue: VecDeque<String> = need.iter().cloned().collect();
-    while let Some(p) = queue.pop_front() {
-        for rule in program.rules.iter().filter(|r| r.head.predicate == p) {
-            for lit in &rule.body {
-                if let Some(atom) = lit.atom() {
-                    if idb.contains(&atom.predicate) && need.insert(atom.predicate.clone()) {
-                        queue.push_back(atom.predicate.clone());
-                    }
-                }
-            }
-        }
-    }
-    need
 }
 
 #[cfg(test)]

@@ -94,7 +94,7 @@ pub type Clause = Vec<Lit>;
 /// A CNF formula under construction.
 ///
 /// `Cnf` is the interchange type between the encoders (fixpoint completion,
-/// reductions), the solvers, and DIMACS I/O.
+/// reductions) and the solvers.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Cnf {
     num_vars: usize,
@@ -162,20 +162,6 @@ impl Cnf {
         self.add_clause(vec![l]);
     }
 
-    /// Adds clauses asserting `out ↔ a ∧ b` (Tseitin AND gate).
-    pub fn add_and_gate(&mut self, out: Lit, a: Lit, b: Lit) {
-        self.add_clause(vec![!out, a]);
-        self.add_clause(vec![!out, b]);
-        self.add_clause(vec![out, !a, !b]);
-    }
-
-    /// Adds clauses asserting `out ↔ a ∨ b` (Tseitin OR gate).
-    pub fn add_or_gate(&mut self, out: Lit, a: Lit, b: Lit) {
-        self.add_clause(vec![out, !a]);
-        self.add_clause(vec![out, !b]);
-        self.add_clause(vec![!out, a, b]);
-    }
-
     /// Adds clauses asserting `out ↔ (l_1 ∧ ... ∧ l_k)`.
     ///
     /// For `k = 0` the conjunction is true, so `out` is asserted.
@@ -198,12 +184,6 @@ impl Cnf {
         let mut big: Clause = lits.to_vec();
         big.push(!out);
         self.add_clause(big);
-    }
-
-    /// Adds clauses asserting `a ↔ b`.
-    pub fn add_iff(&mut self, a: Lit, b: Lit) {
-        self.add_clause(vec![!a, b]);
-        self.add_clause(vec![a, !b]);
     }
 
     /// Evaluates the formula under a total assignment.
@@ -275,36 +255,6 @@ mod tests {
     }
 
     #[test]
-    fn and_gate_truth_table() {
-        let mut f = Cnf::new();
-        let (o, a, b) = (f.new_var(), f.new_var(), f.new_var());
-        f.add_and_gate(o.pos(), a.pos(), b.pos());
-        for oa in [false, true] {
-            for va in [false, true] {
-                for vb in [false, true] {
-                    let asg = [oa, va, vb];
-                    assert_eq!(f.eval(&asg), oa == (va && vb), "{asg:?}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn or_gate_truth_table() {
-        let mut f = Cnf::new();
-        let (o, a, b) = (f.new_var(), f.new_var(), f.new_var());
-        f.add_or_gate(o.pos(), a.pos(), b.pos());
-        for oa in [false, true] {
-            for va in [false, true] {
-                for vb in [false, true] {
-                    let asg = [oa, va, vb];
-                    assert_eq!(f.eval(&asg), oa == (va || vb), "{asg:?}");
-                }
-            }
-        }
-    }
-
-    #[test]
     fn nary_gates_empty_cases() {
         let mut f = Cnf::new();
         let o = f.new_var();
@@ -331,16 +281,6 @@ mod tests {
             let expected = asg[0] == (asg[1] && asg[2] && asg[3]);
             assert_eq!(f.eval(&asg), expected, "{asg:?}");
         }
-    }
-
-    #[test]
-    fn iff_gate() {
-        let mut f = Cnf::new();
-        let (a, b) = (f.new_var(), f.new_var());
-        f.add_iff(a.pos(), b.neg());
-        assert!(f.eval(&[true, false]));
-        assert!(f.eval(&[false, true]));
-        assert!(!f.eval(&[true, true]));
     }
 
     #[test]

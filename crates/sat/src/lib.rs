@@ -18,11 +18,9 @@
 //!   truths for testing (and the naive/CDCL ablation bench);
 //! * [`enumerate`] — model enumeration/counting over a projection set with
 //!   blocking clauses (the US-class "unique solution" machinery);
-//! * [`dimacs`] — DIMACS CNF I/O;
 //! * [`gen`] — workload generators (random k-SAT, pigeonhole).
 
 pub mod cnf;
-pub mod dimacs;
 pub mod dpll;
 pub mod enumerate;
 pub mod gen;

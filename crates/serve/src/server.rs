@@ -4,7 +4,7 @@
 //! # Epoch publication (the invariant this module maintains)
 //!
 //! The writer thread exclusively owns the
-//! [`DurableMaterialized`](inflog_eval::DurableMaterialized) handle. A
+//! [`DurableMaterialized`] handle. A
 //! write batch commits through the log-first durable path (WAL append →
 //! transactional in-memory repair), and only a *committed* state is
 //! captured into an immutable [`Epoch`] and swapped into the

@@ -14,7 +14,7 @@
 //! checksummed frames ([`frame`]), epoch-stamped snapshots committed by
 //! tmp-write + rename + directory fsync ([`snapshot`]), a log-first WAL
 //! ([`wal`]), directory-level recovery and compaction ([`store`]), an offline
-//! checker ([`fsck`]), and crash-injection points that fire the `store-*`
+//! checker ([`fsck`](mod@fsck)), and crash-injection points that fire the `store-*`
 //! sites of the shared registry in `inflog_core::failpoints`.
 //!
 //! The evaluation-facing wrapper that pairs a live `Materialized` handle with

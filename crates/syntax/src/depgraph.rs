@@ -13,9 +13,12 @@
 //! each flagged `recursive` and `has_negative_cycle`. A program is
 //! stratifiable exactly when no component has a negative cycle, and then
 //! [`DepGraph::strata`] is the longest path of negative edges over the
-//! condensation.
+//! condensation. [`DepGraph::reachable`] answers the demand rewrite's
+//! question — which predicates does a goal's negation read? — from the same
+//! edges.
 
 use crate::ast::{Literal, Program};
+use std::collections::BTreeSet;
 
 /// The sign of a dependency edge: the body atom occurs positively or under
 /// negation.
@@ -134,6 +137,11 @@ fn adjacency(n: usize, edges: &[(usize, usize, Sign)]) -> Vec<Vec<(usize, Sign)>
     adj
 }
 
+/// The id of `name` among sorted `names`.
+fn position(names: &[String], name: &str) -> Option<usize> {
+    names.binary_search_by(|n| n.as_str().cmp(name)).ok()
+}
+
 /// The signed dependency graph of a program's IDB predicates, with its
 /// condensation.
 #[derive(Debug, Clone)]
@@ -149,7 +157,7 @@ impl DepGraph {
     /// Builds the graph of `program` and condenses it.
     pub fn new(program: &Program) -> Self {
         let names: Vec<String> = program.idb_predicates().into_iter().collect();
-        let id = |p: &str| names.binary_search_by(|n| n.as_str().cmp(p)).ok();
+        let id = |p: &str| position(&names, p);
         let mut edges = Vec::new();
         for rule in &program.rules {
             let head = id(&rule.head.predicate).expect("a rule head is an IDB predicate");
@@ -186,17 +194,17 @@ impl DepGraph {
     }
 
     /// Each predicate's stratum: the largest number of negative edges on a
-    /// dependency path out of it. `None` when a component has a negative
-    /// cycle (no stratification exists; see
-    /// [`negative_cycle`](Self::negative_cycle)).
+    /// dependency path out of it; when a component has a negative cycle no
+    /// stratification exists, and the error is a witness cycle through a
+    /// negative edge, drawn as `P -!-> Q --> P`.
     ///
     /// This is the least labelling with `stratum(P) ≥ stratum(Q)` for
     /// every `P --> Q` and `stratum(P) > stratum(Q)` for every `P -!-> Q`:
     /// members of one component are equal, and a component sits on the
     /// highest of its dependencies, one higher across a negative edge.
-    pub fn strata(&self) -> Option<Vec<usize>> {
-        if self.components.iter().any(|c| c.has_negative_cycle) {
-            return None;
+    pub fn strata(&self) -> Result<Vec<usize>, String> {
+        if let Some(witness) = self.negative_cycle() {
+            return Err(witness);
         }
         let adj = adjacency(self.names.len(), &self.edges);
         let mut stratum = vec![0; self.names.len()];
@@ -213,16 +221,35 @@ impl DepGraph {
                 stratum[v] = level;
             }
         }
-        Some(stratum)
+        Ok(stratum)
     }
 
-    /// A cycle through a negative edge, drawn as `P -!-> Q --> P`; `None`
-    /// when the program is stratifiable.
-    ///
-    /// The witness is deterministic: the first negative edge inside the
-    /// first component (in dependency order) that has one, closed by a
-    /// shortest path back inside that component.
-    pub fn negative_cycle(&self) -> Option<String> {
+    /// The IDB predicates reachable from `seeds` over edges of both signs,
+    /// the seeds included: everything their definitions read. A seed that
+    /// is not an IDB predicate is ignored.
+    pub fn reachable<'a>(&self, seeds: impl IntoIterator<Item = &'a str>) -> BTreeSet<&str> {
+        let adj = adjacency(self.names.len(), &self.edges);
+        let mut seen = vec![false; self.names.len()];
+        let mut stack: Vec<usize> = seeds
+            .into_iter()
+            .filter_map(|p| position(&self.names, p))
+            .collect();
+        while let Some(v) = stack.pop() {
+            if !std::mem::replace(&mut seen[v], true) {
+                stack.extend(adj[v].iter().map(|&(w, _)| w));
+            }
+        }
+        (0..self.names.len())
+            .filter(|&v| seen[v])
+            .map(|v| self.names[v].as_str())
+            .collect()
+    }
+
+    /// The witness [`strata`](Self::strata) reports; `None` when the
+    /// program is stratifiable. It is deterministic: the first negative
+    /// edge inside the first component (in dependency order) that has one,
+    /// closed by a shortest path back inside that component.
+    fn negative_cycle(&self) -> Option<String> {
         let c = self.components.iter().position(|c| c.has_negative_cycle)?;
         let inside = |v: usize| self.component_of[v] == c;
         let &(from, to, _) = self
@@ -302,7 +329,7 @@ mod tests {
             .map(|c| (c.recursive, c.has_negative_cycle))
             .collect();
         assert_eq!(flags, [(true, true), (true, false), (false, false)]);
-        assert!(g.strata().is_none());
+        assert_eq!(g.strata(), Err("W -!-> W".to_string()));
     }
 
     #[test]
@@ -327,6 +354,29 @@ mod tests {
             ",
         );
         assert_eq!(g.strata().unwrap(), [0, 1, 2, 2, 0]);
+    }
+
+    #[test]
+    fn reachable_follows_both_signs_from_idb_seeds() {
+        let g = graph(
+            "
+            A(x) :- V(x), !B(x).
+            B(x) :- E(x, y), C(y).
+            C(x) :- E(x, x).
+            D(x) :- A(x).
+            F(x) :- V(x), !F(x).
+            ",
+        );
+        // A -!-> B --> C; the seed itself is in, D (which reads A) is not.
+        assert_eq!(g.reachable(["A"]), BTreeSet::from(["A", "B", "C"]));
+        // EDB and unknown seeds are ignored.
+        assert_eq!(g.reachable(["V", "E", "Nope"]), BTreeSet::new());
+        assert_eq!(g.reachable(["E", "C"]), BTreeSet::from(["C"]));
+        // Seeds are included even without a self-loop; cycles terminate.
+        assert_eq!(
+            g.reachable(["D", "F"]),
+            BTreeSet::from(["A", "B", "C", "D", "F"])
+        );
     }
 
     #[test]
