@@ -2,9 +2,11 @@
 //!
 //! A least fixpoint exists iff the intersection of all fixpoints is itself
 //! a fixpoint. The FONP decider asks one NP-oracle (SAT) query per
-//! potential tuple ("is there a fixpoint excluding t?") plus one final
-//! polynomial Θ check; this table reports its verdicts, oracle budgets and
-//! agreement with full enumeration.
+//! candidate tuple ("is there a fixpoint excluding t?") plus one final
+//! polynomial Θ check. A candidate is a tuple true in every model the
+//! oracle has returned so far, so the first existence answer already rules
+//! out every tuple it makes false. This table reports the verdicts, oracle
+//! budgets and agreement with full enumeration.
 
 use crate::report::Table;
 use inflog::core::graphs::DiGraph;
@@ -80,7 +82,8 @@ pub(crate) fn run(full: bool) {
     t.print();
 
     println!(
-        "\nnote: oracle calls = 1 existence query + one per potential tuple;\n\
-         the FONP shape of Theorem 3 (first-order evaluation with NP oracles)."
+        "\nnote: oracle calls = 1 existence query + one per candidate tuple (true in\n\
+         every model seen so far; at most one per potential tuple, 1 + |core| on\n\
+         L_n); the FONP shape of Theorem 3 (first-order evaluation with NP oracles)."
     );
 }

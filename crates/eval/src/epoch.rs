@@ -62,7 +62,7 @@ use crate::interp::Interp;
 use crate::materialize::{Change, Engine};
 use crate::operator::EvalContext;
 use crate::options::EvalOptions;
-use crate::query::{self, QueryAnswer, QueryOpts};
+use crate::query::{QueryAnswer, QueryStrategy};
 use crate::resolve::CompiledProgram;
 use crate::Result;
 use inflog_core::{Const, Database, Relation, Tuple};
@@ -250,9 +250,10 @@ impl Epoch {
     /// relations — the serving read path: no evaluation, and work
     /// proportional to the answer, not the relation. Constants in the goal
     /// must exist in the epoch's universe; repeated variables constrain
-    /// positions to be equal. Results are sorted lexicographically, so for
-    /// IDB goals the answer equals what a from-scratch [`Epoch::query`] over
-    /// this epoch's EDB returns (the stress harness asserts exactly that).
+    /// positions to be equal. Results are sorted lexicographically, so on a
+    /// stratified or well-founded epoch the answer to an IDB goal equals
+    /// what a from-scratch [`query`](crate::query::query) over this epoch's
+    /// program and EDB returns (the stress harness asserts exactly that).
     ///
     /// The goal's shape picks the path, for the true and then the undefined
     /// relation:
@@ -309,7 +310,7 @@ impl Epoch {
         Ok(QueryAnswer {
             tuples,
             undefined,
-            strategy: query::QueryStrategy::EdbScan,
+            strategy: QueryStrategy::EdbScan,
         })
     }
 
@@ -380,17 +381,6 @@ impl Epoch {
             self.indexes.clear_poison();
             set
         })
-    }
-
-    /// Answers a goal by *evaluating from scratch* over this epoch's EDB —
-    /// the governed goal-directed path ([`query::query`]), carrying the
-    /// caller's budget/deadline/cancellation. Deterministic per epoch, so
-    /// two readers pinning the same epoch always get the same answer.
-    ///
-    /// # Errors
-    /// Same conditions as [`query::query`].
-    pub fn query(&self, goal: &Atom, opts: &QueryOpts) -> Result<QueryAnswer> {
-        query::query(&self.program, goal, &self.db, opts)
     }
 
     /// The mechanical consistency oracle: re-evaluates the epoch's engine
@@ -628,11 +618,22 @@ mod tests {
             ] {
                 let goal = parse_atom(goal).unwrap();
                 let scanned = ep.select(&goal, None).unwrap();
-                let evaluated = ep.query(&goal, &QueryOpts::default()).unwrap();
+                let evaluated = from_scratch(&ep, &goal);
                 assert_eq!(scanned.tuples, evaluated.tuples, "goal {goal:?}");
                 assert_eq!(scanned.undefined, evaluated.undefined);
             }
         }
+    }
+
+    /// A from-scratch goal-directed query over the epoch's program and EDB.
+    fn from_scratch(ep: &Epoch, goal: &Atom) -> QueryAnswer {
+        crate::query::query(
+            ep.program(),
+            goal,
+            ep.database(),
+            &EvalOptions::sequential(),
+        )
+        .unwrap()
     }
 
     fn tc_epoch(n: usize) -> Arc<Epoch> {
@@ -658,7 +659,7 @@ mod tests {
                 .collect();
             readers.into_iter().map(|r| r.join().unwrap()).collect()
         });
-        let want = ep.query(&goal, &QueryOpts::default()).unwrap().tuples;
+        let want = from_scratch(&ep, &goal).tuples;
         assert_eq!(want.len(), 40);
         for answer in &answers {
             assert_eq!(answer.tuples, want);
@@ -683,7 +684,7 @@ mod tests {
         assert!(died.is_err() && ep.indexes.is_poisoned());
         for v in 0..12 {
             let goal = parse_atom(&format!("S('v{v}', y)")).unwrap();
-            let want = ep.query(&goal, &QueryOpts::default()).unwrap().tuples;
+            let want = from_scratch(&ep, &goal).tuples;
             assert_eq!(want.len(), 11 - v);
             assert_eq!(ep.select(&goal, None).unwrap().tuples, want, "{goal:?}");
         }

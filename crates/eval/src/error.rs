@@ -71,13 +71,6 @@ pub enum EvalError {
         /// The failpoint site that fired.
         site: String,
     },
-    /// A goal-directed query was refused under the caller's policy (e.g. a
-    /// non-stratifiable program queried with
-    /// [`NonStratifiedPolicy::Error`](crate::query::NonStratifiedPolicy)).
-    UnsupportedQuery {
-        /// Why the query could not be answered as requested.
-        reason: String,
-    },
     /// The durable store failed: a WAL append could not be acknowledged, a
     /// snapshot or log frame is corrupt (the inner error names the file and
     /// byte offset), or recovered state does not fit the program. Raised
@@ -154,9 +147,6 @@ impl fmt::Display for EvalError {
             EvalError::FaultInjected { site } => {
                 write!(f, "failpoint `{site}` fired (fault injection)")
             }
-            EvalError::UnsupportedQuery { reason } => {
-                write!(f, "query not supported: {reason}")
-            }
             EvalError::Store { source } => {
                 write!(f, "durable store error: {source}")
             }
@@ -199,11 +189,6 @@ mod tests {
             .contains("`R`"));
         assert!(EvalError::NotStratified {
             witness: "T -!-> T".into()
-        }
-        .to_string()
-        .contains("not stratified"));
-        assert!(EvalError::UnsupportedQuery {
-            reason: "not stratified".into()
         }
         .to_string()
         .contains("not stratified"));

@@ -47,11 +47,13 @@
 //!   single-writer/many-reader [`EpochCell`] publication point that
 //!   `inflog-serve` builds on: readers pin the epoch they started on while
 //!   the writer commits and publishes the next one;
-//! * [`query`](mod@query) — goal-directed evaluation: the demand rewrites of
-//!   `inflog-rewrite` (adorned magic sets for stratified programs, the
-//!   demand-cone restriction for well-founded ones) plus an explicit
-//!   capability check, answering point queries without computing the full
-//!   fixpoint — set-identical to full-fixpoint-then-filter.
+//! * [`query`](mod@query) — goal-directed evaluation: the one demand
+//!   rewrite of `inflog-rewrite`, whose demand crosses negations, evaluated
+//!   in two phases with the engine each phase's compiled strata pick
+//!   (stratified, else well-founded), answering point queries without
+//!   computing the full fixpoint — set-identical to
+//!   full-fixpoint-then-filter under the perfect model, or the
+//!   well-founded one where there is none.
 //!
 //! The different engines share plans and state types, so cross-engine
 //! agreement (naive ≡ semi-naive; inflationary ≡ least fixpoint on positive
@@ -97,10 +99,7 @@ pub use operator::{
 };
 pub use options::EvalOptions;
 pub use plan::lower;
-pub use query::{
-    demand_support, query, DemandSupport, NonStratifiedPolicy, QueryAnswer, QueryOpts,
-    QueryStrategy,
-};
+pub use query::{query, QueryAnswer, QueryStrategy};
 pub use resolve::{ensure_program_constants, CompiledProgram, RulePlans};
 pub use seminaive::{least_fixpoint_seminaive, least_fixpoint_seminaive_with};
 pub use stratified::{stratified_eval, stratified_eval_with, stratify, Stratification};

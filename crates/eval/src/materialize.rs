@@ -126,7 +126,6 @@ use crate::interp::Interp;
 use crate::naive::require_positive;
 use crate::operator::{self, EvalContext, PlanKind};
 use crate::options::EvalOptions;
-use crate::query::{self, QueryAnswer, QueryOpts};
 use crate::resolve::CompiledProgram;
 use crate::stratified::stratified_eval_compiled_with;
 use crate::wellfounded::well_founded_compiled_with;
@@ -134,7 +133,7 @@ use crate::Result;
 use inflog_core::failpoints::{SITE_OVERDELETE_CLOSE, SITE_REDERIVE_SWEEP};
 use inflog_core::{Const, Database, Relation, Tuple};
 use inflog_store::{WalOp, WalRecord};
-use inflog_syntax::{Atom, Program};
+use inflog_syntax::Program;
 use std::sync::Arc;
 
 /// Which semantics a [`Materialized`] handle maintains.
@@ -646,16 +645,6 @@ impl Materialized {
             return self.ctx.edb[i].contains(t);
         }
         false
-    }
-
-    /// Answers a goal-directed [`query`](crate::query::query) against the
-    /// handle's current database — after an update, answers agree with the
-    /// maintained model.
-    ///
-    /// # Errors
-    /// Same conditions as [`query`](crate::query::query).
-    pub fn query(&self, goal: &Atom, opts: &QueryOpts) -> Result<QueryAnswer> {
-        query::query(&self.program, goal, &self.db, opts)
     }
 
     /// Resolves named constants against the (fixed) universe.
@@ -1600,14 +1589,9 @@ mod tests {
         let db = DiGraph::path(4).to_database("E");
         let mut m = handle(TC, &db, Engine::Stratified);
         m.retract_named("E", &["v1", "v2"]).unwrap();
-        let goal = Atom {
-            predicate: "S".into(),
-            terms: vec![
-                inflog_syntax::Term::Const("v0".into()),
-                inflog_syntax::Term::Var("y".into()),
-            ],
-        };
-        let ans = m.query(&goal, &QueryOpts::default()).unwrap();
+        let goal = inflog_syntax::parse_atom("S('v0', y)").unwrap();
+        let ans = crate::query::query(m.program(), &goal, m.database(), &EvalOptions::sequential())
+            .unwrap();
         let sid = m.compiled().idb_id("S").unwrap();
         let v0 = m.database().universe().lookup("v0").unwrap();
         let expect: Vec<Tuple> = m

@@ -4,101 +4,48 @@
 //! [`query`] answers a point query like `Win('v3')` or `S('v0', y)` against
 //! a program and a database. Instead of running the program to its full
 //! fixpoint and filtering afterwards, it rewrites the program with the
-//! demand transformations of `inflog-rewrite` and evaluates the rewritten
-//! program with the existing engines (the shared [`DeltaDriver`](crate::DeltaDriver)
-//! underneath), so that only goal-relevant tuples are ever derived. The
-//! answers are **set-identical** to full-fixpoint-then-filter — debug
-//! builds re-verify that identity on every call.
+//! demand rewrite of `inflog-rewrite` ([`inflog_rewrite::rewrite_cone`])
+//! and evaluates the rewritten programs with the existing engines (the
+//! shared [`DeltaDriver`](crate::DeltaDriver) underneath), so that only
+//! goal-relevant tuples are ever derived. The answers are
+//! **set-identical** to full-fixpoint-then-filter under the program's
+//! semantics — the perfect model when it is stratified, the well-founded
+//! model otherwise — and debug builds re-verify that identity on every
+//! call.
 //!
-//! # Strategy selection (the capability check)
+//! # Strategy
 //!
-//! [`demand_support`] classifies the program:
+//! * Goals over EDB predicates are answered straight from the database
+//!   ([`QueryStrategy::EdbScan`]).
+//! * Otherwise the rewrite runs, and demand crosses negations
+//!   ([`QueryStrategy::Demand`]). Phase 1, a positive program, computes
+//!   the demanded bindings and every negation-free demanded predicate
+//!   exactly; when the goal is negation-free it is the whole answer.
+//!   Phase 2 evaluates the guarded rules of the other demanded predicates
+//!   over phase 1's relations. Each phase takes the engine its compiled
+//!   strata pick: the stratified engine when it has strata, the
+//!   well-founded engine otherwise. The guarded program of a stratified
+//!   input is stratified, so only negative cycles the goal depends on
+//!   bring in the well-founded engine.
+//! * When the rewrite demands some predicate with every argument free,
+//!   demand restricts nothing, so the goal's dependency cone is evaluated
+//!   in full with the same engine choice and filtered
+//!   ([`QueryStrategy::Full`]).
 //!
-//! * **Stratified** programs take the adorned magic-set rewrite
-//!   ([`inflog_rewrite::rewrite_stratified`]). Demand never crosses a
-//!   negated literal — the negated predicate's cone rides along
-//!   unrewritten, so the rewritten program is stratified by construction
-//!   and the stratified engine evaluates it stratum by stratum. Answers
-//!   are two-valued (the perfect model restricted to the goal).
-//! * **Non-stratifiable** programs have no perfect model; their natural
-//!   total semantics here is the well-founded model, whose alternating
-//!   fixpoint is *not* freely reorderable — demand must be closed under
-//!   positive **and** negative dependencies before any evaluation starts.
-//!   The default [`NonStratifiedPolicy::DemandCone`] runs the two-phase
-//!   cone rewrite ([`inflog_rewrite::rewrite_cone`]): a positive demand
-//!   fixpoint first, then the well-founded engine on the demand-guarded
-//!   program; by the relevance property of the well-founded semantics the
-//!   3-valued answers on demanded atoms coincide with the full model's.
-//!   [`NonStratifiedPolicy::FullEvaluation`] instead falls back to the
-//!   plain well-founded engine plus a filter, and
-//!   [`NonStratifiedPolicy::Error`] refuses.
-//!
-//! Goals over EDB predicates are answered straight from the database, and a
-//! goal constant outside the database universe simply has no answers (full
-//! evaluation could never derive a tuple mentioning it).
+//! A goal constant outside the database universe simply has no answers
+//! (full evaluation could never derive a tuple mentioning it).
 
 use crate::error::EvalError;
-use crate::inflationary::inflationary_compiled_with;
-#[cfg(debug_assertions)]
+use crate::interp::Interp;
 use crate::materialize::Engine;
 use crate::operator::EvalContext;
 use crate::options::EvalOptions;
 use crate::resolve::CompiledProgram;
-use crate::stratified::stratified_eval_compiled_with;
-use crate::wellfounded::well_founded_compiled_with;
 use crate::Result;
 use inflog_core::{Const, Database, Relation, Tuple};
-use inflog_rewrite::{rewrite_cone, rewrite_stratified};
+use inflog_rewrite::rewrite_cone;
 use inflog_syntax::{Atom, DepGraph, Program, Term};
 use std::collections::HashMap;
-
-/// What the demand-transformation subsystem can do with a program — the
-/// explicit capability check behind [`query`]'s strategy selection.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DemandSupport {
-    /// Stratified: the adorned magic-set rewrite applies, evaluated
-    /// stratum-by-stratum; answers are two-valued.
-    Stratified,
-    /// Not stratifiable: only well-founded evaluation is sound, via the
-    /// demand-cone rewrite or a full-evaluation fallback (see
-    /// [`NonStratifiedPolicy`]).
-    WellFoundedOnly,
-}
-
-/// Classifies `program` for goal-directed evaluation: stratified exactly
-/// when its signed dependency graph has no negative cycle.
-pub fn demand_support(program: &Program) -> DemandSupport {
-    if DepGraph::new(program).strata().is_ok() {
-        DemandSupport::Stratified
-    } else {
-        DemandSupport::WellFoundedOnly
-    }
-}
-
-/// How [`query`] treats non-stratifiable programs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum NonStratifiedPolicy {
-    /// Restrict the well-founded evaluation to the goal's demand cone
-    /// (demand closed under positive and negative dependencies) — the
-    /// goal-directed default.
-    #[default]
-    DemandCone,
-    /// Compute the full well-founded model and filter — the conservative
-    /// fallback when demand restriction is not wanted.
-    FullEvaluation,
-    /// Refuse with [`EvalError::UnsupportedQuery`].
-    Error,
-}
-
-/// Options for [`query`].
-#[derive(Debug, Clone, Default)]
-pub struct QueryOpts {
-    /// Engine options (budget, cancellation, failpoints), forwarded to every
-    /// evaluation phase the query runs.
-    pub eval: EvalOptions,
-    /// Policy for non-stratifiable programs.
-    pub non_stratified: NonStratifiedPolicy,
-}
 
 /// Which evaluation path a query actually took.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -106,13 +53,11 @@ pub enum QueryStrategy {
     /// The goal predicate is extensional: answered by scanning the stored
     /// relation.
     EdbScan,
-    /// Adorned magic-set rewrite + stratified evaluation.
-    MagicStratified,
-    /// Demand-cone rewrite + well-founded evaluation of the guarded
-    /// program.
-    MagicWellFounded,
-    /// Full well-founded evaluation + filter (the explicit fallback).
-    FullWellFounded,
+    /// The two-phase demand rewrite.
+    Demand,
+    /// Demand binds nothing: the goal's dependency cone, evaluated in full
+    /// and filtered.
+    Full,
 }
 
 /// A query's answers: the goal-matching tuples, sorted lexicographically.
@@ -126,16 +71,6 @@ pub struct QueryAnswer {
     pub undefined: Vec<Tuple>,
     /// The evaluation path taken.
     pub strategy: QueryStrategy,
-}
-
-impl QueryAnswer {
-    fn empty(strategy: QueryStrategy) -> Self {
-        QueryAnswer {
-            tuples: Vec::new(),
-            undefined: Vec::new(),
-            strategy,
-        }
-    }
 }
 
 /// One resolved goal position: a universe constant that must match, or a
@@ -168,12 +103,16 @@ fn tuple_matches(pattern: &[Slot], t: &Tuple) -> bool {
     })
 }
 
-/// The goal-matching tuples of `rel`, sorted (deterministic answers).
+/// The goal-matching tuples of `rel`, sorted (deterministic answers). Only
+/// the matches are sorted.
 fn filter_relation(rel: &Relation, pattern: &[Slot]) -> Vec<Tuple> {
-    rel.sorted()
-        .into_iter()
+    let mut matches: Vec<Tuple> = rel
+        .iter()
         .filter(|t| tuple_matches(pattern, t))
-        .collect()
+        .cloned()
+        .collect();
+    matches.sort_unstable();
+    matches
 }
 
 /// Evaluates a goal atom against `(program, db)`, computing only the goal's
@@ -185,16 +124,14 @@ fn filter_relation(rel: &Relation, pattern: &[Slot]) -> Vec<Tuple> {
 ///   full-evaluation engines;
 /// * [`EvalError::ArityMismatch`] — goal arity conflicts with the
 ///   predicate's arity in the program or database;
-/// * [`EvalError::UnsupportedQuery`] — non-stratifiable program under
-///   [`NonStratifiedPolicy::Error`];
-/// * [`EvalError::Cancelled`] / [`EvalError::BudgetExceeded`] — the
-///   [`EvalOptions`] in `opts.eval` carry a budget or cancellation token
-///   and an evaluation phase tripped it.
+/// * [`EvalError::Cancelled`] / [`EvalError::BudgetExceeded`] /
+///   [`EvalError::FaultInjected`] — `opts` carry a budget, cancellation
+///   token or failpoint and an evaluation phase tripped it.
 pub fn query(
     program: &Program,
     goal: &Atom,
     db: &Database,
-    opts: &QueryOpts,
+    opts: &EvalOptions,
 ) -> Result<QueryAnswer> {
     // Goal arity must agree with the predicate as the program/database use it.
     let declared = program
@@ -212,10 +149,11 @@ pub fn query(
         }
     }
 
+    let pattern = goal_pattern(goal, db);
     if !program.idb_predicates().contains(&goal.predicate) {
         // Extensional goal: scan the stored relation (absent = empty).
-        let tuples = match (goal_pattern(goal, db), db.relation(&goal.predicate)) {
-            (Some(pattern), Some(rel)) => filter_relation(rel, &pattern),
+        let tuples = match (&pattern, db.relation(&goal.predicate)) {
+            (Some(pattern), Some(rel)) => filter_relation(rel, pattern),
             _ => Vec::new(),
         };
         return Ok(QueryAnswer {
@@ -225,169 +163,120 @@ pub fn query(
         });
     }
 
-    let support = demand_support(program);
-    let strategy = match (support, opts.non_stratified) {
-        (DemandSupport::Stratified, _) => QueryStrategy::MagicStratified,
-        (DemandSupport::WellFoundedOnly, NonStratifiedPolicy::DemandCone) => {
-            QueryStrategy::MagicWellFounded
-        }
-        (DemandSupport::WellFoundedOnly, NonStratifiedPolicy::FullEvaluation) => {
-            QueryStrategy::FullWellFounded
-        }
-        (DemandSupport::WellFoundedOnly, NonStratifiedPolicy::Error) => {
-            return Err(EvalError::UnsupportedQuery {
-                reason: format!(
-                    "program is not stratified (goal `{goal}`); demand-driven evaluation \
-                     requires the DemandCone or FullEvaluation policy"
-                ),
-            })
-        }
+    let rw = rewrite_cone(program, goal);
+    let strategy = if rw.binds_nothing {
+        QueryStrategy::Full
+    } else {
+        QueryStrategy::Demand
     };
-
-    let Some(pattern) = goal_pattern(goal, db) else {
+    let Some(pattern) = pattern else {
         // A goal constant outside the universe can never be derived.
-        return Ok(QueryAnswer::empty(strategy));
+        return Ok(QueryAnswer {
+            tuples: Vec::new(),
+            undefined: Vec::new(),
+            strategy,
+        });
     };
 
-    let answer = match strategy {
-        QueryStrategy::MagicStratified => query_stratified(program, goal, db, &pattern, &opts.eval),
-        QueryStrategy::MagicWellFounded => query_cone(program, goal, db, &pattern, &opts.eval),
-        QueryStrategy::FullWellFounded => query_full_wf(program, goal, db, &pattern, &opts.eval),
-        QueryStrategy::EdbScan => unreachable!("extensional goals answered above"),
-    }?;
+    let (tuples, undefined) = if rw.binds_nothing {
+        let graph = DepGraph::new(program);
+        let cone = graph.reachable([goal.predicate.as_str()]);
+        let rules = program
+            .rules
+            .iter()
+            .filter(|r| cone.contains(r.head.predicate.as_str()))
+            .cloned();
+        evaluate_and_filter(&Program::new(rules.collect()), goal, db, &pattern, opts)?
+    } else {
+        // Phase 1: positive, so its one stratum is its least fixpoint.
+        debug_assert!(rw.demand.is_positive(), "demand programs are positive");
+        let dcp = CompiledProgram::compile(&rw.demand, db)?;
+        let dctx = EvalContext::new(&dcp, db)?;
+        let (mut phase1, _) = evaluate(&dcp, &dctx, opts)?;
+        if let Some(gid) = dcp.idb_id(&rw.goal_pred) {
+            (filter_relation(phase1.get(gid), &pattern), Vec::new())
+        } else {
+            // Phase 2 reads the relations phase 1 defines as EDB relations.
+            // They are absent from the database, so compilation gives them
+            // empty relations in the context; install phase 1's in their
+            // place — moved, not cloned, and without copying the database
+            // (point queries must not pay a whole-database clone for a
+            // 10-tuple cone).
+            let cp = CompiledProgram::compile(&rw.guarded, db)?;
+            let mut ctx = EvalContext::new(&cp, db)?;
+            for (edb, name) in ctx.edb.iter_mut().zip(&cp.edb_names) {
+                if let Some(i) = dcp.idb_id(name) {
+                    let arity = edb.arity();
+                    *edb = std::mem::replace(phase1.get_mut(i), Relation::new(arity));
+                }
+            }
+            let (t, u) = evaluate(&cp, &ctx, opts)?;
+            let gid = cp
+                .idb_id(&rw.goal_pred)
+                .expect("the adorned goal predicate heads its guarded rules");
+            (
+                filter_relation(t.get(gid), &pattern),
+                filter_relation(u.get(gid), &pattern),
+            )
+        }
+    };
+    let answer = QueryAnswer {
+        tuples,
+        undefined,
+        strategy,
+    };
 
     #[cfg(debug_assertions)]
-    verify_against_full(program, goal, db, &pattern, &answer);
+    {
+        // Ground truth: the whole program, not the goal's cone, so the
+        // check shares no restriction with the path it checks. Run without
+        // governance: the verification pass must not double-spend the
+        // caller's budget or re-fire one-shot failpoints.
+        let full = evaluate_and_filter(program, goal, db, &pattern, &EvalOptions::sequential())
+            .expect("ungoverned verification evaluation cannot fail");
+        assert_eq!(
+            (&answer.tuples, &answer.undefined),
+            (&full.0, &full.1),
+            "goal-directed answers diverged from full-fixpoint-then-filter for `{goal}`"
+        );
+    }
 
     Ok(answer)
 }
 
-/// Stratified path: magic rewrite, stratified evaluation, filter.
-fn query_stratified(
-    program: &Program,
-    goal: &Atom,
-    db: &Database,
-    pattern: &[Slot],
-    eval: &EvalOptions,
-) -> Result<QueryAnswer> {
-    let rw = rewrite_stratified(program, goal);
-    // Stratified by construction: demand never crosses a negation.
-    let cp = CompiledProgram::compile(&rw.program, db)?;
-    let ctx = EvalContext::new(&cp, db)?;
-    let (model, _) = stratified_eval_compiled_with(&cp, &ctx, eval)?;
-    let gid = cp
-        .idb_id(&rw.goal_pred)
-        .expect("the adorned goal predicate heads its guarded rules");
-    Ok(QueryAnswer {
-        tuples: filter_relation(model.get(gid), pattern),
-        undefined: Vec::new(),
-        strategy: QueryStrategy::MagicStratified,
-    })
-}
-
-/// Non-stratifiable path: positive demand fixpoint, then the well-founded
-/// engine on the demand-guarded program with the magic relations
-/// materialized as extensional relations.
-fn query_cone(
-    program: &Program,
-    goal: &Atom,
-    db: &Database,
-    pattern: &[Slot],
-    eval: &EvalOptions,
-) -> Result<QueryAnswer> {
-    let rw = rewrite_cone(program, goal);
-    debug_assert!(rw.demand.is_positive(), "demand programs are positive");
-    let dcp = CompiledProgram::compile(&rw.demand, db)?;
-    let dctx = EvalContext::new(&dcp, db)?;
-    // Positive, so Θ^∞ is its least fixpoint (§4).
-    let (demand, _) = inflationary_compiled_with(&dcp, &dctx, eval)?;
-
-    // Phase 2 reads the magic predicates as EDB relations. They are absent
-    // from the database, so compilation gives them empty relations in the
-    // context; install the demand fixpoint's relations in their place —
-    // moved, not cloned, and without copying the database (point queries
-    // must not pay a whole-database clone for a 10-tuple cone).
-    let cp = CompiledProgram::compile(&rw.guarded, db)?;
-    let mut ctx = EvalContext::new(&cp, db)?;
-    let mut demand_rels = demand.into_relations();
-    for name in &rw.magic_preds {
-        let di = dcp
-            .idb_id(name)
-            .expect("every demanded magic predicate heads a demand rule");
-        let ei = cp
-            .edb_names
-            .iter()
-            .position(|n| n == name)
-            .expect("every demanded magic predicate guards a phase-2 rule");
-        let arity = demand_rels[di].arity();
-        ctx.edb[ei] = std::mem::replace(&mut demand_rels[di], Relation::new(arity));
-    }
-    let wf = well_founded_compiled_with(&cp, &ctx, eval)?;
-    let gid = cp
-        .idb_id(&rw.goal_pred)
-        .expect("the adorned goal predicate heads its guarded rules");
-    Ok(QueryAnswer {
-        tuples: filter_relation(wf.true_facts.get(gid), pattern),
-        undefined: filter_relation(wf.undefined.get(gid), pattern),
-        strategy: QueryStrategy::MagicWellFounded,
-    })
-}
-
-/// Fallback: full well-founded model, filtered.
-fn query_full_wf(
-    program: &Program,
-    goal: &Atom,
-    db: &Database,
-    pattern: &[Slot],
-    eval: &EvalOptions,
-) -> Result<QueryAnswer> {
-    let cp = CompiledProgram::compile(program, db)?;
-    let ctx = EvalContext::new(&cp, db)?;
-    let wf = well_founded_compiled_with(&cp, &ctx, eval)?;
-    let gid = cp
-        .idb_id(&goal.predicate)
-        .expect("IDB goals checked by the caller");
-    Ok(QueryAnswer {
-        tuples: filter_relation(wf.true_facts.get(gid), pattern),
-        undefined: filter_relation(wf.undefined.get(gid), pattern),
-        strategy: QueryStrategy::FullWellFounded,
-    })
-}
-
-/// Debug-build ground truth: every query answer must be set-identical to
-/// full-fixpoint-then-filter under the program's semantics (perfect model
-/// when stratified, well-founded model otherwise).
-#[cfg(debug_assertions)]
-fn verify_against_full(
-    program: &Program,
-    goal: &Atom,
-    db: &Database,
-    pattern: &[Slot],
-    answer: &QueryAnswer,
-) {
-    let cp = CompiledProgram::compile(program, db).expect("query compiled the same program");
-    let ctx = EvalContext::new(&cp, db).expect("query built the same context");
-    let gid = cp.idb_id(&goal.predicate).expect("IDB goal");
+/// Evaluates `(cp, ctx)` with the engine its compiled strata pick: the
+/// stratified engine when it has strata, the well-founded one otherwise.
+/// Returns the true facts and the undefined ones.
+fn evaluate(
+    cp: &CompiledProgram,
+    ctx: &EvalContext,
+    opts: &EvalOptions,
+) -> Result<(Interp, Interp)> {
     let engine = if cp.strata().is_ok() {
         Engine::Stratified
     } else {
         Engine::WellFounded
     };
-    // Run the ground truth without governance: the verification pass must
-    // not double-spend the caller's budget or re-fire one-shot failpoints.
-    let (t, u) = engine
-        .evaluate(&cp, &ctx, &EvalOptions::sequential())
-        .expect("ungoverned verification evaluation cannot fail");
-    let full_true = filter_relation(t.get(gid), pattern);
-    let full_undef = filter_relation(u.get(gid), pattern);
-    assert_eq!(
-        answer.tuples, full_true,
-        "goal-directed answers diverged from full-fixpoint-then-filter for `{goal}`"
-    );
-    assert_eq!(
-        answer.undefined, full_undef,
-        "goal-directed undefined set diverged from the full model for `{goal}`"
-    );
+    engine.evaluate(cp, ctx, opts)
+}
+
+/// Evaluates `program` over `db` in full and filters the goal relation:
+/// its true and its undefined goal-matching tuples.
+fn evaluate_and_filter(
+    program: &Program,
+    goal: &Atom,
+    db: &Database,
+    pattern: &[Slot],
+    opts: &EvalOptions,
+) -> Result<(Vec<Tuple>, Vec<Tuple>)> {
+    let cp = CompiledProgram::compile(program, db)?;
+    let ctx = EvalContext::new(&cp, db)?;
+    let (t, u) = evaluate(&cp, &ctx, opts)?;
+    let gid = cp.idb_id(&goal.predicate).expect("IDB goal");
+    Ok((
+        filter_relation(t.get(gid), pattern),
+        filter_relation(u.get(gid), pattern),
+    ))
 }
 
 #[cfg(test)]
@@ -415,10 +304,10 @@ mod tests {
             &p,
             &parse_atom("S('v1', y)").unwrap(),
             &db,
-            &QueryOpts::default(),
+            &EvalOptions::sequential(),
         )
         .unwrap();
-        assert_eq!(a.strategy, QueryStrategy::MagicStratified);
+        assert_eq!(a.strategy, QueryStrategy::Demand);
         assert_eq!(a.tuples, vec![t2(1, 2), t2(1, 3), t2(1, 4)]);
         assert!(a.undefined.is_empty());
     }
@@ -431,7 +320,7 @@ mod tests {
             &p,
             &parse_atom("S('v0', 'v4')").unwrap(),
             &db,
-            &QueryOpts::default(),
+            &EvalOptions::sequential(),
         )
         .unwrap();
         assert_eq!(yes.tuples, vec![t2(0, 4)]);
@@ -439,7 +328,7 @@ mod tests {
             &p,
             &parse_atom("S('v4', 'v0')").unwrap(),
             &db,
-            &QueryOpts::default(),
+            &EvalOptions::sequential(),
         )
         .unwrap();
         assert!(no.tuples.is_empty());
@@ -453,7 +342,7 @@ mod tests {
             &p,
             &parse_atom("S('w9', y)").unwrap(),
             &db,
-            &QueryOpts::default(),
+            &EvalOptions::sequential(),
         )
         .unwrap();
         assert!(a.tuples.is_empty());
@@ -467,7 +356,7 @@ mod tests {
             &p,
             &parse_atom("S(x, x)").unwrap(),
             &db,
-            &QueryOpts::default(),
+            &EvalOptions::sequential(),
         )
         .unwrap();
         assert_eq!(a.tuples, vec![t2(0, 0), t2(1, 1), t2(2, 2)]);
@@ -481,7 +370,7 @@ mod tests {
             &p,
             &parse_atom("E('v0', y)").unwrap(),
             &db,
-            &QueryOpts::default(),
+            &EvalOptions::sequential(),
         )
         .unwrap();
         assert_eq!(a.strategy, QueryStrategy::EdbScan);
@@ -491,7 +380,7 @@ mod tests {
             &p,
             &parse_atom("Zed(x)").unwrap(),
             &db,
-            &QueryOpts::default(),
+            &EvalOptions::sequential(),
         )
         .unwrap();
         assert!(none.tuples.is_empty());
@@ -501,7 +390,13 @@ mod tests {
     fn goal_arity_mismatch_errors() {
         let p = parse_program(TC).unwrap();
         let db = DiGraph::path(3).to_database("E");
-        let err = query(&p, &parse_atom("S(x)").unwrap(), &db, &QueryOpts::default()).unwrap_err();
+        let err = query(
+            &p,
+            &parse_atom("S(x)").unwrap(),
+            &db,
+            &EvalOptions::sequential(),
+        )
+        .unwrap_err();
         assert!(matches!(err, EvalError::ArityMismatch { .. }));
     }
 
@@ -514,16 +409,16 @@ mod tests {
             &p,
             &parse_atom("Win('v2')").unwrap(),
             &db,
-            &QueryOpts::default(),
+            &EvalOptions::sequential(),
         )
         .unwrap();
-        assert_eq!(a.strategy, QueryStrategy::MagicWellFounded);
+        assert_eq!(a.strategy, QueryStrategy::Demand);
         assert_eq!(a.tuples, vec![t1(2)]);
         let b = query(
             &p,
             &parse_atom("Win('v1')").unwrap(),
             &db,
-            &QueryOpts::default(),
+            &EvalOptions::sequential(),
         )
         .unwrap();
         assert!(b.tuples.is_empty() && b.undefined.is_empty());
@@ -537,7 +432,7 @@ mod tests {
             &p,
             &parse_atom("Win('v0')").unwrap(),
             &db,
-            &QueryOpts::default(),
+            &EvalOptions::sequential(),
         )
         .unwrap();
         assert!(a.tuples.is_empty());
@@ -545,35 +440,26 @@ mod tests {
     }
 
     #[test]
-    fn non_stratified_policies() {
-        let p = parse_program(WIN).unwrap();
-        let db = DiGraph::path(4).to_database("Move");
-        let goal = parse_atom("Win(x)").unwrap();
-        let cone = query(&p, &goal, &db, &QueryOpts::default()).unwrap();
-        let full = query(
-            &p,
-            &goal,
-            &db,
-            &QueryOpts {
-                non_stratified: NonStratifiedPolicy::FullEvaluation,
-                ..QueryOpts::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(full.strategy, QueryStrategy::FullWellFounded);
-        assert_eq!(cone.tuples, full.tuples);
-        assert_eq!(cone.undefined, full.undefined);
-        let err = query(
-            &p,
-            &goal,
-            &db,
-            &QueryOpts {
-                non_stratified: NonStratifiedPolicy::Error,
-                ..QueryOpts::default()
-            },
-        )
-        .unwrap_err();
-        assert!(matches!(err, EvalError::UnsupportedQuery { .. }));
+    fn strategy_follows_the_rewrite() {
+        let tc = parse_program(TC).unwrap();
+        let left = parse_program("S(x, y) :- E(x, y). S(x, y) :- S(x, z), E(z, y).").unwrap();
+        let win = parse_program(WIN).unwrap();
+        let db = DiGraph::path(4).to_database("E");
+        let moves = DiGraph::path(4).to_database("Move");
+        for (p, db, goal, want) in [
+            (&tc, &db, "S('v1', y)", QueryStrategy::Demand),
+            (&tc, &db, "S(x, y)", QueryStrategy::Full),
+            (&tc, &db, "S('w9', y)", QueryStrategy::Demand),
+            (&left, &db, "S('v1', y)", QueryStrategy::Demand),
+            (&left, &db, "S(x, 'v3')", QueryStrategy::Full),
+            (&win, &moves, "Win('v1')", QueryStrategy::Demand),
+            (&win, &moves, "Win(x)", QueryStrategy::Full),
+            (&win, &moves, "Move(x, 'v1')", QueryStrategy::EdbScan),
+        ] {
+            let goal = parse_atom(goal).unwrap();
+            let a = query(p, &goal, db, &EvalOptions::sequential()).unwrap();
+            assert_eq!(a.strategy, want, "{goal}");
+        }
     }
 
     #[test]
@@ -589,22 +475,10 @@ mod tests {
             &p,
             &parse_atom("C('v0', y)").unwrap(),
             &db,
-            &QueryOpts::default(),
+            &EvalOptions::sequential(),
         )
         .unwrap();
         // v0 reaches v1 and v2; the complement row for v0 is just (v0, v0).
         assert_eq!(a.tuples, vec![t2(0, 0)]);
-    }
-
-    #[test]
-    fn capability_check_classifies() {
-        assert_eq!(
-            demand_support(&parse_program(TC).unwrap()),
-            DemandSupport::Stratified
-        );
-        assert_eq!(
-            demand_support(&parse_program(WIN).unwrap()),
-            DemandSupport::WellFoundedOnly
-        );
     }
 }

@@ -35,7 +35,7 @@ use inflog_eval::materialize::{Engine, MaterializeOpts, Materialized, RepairStat
 use inflog_eval::{
     inflationary, inflationary_with, least_fixpoint_naive_with, least_fixpoint_seminaive,
     least_fixpoint_seminaive_with, stratified_eval, stratified_eval_with, well_founded,
-    well_founded_with, Budget, BudgetKind, CancelToken, EvalError, EvalOptions, QueryOpts,
+    well_founded_with, Budget, BudgetKind, CancelToken, EvalError, EvalOptions,
 };
 use inflog_syntax::{parse_program, Atom, Program, Term};
 use rand::rngs::StdRng;
@@ -242,7 +242,8 @@ fn query_after_update_agrees_with_the_maintained_model() {
             predicate: "S".into(),
             terms: vec![Term::Const(format!("v{k}")), Term::Var("y".into())],
         };
-        let ans = m.query(&goal, &QueryOpts::default()).unwrap();
+        let ans = inflog_eval::query(m.program(), &goal, m.database(), &EvalOptions::sequential())
+            .unwrap();
         let src = m.database().universe().lookup(&format!("v{k}")).unwrap();
         let expect: Vec<Tuple> = m
             .interp()

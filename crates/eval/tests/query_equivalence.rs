@@ -2,7 +2,9 @@
 //! set-identical to full-fixpoint-then-filter, for stratified programs
 //! under the perfect model and non-stratifiable programs under the
 //! well-founded model — over paths, cycles and `gnp` random graphs,
-//! including goals with zero answers and fully-bound goals.
+//! including goals with zero answers and fully-bound goals, goals whose
+//! demand crosses a negation, goals phase 1 answers alone, and goals whose
+//! demand binds nothing (the full-cone path).
 //!
 //! (Debug builds additionally re-verify the identity *inside* `query` on
 //! every call; these tests assert it independently so release builds are
@@ -11,12 +13,16 @@
 use inflog_core::graphs::DiGraph;
 use inflog_core::{Database, Tuple};
 use inflog_eval::{
-    query, stratified_eval, well_founded, CompiledProgram, NonStratifiedPolicy, QueryOpts,
-    QueryStrategy,
+    query, stratified_eval, well_founded, CompiledProgram, EvalOptions, QueryAnswer, QueryStrategy,
 };
 use inflog_syntax::{parse_atom, parse_program, Atom, Program, Term};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+
+/// The query under test, without budget, cancellation or failpoints.
+fn ask(p: &Program, goal: &Atom, db: &Database) -> QueryAnswer {
+    query(p, goal, db, &EvalOptions::sequential()).unwrap()
+}
 
 /// Full-fixpoint-then-filter reference for a stratified program.
 fn perfect_filtered(p: &Program, db: &Database, goal: &Atom) -> Vec<Tuple> {
@@ -99,8 +105,14 @@ fn tc_queries_match_filter_across_graphs() {
         ];
         for gsrc in goals {
             let goal = parse_atom(&gsrc).unwrap();
-            let a = query(&p, &goal, &db, &QueryOpts::default()).unwrap();
-            assert_eq!(a.strategy, QueryStrategy::MagicStratified);
+            let a = ask(&p, &goal, &db);
+            // Demand binds nothing exactly when the goal binds nothing.
+            let want = if goal.terms.iter().all(Term::is_var) {
+                QueryStrategy::Full
+            } else {
+                QueryStrategy::Demand
+            };
+            assert_eq!(a.strategy, want, "goal {gsrc}");
             assert_eq!(
                 a.tuples,
                 perfect_filtered(&p, &db, &goal),
@@ -133,7 +145,7 @@ fn stratified_negation_queries_match_filter() {
             "D(x)".to_string(),
         ] {
             let goal = parse_atom(&gsrc).unwrap();
-            let a = query(&p, &goal, &db, &QueryOpts::default()).unwrap();
+            let a = ask(&p, &goal, &db);
             assert_eq!(
                 a.tuples,
                 perfect_filtered(&p, &db, &goal),
@@ -161,7 +173,7 @@ fn three_strata_chain_queries() {
         }
         for gsrc in ["C('v3')", "C(x)", "B('v0')", "A('v5')"] {
             let goal = parse_atom(gsrc).unwrap();
-            let a = query(&p, &goal, &db, &QueryOpts::default()).unwrap();
+            let a = ask(&p, &goal, &db);
             assert_eq!(a.tuples, perfect_filtered(&p, &db, &goal), "goal {gsrc}");
         }
     }
@@ -178,8 +190,8 @@ fn win_move_queries_match_wellfounded_filter() {
         for _ in 0..3 {
             let v = rng.gen_range(0..n);
             let goal = parse_atom(&format!("Win('v{v}')")).unwrap();
-            let a = query(&p, &goal, &db, &QueryOpts::default()).unwrap();
-            assert_eq!(a.strategy, QueryStrategy::MagicWellFounded);
+            let a = ask(&p, &goal, &db);
+            assert_eq!(a.strategy, QueryStrategy::Demand);
             assert_eq!(
                 a.tuples,
                 filtered(&p, &db, &goal, &wf.true_facts),
@@ -193,7 +205,7 @@ fn win_move_queries_match_wellfounded_filter() {
         }
         // All-free goal through the cone path: full demand, same model.
         let goal = parse_atom("Win(x)").unwrap();
-        let a = query(&p, &goal, &db, &QueryOpts::default()).unwrap();
+        let a = ask(&p, &goal, &db);
         assert_eq!(a.tuples, filtered(&p, &db, &goal, &wf.true_facts));
         assert_eq!(a.undefined, filtered(&p, &db, &goal, &wf.undefined));
     }
@@ -202,62 +214,124 @@ fn win_move_queries_match_wellfounded_filter() {
 #[test]
 fn nonstratified_mixed_recursion_queries() {
     // Win/move plus positive recursion guarded by the non-stratified
-    // predicate — the same shape as the wellfounded_win_move_gnp bench.
-    let p = parse_program(
+    // predicate — the same shape as the wellfounded_win_move_gnp bench —
+    // and the paper's π₁, whose negative cycle is the goal's own.
+    let mixed = parse_program(
         "Win(x) :- Move(x, y), !Win(y).
          Safe(x, y) :- Move(x, y), !Win(x).
          Safe(x, y) :- Safe(x, z), Move(z, y), !Win(y).",
     )
     .unwrap();
+    let pi1 = parse_program("T(x) :- E(y, x), !T(y).").unwrap();
     let mut rng = StdRng::seed_from_u64(505);
     for _ in 0..6 {
         let g = DiGraph::random_gnp(8, 0.2, &mut rng);
-        let db = g.to_database("Move");
-        let wf = well_founded(&p, &db).unwrap();
         let v = rng.gen_range(0..8u32);
-        for gsrc in [
-            format!("Safe('v{v}', y)"),
-            format!("Safe('v{v}', 'v{}')", (v + 3) % 8),
-            format!("Win('v{v}')"),
-        ] {
+        let cases = [
+            (&mixed, "Move", format!("Safe('v{v}', y)")),
+            (&mixed, "Move", format!("Safe('v{v}', 'v{}')", (v + 3) % 8)),
+            (&mixed, "Move", format!("Win('v{v}')")),
+            (&pi1, "E", format!("T('v{v}')")),
+            (&pi1, "E", "T(x)".to_string()),
+        ];
+        for (p, edges, gsrc) in cases {
+            let db = g.to_database(edges);
+            let wf = well_founded(p, &db).unwrap();
             let goal = parse_atom(&gsrc).unwrap();
-            let a = query(&p, &goal, &db, &QueryOpts::default()).unwrap();
+            let a = ask(p, &goal, &db);
             assert_eq!(
                 a.tuples,
-                filtered(&p, &db, &goal, &wf.true_facts),
+                filtered(p, &db, &goal, &wf.true_facts),
                 "goal {gsrc} on {g}"
             );
             assert_eq!(
                 a.undefined,
-                filtered(&p, &db, &goal, &wf.undefined),
+                filtered(p, &db, &goal, &wf.undefined),
                 "undefined for {gsrc} on {g}"
             );
         }
     }
 }
 
+/// `TC_CUT` of the benchmark: demand crosses `!S(y, x)` in a stratified
+/// program.
+const TC_CUT: &str = "S(x, y) :- E(x, y). S(x, y) :- S(x, z), E(z, y).
+                      Cut(x, y) :- E(x, y), !S(y, x).";
+
 #[test]
-fn cone_and_full_policies_agree() {
-    let p = parse_program("T(x) :- E(y, x), !T(y).").unwrap();
-    let mut rng = StdRng::seed_from_u64(606);
-    for _ in 0..5 {
-        let g = DiGraph::random_gnp(7, 0.25, &mut rng);
+fn demand_crosses_stratified_negation() {
+    let cut = parse_program(TC_CUT).unwrap();
+    // Three levels: S, then R over S and a negated EDB atom, then T over
+    // R and S with a negated S.
+    let chain = parse_program(
+        "S(x, y) :- E(x, y). S(x, y) :- E(x, z), S(z, y).
+         R(x, y) :- S(x, y), !E(x, y).
+         T(x, y) :- R(x, z), S(z, y), !S(y, x).",
+    )
+    .unwrap();
+    let mut rng = StdRng::seed_from_u64(808);
+    for g in graphs(10) {
         let db = g.to_database("E");
-        let v = rng.gen_range(0..7u32);
-        let goal = parse_atom(&format!("T('v{v}')")).unwrap();
-        let cone = query(&p, &goal, &db, &QueryOpts::default()).unwrap();
-        let full = query(
-            &p,
-            &goal,
-            &db,
-            &QueryOpts {
-                non_stratified: NonStratifiedPolicy::FullEvaluation,
-                ..QueryOpts::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(cone.tuples, full.tuples, "T('v{v}') on {g}");
-        assert_eq!(cone.undefined, full.undefined, "T('v{v}') on {g}");
+        let n = g.num_vertices() as u32;
+        let v = rng.gen_range(0..n);
+        let w = rng.gen_range(0..n);
+        for (p, gsrc) in [
+            (&cut, format!("Cut('v{v}', y)")),
+            (&cut, format!("Cut(x, 'v{v}')")),
+            (&cut, format!("Cut('v{v}', 'v{w}')")),
+            (&chain, format!("T('v{v}', y)")),
+            (&chain, format!("T('v{v}', 'v{w}')")),
+            (&chain, format!("R('v{v}', y)")),
+        ] {
+            let goal = parse_atom(&gsrc).unwrap();
+            let a = ask(p, &goal, &db);
+            assert_eq!(a.strategy, QueryStrategy::Demand, "goal {gsrc}");
+            assert_eq!(
+                a.tuples,
+                perfect_filtered(p, &db, &goal),
+                "goal {gsrc} on {g}"
+            );
+            assert!(a.undefined.is_empty());
+        }
+    }
+}
+
+#[test]
+fn negation_free_goals_and_goals_that_bind_nothing() {
+    // Doubly recursive TC is negation-free, so phase 1 answers it alone.
+    let double = parse_program("S(x, y) :- E(x, y). S(x, y) :- S(x, z), S(z, y).").unwrap();
+    // Left-linear TC demands its source free for `S(x, c)`: demand binds
+    // nothing and the goal's cone is evaluated in full.
+    let left = parse_program("S(x, y) :- E(x, y). S(x, y) :- S(x, z), E(z, y).").unwrap();
+    let cut = parse_program(TC_CUT).unwrap();
+    let mut rng = StdRng::seed_from_u64(909);
+    for g in graphs(11) {
+        let db = g.to_database("E");
+        let n = g.num_vertices() as u32;
+        let v = rng.gen_range(0..n);
+        for (p, gsrc, want) in [
+            (&double, format!("S('v{v}', y)"), QueryStrategy::Demand),
+            (
+                &double,
+                format!("S('v{v}', 'v{}')", (v + 1) % n),
+                QueryStrategy::Demand,
+            ),
+            (&double, format!("S(x, 'v{v}')"), QueryStrategy::Full),
+            (&left, format!("S('v{v}', y)"), QueryStrategy::Demand),
+            (&left, format!("S(x, 'v{v}')"), QueryStrategy::Full),
+            (&left, "S(x, x)".to_string(), QueryStrategy::Full),
+            (&cut, "Cut(x, y)".to_string(), QueryStrategy::Full),
+            (&cut, format!("S(x, 'v{v}')"), QueryStrategy::Full),
+        ] {
+            let goal = parse_atom(&gsrc).unwrap();
+            let a = ask(p, &goal, &db);
+            assert_eq!(a.strategy, want, "goal {gsrc}");
+            assert_eq!(
+                a.tuples,
+                perfect_filtered(p, &db, &goal),
+                "goal {gsrc} on {g}"
+            );
+        }
     }
 }
 
@@ -269,7 +343,7 @@ fn zero_answer_goals() {
     let db = g.to_database("E");
     for gsrc in ["S('v3', y)", "S('v0', 'v5')", "S('v6', y)"] {
         let goal = parse_atom(gsrc).unwrap();
-        let a = query(&p, &goal, &db, &QueryOpts::default()).unwrap();
+        let a = ask(&p, &goal, &db);
         assert!(a.tuples.is_empty(), "{gsrc} must have no answers");
         assert_eq!(a.tuples, perfect_filtered(&p, &db, &goal));
     }
@@ -291,7 +365,7 @@ fn unsafe_rules_under_demand() {
         let db = g.to_database("E");
         for gsrc in ["Q('v2')", "Q(x)", "P('v1', y)"] {
             let goal = parse_atom(gsrc).unwrap();
-            let a = query(&p, &goal, &db, &QueryOpts::default()).unwrap();
+            let a = ask(&p, &goal, &db);
             assert_eq!(a.tuples, perfect_filtered(&p, &db, &goal), "goal {gsrc}");
         }
     }

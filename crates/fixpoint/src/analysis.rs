@@ -11,7 +11,8 @@
 //! * **Least fixpoint** (Theorem 3): the paper observes a least fixpoint
 //!   exists iff the coordinatewise intersection of all fixpoints is itself a
 //!   fixpoint. [`least_fixpoint_fonp`](FixpointAnalyzer::least_fixpoint_fonp)
-//!   computes the intersection with one NP-oracle query per tuple
+//!   computes the intersection with one NP-oracle query per tuple that
+//!   every model seen so far makes true
 //!   (`solve_with_assumptions([v_t = false])`: UNSAT ⟺ `t` is in every
 //!   fixpoint) and then performs a single polynomial Θ check — precisely the
 //!   "first-order formula with NP-oracle predicates" shape of the FONP upper
@@ -41,7 +42,8 @@ pub enum LeastFixpointResult {
 /// Statistics from the FONP least-fixpoint algorithm.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FonpStats {
-    /// NP-oracle (SAT) calls made — one per tuple plus one existence check.
+    /// NP-oracle (SAT) calls made: one existence check, plus one per tuple
+    /// that every model seen so far makes true.
     pub oracle_calls: u64,
     /// Size of the intersection-of-all-fixpoints ("core").
     pub core_size: usize,
@@ -134,32 +136,38 @@ impl FixpointAnalyzer {
 
     /// The FONP least-fixpoint algorithm of Theorem 3.
     ///
-    /// 1. One oracle call decides whether any fixpoint exists.
-    /// 2. For each tuple `t`, the oracle query "is the completion plus
-    ///    `¬v_t` satisfiable?" decides whether some fixpoint *excludes* `t`;
-    ///    UNSAT means `t` lies in the intersection of all fixpoints.
+    /// 1. One oracle call decides whether any fixpoint exists; its model `M`
+    ///    seeds the candidate set, since a tuple false in `M` is in no
+    ///    intersection.
+    /// 2. For each tuple `t` still a candidate, the oracle query "is the
+    ///    completion plus `¬v_t` satisfiable?" decides whether some fixpoint
+    ///    *excludes* `t`. UNSAT means `t` lies in the intersection of all
+    ///    fixpoints; a SAT answer's model drops every candidate it makes
+    ///    false, `t` among them (backbone filtering).
     /// 3. A least fixpoint exists iff that intersection is itself a fixpoint
     ///    (single polynomial Θ check), in which case it *is* the least one.
     pub fn least_fixpoint_fonp(&self) -> (LeastFixpointResult, FonpStats) {
         let mut stats = FonpStats::default();
         let mut solver = Solver::from_cnf(&self.encoding.cnf);
+        let vars = &self.encoding.tuple_vars;
 
         stats.oracle_calls += 1;
-        if !solver.solve().is_sat() {
+        let SolveResult::Sat(first) = solver.solve() else {
             return (LeastFixpointResult::NoFixpoint, stats);
-        }
+        };
 
-        let mut core_bits = vec![false; self.ground.total_tuples];
-        // The loop index *is* the tuple id being queried, so a range loop
-        // states the algorithm more directly than iterator adapters.
-        #[allow(clippy::needless_range_loop)]
+        // Candidates: the tuples true in every model seen so far.
+        let mut core_bits: Vec<bool> = vars.iter().map(|v| first[v.index()]).collect();
         for id in 0..self.ground.total_tuples {
+            if !core_bits[id] {
+                continue;
+            }
             stats.oracle_calls += 1;
-            let excluded_somewhere = solver
-                .solve_with_assumptions(&[self.encoding.tuple_assumption(id, false)])
-                .is_sat();
-            if !excluded_somewhere {
-                core_bits[id] = true;
+            let assumption = self.encoding.tuple_assumption(id, false);
+            if let SolveResult::Sat(model) = solver.solve_with_assumptions(&[assumption]) {
+                for (bit, v) in core_bits.iter_mut().zip(vars) {
+                    *bit &= model[v.index()];
+                }
             }
         }
         let core = self.ground.bits_to_interp(&core_bits);
@@ -273,8 +281,9 @@ mod tests {
             LeastFixpointResult::Least(s) => assert_eq!(s.total_tuples(), 2),
             other => panic!("expected least fixpoint, got {other:?}"),
         }
-        // Oracle calls: 1 existence + one per tuple (5 vertices).
-        assert_eq!(stats.oracle_calls, 6);
+        // Oracle calls: 1 existence + one per core tuple (the first model
+        // is the unique fixpoint, so no other tuple is ever a candidate).
+        assert_eq!(stats.oracle_calls, 3);
     }
 
     #[test]

@@ -5,29 +5,20 @@
 //! that bottom-up evaluation computes only the *cone* of tuples the goal can
 //! depend on, instead of the whole fixpoint.
 //!
-//! Two rewrites, chosen by the caller according to the program's negation
-//! structure (the evaluator's `demand_support` capability check):
+//! One rewrite, [`magic::rewrite_cone`], serves every program: a
+//! two-phase **demand-cone restriction** whose demand crosses negations.
+//! Phase one is a *positive* demand program (magic predicates, the exact
+//! guarded rules of negation-free predicates, and a positivized
+//! over-approximation of the others) whose least fixpoint is the set of
+//! subgoals the query can reach through positive *and* negative
+//! dependencies. Phase two guards the adorned rules of the remaining
+//! predicates with the materialized phase-one relations; it is stratified
+//! whenever the input is. Soundness rests on the *relevance* property of
+//! the well-founded semantics, which is the perfect model on stratified
+//! programs: the truth value of an atom depends only on the ground rules in
+//! its dependency cone.
 //!
-//! * [`magic::rewrite_stratified`] — the classic **adorned magic-set
-//!   rewrite** for stratified programs. Demand (binding patterns) propagates
-//!   left-to-right through rule bodies and across *positive* IDB atoms;
-//!   it never crosses into a negated literal — the negated predicate's full
-//!   cone is evaluated unrewritten instead, which keeps the rewritten
-//!   program stratified by construction (negation is then handled
-//!   stratum-by-stratum by the stratified engine, exactly as in the original
-//!   program).
-//! * [`magic::rewrite_cone`] — a two-phase **demand-cone restriction** for
-//!   non-stratifiable programs evaluated under the well-founded semantics.
-//!   Phase one is a *positive* demand program (magic predicates plus a
-//!   positivized over-approximation of each adorned predicate) whose least
-//!   fixpoint is the set of subgoals the query can reach through positive
-//!   *and* negative dependencies; phase two guards the adorned original
-//!   rules with the materialized magic relations and is evaluated by the
-//!   well-founded engine. Soundness rests on the *relevance* property of the
-//!   well-founded semantics: the truth value of an atom depends only on the
-//!   ground rules in its dependency cone.
-//!
-//! The rewrites are purely syntactic ([`inflog_syntax::Program`] →
+//! The rewrite is purely syntactic ([`inflog_syntax::Program`] →
 //! [`inflog_syntax::Program`]); evaluation lives in `inflog-eval`
 //! (`eval::query`). Generated predicates use `#`-separated names
 //! (`S#bf`, `M#S#bf`, `P#S#bf`) that the concrete syntax cannot produce, so
@@ -37,4 +28,4 @@ pub mod adorn;
 pub mod magic;
 
 pub use adorn::{adorned_name, magic_name, pot_name, Adornment};
-pub use magic::{rewrite_cone, rewrite_stratified, ConeRewrite, MagicRewrite};
+pub use magic::{rewrite_cone, ConeRewrite};

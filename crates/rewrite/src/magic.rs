@@ -1,19 +1,19 @@
-//! The magic-set rewrite: from `(program, goal)` to a demand-restricted
-//! program whose bottom-up fixpoint contains exactly the goal-relevant part
-//! of the original model.
+//! The demand rewrite: from `(program, goal)` to a demand-restricted
+//! program pair whose bottom-up evaluation contains exactly the
+//! goal-relevant part of the original model.
 //!
-//! # Construction (shared skeleton)
+//! # Construction
 //!
 //! Starting from the goal's adornment, a worklist visits every demanded
 //! `(predicate, adornment)` pair. For each original rule
 //! `p(t̄) :- L₁, …, Lₙ` and demanded adornment `a` of `p` it emits:
 //!
 //! * one **guarded rule** — `p#a(t̄) :- M#p#a(t̄_b), L₁', …, Lₙ'` where
-//!   `t̄_b` are the head terms at bound positions and each IDB atom `Lᵢ` is
-//!   replaced by its adorned copy. The guard makes the rule fire only for
-//!   demanded bindings (and, usefully, hands the join planner an extra
-//!   bound atom to key scans on);
-//! * one **magic rule** per demanding body occurrence `Lᵢ = q(s̄)` with
+//!   `t̄_b` are the head terms at bound positions and each IDB atom `Lᵢ`,
+//!   positive or negated, is replaced by its adorned copy. The guard makes
+//!   the rule fire only for demanded bindings (and, usefully, hands the
+//!   join planner an extra bound atom to key scans on);
+//! * one **magic rule** per IDB body occurrence `Lᵢ = q(s̄)` with
 //!   occurrence adornment `a'`:
 //!   `M#q#a'(s̄_b) :- M#p#a(t̄_b), L₁'', …, L_{i-1}''` — "if `p` is demanded
 //!   with these bindings and the prefix can be satisfied, then `q` is
@@ -25,144 +25,68 @@
 //!
 //! # Negation
 //!
-//! The two public entry points differ exactly in how demand interacts with
-//! negated IDB literals:
+//! Demand crosses negated literals: the truth of `Win(x)` depends on
+//! `Win(y)` through `!Win(y)`, and `Cut(x, y)` on `S(y, x)` through
+//! `!S(y, x)`. The demand computation itself has to stay two-valued, so
+//! the rewrite returns *two* programs.
 //!
-//! * [`rewrite_stratified`] — demand **never crosses a negation**. A negated
-//!   IDB literal keeps its original (un-adorned) predicate, and the original
-//!   rules of that predicate's whole positive-and-negative cone are copied
-//!   into the rewritten program unrewritten, so the literal is tested
-//!   against the *fully evaluated* relation. Consequence: the rewritten
-//!   program is stratified whenever the input is — the adorned/magic
-//!   predicates depend on each other only positively and reach the
-//!   unrewritten copies only through the same negative edges the original
-//!   program had — so the stratified engine evaluates it stratum by
-//!   stratum, and non-membership tests are exact. (Letting demand cross a
-//!   negation *would* in general re-introduce recursion through negation in
-//!   the rewritten program even for stratified inputs; this variant never
-//!   does, by construction.)
-//! * [`rewrite_cone`] — for non-stratifiable programs demand **must** cross
-//!   negations (the truth of `Win(x)` depends on `Win(y)` through `!Win(y)`),
-//!   but the demand computation itself has to stay two-valued. The rewrite
-//!   therefore returns *two* programs. The **demand program** is positive:
-//!   magic rules whose prefixes are *positivized* — negated literals and
-//!   inequalities dropped, positive IDB atoms replaced by `P#q#a'`
-//!   over-approximations (`P#` rules derive everything the guarded rules
-//!   could derive if every negation were true). Over-approximating demand is
-//!   sound: it can only enlarge the evaluated cone. The **guarded program**
-//!   adorns positive *and* negative IDB occurrences and keeps the magic
-//!   guards, which phase two reads as database relations. Because the
-//!   demanded set is closed under positive and negative dependencies, the
-//!   relevance property of the well-founded semantics gives
-//!   `WF(guarded)|demanded = WF(original)|demanded` — the evaluator
-//!   re-verifies this set-identity in debug builds.
+//! * The **demand program** (phase 1) is positive. Its magic prefixes are
+//!   *positivized*: negated literals and inequalities are dropped, and a
+//!   positive IDB atom reads the `P#q#a'` over-approximation (`P#` rules
+//!   derive everything the guarded rules could derive if every negation
+//!   held). Over-approximating demand is sound: it can only enlarge the
+//!   evaluated cone. Only the `P#` rules some magic prefix reads, directly
+//!   or through other `P#` rules, are emitted.
+//! * A predicate is **negation-free** when every rule in its dependency
+//!   cone has only positive atoms and equalities. For it the positivized
+//!   rule *is* the guarded rule, so `P#q#a` equals `q#a`: its guarded rules
+//!   go into the demand program, magic prefixes read `q#a` itself, and no
+//!   `P#` rule is emitted. If the goal is negation-free, phase 1 is the
+//!   whole answer.
+//! * The **guarded program** (phase 2) holds the guarded rules of every
+//!   other demanded predicate. It reads every relation phase 1 defines —
+//!   the magic guards and the negation-free adorned predicates — as
+//!   database relations. Each of its cycles projects onto a cycle of the
+//!   input with the same signs, so it is stratified whenever the input is.
+//!
+//! Because the demanded set is closed under positive and negative
+//! dependencies, the relevance of the well-founded semantics (which is the
+//! perfect model on stratified programs: the construction by levels of
+//! Ésik & Rondogiannis) gives `WF(guarded)|demanded = WF(original)|demanded`
+//! — the evaluator re-verifies this set-identity in debug builds.
 
 use crate::adorn::{adorned_name, magic_name, pot_name, Adornment};
 use inflog_syntax::{Atom, DepGraph, Literal, Program, Rule, Term};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
-/// Result of [`rewrite_stratified`]: one self-contained program.
-#[derive(Debug, Clone)]
-pub struct MagicRewrite {
-    /// Seed fact + magic rules + guarded adorned rules + unrewritten cones
-    /// of negated predicates. Stratified whenever the input program is.
-    pub program: Program,
-    /// Adorned goal predicate — read the answers off this relation (filter
-    /// by the goal's constants: recursive demand may add further bindings).
-    pub goal_pred: String,
-    /// The goal's magic predicate (diagnostics / tests).
-    pub goal_magic: String,
-}
-
 /// Result of [`rewrite_cone`]: the two evaluation phases.
 #[derive(Debug, Clone)]
 pub struct ConeRewrite {
-    /// Phase 1 — **positive** demand program (seed + magic + `P#`
-    /// over-approximation rules). Evaluate to its least fixpoint first.
+    /// Phase 1 — **positive** demand program: seed, magic rules, the
+    /// guarded rules of negation-free predicates, and the `P#` rules the
+    /// magic rules read. Evaluate to its least fixpoint first.
     pub demand: Program,
-    /// Phase 2 — guarded adorned program. Its magic predicates are *not*
-    /// defined here: materialize phase 1's magic relations as database
-    /// relations, then evaluate under the well-founded semantics.
+    /// Phase 2 — guarded rules of the demanded predicates with negation in
+    /// their cone; empty when the goal is negation-free. Install phase 1's
+    /// relations as database relations, then evaluate it.
     pub guarded: Program,
-    /// The magic predicates phase 2 expects as database relations.
-    pub magic_preds: Vec<String>,
-    /// Adorned goal predicate — read answers (true and undefined) off it.
+    /// Adorned goal predicate — read answers (true and undefined) off it,
+    /// from phase 1 if it defines it, from phase 2 otherwise.
     pub goal_pred: String,
+    /// Some predicate of positive arity is demanded with every argument
+    /// free: demand restricts nothing there, so `eval::query` evaluates the
+    /// goal's cone in full instead of the two phases.
+    pub binds_nothing: bool,
 }
 
-/// Adorned magic-set rewrite for **stratified** programs (demand stops at
-/// negated literals; see the module docs).
-///
-/// The goal's constant positions become the initial binding pattern; the
-/// caller is responsible for only evaluating the result with a
-/// stratification-aware engine (the `eval::query` entry point checks the
-/// input is stratified first).
+/// Two-phase demand rewrite of `program` for `goal`: demand crosses
+/// negations, and both phases together are sound under the well-founded
+/// semantics and so under the perfect model (see the module docs).
 ///
 /// # Panics
 /// Panics if the goal predicate is not an IDB predicate of `program`
 /// (callers route EDB goals straight to the database).
-pub fn rewrite_stratified(program: &Program, goal: &Atom) -> MagicRewrite {
-    let out = rewrite(program, goal, Mode::Stratified);
-    let mut rules = Vec::new();
-    rules.push(out.seed);
-    rules.extend(out.magic_rules);
-    rules.extend(out.guarded_rules);
-    // Unrewritten cones of negated predicates: original rules, source order.
-    let graph = DepGraph::new(program);
-    let full = graph.reachable(out.full_negs.iter().map(String::as_str));
-    rules.extend(
-        program
-            .rules
-            .iter()
-            .filter(|r| full.contains(r.head.predicate.as_str()))
-            .cloned(),
-    );
-    MagicRewrite {
-        program: Program::new(rules),
-        goal_pred: out.goal_pred,
-        goal_magic: out.goal_magic,
-    }
-}
-
-/// Two-phase demand-cone rewrite for **non-stratifiable** programs under
-/// the well-founded semantics (demand crosses negations; see the module
-/// docs for the construction and its soundness).
-///
-/// # Panics
-/// Panics if the goal predicate is not an IDB predicate of `program`.
 pub fn rewrite_cone(program: &Program, goal: &Atom) -> ConeRewrite {
-    let out = rewrite(program, goal, Mode::Cone);
-    let mut demand = Vec::new();
-    demand.push(out.seed);
-    demand.extend(out.magic_rules);
-    demand.extend(out.pot_rules);
-    ConeRewrite {
-        demand: Program::new(demand),
-        guarded: Program::new(out.guarded_rules),
-        magic_preds: out.magic_preds,
-        goal_pred: out.goal_pred,
-    }
-}
-
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Mode {
-    Stratified,
-    Cone,
-}
-
-struct Rewritten {
-    seed: Rule,
-    magic_rules: Vec<Rule>,
-    guarded_rules: Vec<Rule>,
-    pot_rules: Vec<Rule>,
-    magic_preds: Vec<String>,
-    full_negs: BTreeSet<String>,
-    goal_pred: String,
-    goal_magic: String,
-}
-
-/// The shared worklist over demanded `(predicate, adornment)` pairs.
-fn rewrite(program: &Program, goal: &Atom, mode: Mode) -> Rewritten {
     let idb = program.idb_predicates();
     assert!(
         idb.contains(&goal.predicate),
@@ -174,6 +98,7 @@ fn rewrite(program: &Program, goal: &Atom, mode: Mode) -> Rewritten {
     for r in &program.rules {
         rules_of.entry(&r.head.predicate).or_default().push(r);
     }
+    let negation_free = negation_free_predicates(program);
 
     let a0 = Adornment::of_goal(goal);
     let mut seen: BTreeSet<(String, Adornment)> = BTreeSet::new();
@@ -181,144 +106,138 @@ fn rewrite(program: &Program, goal: &Atom, mode: Mode) -> Rewritten {
     seen.insert((goal.predicate.clone(), a0.clone()));
     queue.push_back((goal.predicate.clone(), a0.clone()));
 
-    let mut magic_rules = Vec::new();
-    let mut guarded_rules = Vec::new();
+    // Phase 1 opens with the seed: the goal's constants at the bound
+    // positions, as a fact rule.
+    let mut demand = vec![Rule::new(
+        Atom::new(magic_name(&goal.predicate, &a0), a0.bound_terms(goal)),
+        vec![],
+    )];
     let mut pot_rules = Vec::new();
-    let mut magic_preds = Vec::new();
-    let mut full_negs = BTreeSet::new();
-
+    let mut guarded = Vec::new();
     while let Some((pred, adn)) = queue.pop_front() {
-        magic_preds.push(magic_name(&pred, &adn));
         for rule in rules_of.get(pred.as_str()).into_iter().flatten() {
-            let out = adorn_rule(rule, &adn, &idb, mode);
-            guarded_rules.push(out.guarded);
-            magic_rules.extend(out.magic_rules);
-            if let Some(p) = out.pot_rule {
-                pot_rules.push(p);
+            let out = adorn_rule(rule, &adn, &idb, &negation_free);
+            demand.extend(out.magic_rules);
+            if negation_free.contains(&pred) {
+                demand.push(out.guarded);
+            } else {
+                guarded.push(out.guarded);
+                pot_rules.push(out.pot_rule);
             }
             for d in out.demands {
                 if seen.insert(d.clone()) {
                     queue.push_back(d);
                 }
             }
-            full_negs.extend(out.full_negs);
         }
     }
 
-    // Seed: the goal's constants, at the bound positions, as a fact rule.
-    let seed = Rule::new(
-        Atom::new(magic_name(&goal.predicate, &a0), a0.bound_terms(goal)),
-        vec![],
-    );
-    Rewritten {
-        seed,
-        magic_rules,
-        guarded_rules,
-        pot_rules,
-        magic_preds,
-        full_negs,
+    // Keep the `P#` rules that the other phase-1 rules read.
+    let readers: BTreeSet<String> = demand.iter().map(|r| r.head.predicate.clone()).collect();
+    demand.extend(pot_rules);
+    let mut demand = Program::new(demand);
+    let graph = DepGraph::new(&demand);
+    let read = graph.reachable(readers.iter().map(String::as_str));
+    demand
+        .rules
+        .retain(|r| read.contains(r.head.predicate.as_str()));
+
+    ConeRewrite {
+        demand,
+        guarded: Program::new(guarded),
         goal_pred: adorned_name(&goal.predicate, &a0),
-        goal_magic: magic_name(&goal.predicate, &a0),
+        binds_nothing: seen.iter().any(|(_, a)| a.arity() > 0 && a.all_free()),
     }
+}
+
+/// The negation-free IDB predicates of `program`: those whose dependency
+/// cone has no rule with a negated literal or an inequality.
+fn negation_free_predicates(program: &Program) -> BTreeSet<String> {
+    let impure: BTreeSet<&str> = program
+        .rules
+        .iter()
+        .filter(|r| {
+            r.body
+                .iter()
+                .any(|l| matches!(l, Literal::Neg(_) | Literal::Neq(..)))
+        })
+        .map(|r| r.head.predicate.as_str())
+        .collect();
+    let graph = DepGraph::new(program);
+    graph
+        .names()
+        .iter()
+        .filter(|p| graph.reachable([p.as_str()]).is_disjoint(&impure))
+        .cloned()
+        .collect()
 }
 
 struct AdornedRule {
     guarded: Rule,
     magic_rules: Vec<Rule>,
-    pot_rule: Option<Rule>,
+    pot_rule: Rule,
     demands: Vec<(String, Adornment)>,
-    full_negs: Vec<String>,
 }
 
 /// Adorns one rule under one head adornment: the left-to-right binding walk
-/// that produces the guarded rule, the per-occurrence magic rules, and (in
-/// cone mode) the positivized `P#` over-approximation rule.
-fn adorn_rule(rule: &Rule, adn: &Adornment, idb: &BTreeSet<String>, mode: Mode) -> AdornedRule {
+/// that produces the guarded rule, the per-occurrence magic rules, and the
+/// positivized `P#` over-approximation rule.
+fn adorn_rule(
+    rule: &Rule,
+    adn: &Adornment,
+    idb: &BTreeSet<String>,
+    negation_free: &BTreeSet<String>,
+) -> AdornedRule {
     let guard = Atom::new(
         magic_name(&rule.head.predicate, adn),
         adn.bound_terms(&rule.head),
     );
     let mut bound = adn.bound_vars(&rule.head);
     // Guarded-rule body (the guard first: it is the smallest relation and
-    // binds the demanded head variables for every later keyed scan).
+    // binds the demanded head variables for every later keyed scan), and
+    // the positivized running prefix of magic-rule bodies under the same
+    // guard: negations and inequalities dropped, IDB atoms through their
+    // `P#` over-approximations, or exactly when negation-free.
     let mut body = vec![Literal::Pos(guard.clone())];
-    // Running prefixes for magic-rule bodies: `exact` keeps every literal
-    // (adorned), `pot` is the positivized form (negations and inequalities
-    // dropped, IDB atoms through their `P#` over-approximations).
-    let mut exact_prefix: Vec<Literal> = Vec::new();
-    let mut pot_prefix: Vec<Literal> = Vec::new();
+    let mut pot_body = vec![Literal::Pos(guard)];
     let mut magic_rules = Vec::new();
     let mut demands = Vec::new();
-    let mut full_negs = Vec::new();
-
-    let magic_body = |prefix: &[Literal]| -> Vec<Literal> {
-        let mut b = Vec::with_capacity(prefix.len() + 1);
-        b.push(Literal::Pos(guard.clone()));
-        b.extend(prefix.iter().cloned());
-        b
-    };
 
     for lit in &rule.body {
         match lit {
-            Literal::Pos(atom) if idb.contains(&atom.predicate) => {
+            Literal::Pos(atom) | Literal::Neg(atom) if idb.contains(&atom.predicate) => {
+                // Demanded like any occurrence, negated or not: the magic
+                // rule reads the prefix before it.
                 let a2 = Adornment::of_occurrence(atom, &bound);
-                let prefix = match mode {
-                    Mode::Stratified => &exact_prefix,
-                    Mode::Cone => &pot_prefix,
-                };
                 magic_rules.push(Rule::new(
                     Atom::new(magic_name(&atom.predicate, &a2), a2.bound_terms(atom)),
-                    magic_body(prefix),
+                    pot_body.clone(),
                 ));
                 demands.push((atom.predicate.clone(), a2.clone()));
                 let adorned = Atom::new(adorned_name(&atom.predicate, &a2), atom.terms.clone());
+                if let Literal::Neg(_) = lit {
+                    // A negation binds nothing and is dropped from the
+                    // positivized prefix.
+                    body.push(Literal::Neg(adorned));
+                    continue;
+                }
                 body.push(Literal::Pos(adorned.clone()));
-                exact_prefix.push(Literal::Pos(adorned));
-                pot_prefix.push(Literal::Pos(Atom::new(
-                    pot_name(&atom.predicate, &a2),
-                    atom.terms.clone(),
-                )));
+                pot_body.push(Literal::Pos(if negation_free.contains(&atom.predicate) {
+                    adorned
+                } else {
+                    Atom::new(pot_name(&atom.predicate, &a2), atom.terms.clone())
+                }));
                 bound.extend(atom.variables().map(str::to_owned));
             }
             Literal::Pos(atom) => {
                 // EDB atom: unchanged everywhere; binds its variables.
                 body.push(lit.clone());
-                exact_prefix.push(lit.clone());
-                pot_prefix.push(lit.clone());
+                pot_body.push(lit.clone());
                 bound.extend(atom.variables().map(str::to_owned));
-            }
-            Literal::Neg(atom) if idb.contains(&atom.predicate) => match mode {
-                Mode::Stratified => {
-                    // Demand stops here: test against the full original
-                    // relation, whose cone is copied unrewritten.
-                    body.push(lit.clone());
-                    exact_prefix.push(lit.clone());
-                    full_negs.push(atom.predicate.clone());
-                }
-                Mode::Cone => {
-                    // Demand crosses: the negated occurrence is adorned and
-                    // demanded exactly like a positive one (it binds
-                    // nothing). Dropped from the positivized prefix.
-                    let a2 = Adornment::of_occurrence(atom, &bound);
-                    magic_rules.push(Rule::new(
-                        Atom::new(magic_name(&atom.predicate, &a2), a2.bound_terms(atom)),
-                        magic_body(&pot_prefix),
-                    ));
-                    demands.push((atom.predicate.clone(), a2.clone()));
-                    let adorned = Atom::new(adorned_name(&atom.predicate, &a2), atom.terms.clone());
-                    body.push(Literal::Neg(adorned.clone()));
-                    exact_prefix.push(Literal::Neg(adorned));
-                }
-            },
-            Literal::Neg(_) => {
-                // Negated EDB atom: exact filter, not positivizable.
-                body.push(lit.clone());
-                exact_prefix.push(lit.clone());
             }
             Literal::Eq(s, t) => {
                 body.push(lit.clone());
-                exact_prefix.push(lit.clone());
-                pot_prefix.push(lit.clone());
+                pot_body.push(lit.clone());
                 let known = |term: &Term| match term {
                     Term::Const(_) => true,
                     Term::Var(v) => bound.contains(v),
@@ -337,32 +256,20 @@ fn adorn_rule(rule: &Rule, adn: &Adornment, idb: &BTreeSet<String>, mode: Mode) 
                     _ => {}
                 }
             }
-            Literal::Neq(_, _) => {
-                body.push(lit.clone());
-                exact_prefix.push(lit.clone());
-            }
+            // Negated EDB atoms and inequalities: exact filters, not
+            // positivizable.
+            Literal::Neg(_) | Literal::Neq(..) => body.push(lit.clone()),
         }
     }
 
-    let head = Atom::new(
-        adorned_name(&rule.head.predicate, adn),
-        rule.head.terms.clone(),
-    );
-    let pot_rule = match mode {
-        Mode::Stratified => None,
+    let head = |name: String| Atom::new(name, rule.head.terms.clone());
+    AdornedRule {
+        guarded: Rule::new(head(adorned_name(&rule.head.predicate, adn)), body),
+        magic_rules,
         // P#: everything the guarded rule could derive if every negation
         // held — the whole positivized body under the same guard.
-        Mode::Cone => Some(Rule::new(
-            Atom::new(pot_name(&rule.head.predicate, adn), rule.head.terms.clone()),
-            magic_body(&pot_prefix),
-        )),
-    };
-    AdornedRule {
-        guarded: Rule::new(head, body),
-        magic_rules,
-        pot_rule,
+        pot_rule: Rule::new(head(pot_name(&rule.head.predicate, adn)), pot_body),
         demands,
-        full_negs,
     }
 }
 
@@ -384,14 +291,28 @@ mod tests {
     }
 
     const TC: &str = "S(x, y) :- E(x, y). S(x, y) :- E(x, z), S(z, y).";
+    const TC_CUT: &str = "S(x, y) :- E(x, y). S(x, y) :- S(x, z), E(z, y).
+                          Cut(x, y) :- E(x, y), !S(y, x).";
+    const WIN_REACH: &str = "Win(x) :- Move(x, y), !Win(y).
+                             Safe(x, y) :- Move(x, y), !Win(x).
+                             Safe(x, y) :- Safe(x, z), Move(z, y), !Win(y).";
+
+    /// Every predicate a rule of `p` mentions, heads and bodies.
+    fn predicates(p: &Program) -> BTreeSet<&str> {
+        p.rules
+            .iter()
+            .flat_map(|r| std::iter::once(&r.head).chain(r.body.iter().filter_map(Literal::atom)))
+            .map(|a| a.predicate.as_str())
+            .collect()
+    }
 
     #[test]
     fn tc_bf_rewrite_shapes() {
         let p = parse_program(TC).unwrap();
-        let rw = rewrite_stratified(&p, &atom("S", &[c("v0"), v("y")]));
+        let rw = rewrite_cone(&p, &atom("S", &[c("v0"), v("y")]));
         assert_eq!(rw.goal_pred, "S#bf");
-        assert_eq!(rw.goal_magic, "M#S#bf");
-        let printed = rw.program.to_string();
+        assert!(!rw.binds_nothing);
+        let printed = rw.demand.to_string();
         // Seed fact with the goal constant.
         assert!(printed.contains("M#S#bf('v0')."), "{printed}");
         // Guarded base and recursive rules.
@@ -408,16 +329,18 @@ mod tests {
             printed.contains("M#S#bf(z) :- M#S#bf(x), E(x, z)."),
             "{printed}"
         );
-        // Single adornment: one demand, no unrewritten copies.
-        assert_eq!(rw.program.len(), 4, "{printed}");
+        // Negation-free: phase 1 is the whole answer, and one adornment
+        // gives seed + magic + two guarded rules.
+        assert_eq!(rw.demand.len(), 4, "{printed}");
+        assert!(rw.guarded.is_empty());
     }
 
     #[test]
     fn fully_bound_goal_gets_bb_adornment() {
         let p = parse_program(TC).unwrap();
-        let rw = rewrite_stratified(&p, &atom("S", &[c("v0"), c("v2")]));
+        let rw = rewrite_cone(&p, &atom("S", &[c("v0"), c("v2")]));
         assert_eq!(rw.goal_pred, "S#bb");
-        let printed = rw.program.to_string();
+        let printed = rw.demand.to_string();
         assert!(printed.contains("M#S#bb('v0', 'v2')."), "{printed}");
         // The recursive occurrence S(z, y) has z fresh-bound by E and y
         // bound from the head: demand pattern stays bb.
@@ -428,37 +351,92 @@ mod tests {
     }
 
     #[test]
-    fn all_free_goal_degenerates_to_guarded_full_evaluation() {
+    fn all_free_goal_binds_nothing() {
         let p = parse_program(TC).unwrap();
-        let rw = rewrite_stratified(&p, &atom("S", &[v("x"), v("y")]));
+        let rw = rewrite_cone(&p, &atom("S", &[v("x"), v("y")]));
         assert_eq!(rw.goal_pred, "S#ff");
-        let printed = rw.program.to_string();
+        assert!(rw.binds_nothing);
         // 0-ary seed; the guard is trivially true once seeded.
+        let printed = rw.demand.to_string();
         assert!(printed.contains("M#S#ff()."), "{printed}");
+        // Left-linear recursion demands its source free, so the bound goal
+        // `S(x, c)` binds nothing either.
+        let p = parse_program("S(x, y) :- E(x, y). S(x, y) :- S(x, z), E(z, y).").unwrap();
+        assert!(rewrite_cone(&p, &atom("S", &[v("x"), c("v9")])).binds_nothing);
+        assert!(!rewrite_cone(&p, &atom("S", &[c("v9"), v("y")])).binds_nothing);
     }
 
     #[test]
-    fn stratified_negation_keeps_full_cone() {
-        let src = "
-            S(x, y) :- E(x, y).
-            S(x, y) :- E(x, z), S(z, y).
-            C(x, y) :- V(x), V(y), !S(x, y).
-        ";
-        let p = parse_program(src).unwrap();
-        let rw = rewrite_stratified(&p, &atom("C", &[c("v0"), v("y")]));
-        let printed = rw.program.to_string();
-        // The negated S is NOT adorned; S's original rules ride along.
+    fn demand_crosses_a_stratified_negation() {
+        let p = parse_program(TC_CUT).unwrap();
+        let rw = rewrite_cone(&p, &atom("Cut", &[c("v5"), v("y")]));
+        let guarded = rw.guarded.to_string();
+        let demand = rw.demand.to_string();
+        // The negated S is adorned bb and demanded with the prefix's
+        // bindings: one pair per edge out of the goal source.
         assert!(
-            printed.contains("C#bf(x, y) :- M#C#bf(x), V(x), V(y), !S(x, y)."),
-            "{printed}"
+            guarded.contains("Cut#bf(x, y) :- M#Cut#bf(x), E(x, y), !S#bb(y, x)."),
+            "{guarded}"
         );
-        assert!(printed.contains("S(x, y) :- E(x, y)."), "{printed}");
         assert!(
-            printed.contains("S(x, y) :- E(x, z), S(z, y)."),
-            "{printed}"
+            demand.contains("M#S#bb(y, x) :- M#Cut#bf(x), E(x, y)."),
+            "{demand}"
         );
-        // And no magic rules demand S.
-        assert!(!printed.contains("M#S"), "{printed}");
+        // No unrewritten copy of S's cone rides along.
+        for program in [&rw.demand, &rw.guarded] {
+            assert!(!predicates(program).contains("S"), "{program}");
+        }
+        assert!(!rw.binds_nothing);
+    }
+
+    #[test]
+    fn negation_free_predicates_get_no_pot_rule() {
+        // S is negation-free: its guarded rules are phase 1's, and only
+        // Cut, whose rule negates, is left for phase 2.
+        let p = parse_program(TC_CUT).unwrap();
+        let rw = rewrite_cone(&p, &atom("Cut", &[c("v5"), v("y")]));
+        let demand = rw.demand.to_string();
+        assert!(
+            demand.contains("S#bb(x, y) :- M#S#bb(x, y), S#bf(x, z), E(z, y)."),
+            "{demand}"
+        );
+        assert!(!demand.contains("P#"), "{demand}");
+        let heads: BTreeSet<&str> = rw
+            .guarded
+            .rules
+            .iter()
+            .map(|r| r.head.predicate.as_str())
+            .collect();
+        assert_eq!(heads, BTreeSet::from(["Cut#bf"]));
+        // Doubly recursive TC: magic prefixes read the exact S#bf.
+        let p = parse_program("S(x, y) :- E(x, y). S(x, y) :- S(x, z), S(z, y).").unwrap();
+        let rw = rewrite_cone(&p, &atom("S", &[c("v0"), v("y")]));
+        let demand = rw.demand.to_string();
+        assert!(
+            demand.contains("M#S#bf(z) :- M#S#bf(x), S#bf(x, z)."),
+            "{demand}"
+        );
+        assert!(!demand.contains("P#") && rw.guarded.is_empty(), "{demand}");
+    }
+
+    #[test]
+    fn pot_rules_exist_only_for_what_a_magic_prefix_reads() {
+        let p = parse_program(WIN_REACH).unwrap();
+        let rw = rewrite_cone(&p, &atom("Safe", &[c("v3"), v("y")]));
+        let demand = rw.demand.to_string();
+        // Safe's recursive occurrence binds z before Move demands Win(y):
+        // that prefix reads P#Safe#bf, with both negations dropped.
+        assert!(
+            demand.contains("M#Win#b(y) :- M#Safe#bf(x), P#Safe#bf(x, z), Move(z, y)."),
+            "{demand}"
+        );
+        assert!(
+            demand.contains("P#Safe#bf(x, y) :- M#Safe#bf(x), Move(x, y)."),
+            "{demand}"
+        );
+        // No magic prefix reads Win positively: no P#Win rule.
+        assert!(!demand.contains("P#Win"), "{demand}");
+        assert!(rw.demand.is_positive(), "{demand}");
     }
 
     #[test]
@@ -481,7 +459,6 @@ mod tests {
             guarded.contains("Win#b(x) :- M#Win#b(x), Move(x, y), !Win#b(y)."),
             "{guarded}"
         );
-        assert_eq!(rw.magic_preds, vec!["M#Win#b".to_string()]);
         // Phase 2 defines no magic predicates.
         assert!(!rw
             .guarded
@@ -491,32 +468,8 @@ mod tests {
     }
 
     #[test]
-    fn cone_pot_rules_drop_negations() {
-        let src = "Win(x) :- Move(x, y), !Win(y). Safe(x) :- Move(x, y), !Win(x), Win(y).";
-        let p = parse_program(src).unwrap();
-        let rw = rewrite_cone(&p, &atom("Safe", &[c("v0")]));
-        let demand = rw.demand.to_string();
-        // The P# over-approximation of Safe keeps Move and the positive Win
-        // occurrence (as P#) but drops the negation.
-        assert!(
-            demand.contains("P#Safe#b(x) :- M#Safe#b(x), Move(x, y), P#Win#b(y)."),
-            "{demand}"
-        );
-        // The positive Win occurrence is demanded through the positivized
-        // prefix (Move only — the dropped negation binds nothing anyway).
-        assert!(
-            demand.contains("M#Win#b(y) :- M#Safe#b(x), Move(x, y)."),
-            "{demand}"
-        );
-        assert!(rw.demand.is_positive(), "{demand}");
-    }
-
-    #[test]
     fn cone_of_a_win_goal_never_reaches_safe() {
-        let src = "Win(x) :- Move(x, y), !Win(y).
-                   Safe(x, y) :- Move(x, y), !Win(x).
-                   Safe(x, y) :- Safe(x, z), Move(z, y), !Win(y).";
-        let p = parse_program(src).unwrap();
+        let p = parse_program(WIN_REACH).unwrap();
         let rw = rewrite_cone(&p, &atom("Win", &[c("v240")]));
         // Safe depends on Win, never the reverse: a point query for Win
         // must not evaluate the quadratic Safe closure.
@@ -524,19 +477,18 @@ mod tests {
             let printed = program.to_string();
             assert!(!printed.contains("Safe"), "{printed}");
         }
-        assert_eq!(rw.magic_preds, vec!["M#Win#b".to_string()]);
     }
 
     #[test]
     fn left_linear_tc_demands_only_the_goal_source() {
         let p = parse_program("S(x, y) :- E(x, y). S(x, y) :- S(x, z), E(z, y).").unwrap();
-        let rw = rewrite_stratified(&p, &atom("S", &[c("v0"), v("y")]));
+        let rw = rewrite_cone(&p, &atom("S", &[c("v0"), v("y")]));
         // The recursive occurrence S(x, z) keeps the head's source bound, so
         // its magic rule only copies existing demand: no rule binds a new
         // source, demand stays exactly {v0}, and the query is single-source
         // reachability.
         let magic: Vec<String> = rw
-            .program
+            .demand
             .rules
             .iter()
             .filter(|r| r.head.predicate.starts_with("M#"))
@@ -549,8 +501,8 @@ mod tests {
     fn equality_binds_for_adornment() {
         let src = "Q(x) :- R(x). P(x, y) :- V(x), x = y, Q(y).";
         let p = parse_program(src).unwrap();
-        let rw = rewrite_stratified(&p, &atom("P", &[v("a"), v("b")]));
-        let printed = rw.program.to_string();
+        let rw = rewrite_cone(&p, &atom("P", &[v("a"), v("b")]));
+        let printed = rw.demand.to_string();
         // y is bound through x = y before the Q occurrence: pattern b.
         assert!(printed.contains("M#Q#b(y)"), "{printed}");
     }
@@ -559,12 +511,12 @@ mod tests {
     fn repeated_demand_patterns_are_deduplicated() {
         let src = "S(x, y) :- E(x, y). S(x, y) :- S(x, z), S(z, y).";
         let p = parse_program(src).unwrap();
-        let rw = rewrite_stratified(&p, &atom("S", &[c("v0"), v("y")]));
+        let rw = rewrite_cone(&p, &atom("S", &[c("v0"), v("y")]));
         // Patterns reached: bf (goal, left occurrence) and bf again for the
         // right occurrence (z bound by the left) — exactly the distinct set
         // {bf} of adorned copies of S, each defined twice (two rules).
         let adorned: BTreeSet<&str> = rw
-            .program
+            .demand
             .rules
             .iter()
             .map(|r| r.head.predicate.as_str())
@@ -577,6 +529,6 @@ mod tests {
     #[should_panic(expected = "IDB goal")]
     fn edb_goal_panics() {
         let p = parse_program(TC).unwrap();
-        rewrite_stratified(&p, &atom("E", &[c("v0"), v("y")]));
+        rewrite_cone(&p, &atom("E", &[c("v0"), v("y")]));
     }
 }

@@ -14,7 +14,7 @@
 use inflog_core::graphs::DiGraph;
 use inflog_core::Tuple;
 use inflog_eval::materialize::Engine;
-use inflog_eval::{EvalOptions, QueryOpts};
+use inflog_eval::{query, EvalOptions};
 use inflog_serve::{ServeOptions, Server};
 use inflog_syntax::parse_atom;
 use std::path::PathBuf;
@@ -72,7 +72,6 @@ fn stress(engine: Engine, program_src: &str, edb: &str, readers: usize, writes: 
             let acked = Arc::clone(&acked);
             let goals = goals.clone();
             std::thread::spawn(move || {
-                let qopts = QueryOpts::default();
                 let mut checked = 0u64;
                 let mut last_epoch = 0u64;
                 while !done.load(Ordering::SeqCst) || checked == 0 {
@@ -101,7 +100,14 @@ fn stress(engine: Engine, program_src: &str, edb: &str, readers: usize, writes: 
                     // a from-scratch magic-sets/well-founded evaluation of
                     // that same epoch's EDB. Any cross-epoch mixing breaks
                     // this determinism check.
-                    let scratch = reply.epoch.query(goal, &qopts).unwrap();
+                    let ep = &reply.epoch;
+                    let scratch = query(
+                        ep.program(),
+                        goal,
+                        ep.database(),
+                        &EvalOptions::sequential(),
+                    )
+                    .unwrap();
                     assert_eq!(
                         reply.answer.tuples, scratch.tuples,
                         "reader {r}: pinned read diverged from recompute at epoch {epoch}"
@@ -193,7 +199,14 @@ fn a_pinned_epoch_survives_recycling_unchanged() {
     let read_all = || {
         for goal in &goals {
             let reply = server.query(goal, None).unwrap();
-            let scratch = reply.epoch.query(goal, &QueryOpts::default()).unwrap();
+            let ep = &reply.epoch;
+            let scratch = query(
+                ep.program(),
+                goal,
+                ep.database(),
+                &EvalOptions::sequential(),
+            )
+            .unwrap();
             assert_eq!(reply.answer.tuples, scratch.tuples, "{goal:?}");
         }
     };
