@@ -42,8 +42,7 @@
 use crate::epoch::Epoch;
 #[cfg(doc)]
 use crate::error::EvalError;
-use crate::interp::Interp;
-use crate::materialize::{Change, Engine, MaterializeOpts, Materialized, RepairStrategy};
+use crate::materialize::{Change, Engine, MaterializeOpts, Materialized};
 use crate::options::EvalOptions;
 use crate::Result;
 use inflog_core::{Database, Tuple};
@@ -240,37 +239,6 @@ impl DurableMaterialized {
         self.m.take_change()
     }
 
-    /// Replaces the evaluation options used by subsequent repairs (see
-    /// [`Materialized::set_eval_options`]).
-    pub fn set_eval_options(&mut self, opts: EvalOptions) {
-        self.m.set_eval_options(opts);
-    }
-
-    /// The true facts of the maintained model.
-    pub fn interp(&self) -> &Interp {
-        self.m.interp()
-    }
-
-    /// The undefined facts of the maintained model.
-    pub fn undefined(&self) -> &Interp {
-        self.m.undefined()
-    }
-
-    /// The database as of the last committed update.
-    pub fn database(&self) -> &Database {
-        self.m.database()
-    }
-
-    /// The engine this handle maintains.
-    pub fn engine(&self) -> Engine {
-        self.m.engine()
-    }
-
-    /// How updates are repaired.
-    pub fn repair_strategy(&self) -> RepairStrategy {
-        self.m.repair_strategy()
-    }
-
     /// Read access to the wrapped in-memory handle (queries, compiled
     /// program, containment checks). Mutations must go through the durable
     /// [`insert`](DurableMaterialized::insert)/
@@ -278,11 +246,6 @@ impl DurableMaterialized {
     /// accessor exists.
     pub fn handle(&self) -> &Materialized {
         &self.m
-    }
-
-    /// The store directory.
-    pub fn dir(&self) -> &Path {
-        self.store.dir()
     }
 
     /// Epoch of the newest committed snapshot in the directory.

@@ -62,11 +62,11 @@ use crate::interp::Interp;
 use crate::materialize::{Change, Engine};
 use crate::operator::EvalContext;
 use crate::options::EvalOptions;
-use crate::query::{QueryAnswer, QueryStrategy};
+use crate::query::{goal_pattern, pattern_matches, QueryAnswer, QueryStrategy, Slot};
 use crate::resolve::CompiledProgram;
 use crate::Result;
 use inflog_core::{Const, Database, Relation, Tuple};
-use inflog_syntax::{Atom, Program, Term};
+use inflog_syntax::{Atom, Program};
 use std::borrow::Cow;
 use std::sync::{Arc, Mutex, PoisonError, RwLock, RwLockWriteGuard};
 use std::time::Instant;
@@ -287,7 +287,7 @@ impl Epoch {
                 found: goal.terms.len(),
             });
         }
-        let pattern = self.pattern_of(goal)?;
+        let pattern = goal_pattern(goal, self.db.universe())?;
         // An already-expired deadline trips before any work, so callers get
         // a deterministic budget error regardless of relation size.
         if deadline.is_some_and(|d| Instant::now() >= d) {
@@ -394,7 +394,7 @@ impl Epoch {
     /// cancellation, armed failpoints).
     pub fn matches_recompute(&self, opts: &EvalOptions) -> Result<bool> {
         let ctx = EvalContext::new(&self.cp, &self.db)?;
-        let (s, undefined) = self.engine.evaluate(&self.cp, &ctx, opts)?;
+        let (s, undefined) = self.engine.evaluate_compiled(&self.cp, &ctx, opts)?;
         Ok(self.s == s && self.undefined == undefined)
     }
 
@@ -415,50 +415,6 @@ impl Epoch {
             name: pred.to_owned(),
         })
     }
-
-    /// Resolves a goal's terms: constants to universe ids, variables to
-    /// equality classes (first occurrence binds, repeats constrain).
-    fn pattern_of(&self, goal: &Atom) -> Result<Vec<Slot>> {
-        let mut vars: Vec<&str> = Vec::new();
-        goal.terms
-            .iter()
-            .map(|term| match term {
-                Term::Const(name) => self
-                    .db
-                    .universe()
-                    .lookup(name)
-                    .map(Slot::Bound)
-                    .ok_or_else(|| EvalError::UnknownConstant { name: name.clone() }),
-                Term::Var(v) => Ok(match vars.iter().position(|seen| seen == v) {
-                    Some(first) => Slot::SameAs(first),
-                    None => {
-                        vars.push(v);
-                        Slot::Free
-                    }
-                }),
-            })
-            .collect()
-    }
-}
-
-/// One resolved goal position for the scan filter.
-#[derive(Debug, Clone, Copy)]
-enum Slot {
-    /// Must equal this constant.
-    Bound(Const),
-    /// First occurrence of a variable: matches anything.
-    Free,
-    /// Repeated variable: must equal the value at this earlier position.
-    SameAs(usize),
-}
-
-fn pattern_matches(pattern: &[Slot], t: &Tuple) -> bool {
-    let items = t.items();
-    pattern.iter().enumerate().all(|(i, slot)| match slot {
-        Slot::Bound(c) => items[i] == *c,
-        Slot::Free => true,
-        Slot::SameAs(j) => items[i] == items[*j],
-    })
 }
 
 /// The read with no usable index: `rel`'s cached sorted order, filtered by

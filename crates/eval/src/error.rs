@@ -93,7 +93,7 @@ pub enum BudgetKind {
     /// The wall-clock deadline ([`Budget::deadline`](crate::Budget)).
     Deadline,
     /// The round cap ([`Budget::max_rounds`](crate::Budget)): semi-naive
-    /// rounds, naive iterations, and well-founded alternations all count.
+    /// rounds and well-founded alternations both count.
     Rounds,
     /// The derived-tuple cap ([`Budget::max_tuples`](crate::Budget)),
     /// counted as tuple emissions in the VM's inner loop.

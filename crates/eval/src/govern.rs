@@ -45,8 +45,8 @@ pub struct Budget {
     /// Wall-clock deadline, measured from evaluation entry. Checked at
     /// round boundaries and polled every few thousand emitted tuples.
     pub deadline: Option<Duration>,
-    /// Maximum number of rounds: semi-naive delta rounds, naive
-    /// iterations, and well-founded alternations all count against it.
+    /// Maximum number of rounds: semi-naive delta rounds and well-founded
+    /// alternations both count against it.
     pub max_rounds: Option<usize>,
     /// Maximum number of derived tuples, counted as head-tuple emissions
     /// in the executor inner loops (an emission that deduplicates away
@@ -240,8 +240,7 @@ impl Governor {
     /// the [`SITE_PANIC`] failpoint is due), counts one round against
     /// [`Budget::max_rounds`], and polls deadline and cancellation. Called
     /// by the driver before the full first application and before every
-    /// delta round, by naive iteration per step, and by the well-founded
-    /// engine per alternation.
+    /// delta round, and by the well-founded engine per alternation.
     ///
     /// # Panics
     /// Deliberately, when the armed [`SITE_PANIC`] failpoint fires.

@@ -26,7 +26,8 @@
 use crate::driver::DeltaDriver;
 use crate::govern::Governor;
 use crate::interp::Interp;
-use crate::operator::{apply_governed, EvalContext};
+use crate::materialize::Engine;
+use crate::operator::{apply, EvalContext};
 use crate::options::EvalOptions;
 use crate::resolve::CompiledProgram;
 use crate::trace::EvalTrace;
@@ -34,41 +35,25 @@ use crate::Result;
 use inflog_core::Database;
 use inflog_syntax::Program;
 
-/// Computes `Θ^∞` by the definition: `S ← S ∪ Θ(S)` until stable, with
-/// [`EvalOptions::default`].
+/// Computes `Θ^∞` by the definition: `S ← S ∪ Θ(S)` until stable.
+///
+/// A reference engine: it takes no options and runs ungoverned, so an
+/// oracle recompute never trips a budget or an armed failpoint.
 ///
 /// # Errors
-/// Compilation errors, or a fault injected by a failpoint armed through
-/// `INFLOG_FAILPOINT` — inflationary semantics itself is total.
+/// Compilation errors — inflationary semantics itself is total.
 pub fn inflationary_naive(program: &Program, db: &Database) -> Result<(Interp, EvalTrace)> {
-    let cp = CompiledProgram::compile(program, db)?;
-    let ctx = EvalContext::new(&cp, db)?;
-    inflationary_naive_compiled_with(&cp, &ctx, &EvalOptions::default())
+    let (cp, ctx) = Engine::Inflationary.prepare(program, db)?;
+    Ok(naive_loop(&cp, &ctx))
 }
 
-/// Naive inflationary iteration over a compiled program; the governed
-/// form checks budget, cancellation and failpoints at every round boundary
-/// and every few thousand emitted tuples.
-///
-/// # Errors
-/// [`EvalError::Cancelled`](crate::EvalError::Cancelled),
-/// [`EvalError::BudgetExceeded`](crate::EvalError::BudgetExceeded), or
-/// [`EvalError::FaultInjected`](crate::EvalError::FaultInjected) by an
-/// armed failpoint.
-pub fn inflationary_naive_compiled_with(
-    cp: &CompiledProgram,
-    ctx: &EvalContext,
-    opts: &EvalOptions,
-) -> Result<(Interp, EvalTrace)> {
-    let governor = Governor::new(opts);
-    let gov = governor.as_active();
+/// Naive, ungoverned inflationary iteration over a compiled program: one
+/// full application of Θ per round. The naive reference engines run it.
+pub(crate) fn naive_loop(cp: &CompiledProgram, ctx: &EvalContext) -> (Interp, EvalTrace) {
     let mut trace = EvalTrace::default();
     let mut s = cp.empty_interp();
     loop {
-        if let Some(g) = gov {
-            g.check_round()?;
-        }
-        let theta = apply_governed(cp, ctx, &s, gov)?;
+        let theta = apply(cp, ctx, &s);
         // Θ̃(S) = S ∪ Θ(S), computed in place: relation identities stay
         // stable, so the context's persistent indexes extend incrementally.
         let added = s.union_with(&theta);
@@ -78,32 +63,20 @@ pub fn inflationary_naive_compiled_with(
         trace.record_round(added);
     }
     trace.final_tuples = s.total_tuples();
-    Ok((s, trace))
+    (s, trace)
 }
 
 /// Computes `Θ^∞` semi-naively (the default engine), with
-/// [`EvalOptions::default`].
+/// [`EvalOptions::default`]. [`Engine::Inflationary`]'s
+/// [`evaluate`](Engine::evaluate) is the same evaluation under explicit
+/// options.
 ///
 /// # Errors
-/// Same conditions as [`inflationary_naive`].
+/// Compilation errors, or a fault injected by a failpoint armed through
+/// `INFLOG_FAILPOINT`.
 pub fn inflationary(program: &Program, db: &Database) -> Result<(Interp, EvalTrace)> {
-    inflationary_with(program, db, &EvalOptions::default())
-}
-
-/// [`inflationary`] with explicit evaluation options (budget,
-/// cancellation, failpoints).
-///
-/// # Errors
-/// Compilation errors, or the governance errors of
-/// [`inflationary_compiled_with`].
-pub fn inflationary_with(
-    program: &Program,
-    db: &Database,
-    opts: &EvalOptions,
-) -> Result<(Interp, EvalTrace)> {
-    let cp = CompiledProgram::compile(program, db)?;
-    let ctx = EvalContext::new(&cp, db)?;
-    inflationary_compiled_with(&cp, &ctx, opts)
+    let (cp, ctx) = Engine::Inflationary.prepare(program, db)?;
+    inflationary_compiled_with(&cp, &ctx, &EvalOptions::default())
 }
 
 /// Semi-naive inflationary iteration over a compiled program.
@@ -120,7 +93,7 @@ pub fn inflationary_with(
 /// [`EvalError::BudgetExceeded`](crate::EvalError::BudgetExceeded), or
 /// [`EvalError::FaultInjected`](crate::EvalError::FaultInjected) by an
 /// armed failpoint.
-pub fn inflationary_compiled_with(
+pub(crate) fn inflationary_compiled_with(
     cp: &CompiledProgram,
     ctx: &EvalContext,
     opts: &EvalOptions,
@@ -137,7 +110,6 @@ pub fn inflationary_compiled_with(
 mod tests {
     use super::*;
     use crate::naive::least_fixpoint_naive;
-    use crate::operator::apply;
     use inflog_core::graphs::DiGraph;
     use inflog_core::Tuple;
     use inflog_syntax::parse_program;

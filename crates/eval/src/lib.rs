@@ -1,10 +1,21 @@
 //! # inflog-eval
 //!
 //! Evaluation engines for DATALOG¬ programs, all built on one immediate-
-//! consequence operator Θ (§2 of *"Why Not Negation by Fixpoint?"*):
+//! consequence operator Θ (§2 of *"Why Not Negation by Fixpoint?"*).
 //!
-//! * [`operator`] — the operator Θ itself, over compiled rule plans, with
-//!   synchronous (Jacobi) application and delta-restricted application;
+//! Which fixpoint a program denotes is one choice, [`Engine`]: the least
+//! fixpoint, inflationary Θ^∞, the stratified model or the well-founded
+//! model. [`Engine::evaluate`] is the one entry point that takes
+//! [`EvalOptions`]; the paper-named functions ([`least_fixpoint_seminaive`],
+//! [`inflationary()`](inflationary()), [`stratified_eval`],
+//! [`well_founded`]) run the same engines under [`EvalOptions::default`]
+//! and also report their round or alternation counts, and
+//! [`least_fixpoint_naive`] / [`inflationary_naive`] are ungoverned naive
+//! references.
+//!
+//! * [`operator`] — the operator Θ itself, over compiled rule plans:
+//!   synchronous (Jacobi) application, and the rule-subset,
+//!   delta-restricted and frozen-negation forms the round driver runs;
 //! * [`index`] — persistent hash-join indexes, owned by the evaluation
 //!   context and maintained incrementally across Θ applications (and across
 //!   watermark rollbacks of the well-founded engine's decreasing side);
@@ -33,7 +44,8 @@
 //!   Because the paper's semantics is domain-grounded, plans may contain
 //!   `Domain` steps that range a variable over the whole universe — unsafe
 //!   rules evaluate correctly;
-//! * [`materialize`] — live incremental view maintenance: a long-lived
+//! * [`materialize`] — [`Engine`], and live incremental view maintenance:
+//!   a long-lived
 //!   [`Materialized`] handle whose `insert`/`retract` repair the fixpoint
 //!   (delete–rederive per stratum; a documented restart fallback for the
 //!   non-change-monotone inflationary and non-stratifiable well-founded
@@ -89,22 +101,19 @@ pub use error::{panic_message, BudgetKind, EvalError};
 pub use exec::{ColAction, Op, RuleProgram, ValSrc};
 pub use govern::{Budget, CancelToken, Governor};
 pub use index::IndexSet;
-pub use inflationary::{inflationary, inflationary_naive, inflationary_with};
+pub use inflationary::{inflationary, inflationary_naive};
 pub use interp::Interp;
 pub use materialize::{Change, Engine, MaterializeOpts, Materialized, RepairStats, RepairStrategy};
-pub use naive::{least_fixpoint_naive, least_fixpoint_naive_with};
-pub use operator::{
-    apply, apply_delta, apply_delta_with_neg, apply_subset, apply_with_neg, enumerate_bindings,
-    EvalContext,
-};
+pub use naive::least_fixpoint_naive;
+pub use operator::{apply, apply_with_neg, enumerate_bindings, EvalContext};
 pub use options::EvalOptions;
 pub use plan::lower;
 pub use query::{query, QueryAnswer, QueryStrategy};
 pub use resolve::{ensure_program_constants, CompiledProgram, RulePlans};
-pub use seminaive::{least_fixpoint_seminaive, least_fixpoint_seminaive_with};
-pub use stratified::{stratified_eval, stratified_eval_with, stratify, Stratification};
+pub use seminaive::least_fixpoint_seminaive;
+pub use stratified::{stratified_eval, stratify, Stratification};
 pub use trace::EvalTrace;
-pub use wellfounded::{well_founded, well_founded_with, WellFoundedModel};
+pub use wellfounded::{well_founded, WellFoundedModel};
 
 /// Crate-wide result alias.
 pub type Result<T> = std::result::Result<T, EvalError>;

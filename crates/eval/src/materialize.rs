@@ -123,7 +123,6 @@ use crate::error::EvalError;
 use crate::govern::Governor;
 use crate::inflationary::inflationary_compiled_with;
 use crate::interp::Interp;
-use crate::naive::require_positive;
 use crate::operator::{self, EvalContext, PlanKind};
 use crate::options::EvalOptions;
 use crate::resolve::CompiledProgram;
@@ -133,10 +132,12 @@ use crate::Result;
 use inflog_core::failpoints::{SITE_OVERDELETE_CLOSE, SITE_REDERIVE_SWEEP};
 use inflog_core::{Const, Database, Relation, Tuple};
 use inflog_store::{WalOp, WalRecord};
-use inflog_syntax::Program;
+use inflog_syntax::{Literal, Program};
 use std::sync::Arc;
 
-/// Which semantics a [`Materialized`] handle maintains.
+/// Which fixpoint a program denotes: the one semantics parameter of batch
+/// evaluation ([`Engine::evaluate`]), of a [`Materialized`] handle, its
+/// durable and served forms, and of the epochs they publish.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Engine {
     /// Semi-naive least fixpoint of a positive program.
@@ -151,8 +152,53 @@ pub enum Engine {
 }
 
 impl Engine {
-    /// Evaluates this engine from scratch over `(cp, ctx)`: the true facts
-    /// and the undefined ones (empty but for the well-founded engine).
+    /// Evaluates `program` over `db` under `opts`: the true facts and the
+    /// undefined ones (empty but for the well-founded engine).
+    ///
+    /// Errors come in one order, the same as [`Materialized::new`]'s:
+    /// compilation, then the engine's prerequisite, then the database's fit
+    /// to the program, then evaluation.
+    ///
+    /// # Errors
+    /// Compilation errors; [`EvalError::NotPositive`] for `Seminaive` on a
+    /// program with negation or inequality; [`EvalError::NotStratified`]
+    /// for `Stratified` on a program without strata; the governance errors
+    /// under `opts` ([`EvalError::Cancelled`],
+    /// [`EvalError::BudgetExceeded`], [`EvalError::FaultInjected`]).
+    pub fn evaluate(
+        self,
+        program: &Program,
+        db: &Database,
+        opts: &EvalOptions,
+    ) -> Result<(Interp, Interp)> {
+        let (cp, ctx) = self.prepare(program, db)?;
+        self.evaluate_compiled(&cp, &ctx, opts)
+    }
+
+    /// Compiles `program` against `db`, checks that this engine is defined
+    /// on it, and builds the evaluation context: the one place every entry
+    /// point checks an engine's prerequisite.
+    ///
+    /// # Errors
+    /// Those of [`Engine::evaluate`] before evaluation starts.
+    pub(crate) fn prepare(
+        self,
+        program: &Program,
+        db: &Database,
+    ) -> Result<(CompiledProgram, EvalContext)> {
+        let cp = CompiledProgram::compile(program, db)?;
+        match self {
+            Engine::Seminaive => require_positive(program)?,
+            Engine::Stratified => {
+                cp.strata()?;
+            }
+            Engine::Inflationary | Engine::WellFounded => {}
+        }
+        let ctx = EvalContext::new(&cp, db)?;
+        Ok((cp, ctx))
+    }
+
+    /// [`Engine::evaluate`] over an already compiled program and context.
     /// `Seminaive` evaluates through the inflationary engine: Θ^∞ is the
     /// least fixpoint on the positive programs it accepts (§4).
     ///
@@ -160,7 +206,7 @@ impl Engine {
     /// The governance errors of the engine under `opts`;
     /// [`EvalError::NotStratified`] for `Stratified` on a program without
     /// strata.
-    pub(crate) fn evaluate(
+    pub(crate) fn evaluate_compiled(
         self,
         cp: &CompiledProgram,
         ctx: &EvalContext,
@@ -181,6 +227,23 @@ impl Engine {
             }
         })
     }
+}
+
+/// Checks the paper's DATALOG condition and reports the first offender.
+fn require_positive(program: &Program) -> Result<()> {
+    for rule in &program.rules {
+        for lit in &rule.body {
+            match lit {
+                Literal::Neg(_) | Literal::Neq(_, _) => {
+                    return Err(EvalError::NotPositive {
+                        offending: lit.to_string(),
+                    })
+                }
+                Literal::Pos(_) | Literal::Eq(_, _) => {}
+            }
+        }
+    }
+    Ok(())
 }
 
 /// How a handle brings its state back in line after an update.
@@ -336,7 +399,7 @@ impl Materialized {
     /// Compilation errors; [`EvalError::NotPositive`] for
     /// [`Engine::Seminaive`] on programs with negation;
     /// [`EvalError::NotStratified`] for [`Engine::Stratified`] on
-    /// non-stratifiable programs.
+    /// non-stratifiable programs — in [`Engine::evaluate`]'s order.
     pub fn new(program: &Program, db: &Database, opts: &MaterializeOpts) -> Result<Materialized> {
         Self::recover(program, db, &[], opts)
     }
@@ -382,23 +445,15 @@ impl Materialized {
     }
 
     /// The handle before its first evaluation: compile, check the engine's
-    /// prerequisites, pick the repair strategy, build the warm context and
-    /// driver, leave the model empty.
+    /// prerequisite and build the warm context ([`Engine::prepare`]), pick
+    /// the repair strategy and driver, leave the model empty.
     fn build(program: &Program, db: &Database, opts: &MaterializeOpts) -> Result<Materialized> {
-        let cp = CompiledProgram::compile(program, db)?;
-        match opts.engine {
-            Engine::Seminaive => require_positive(program)?,
-            Engine::Stratified => {
-                cp.strata()?;
-            }
-            Engine::Inflationary | Engine::WellFounded => {}
-        }
+        let (cp, ctx) = opts.engine.prepare(program, db)?;
         let strategy = if opts.engine != Engine::Inflationary && cp.strata().is_ok() {
             RepairStrategy::DeleteRederive
         } else {
             RepairStrategy::Restart
         };
-        let ctx = EvalContext::new(&cp, db)?;
         let driver = DeltaDriver::new(&cp);
         let s = cp.empty_interp();
         let undefined = cp.empty_interp();
@@ -905,7 +960,9 @@ impl Materialized {
     /// handle's state untouched (the EDB mutation is the caller's to roll
     /// back).
     fn reevaluate(&mut self) -> Result<()> {
-        (self.s, self.undefined) = self.engine.evaluate(&self.cp, &self.ctx, &self.opts)?;
+        (self.s, self.undefined) = self
+            .engine
+            .evaluate_compiled(&self.cp, &self.ctx, &self.opts)?;
         Ok(())
     }
 
@@ -1024,7 +1081,7 @@ impl Materialized {
     /// One Θ application over the current model restricted to the rule
     /// instances through `delta` (shaped for `kind`), into `out`; `neg`
     /// overrides the interpretation negated IDB literals read.
-    fn apply_delta(
+    fn apply_through_delta(
         &self,
         rules: Option<&[usize]>,
         kind: PlanKind,
@@ -1074,7 +1131,7 @@ impl Materialized {
         } else {
             PlanKind::EdbDelta
         };
-        self.apply_delta(None, damage_kind, staged, None, &mut pending, gov)?;
+        self.apply_through_delta(None, damage_kind, staged, None, &mut pending, gov)?;
 
         self.mutate_edb(staged, inserting, log);
 
@@ -1101,7 +1158,7 @@ impl Materialized {
             // stratum's negations (permissive IDB negation: the cone is an
             // over-approximation that rederivation trims back).
             if added_acc.total_tuples() > 0 {
-                self.apply_delta(
+                self.apply_through_delta(
                     Some(rules),
                     PlanKind::NegDelta,
                     &added_acc,
@@ -1179,7 +1236,7 @@ impl Materialized {
                     }
                     return Ok((stats, (added_acc, removed_acc)));
                 }
-                self.apply_delta(
+                self.apply_through_delta(
                     None,
                     PlanKind::PosDelta,
                     &frontier,
@@ -1268,7 +1325,7 @@ impl Materialized {
                 if delta.total_tuples() == 0 {
                     continue;
                 }
-                self.apply_delta(Some(rules), kind, delta, None, &mut scratch, gov)?;
+                self.apply_through_delta(Some(rules), kind, delta, None, &mut scratch, gov)?;
                 for i in 0..num_idb {
                     seed.get_mut(i).union_with(scratch.get(i));
                 }
@@ -1328,7 +1385,7 @@ impl Materialized {
         // by definition already spent).
         let (s, undefined) = self
             .engine
-            .evaluate(&self.cp, &fresh, &EvalOptions::sequential())
+            .evaluate_compiled(&self.cp, &fresh, &EvalOptions::sequential())
             .expect("ungoverned verification evaluation cannot fail");
         debug_assert_eq!(
             self.s, s,
@@ -1557,12 +1614,16 @@ mod tests {
     fn engine_prerequisites_are_enforced() {
         let db = DiGraph::path(3).to_database("Move");
         let p = parse_program(WIN).unwrap();
-        let new = |engine| {
+        // Batch evaluation checks the same prerequisites, in the same order.
+        let new = |engine: Engine| {
             let opts = MaterializeOpts {
                 engine,
                 ..MaterializeOpts::default()
             };
-            Materialized::new(&p, &db, &opts).unwrap_err()
+            let err = Materialized::new(&p, &db, &opts).unwrap_err();
+            let batch = engine.evaluate(&p, &db, &EvalOptions::sequential());
+            assert_eq!(batch.unwrap_err(), err, "{engine:?}");
+            err
         };
         assert!(matches!(
             new(Engine::Seminaive),

@@ -4,74 +4,41 @@
 //! is monotone, so iterating `S_{n+1} = Θ(S_n)` from `S_0 = ∅` climbs to the
 //! least fixpoint (Tarski) — the paper's *standard semantics* for DATALOG.
 
-use crate::error::EvalError;
-use crate::inflationary::inflationary_naive_compiled_with;
+use crate::inflationary::naive_loop;
 use crate::interp::Interp;
-use crate::operator::EvalContext;
-use crate::options::EvalOptions;
-use crate::resolve::CompiledProgram;
+use crate::materialize::Engine;
 use crate::trace::EvalTrace;
 use crate::Result;
 use inflog_core::Database;
-use inflog_syntax::{Literal, Program};
-
-/// Checks the paper's DATALOG condition and reports the first offender.
-pub(crate) fn require_positive(program: &Program) -> Result<()> {
-    for rule in &program.rules {
-        for lit in &rule.body {
-            match lit {
-                Literal::Neg(_) | Literal::Neq(_, _) => {
-                    return Err(EvalError::NotPositive {
-                        offending: lit.to_string(),
-                    })
-                }
-                Literal::Pos(_) | Literal::Eq(_, _) => {}
-            }
-        }
-    }
-    Ok(())
-}
+use inflog_syntax::Program;
 
 /// Computes the least fixpoint of a positive program by naive iteration.
-///
-/// # Errors
-/// * [`EvalError::NotPositive`] if the program contains negation or
-///   inequality;
-/// * compilation errors from [`CompiledProgram::compile`].
-pub fn least_fixpoint_naive(program: &Program, db: &Database) -> Result<(Interp, EvalTrace)> {
-    least_fixpoint_naive_with(program, db, &EvalOptions::default())
-}
-
-/// [`least_fixpoint_naive`] with explicit evaluation options.
 ///
 /// For a monotone Θ the naive chain `Θⁿ⁺¹(∅) = Θ(Θⁿ(∅))` is increasing, so
 /// it equals the inflationary chain `S ← S ∪ Θ(S)` step for step (§4):
 /// after the positivity check this runs the naive inflationary loop.
 ///
-/// The [`Budget`](crate::govern::Budget), cancellation token and failpoints
-/// in `opts` are honored: exceeding the budget's `max_rounds` cap reports
-/// [`EvalError::BudgetExceeded`], and deadline/cancellation are polled at
-/// every round boundary and every few thousand emitted tuples.
+/// A reference engine: it takes no options and runs ungoverned, so an
+/// oracle recompute never trips a budget or an armed failpoint.
 ///
 /// # Errors
-/// Same conditions as [`least_fixpoint_naive`], plus the governance errors
-/// [`EvalError::Cancelled`], [`EvalError::BudgetExceeded`] and
-/// [`EvalError::FaultInjected`].
-pub fn least_fixpoint_naive_with(
-    program: &Program,
-    db: &Database,
-    opts: &EvalOptions,
-) -> Result<(Interp, EvalTrace)> {
-    require_positive(program)?;
-    let cp = CompiledProgram::compile(program, db)?;
-    let ctx = EvalContext::new(&cp, db)?;
-    inflationary_naive_compiled_with(&cp, &ctx, opts)
+/// Compilation errors from [`CompiledProgram::compile`], then
+/// [`EvalError::NotPositive`] if the program contains negation or
+/// inequality (the order of [`Engine::evaluate`]).
+///
+/// [`CompiledProgram::compile`]: crate::CompiledProgram::compile
+/// [`EvalError::NotPositive`]: crate::EvalError::NotPositive
+pub fn least_fixpoint_naive(program: &Program, db: &Database) -> Result<(Interp, EvalTrace)> {
+    let (cp, ctx) = Engine::Seminaive.prepare(program, db)?;
+    Ok(naive_loop(&cp, &ctx))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::operator::apply;
+    use crate::error::EvalError;
+    use crate::operator::{apply, EvalContext};
+    use crate::resolve::CompiledProgram;
     use inflog_core::graphs::DiGraph;
     use inflog_core::Tuple;
     use inflog_syntax::parse_program;

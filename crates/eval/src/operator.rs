@@ -6,20 +6,20 @@
 //! negations evaluated against `S` itself (synchronous / Jacobi application —
 //! derivations within a round do not see each other).
 //!
-//! Variants:
+//! Public applications:
 //! * [`apply`] — plain `Θ(S)`;
-//! * [`apply_subset`] — Θ restricted to a subset of rules (stratified
-//!   evaluation applies one stratum's rules at a time);
-//! * [`apply_delta`] — semi-naive: only derivations whose body uses at least
-//!   one tuple of a delta interpretation (sound for inflationary iteration:
-//!   under a growing `S`, a ground body instance can become newly true only
-//!   through a positive IDB atom — negative literals only decay);
 //! * [`apply_with_neg`] — negative IDB literals read a *separate*
 //!   interpretation (the alternating-fixpoint transform Γ of the
-//!   well-founded semantics needs this);
-//! * [`apply_delta_with_neg`] — both at once: the semi-naive step of Γ.
-//!   With negations frozen, the positivized operator is monotone, so the
-//!   delta argument is exactly the positive-program one.
+//!   well-founded semantics needs this).
+//!
+//! The engines reach the general form through the round driver: any rule
+//! subset (stratified evaluation applies one stratum's rules at a time),
+//! delta restriction (semi-naive: only derivations whose body uses at
+//! least one tuple of a delta — under a growing `S`, a ground body
+//! instance can become newly true only through a positive IDB atom, since
+//! negative literals only decay) and frozen negation context, in any
+//! combination. With negations frozen the positivized operator is
+//! monotone, so the delta argument carries over to Γ unchanged.
 //!
 //! # Index phases
 //!
@@ -293,79 +293,6 @@ pub fn apply(cp: &CompiledProgram, ctx: &EvalContext, s: &Interp) -> Interp {
     )
 }
 
-/// `Θ(S)` under governance: emitted tuples count toward the budget and the
-/// deadline, cancellation token and failpoints are observed mid-application.
-/// The naive round loops call this once per round; `gov = None` (or an inert
-/// governor) reduces to [`apply`].
-pub(crate) fn apply_governed(
-    cp: &CompiledProgram,
-    ctx: &EvalContext,
-    s: &Interp,
-    gov: Option<&Governor>,
-) -> Result<Interp> {
-    let mut out = cp.empty_interp();
-    run_into(
-        cp,
-        ctx,
-        s,
-        &ApplyOpts {
-            rules: None,
-            plans: PlanKind::Full,
-            delta: None,
-            neg: None,
-            overrides: None,
-        },
-        &mut out,
-        gov,
-    )?;
-    Ok(out)
-}
-
-/// `Θ(S)` restricted to the rules with the given source indices.
-pub fn apply_subset(
-    cp: &CompiledProgram,
-    ctx: &EvalContext,
-    s: &Interp,
-    rules: &[usize],
-) -> Interp {
-    run(
-        cp,
-        ctx,
-        s,
-        &ApplyOpts {
-            rules: Some(rules),
-            plans: PlanKind::Full,
-            delta: None,
-            neg: None,
-            overrides: None,
-        },
-    )
-}
-
-/// Semi-naive step: derivations whose body uses at least one `delta` tuple
-/// in a positive IDB position. Rules without positive IDB atoms produce
-/// nothing here (they fire exhaustively in round one).
-pub fn apply_delta(
-    cp: &CompiledProgram,
-    ctx: &EvalContext,
-    s: &Interp,
-    delta: &Interp,
-    rules: Option<&[usize]>,
-) -> Interp {
-    run(
-        cp,
-        ctx,
-        s,
-        &ApplyOpts {
-            rules,
-            plans: PlanKind::PosDelta,
-            delta: Some(DeltaSource::Interp(delta)),
-            neg: None,
-            overrides: None,
-        },
-    )
-}
-
 /// `Θ(S)` with negative IDB literals evaluated against `neg` instead of `s`
 /// (the well-founded Γ transform).
 pub fn apply_with_neg(cp: &CompiledProgram, ctx: &EvalContext, s: &Interp, neg: &Interp) -> Interp {
@@ -377,38 +304,6 @@ pub fn apply_with_neg(cp: &CompiledProgram, ctx: &EvalContext, s: &Interp, neg: 
             rules: None,
             plans: PlanKind::Full,
             delta: None,
-            neg: Some(neg),
-            overrides: None,
-        },
-    )
-}
-
-/// Semi-naive step of the well-founded Γ transform: derivations using at
-/// least one `delta` tuple in a positive IDB position, with negative IDB
-/// literals frozen at `neg`.
-///
-/// Sound for the same reason [`apply_delta`] is sound for positive programs:
-/// with the negations frozen at a fixed `neg`, the positivized operator is
-/// **monotone** in `s`, so a ground body instance newly true this round must
-/// have gained a positive IDB tuple — the standard delta argument applies
-/// verbatim. (Rules without positive IDB atoms derive nothing here; the
-/// round driver fires them in its full first round.)
-pub fn apply_delta_with_neg(
-    cp: &CompiledProgram,
-    ctx: &EvalContext,
-    s: &Interp,
-    delta: &Interp,
-    neg: &Interp,
-    rules: Option<&[usize]>,
-) -> Interp {
-    run(
-        cp,
-        ctx,
-        s,
-        &ApplyOpts {
-            rules,
-            plans: PlanKind::PosDelta,
-            delta: Some(DeltaSource::Interp(delta)),
             neg: Some(neg),
             overrides: None,
         },
@@ -945,12 +840,20 @@ mod tests {
         let db = DiGraph::path(3).to_database("E");
         let (cp, ctx) = setup("S(x, y) :- E(x, y). S(x, y) :- E(x, z), S(z, y).", &db);
         let sid = cp.idb_id("S").unwrap();
+        let only = |rules: &[usize]| {
+            let opts = ApplyOpts {
+                rules: Some(rules),
+                plans: PlanKind::Full,
+                delta: None,
+                neg: None,
+                overrides: None,
+            };
+            run(&cp, &ctx, &cp.empty_interp(), &opts)
+        };
         // Only the recursive rule, from empty: derives nothing.
-        let only_rec = apply_subset(&cp, &ctx, &cp.empty_interp(), &[1]);
-        assert!(only_rec.get(sid).is_empty());
+        assert!(only(&[1]).get(sid).is_empty());
         // Only the base rule: the edges.
-        let only_base = apply_subset(&cp, &ctx, &cp.empty_interp(), &[0]);
-        assert_eq!(only_base.get(sid).len(), 2);
+        assert_eq!(only(&[0]).get(sid).len(), 2);
     }
 
     #[test]
@@ -958,12 +861,19 @@ mod tests {
         // Semi-naive invariant: new derivations from (S, Δ) where Δ = S
         // equal Θ(S) minus what Θ(∅)-style rules would rederive. Check the
         // weaker, sufficient property used by the engines:
-        // Θ(S) ⊇ apply_delta(S, Δ=S) ⊇ Θ(S) \ Θ(S⁻) for the TC program.
+        // Θ(S) ⊇ Θ_Δ(S, Δ=S) ⊇ Θ(S) \ Θ(S⁻) for the TC program.
         let db = DiGraph::path(4).to_database("E");
         let (cp, ctx) = setup("S(x, y) :- E(x, y). S(x, y) :- E(x, z), S(z, y).", &db);
         let s1 = apply(&cp, &ctx, &cp.empty_interp());
         let full2 = apply(&cp, &ctx, &s1);
-        let delta2 = apply_delta(&cp, &ctx, &s1, &s1, None);
+        let opts = ApplyOpts {
+            rules: None,
+            plans: PlanKind::PosDelta,
+            delta: Some(DeltaSource::Interp(&s1)),
+            neg: None,
+            overrides: None,
+        };
+        let delta2 = run(&cp, &ctx, &s1, &opts);
         // Everything the delta pass derives is derivable by the full pass.
         assert!(delta2.is_subset(&full2));
         // And it covers all *new* tuples.

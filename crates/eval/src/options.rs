@@ -1,11 +1,12 @@
 //! Evaluation options: the knobs every engine accepts.
 //!
 //! Governance only — resource limits, cancellation and failpoints. The
-//! options travel from the engine entry points (`*_with` variants) to the
-//! round loops, which build one [`Governor`](crate::Governor) from them;
-//! engines called without explicit options use [`EvalOptions::default`],
-//! which reads the `INFLOG_FAILPOINT` environment variable so a whole test
-//! run can have a failpoint armed without touching call sites.
+//! options travel from [`Engine::evaluate`](crate::Engine::evaluate) (or a
+//! [`Materialized`](crate::Materialized) handle) to the round loops, which
+//! build one [`Governor`](crate::Governor) from them; the paper-named
+//! engine functions use [`EvalOptions::default`], which reads the
+//! `INFLOG_FAILPOINT` environment variable so a whole test run can have a
+//! failpoint armed without touching call sites.
 
 use crate::govern::{Budget, CancelToken};
 use inflog_core::failpoints::Failpoints;

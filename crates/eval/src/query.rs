@@ -42,10 +42,9 @@ use crate::operator::EvalContext;
 use crate::options::EvalOptions;
 use crate::resolve::CompiledProgram;
 use crate::Result;
-use inflog_core::{Const, Database, Relation, Tuple};
+use inflog_core::{Const, Database, Relation, Tuple, Universe};
 use inflog_rewrite::rewrite_cone;
 use inflog_syntax::{Atom, DepGraph, Program, Term};
-use std::collections::HashMap;
 
 /// Which evaluation path a query actually took.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -73,33 +72,53 @@ pub struct QueryAnswer {
     pub strategy: QueryStrategy,
 }
 
-/// One resolved goal position: a universe constant that must match, or a
-/// variable identified by the position of its first occurrence (repeated
-/// goal variables become equality constraints between positions).
+/// One resolved goal position.
 #[derive(Debug, Clone, Copy)]
-enum Slot {
-    Const(Const),
-    Var(usize),
+pub(crate) enum Slot {
+    /// Must equal this constant.
+    Bound(Const),
+    /// First occurrence of a variable: matches anything.
+    Free,
+    /// Repeated variable: must equal the value at this earlier position.
+    SameAs(usize),
 }
 
-/// Resolves the goal's terms against the database universe. `None` when a
-/// goal constant is not in the universe — no derivable tuple can match.
-fn goal_pattern(goal: &Atom, db: &Database) -> Option<Vec<Slot>> {
-    let mut first: HashMap<&str, usize> = HashMap::new();
+/// Resolves a goal's terms against `universe`: constants to their ids,
+/// variables to equality classes (the first occurrence binds, repeats
+/// constrain).
+///
+/// # Errors
+/// [`EvalError::UnknownConstant`] for a goal constant outside the
+/// universe.
+pub(crate) fn goal_pattern(goal: &Atom, universe: &Universe) -> Result<Vec<Slot>> {
+    // Each variable's first goal position, which its repeats compare with.
+    let mut first: Vec<(&str, usize)> = Vec::new();
     goal.terms
         .iter()
         .enumerate()
-        .map(|(i, t)| match t {
-            Term::Const(c) => db.universe().lookup(c).map(Slot::Const),
-            Term::Var(v) => Some(Slot::Var(*first.entry(v).or_insert(i))),
+        .map(|(pos, term)| match term {
+            Term::Const(name) => universe
+                .lookup(name)
+                .map(Slot::Bound)
+                .ok_or_else(|| EvalError::UnknownConstant { name: name.clone() }),
+            Term::Var(v) => Ok(match first.iter().find(|(seen, _)| seen == v) {
+                Some(&(_, at)) => Slot::SameAs(at),
+                None => {
+                    first.push((v, pos));
+                    Slot::Free
+                }
+            }),
         })
         .collect()
 }
 
-fn tuple_matches(pattern: &[Slot], t: &Tuple) -> bool {
-    pattern.iter().enumerate().all(|(i, s)| match s {
-        Slot::Const(c) => t[i] == *c,
-        Slot::Var(j) => t[i] == t[*j],
+/// Whether `t` matches a resolved goal pattern.
+pub(crate) fn pattern_matches(pattern: &[Slot], t: &Tuple) -> bool {
+    let items = t.items();
+    pattern.iter().enumerate().all(|(i, slot)| match slot {
+        Slot::Bound(c) => items[i] == *c,
+        Slot::Free => true,
+        Slot::SameAs(j) => items[i] == items[*j],
     })
 }
 
@@ -108,7 +127,7 @@ fn tuple_matches(pattern: &[Slot], t: &Tuple) -> bool {
 fn filter_relation(rel: &Relation, pattern: &[Slot]) -> Vec<Tuple> {
     let mut matches: Vec<Tuple> = rel
         .iter()
-        .filter(|t| tuple_matches(pattern, t))
+        .filter(|t| pattern_matches(pattern, t))
         .cloned()
         .collect();
     matches.sort_unstable();
@@ -149,7 +168,8 @@ pub fn query(
         }
     }
 
-    let pattern = goal_pattern(goal, db);
+    // A goal constant outside the universe can match no tuple.
+    let pattern = goal_pattern(goal, db.universe()).ok();
     if !program.idb_predicates().contains(&goal.predicate) {
         // Extensional goal: scan the stored relation (absent = empty).
         let tuples = match (&pattern, db.relation(&goal.predicate)) {
@@ -257,7 +277,7 @@ fn evaluate(
     } else {
         Engine::WellFounded
     };
-    engine.evaluate(cp, ctx, opts)
+    engine.evaluate_compiled(cp, ctx, opts)
 }
 
 /// Evaluates `program` over `db` in full and filters the goal relation:

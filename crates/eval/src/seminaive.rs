@@ -7,10 +7,8 @@
 
 use crate::inflationary::inflationary_compiled_with;
 use crate::interp::Interp;
-use crate::naive::require_positive;
-use crate::operator::EvalContext;
+use crate::materialize::Engine;
 use crate::options::EvalOptions;
-use crate::resolve::CompiledProgram;
 use crate::trace::EvalTrace;
 use crate::Result;
 use inflog_core::Database;
@@ -19,39 +17,28 @@ use inflog_syntax::Program;
 /// Computes the least fixpoint of a positive program semi-naively, with
 /// [`EvalOptions::default`].
 ///
-/// # Errors
-/// Same conditions as [`least_fixpoint_naive`](crate::least_fixpoint_naive).
-pub fn least_fixpoint_seminaive(program: &Program, db: &Database) -> Result<(Interp, EvalTrace)> {
-    least_fixpoint_seminaive_with(program, db, &EvalOptions::default())
-}
-
-/// [`least_fixpoint_seminaive`] with explicit evaluation options.
-///
 /// On a positive program Θ is monotone, so the inflationary iteration
 /// `S ← S ∪ Θ(S)` climbs exactly the chain `Θⁿ(∅)` and its inductive
 /// fixpoint is the least fixpoint (§4). After the positivity check this
 /// therefore runs the semi-naive inflationary engine over the shared
 /// [`DeltaDriver`](crate::DeltaDriver): all rules, standard negation
-/// context, cold start from ∅.
+/// context, cold start from ∅. [`Engine::Seminaive`]'s
+/// [`evaluate`](Engine::evaluate) is the same evaluation under explicit
+/// options.
 ///
 /// # Errors
 /// Same conditions as [`least_fixpoint_naive`](crate::least_fixpoint_naive),
-/// plus the governance errors (budget, cancellation, failpoints).
-pub fn least_fixpoint_seminaive_with(
-    program: &Program,
-    db: &Database,
-    opts: &EvalOptions,
-) -> Result<(Interp, EvalTrace)> {
-    require_positive(program)?;
-    let cp = CompiledProgram::compile(program, db)?;
-    let ctx = EvalContext::new(&cp, db)?;
-    inflationary_compiled_with(&cp, &ctx, opts)
+/// or a fault injected by a failpoint armed through `INFLOG_FAILPOINT`.
+pub fn least_fixpoint_seminaive(program: &Program, db: &Database) -> Result<(Interp, EvalTrace)> {
+    let (cp, ctx) = Engine::Seminaive.prepare(program, db)?;
+    inflationary_compiled_with(&cp, &ctx, &EvalOptions::default())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::naive::least_fixpoint_naive;
+    use crate::resolve::CompiledProgram;
     use inflog_core::graphs::DiGraph;
     use inflog_syntax::parse_program;
     use rand::rngs::StdRng;

@@ -22,6 +22,7 @@ use crate::driver::DeltaDriver;
 use crate::error::EvalError;
 use crate::govern::Governor;
 use crate::interp::Interp;
+use crate::materialize::Engine;
 use crate::operator::EvalContext;
 use crate::options::EvalOptions;
 use crate::resolve::CompiledProgram;
@@ -71,29 +72,16 @@ pub fn stratify(program: &Program) -> Result<Stratification> {
 }
 
 /// Evaluates a stratified program bottom-up; returns the perfect model.
-/// Uses [`EvalOptions::default`].
+/// Uses [`EvalOptions::default`]; [`Engine::Stratified`]'s
+/// [`evaluate`](Engine::evaluate) is the same evaluation under explicit
+/// options.
 ///
 /// # Errors
-/// [`EvalError::NotStratified`], compilation errors, or a fault injected by
-/// a failpoint armed through `INFLOG_FAILPOINT`.
+/// Compilation errors, then [`EvalError::NotStratified`], or a fault
+/// injected by a failpoint armed through `INFLOG_FAILPOINT`.
 pub fn stratified_eval(program: &Program, db: &Database) -> Result<(Interp, EvalTrace)> {
-    stratified_eval_with(program, db, &EvalOptions::default())
-}
-
-/// [`stratified_eval`] with explicit evaluation options (budget,
-/// cancellation, failpoints).
-///
-/// # Errors
-/// Compilation errors, then [`EvalError::NotStratified`] or the governance
-/// errors of [`stratified_eval_compiled_with`].
-pub fn stratified_eval_with(
-    program: &Program,
-    db: &Database,
-    opts: &EvalOptions,
-) -> Result<(Interp, EvalTrace)> {
-    let cp = CompiledProgram::compile(program, db)?;
-    let ctx = EvalContext::new(&cp, db)?;
-    stratified_eval_compiled_with(&cp, &ctx, opts)
+    let (cp, ctx) = Engine::Stratified.prepare(program, db)?;
+    stratified_eval_compiled_with(&cp, &ctx, &EvalOptions::default())
 }
 
 /// Stratified evaluation over a compiled program; the governed form checks
@@ -105,7 +93,7 @@ pub fn stratified_eval_with(
 /// [`EvalError::NotStratified`] when the compiled program has no strata;
 /// [`EvalError::Cancelled`], [`EvalError::BudgetExceeded`], or
 /// [`EvalError::FaultInjected`] by an armed failpoint.
-pub fn stratified_eval_compiled_with(
+pub(crate) fn stratified_eval_compiled_with(
     cp: &CompiledProgram,
     ctx: &EvalContext,
     opts: &EvalOptions,

@@ -64,8 +64,8 @@
 //! 1. **Semi-naive Γ.** With negations frozen at `J`, the positivized
 //!    operator is monotone in `S`, so the standard delta argument applies
 //!    verbatim and each inner fixpoint runs delta rounds via the shared
-//!    [`DeltaDriver`] ([`apply_delta_with_neg`](crate::apply_delta_with_neg)
-//!    is its Θ step).
+//!    [`DeltaDriver`] (its Θ step is the delta plans with negations read
+//!    from the frozen `J`).
 //!
 //! 2. **Warm-started T.** The true side is increasing:
 //!    `T_k ⊆ T_{k+1} = lfp(Γ_{U_k})`, because `Γ²` is monotone and the
@@ -116,6 +116,7 @@
 use crate::driver::DeltaDriver;
 use crate::govern::Governor;
 use crate::interp::Interp;
+use crate::materialize::Engine;
 use crate::operator::{self, EvalContext};
 use crate::options::EvalOptions;
 use crate::resolve::{CompiledProgram, RuleComponent};
@@ -145,29 +146,16 @@ impl WellFoundedModel {
 }
 
 /// Computes the well-founded model, with [`EvalOptions::default`].
+/// [`Engine::WellFounded`]'s [`evaluate`](Engine::evaluate) is the same
+/// evaluation under explicit options.
 ///
 /// # Errors
 /// Compilation errors, or a fault injected by a failpoint armed through
 /// `INFLOG_FAILPOINT` — the well-founded semantics itself is total on
 /// programs.
 pub fn well_founded(program: &Program, db: &Database) -> Result<WellFoundedModel> {
-    well_founded_with(program, db, &EvalOptions::default())
-}
-
-/// [`well_founded`] with explicit evaluation options (budget,
-/// cancellation, failpoints).
-///
-/// # Errors
-/// Compilation errors, or the governance errors of
-/// [`well_founded_compiled_with`].
-pub fn well_founded_with(
-    program: &Program,
-    db: &Database,
-    opts: &EvalOptions,
-) -> Result<WellFoundedModel> {
-    let cp = CompiledProgram::compile(program, db)?;
-    let ctx = EvalContext::new(&cp, db)?;
-    well_founded_compiled_with(&cp, &ctx, opts)
+    let (cp, ctx) = Engine::WellFounded.prepare(program, db)?;
+    well_founded_compiled_with(&cp, &ctx, &EvalOptions::default())
 }
 
 /// Computes the well-founded model over a compiled program, component by
@@ -183,7 +171,7 @@ pub fn well_founded_with(
 /// [`EvalError::BudgetExceeded`](crate::EvalError::BudgetExceeded), or
 /// [`EvalError::FaultInjected`](crate::EvalError::FaultInjected) by an
 /// armed failpoint.
-pub fn well_founded_compiled_with(
+pub(crate) fn well_founded_compiled_with(
     cp: &CompiledProgram,
     ctx: &EvalContext,
     opts: &EvalOptions,
@@ -585,7 +573,7 @@ mod tests {
             };
             assert!(
                 matches!(
-                    well_founded_with(&p, &db, &opts),
+                    Engine::WellFounded.evaluate(&p, &db, &opts),
                     Err(crate::EvalError::FaultInjected { .. })
                 ),
                 "{site} must fire"
@@ -625,5 +613,30 @@ mod tests {
         // Rerunning over the same warm context gives the identical model.
         let wf2 = well_founded_compiled_with(&cp, &ctx, &EvalOptions::sequential()).unwrap();
         assert_eq!(wf, wf2);
+    }
+
+    #[test]
+    fn warm_context_reuse_is_deterministic() {
+        // Repeated evaluations over one EvalContext (warm persistent indexes,
+        // patched deletions from earlier runs) must be bit-identical.
+        let program = parse_program(
+            "
+            W(x) :- E(x, y), !W(y).
+            R(x, y) :- E(x, y), !W(x).
+            R(x, y) :- R(x, z), E(z, y), !W(y).
+            ",
+        )
+        .unwrap();
+        let mut g = DiGraph::path(10);
+        g.add_edge(3, 0);
+        let db = g.to_database("E");
+        let cp = CompiledProgram::compile(&program, &db).unwrap();
+        let ctx = EvalContext::new(&cp, &db).unwrap();
+        let run = || well_founded_compiled_with(&cp, &ctx, &EvalOptions::sequential()).unwrap();
+        let first = run();
+        for _ in 0..3 {
+            let again = run();
+            assert_eq!(first, again);
+        }
     }
 }

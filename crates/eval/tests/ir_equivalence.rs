@@ -18,10 +18,7 @@
 
 use inflog_core::graphs::DiGraph;
 use inflog_core::Database;
-use inflog_eval::{
-    inflationary_with, least_fixpoint_seminaive_with, stratified_eval_with, stratify,
-    well_founded_with, EvalOptions,
-};
+use inflog_eval::{stratify, Engine, EvalOptions};
 use inflog_syntax::{parse_program, Program};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -32,16 +29,16 @@ use rand::{Rng, SeedableRng};
 fn assert_vm_matches_tree(program: &Program, db: &Database, label: &str) {
     // Nothing armed, whatever the environment says.
     let opts = EvalOptions::sequential();
-    let (inf, _) = inflationary_with(program, db, &opts).unwrap();
+    let (inf, _) = Engine::Inflationary.evaluate(program, db, &opts).unwrap();
     if program.is_positive() {
         // Θ^∞ is the least fixpoint on positive programs (§4).
-        let (lfp, _) = least_fixpoint_seminaive_with(program, db, &opts).unwrap();
+        let (lfp, _) = Engine::Seminaive.evaluate(program, db, &opts).unwrap();
         assert_eq!(lfp, inf, "seminaive vs inflationary: {label}");
     }
     if stratify(program).is_ok() {
-        stratified_eval_with(program, db, &opts).unwrap();
+        Engine::Stratified.evaluate(program, db, &opts).unwrap();
     }
-    well_founded_with(program, db, &opts).unwrap();
+    Engine::WellFounded.evaluate(program, db, &opts).unwrap();
 }
 
 /// Generates a random program: 2–4 rules over IDB `P/2`, `Q/1` and EDB

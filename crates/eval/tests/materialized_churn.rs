@@ -33,9 +33,8 @@ use inflog_core::graphs::DiGraph;
 use inflog_core::{Database, Tuple};
 use inflog_eval::materialize::{Engine, MaterializeOpts, Materialized, RepairStats};
 use inflog_eval::{
-    inflationary, inflationary_with, least_fixpoint_naive_with, least_fixpoint_seminaive,
-    least_fixpoint_seminaive_with, stratified_eval, stratified_eval_with, well_founded,
-    well_founded_with, Budget, BudgetKind, CancelToken, EvalError, EvalOptions,
+    inflationary, least_fixpoint_seminaive, stratified_eval, well_founded, Budget, BudgetKind,
+    CancelToken, EvalError, EvalOptions,
 };
 use inflog_syntax::{parse_program, Atom, Program, Term};
 use rand::rngs::StdRng;
@@ -836,7 +835,7 @@ fn cross_thread_cancellation_stops_evaluation_and_rolls_back_updates() {
     // cancellation lands mid-flight, or — once flipped — the next
     // evaluation fails at its very first round boundary.
     let err = loop {
-        if let Err(e) = least_fixpoint_seminaive_with(&program, &db, &opts) {
+        if let Err(e) = Engine::Seminaive.evaluate(&program, &db, &opts) {
             break e;
         }
     };
@@ -873,7 +872,9 @@ fn deadline_budget_trips_a_deliberately_slow_program() {
         budget: Budget::with_deadline(Duration::from_micros(50)),
         ..EvalOptions::sequential()
     };
-    let err = least_fixpoint_seminaive_with(&program, &db, &opts).unwrap_err();
+    let err = Engine::Seminaive
+        .evaluate(&program, &db, &opts)
+        .unwrap_err();
     assert!(
         matches!(
             err,
@@ -886,53 +887,33 @@ fn deadline_budget_trips_a_deliberately_slow_program() {
     );
 }
 
-/// Round and tuple caps surface the same typed error from every engine,
-/// naive iteration included.
+/// Round and tuple caps surface the same typed error from every engine.
+/// (The naive reference engines take no options: they run ungoverned.)
 #[test]
 fn round_and_tuple_caps_surface_typed_errors_from_every_engine() {
     let program = parse_program(TC).unwrap();
     let db = DiGraph::path(8).to_database("E");
-    let rounds = EvalOptions {
-        budget: Budget::with_max_rounds(2),
-        ..EvalOptions::sequential()
-    };
-    let errs = [
-        least_fixpoint_naive_with(&program, &db, &rounds).map(|_| ()),
-        least_fixpoint_seminaive_with(&program, &db, &rounds).map(|_| ()),
-        stratified_eval_with(&program, &db, &rounds).map(|_| ()),
-        inflationary_with(&program, &db, &rounds).map(|_| ()),
-        well_founded_with(&program, &db, &rounds).map(|_| ()),
+    let caps = [
+        (Budget::with_max_rounds(2), BudgetKind::Rounds, 2),
+        (Budget::with_max_tuples(3), BudgetKind::Tuples, 3),
     ];
-    for (i, r) in errs.into_iter().enumerate() {
-        assert_eq!(
-            r.unwrap_err(),
-            EvalError::BudgetExceeded {
-                kind: BudgetKind::Rounds,
-                limit: 2
-            },
-            "engine #{i}"
-        );
-    }
-    let tuples = EvalOptions {
-        budget: Budget::with_max_tuples(3),
-        ..EvalOptions::sequential()
-    };
-    let errs = [
-        least_fixpoint_naive_with(&program, &db, &tuples).map(|_| ()),
-        least_fixpoint_seminaive_with(&program, &db, &tuples).map(|_| ()),
-        stratified_eval_with(&program, &db, &tuples).map(|_| ()),
-        inflationary_with(&program, &db, &tuples).map(|_| ()),
-        well_founded_with(&program, &db, &tuples).map(|_| ()),
-    ];
-    for (i, r) in errs.into_iter().enumerate() {
-        assert_eq!(
-            r.unwrap_err(),
-            EvalError::BudgetExceeded {
-                kind: BudgetKind::Tuples,
-                limit: 3
-            },
-            "engine #{i}"
-        );
+    for (budget, kind, limit) in caps {
+        let opts = EvalOptions {
+            budget,
+            ..EvalOptions::sequential()
+        };
+        for engine in [
+            Engine::Seminaive,
+            Engine::Stratified,
+            Engine::Inflationary,
+            Engine::WellFounded,
+        ] {
+            assert_eq!(
+                engine.evaluate(&program, &db, &opts).unwrap_err(),
+                EvalError::BudgetExceeded { kind, limit },
+                "{engine:?}"
+            );
+        }
     }
 }
 

@@ -304,6 +304,14 @@ fn negation_free_goals_and_goals_that_bind_nothing() {
     // nothing and the goal's cone is evaluated in full.
     let left = parse_program("S(x, y) :- E(x, y). S(x, y) :- S(x, z), E(z, y).").unwrap();
     let cut = parse_program(TC_CUT).unwrap();
+    // Goals that repeat a variable after a constant: the repeat must be
+    // compared with the variable's first goal position.
+    let wide = parse_program(
+        "S(x, y) :- E(x, y). S(x, y) :- E(x, z), S(z, y).
+         P(x, y, z) :- S(x, y), S(x, z).
+         Q(x, w, y, z) :- S(x, y), S(w, z).",
+    )
+    .unwrap();
     let mut rng = StdRng::seed_from_u64(909);
     for g in graphs(11) {
         let db = g.to_database("E");
@@ -322,6 +330,8 @@ fn negation_free_goals_and_goals_that_bind_nothing() {
             (&left, "S(x, x)".to_string(), QueryStrategy::Full),
             (&cut, "Cut(x, y)".to_string(), QueryStrategy::Full),
             (&cut, format!("S(x, 'v{v}')"), QueryStrategy::Full),
+            (&wide, format!("P('v{v}', y, y)"), QueryStrategy::Demand),
+            (&wide, format!("Q(x, 'v{v}', y, y)"), QueryStrategy::Full),
         ] {
             let goal = parse_atom(&gsrc).unwrap();
             let a = ask(p, &goal, &db);

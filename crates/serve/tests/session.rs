@@ -417,6 +417,17 @@ fn reply_bytes_match_an_independent_renderer() {
         lines.contains(&"TRUE P(v4, v5, v4)".to_string()),
         "{lines:?}"
     );
+    // A variable repeated after a constant: `P('v4', y, y)` asks for a
+    // two-step path from v4 whose middle vertex has a self-loop, and E has
+    // none, so `P(v4, v5, v4)` must not match.
+    let lines = replies_match(
+        "session_diff_repeat_after_constant",
+        two_step,
+        &db,
+        Engine::Seminaive,
+        &["P('v4', y, y)", "P('v2', y, y)"],
+    );
+    assert_eq!(rows(&lines, "TRUE "), 0, "{lines:?}");
 
     // Well-founded: the 2-cycle v0 <-> v1 is drawn (UNDEF), and so is v5,
     // whose only move is into it; the path v2 -> v3 -> v4 is decided.

@@ -218,8 +218,4 @@ impl Store {
     pub fn is_poisoned(&self) -> bool {
         self.wal.is_poisoned()
     }
-
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
 }

@@ -13,7 +13,7 @@ use inflog::core::graphs::DiGraph;
 use inflog::core::{Const, Database};
 use inflog::eval::{
     inflationary, inflationary_naive, least_fixpoint_naive, least_fixpoint_seminaive,
-    stratified_eval, CompiledProgram, EvalError, Interp,
+    stratified_eval, well_founded, CompiledProgram, Engine, EvalError, EvalOptions, Interp,
 };
 use inflog::reductions::programs::{distance_program, pi1, pi3_tc};
 use inflog::syntax::{parse_program, Program};
@@ -42,6 +42,39 @@ fn idb_tuples(
         .collect()
 }
 
+/// Asserts that, for each engine, `Engine::evaluate` gives the model of its
+/// paper-named function — true and undefined facts — or the same error.
+fn assert_entry_point_agrees(program: &Program, db: &Database, label: &str) {
+    for engine in [
+        Engine::Seminaive,
+        Engine::Inflationary,
+        Engine::Stratified,
+        Engine::WellFounded,
+    ] {
+        let named = match engine {
+            Engine::Seminaive => least_fixpoint_seminaive(program, db).map(|(s, _)| (s, None)),
+            Engine::Inflationary => inflationary(program, db).map(|(s, _)| (s, None)),
+            Engine::Stratified => stratified_eval(program, db).map(|(s, _)| (s, None)),
+            Engine::WellFounded => {
+                well_founded(program, db).map(|m| (m.true_facts, Some(m.undefined)))
+            }
+        };
+        let entry = engine.evaluate(program, db, &EvalOptions::sequential());
+        match (named, entry) {
+            (Ok((s, undefined)), Ok((t, u))) => {
+                assert_eq!(s, t, "{label}: {engine:?} true facts");
+                if let Some(undefined) = undefined {
+                    assert_eq!(undefined, u, "{label}: {engine:?} undefined facts");
+                } else {
+                    assert!(u.all_empty(), "{label}: {engine:?} is two-valued");
+                }
+            }
+            (Err(a), Err(b)) => assert_eq!(a, b, "{label}: {engine:?} error"),
+            (a, b) => panic!("{label}: {engine:?} disagrees: {a:?} vs {b:?}"),
+        }
+    }
+}
+
 /// Runs all four least-fixpoint-capable engines on a positive program and
 /// asserts they agree exactly; returns the common result.
 fn assert_engines_agree(program: &Program, db: &Database, label: &str) -> Interp {
@@ -56,6 +89,7 @@ fn assert_engines_agree(program: &Program, db: &Database, label: &str) -> Interp
     assert_eq!(naive, inf_naive, "{label}: lfp vs inflationary (naive)");
     let (strat, _) = stratified_eval(program, db).unwrap();
     assert_eq!(naive, strat, "{label}: lfp vs stratified");
+    assert_entry_point_agrees(program, db, label);
     naive
 }
 
@@ -163,6 +197,7 @@ fn non_stratifiable_pi1_inflationary_still_defined() {
         ("C_5", DiGraph::cycle(5)),
     ] {
         let db = g.to_database("E");
+        assert_entry_point_agrees(&pi1(), &db, label);
         assert!(
             matches!(
                 stratified_eval(&pi1(), &db),
@@ -195,6 +230,7 @@ fn distance_program_semantics_diverge_on_cycles() {
     for n in [3usize, 5] {
         let g = DiGraph::cycle(n);
         let db = g.to_database("E");
+        assert_entry_point_agrees(&program, &db, &format!("C_{n}"));
         let cp = CompiledProgram::compile(&program, &db).unwrap();
         let (strat, _) = stratified_eval(&program, &db).unwrap();
         let (inf, _) = inflationary(&program, &db).unwrap();
