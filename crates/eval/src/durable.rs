@@ -4,8 +4,8 @@
 //!
 //! # Protocol (log-first)
 //!
-//! [`DurableMaterialized::insert`]/[`retract`](DurableMaterialized::retract)
-//! commit in this order:
+//! [`DurableMaterialized::apply`] (and its [`insert`](DurableMaterialized::insert)
+//! / [`retract`](DurableMaterialized::retract) forms) commits in this order:
 //!
 //! 1. Encode the batch as one WAL record stamped with the *next* epoch and
 //!    append it ([`inflog_store::Store::append`]); under
@@ -39,19 +39,19 @@
 //! the validation error of a record that does not fit the program — never
 //! a wrong answer.
 
-use crate::epoch::Epoch;
+use crate::epoch::{Epoch, EpochCell};
 #[cfg(doc)]
 use crate::error::EvalError;
-use crate::materialize::{Change, Engine, MaterializeOpts, Materialized};
+use crate::materialize::{Engine, MaterializeOpts, Materialized, Published};
 use crate::options::EvalOptions;
 use crate::Result;
 use inflog_core::{Database, Tuple};
-use inflog_store::{SnapshotState, Store, StoreOptions, WalOp, WalRecord};
+use inflog_store::{SnapshotState, Store, StoreOptions, WalRecord};
 use inflog_syntax::Program;
 use std::path::Path;
 use std::sync::Arc;
 
-pub use inflog_store::Durability;
+pub use inflog_store::{Durability, WalOp};
 
 /// Options for creating or opening a [`DurableMaterialized`].
 #[derive(Debug, Clone, Default)]
@@ -143,42 +143,25 @@ impl DurableMaterialized {
         })
     }
 
-    /// Durable [`Materialized::insert`]: the batch is on disk before it is
-    /// acknowledged (see the module docs for the exact order).
+    /// Durably inserts or retracts `facts`, as `op` says: the batch is on
+    /// disk, as one WAL record holding `facts`, before it is acknowledged
+    /// (see the module docs for the exact order). Returns the number of
+    /// facts the batch changed.
     ///
     /// # Errors
     /// [`EvalError::Store`] when the WAL append fails (in-memory state
     /// untouched); otherwise the same errors as [`Materialized::insert`]
     /// (in-memory state rolled back *and* the record un-logged).
-    pub fn insert(&mut self, facts: &[(&str, Tuple)]) -> Result<usize> {
-        self.update(facts, WalOp::Insert)
-    }
-
-    /// Durable [`Materialized::retract`].
-    ///
-    /// # Errors
-    /// Same conditions as [`DurableMaterialized::insert`].
-    pub fn retract(&mut self, facts: &[(&str, Tuple)]) -> Result<usize> {
-        self.update(facts, WalOp::Retract)
-    }
-
-    fn update(&mut self, facts: &[(&str, Tuple)], op: WalOp) -> Result<usize> {
+    pub fn apply(&mut self, op: WalOp, facts: Vec<(String, Tuple)>) -> Result<usize> {
         let rec = WalRecord {
             epoch: self.epoch() + 1,
             op,
-            facts: facts
-                .iter()
-                .map(|(name, t)| ((*name).to_string(), t.clone()))
-                .collect(),
+            facts,
         };
         // Log first: if this fails, nothing in memory has changed and the
         // WAL is poisoned until the directory is re-opened through recovery.
         let pre_len = self.store.append(&rec)?;
-        let applied = match op {
-            WalOp::Insert => self.m.insert(facts),
-            WalOp::Retract => self.m.retract(facts),
-        };
-        match applied {
+        match self.m.update(&rec.facts, op == WalOp::Insert) {
             Ok(n) => Ok(n),
             Err(e) => {
                 // The in-memory handle rolled back; un-log the record so the
@@ -188,6 +171,22 @@ impl DurableMaterialized {
                 Err(e)
             }
         }
+    }
+
+    /// [`DurableMaterialized::apply`] of an insert.
+    ///
+    /// # Errors
+    /// Same conditions as [`DurableMaterialized::apply`].
+    pub fn insert(&mut self, facts: &[(&str, Tuple)]) -> Result<usize> {
+        self.apply(WalOp::Insert, owned(facts))
+    }
+
+    /// [`DurableMaterialized::apply`] of a retract.
+    ///
+    /// # Errors
+    /// Same conditions as [`DurableMaterialized::apply`].
+    pub fn retract(&mut self, facts: &[(&str, Tuple)]) -> Result<usize> {
+        self.apply(WalOp::Retract, owned(facts))
     }
 
     /// Rewrites a fresh snapshot at the current epoch and truncates the WAL
@@ -222,40 +221,28 @@ impl DurableMaterialized {
         self.m.publish(self.epoch())
     }
 
-    /// [`Materialized::publish_over`] stamped with the durable epoch.
+    /// [`Materialized::publish_into`] stamped with the durable epoch.
     ///
     /// # Errors
     /// Same conditions as [`DurableMaterialized::publish`].
-    pub fn publish_over(
-        &self,
-        retired: Arc<Epoch>,
-        gap: Option<&Change>,
-    ) -> Result<(Arc<Epoch>, Option<Arc<Epoch>>)> {
-        self.m.publish_over(retired, gap, self.epoch())
-    }
-
-    /// [`Materialized::take_change`].
-    pub fn take_change(&mut self) -> Option<Change> {
-        self.m.take_change()
+    pub fn publish_into(&mut self, cell: &EpochCell) -> Result<Published> {
+        let number = self.epoch();
+        self.m.publish_into(cell, number)
     }
 
     /// Read access to the wrapped in-memory handle (queries, compiled
     /// program, containment checks). Mutations must go through the durable
-    /// [`insert`](DurableMaterialized::insert)/
-    /// [`retract`](DurableMaterialized::retract), which is why no mutable
+    /// [`apply`](DurableMaterialized::apply), which is why no mutable
     /// accessor exists.
     pub fn handle(&self) -> &Materialized {
         &self.m
     }
+}
 
-    /// Epoch of the newest committed snapshot in the directory.
-    pub fn snapshot_epoch(&self) -> u64 {
-        self.store.snapshot_epoch()
-    }
-
-    /// Whether the WAL refused further appends after a failed one (recover
-    /// by re-opening the directory).
-    pub fn is_poisoned(&self) -> bool {
-        self.store.is_poisoned()
-    }
+/// A borrowed batch in the owned shape a WAL record holds.
+fn owned(facts: &[(&str, Tuple)]) -> Vec<(String, Tuple)> {
+    facts
+        .iter()
+        .map(|(name, t)| ((*name).to_string(), t.clone()))
+        .collect()
 }

@@ -17,8 +17,8 @@
 //! and the serve-layer chaos harness runs it under churn).
 //!
 //! **An epoch is never mutated while anyone but the writer can reach it.**
-//! The writer patches a retired epoch into the next one
-//! ([`Materialized::publish_over`]) only after [`Arc::get_mut`] proves it
+//! The writer's handle patches a retired epoch into the next one
+//! ([`Materialized::publish_into`]) only after [`Arc::get_mut`] proves it
 //! holds the last reference, and keeps at most one retired epoch alive;
 //! otherwise it publishes a deep copy ([`Materialized::publish`]).
 //!
@@ -54,7 +54,7 @@
 //!
 //! [`Materialized`]: crate::Materialized
 //! [`Materialized::publish`]: crate::Materialized::publish
-//! [`Materialized::publish_over`]: crate::Materialized::publish_over
+//! [`Materialized::publish_into`]: crate::Materialized::publish_into
 
 use crate::error::{BudgetKind, EvalError};
 use crate::index::{col_mask, IndexSet};
@@ -67,7 +67,6 @@ use crate::resolve::CompiledProgram;
 use crate::Result;
 use inflog_core::{Const, Database, Relation, Tuple};
 use inflog_syntax::{Atom, Program};
-use std::borrow::Cow;
 use std::sync::{Arc, Mutex, PoisonError, RwLock, RwLockWriteGuard};
 use std::time::Instant;
 
@@ -138,10 +137,10 @@ impl Epoch {
     }
 
     /// Brings a retired snapshot forward by one committed change and
-    /// restamps it `number`. Only [`Materialized::publish_over`] calls
+    /// restamps it `number`. Only [`Materialized::publish_into`] calls
     /// this, and only on an epoch it holds the sole reference to.
     ///
-    /// [`Materialized::publish_over`]: crate::Materialized::publish_over
+    /// [`Materialized::publish_into`]: crate::Materialized::publish_into
     pub(crate) fn apply(&mut self, change: &Change, number: u64) {
         debug_assert_eq!(self.state + 1, change.to, "changes apply in order");
         // Sole owner: the readers' indexes are patched without locking. A
@@ -153,26 +152,14 @@ impl Epoch {
         });
         for (id, name) in self.cp.edb_names.iter().enumerate() {
             let facts = change.edb.get(id);
-            match self.db.relation_mut(name) {
-                Some(rel) => {
-                    let none = Relation::new(rel.arity());
-                    let (removed, added) = if change.inserting {
-                        (&none, facts)
-                    } else {
-                        (facts, &none)
-                    };
-                    patch(indexes, rel, removed, added);
-                }
-                // A relation the database never declared has no index yet.
-                None if change.inserting => {
-                    for t in facts.iter() {
-                        self.db
-                            .insert_fact(name, t.clone())
-                            .expect("committed facts fit the database");
-                    }
-                }
-                None => {}
-            }
+            let rel = self.db.relation_mut(name).expect("the handle declared it");
+            let none = Relation::new(rel.arity());
+            let (removed, added) = if change.inserting {
+                (&none, facts)
+            } else {
+                (facts, &none)
+            };
+            patch(indexes, rel, removed, added);
         }
         for i in 0..self.s.len() {
             patch(
@@ -262,7 +249,7 @@ impl Epoch {
     ///   columns, filtered for repeated variables; only the answer is
     ///   sorted. The first reader that needs an index builds it, and every
     ///   later reader of the epoch shares it. Only the writer changes an
-    ///   index afterwards, when [`Materialized::publish_over`] patches the
+    ///   index afterwards, when [`Materialized::publish_into`] patches the
     ///   epoch forward — which it does only once [`Arc::get_mut`] proves no
     ///   reader can see it — so indexes follow the epoch and are never
     ///   rebuilt per write;
@@ -277,7 +264,7 @@ impl Epoch {
     /// [`EvalError::UnknownRelation`], [`EvalError::ArityMismatch`],
     /// [`EvalError::UnknownConstant`], or the deadline trip.
     ///
-    /// [`Materialized::publish_over`]: crate::Materialized::publish_over
+    /// [`Materialized::publish_into`]: crate::Materialized::publish_into
     pub fn select(&self, goal: &Atom, deadline: Option<Instant>) -> Result<QueryAnswer> {
         let (rel, undef) = self.relations_of(&goal.predicate)?;
         if goal.terms.len() != rel.arity() {
@@ -302,7 +289,7 @@ impl Epoch {
             })
             .unzip();
         let key = Tuple::from_slice(&key);
-        let tuples = self.read(&rel, &pattern, &cols, &key, deadline)?;
+        let tuples = self.read(rel, &pattern, &cols, &key, deadline)?;
         let undefined = match undef {
             Some(u) => self.read(u, &pattern, &cols, &key, deadline)?,
             None => Vec::new(),
@@ -325,8 +312,7 @@ impl Epoch {
         key: &Tuple,
         deadline: Option<Instant>,
     ) -> Result<Vec<Tuple>> {
-        // Never indexed: this is also the stand-in for an undeclared EDB
-        // relation, whose id is fresh on every read.
+        // An empty relation is never indexed.
         if rel.is_empty() {
             return Ok(Vec::new());
         }
@@ -398,17 +384,13 @@ impl Epoch {
         Ok(self.s == s && self.undefined == undefined)
     }
 
-    /// The true and (for IDB predicates) undefined relations of `pred`. An
-    /// EDB predicate the database never declared reads as empty.
-    fn relations_of(&self, pred: &str) -> Result<(Cow<'_, Relation>, Option<&Relation>)> {
+    /// The true and (for IDB predicates) undefined relations of `pred`.
+    fn relations_of(&self, pred: &str) -> Result<(&Relation, Option<&Relation>)> {
         if let Some(i) = self.cp.idb_id(pred) {
-            return Ok((Cow::Borrowed(self.s.get(i)), Some(self.undefined.get(i))));
+            return Ok((self.s.get(i), Some(self.undefined.get(i))));
         }
-        if let Some(i) = self.cp.edb_id(pred) {
-            let rel = match self.db.relation(pred) {
-                Some(rel) => Cow::Borrowed(rel),
-                None => Cow::Owned(Relation::new(self.cp.edb_arities[i])),
-            };
+        if self.cp.edb_id(pred).is_some() {
+            let rel = self.db.relation(pred).expect("the handle declared it");
             return Ok((rel, None));
         }
         Err(EvalError::UnknownRelation {

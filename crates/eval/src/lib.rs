@@ -95,7 +95,7 @@ mod tree;
 pub mod wellfounded;
 
 pub use driver::DeltaDriver;
-pub use durable::{Durability, DurableMaterialized, DurableOpts};
+pub use durable::{Durability, DurableMaterialized, DurableOpts, WalOp};
 pub use epoch::{Epoch, EpochCell, Truth};
 pub use error::{panic_message, BudgetKind, EvalError};
 pub use exec::{ColAction, Op, RuleProgram, ValSrc};
@@ -103,7 +103,9 @@ pub use govern::{Budget, CancelToken, Governor};
 pub use index::IndexSet;
 pub use inflationary::{inflationary, inflationary_naive};
 pub use interp::Interp;
-pub use materialize::{Change, Engine, MaterializeOpts, Materialized, RepairStats, RepairStrategy};
+pub use materialize::{
+    Engine, MaterializeOpts, Materialized, Published, RepairStats, RepairStrategy,
+};
 pub use naive::least_fixpoint_naive;
 pub use operator::{apply, apply_with_neg, enumerate_bindings, EvalContext};
 pub use options::EvalOptions;

@@ -118,7 +118,7 @@
 //! asserts dense-order bit-identity at every registered site.
 
 use crate::driver::DeltaDriver;
-use crate::epoch::Epoch;
+use crate::epoch::{Epoch, EpochCell};
 use crate::error::EvalError;
 use crate::govern::Governor;
 use crate::inflationary::inflationary_compiled_with;
@@ -291,7 +291,7 @@ pub struct RepairStats {
 
 /// The net change one committed update made: the EDB facts the batch
 /// actually changed and the IDB tuples that entered or left the model.
-/// [`Materialized::publish_over`] brings a retired epoch forward with it
+/// [`Materialized::publish_into`] brings a retired epoch forward with it
 /// instead of deep-copying the whole state.
 ///
 /// Known for no-op batches and for every [`RepairStrategy::DeleteRederive`]
@@ -300,7 +300,7 @@ pub struct RepairStats {
 /// relations to the result. A [`RepairStrategy::Restart`] update does not
 /// track what changed.
 #[derive(Debug)]
-pub struct Change {
+pub(crate) struct Change {
     /// [`Materialized::epoch`] right after the update: the change leads from
     /// state `to - 1` to state `to`.
     pub(crate) to: u64,
@@ -332,18 +332,28 @@ enum UndoOp {
     /// A driver extension may have appended a dense suffix to IDB `idb`;
     /// `before` is the pre-extension length.
     IdbAppend { idb: usize, before: usize },
-    /// A staged fact was appended to EDB `edb` and to the database
-    /// relation `name`.
-    EdbInsert { edb: usize, name: String },
-    /// `t` was swap-removed from EDB `edb` at dense position `pos` and from
-    /// the database relation `name` at `db_pos`.
+    /// A staged fact was appended to EDB `edb`, in the evaluation context
+    /// and in the database.
+    EdbInsert { edb: usize },
+    /// `t` was swap-removed from EDB `edb`: at dense position `pos` in the
+    /// evaluation context, at `db_pos` in the database.
     EdbRemove {
         edb: usize,
-        name: String,
         pos: usize,
-        db_pos: Option<usize>,
+        db_pos: usize,
         t: Tuple,
     },
+}
+
+/// What [`Materialized::publish_into`] did.
+#[derive(Debug)]
+pub struct Published {
+    /// Whether the retired epoch was patched forward instead of copied.
+    pub recycled: bool,
+    /// The retired epoch the publish could not use: release it *after*
+    /// acknowledging the write, since freeing a snapshot costs about as
+    /// much as copying one.
+    pub unused: Option<Arc<Epoch>>,
 }
 
 /// A live materialized model: the fixpoint of one program over a database
@@ -386,9 +396,13 @@ pub struct Materialized {
     /// [`RepairStrategy::Restart`] update or a no-op batch).
     last_repair: RepairStats,
     /// Net change of the last committed update, until
-    /// [`Materialized::take_change`] moves it out; `None` after a
-    /// [`RepairStrategy::Restart`] update or a failed one.
+    /// [`Materialized::publish_into`] moves it into `retired`; `None` after
+    /// a [`RepairStrategy::Restart`] update or a failed one.
     change: Option<Change>,
+    /// The epoch the last [`Materialized::publish_into`] superseded, with
+    /// the change committed right after its state: what the next publish
+    /// patches forward.
+    retired: Option<(Arc<Epoch>, Option<Change>)>,
 }
 
 impl Materialized {
@@ -446,7 +460,9 @@ impl Materialized {
 
     /// The handle before its first evaluation: compile, check the engine's
     /// prerequisite and build the warm context ([`Engine::prepare`]), pick
-    /// the repair strategy and driver, leave the model empty.
+    /// the repair strategy and driver, leave the model empty. The handle's
+    /// database declares every EDB relation the program reads, so an
+    /// update never declares one and a rollback never has one to undeclare.
     fn build(program: &Program, db: &Database, opts: &MaterializeOpts) -> Result<Materialized> {
         let (cp, ctx) = opts.engine.prepare(program, db)?;
         let strategy = if opts.engine != Engine::Inflationary && cp.strata().is_ok() {
@@ -457,9 +473,15 @@ impl Materialized {
         let driver = DeltaDriver::new(&cp);
         let s = cp.empty_interp();
         let undefined = cp.empty_interp();
+        let program = Arc::new(program.clone());
+        let mut db = db.clone();
+        for (name, &arity) in cp.edb_names.iter().zip(&cp.edb_arities) {
+            db.declare_relation(name, arity)
+                .expect("compilation checked the program's arities against the database");
+        }
         let m = Materialized {
-            program: Arc::new(program.clone()),
-            db: db.clone(),
+            program,
+            db,
             cp: Arc::new(cp),
             ctx,
             driver,
@@ -471,6 +493,7 @@ impl Materialized {
             epoch: 0,
             last_repair: RepairStats::default(),
             change: None,
+            retired: None,
         };
         Ok(m)
     }
@@ -591,8 +614,8 @@ impl Materialized {
     /// and the undefined set; the universe, the program and its compiled
     /// plans are shared by refcount. Publishing never blocks on or is
     /// observed by concurrent readers of previously published epochs —
-    /// an [`EpochCell`](crate::epoch::EpochCell) swap makes it visible.
-    /// [`Materialized::publish_over`] avoids the copy when the writer can
+    /// an [`EpochCell`] swap makes it visible.
+    /// [`Materialized::publish_into`] avoids the copy when the handle can
     /// recycle an epoch it retired.
     ///
     /// # Errors
@@ -610,37 +633,53 @@ impl Materialized {
         )))
     }
 
-    /// Publishes the committed model stamped `number` by patching
-    /// `retired` — an epoch this handle published earlier and its
-    /// publisher has since replaced — instead of deep-copying.
-    ///
-    /// `gap` is the change this handle committed right after `retired`'s
-    /// state ([`Materialized::take_change`] taken once `retired` was
-    /// superseded); with the handle's own last change it brings `retired`
-    /// up to date — the writer's loop: publish, keep the superseded epoch
-    /// and the change after it, commit, patch. The patch happens only when
-    /// [`Arc::get_mut`] proves the caller holds the last reference and both
-    /// changes are known and lead exactly from `retired`'s state to the
-    /// current one; otherwise this
-    /// is [`Materialized::publish`], and `retired` comes back unused as the
-    /// second value so the caller can release it *after* acknowledging the
-    /// write (freeing a snapshot costs about as much as copying one).
+    /// Publishes the committed model stamped `number` into `cell`, and keeps
+    /// the epoch the cell hands back together with the change committed
+    /// after it. The next call patches that retired epoch forward by the
+    /// two changes instead of deep-copying the whole state — when
+    /// [`Arc::get_mut`] proves the handle holds its last reference and both
+    /// changes are known and lead exactly from its state to the current
+    /// one. Otherwise it publishes [`Materialized::publish`]'s copy, and the
+    /// retired epoch comes back in [`Published::unused`].
     ///
     /// Debug builds assert that a patched epoch equals the committed state.
     ///
     /// # Errors
     /// Same as [`Materialized::publish`].
-    pub fn publish_over(
-        &self,
-        mut retired: Arc<Epoch>,
-        gap: Option<&Change>,
-        number: u64,
-    ) -> Result<(Arc<Epoch>, Option<Arc<Epoch>>)> {
-        let Some(epoch) = Arc::get_mut(&mut retired) else {
-            return Ok((self.publish(number)?, Some(retired)));
+    ///
+    /// # Panics
+    /// If `number` does not exceed the cell's ([`EpochCell::publish`]).
+    pub fn publish_into(&mut self, cell: &EpochCell, number: u64) -> Result<Published> {
+        let mut published = Published {
+            recycled: false,
+            unused: None,
+        };
+        let epoch = match self.retired.take() {
+            Some((mut old, gap)) => {
+                published.recycled = self.patch_forward(&mut old, gap.as_ref(), number);
+                if published.recycled {
+                    old
+                } else {
+                    published.unused = Some(old);
+                    self.publish(number)?
+                }
+            }
+            None => self.publish(number)?,
+        };
+        let superseded = cell.publish(epoch);
+        self.retired = Some((superseded, self.change.take()));
+        Ok(published)
+    }
+
+    /// Brings `retired` up to the committed state stamped `number` by `gap`
+    /// (the change committed right after its state) and the last change;
+    /// returns whether it could.
+    fn patch_forward(&self, retired: &mut Arc<Epoch>, gap: Option<&Change>, number: u64) -> bool {
+        let Some(epoch) = Arc::get_mut(retired) else {
+            return false;
         };
         let Some(steps) = self.changes_since(epoch, gap) else {
-            return Ok((self.publish(number)?, Some(retired)));
+            return false;
         };
         for change in steps {
             epoch.apply(change, number);
@@ -651,7 +690,7 @@ impl Materialized {
                 && epoch.database() == &self.db,
             "a recycled epoch diverged from the committed state"
         );
-        Ok((retired, None))
+        true
     }
 
     /// `gap` and the last change, when together they lead from `epoch`'s
@@ -668,15 +707,6 @@ impl Materialized {
             && last.to == gap.to + 1
             && last.to == self.epoch;
         chained.then_some([gap, last])
-    }
-
-    /// Moves out the net change of the last committed update — the `gap` a
-    /// later [`Materialized::publish_over`] needs to bring forward the
-    /// epoch this update's publish superseded. `None` when that update was a
-    /// [`RepairStrategy::Restart`] one or failed, or the change was already
-    /// taken.
-    pub fn take_change(&mut self) -> Option<Change> {
-        self.change.take()
     }
 
     /// Replaces the evaluation options used by subsequent repairs — the
@@ -718,11 +748,16 @@ impl Materialized {
         Ok(Tuple::new(ids?))
     }
 
-    /// Shared insert/retract entry: validate, dedupe, repair — and on any
-    /// mid-repair failure (budget, cancellation, failpoint, contained
-    /// panic), roll every mutation back so the handle is bit-identical to
-    /// its pre-update state and stays usable.
-    fn update(&mut self, facts: &[(&str, Tuple)], inserting: bool) -> Result<usize> {
+    /// Shared insert/retract entry — the durable layer's too, over a WAL
+    /// record's facts: validate, dedupe, repair — and on any mid-repair
+    /// failure (budget, cancellation, failpoint, contained panic), roll
+    /// every mutation back so the handle is bit-identical to its pre-update
+    /// state and stays usable.
+    pub(crate) fn update<S: AsRef<str>>(
+        &mut self,
+        facts: &[(S, Tuple)],
+        inserting: bool,
+    ) -> Result<usize> {
         // Only a committed update leaves a change behind.
         self.change = None;
         let staged = self.stage(facts, inserting)?;
@@ -830,35 +865,25 @@ impl Materialized {
                         touched_idb[idb] = true;
                     }
                 }
-                UndoOp::EdbInsert { edb, name } => {
-                    let rel = &mut self.ctx.edb[edb];
-                    let len = rel.len();
-                    rel.truncate(len - 1);
+                UndoOp::EdbInsert { edb } => {
+                    for rel in [
+                        &mut self.ctx.edb[edb],
+                        db_relation(&mut self.db, &self.cp, edb),
+                    ] {
+                        let len = rel.len();
+                        rel.truncate(len - 1);
+                    }
                     touched_edb[edb] = true;
-                    let db_rel = self
-                        .db
-                        .relation_mut(&name)
-                        .expect("the rolled-back insert put the relation there");
-                    let db_len = db_rel.len();
-                    db_rel.truncate(db_len - 1);
                 }
                 UndoOp::EdbRemove {
                     edb,
-                    name,
                     pos,
                     db_pos,
                     t,
                 } => {
                     self.ctx.edb[edb].restore_swap_removed(pos, t.clone());
+                    db_relation(&mut self.db, &self.cp, edb).restore_swap_removed(db_pos, t);
                     touched_edb[edb] = true;
-                    if let Some(db_rel) = self.db.relation_mut(&name) {
-                        match db_pos {
-                            Some(p) => db_rel.restore_swap_removed(p, t),
-                            None => {
-                                db_rel.insert(t);
-                            }
-                        }
-                    }
                 }
             }
         }
@@ -921,30 +946,22 @@ impl Materialized {
     /// recording every mutation in the undo log.
     fn mutate_edb(&mut self, staged: &Interp, inserting: bool, log: &mut Vec<UndoOp>) {
         for id in 0..staged.len() {
-            let name = self.cp.edb_names[id].clone();
             for t in staged.get(id).dense().to_vec() {
+                let db_rel = db_relation(&mut self.db, &self.cp, id);
                 if inserting {
-                    self.ctx.edb[id].insert(t.clone());
-                    self.db
-                        .insert_fact(&name, t)
-                        .expect("staged facts are validated");
-                    log.push(UndoOp::EdbInsert {
-                        edb: id,
-                        name: name.clone(),
-                    });
+                    db_rel.insert(t.clone());
+                    self.ctx.edb[id].insert(t);
+                    log.push(UndoOp::EdbInsert { edb: id });
                 } else {
+                    let (db_pos, _) = db_rel
+                        .remove_tracked(&t)
+                        .expect("staged retracts are present in the database");
                     let (pos, _) = self
                         .ctx
                         .remove_edb_patched(id, &t)
                         .expect("staged retracts are present in the context EDB");
-                    let db_pos = self
-                        .db
-                        .relation_mut(&name)
-                        .and_then(|r| r.remove_tracked(&t))
-                        .map(|(p, _)| p);
                     log.push(UndoOp::EdbRemove {
                         edb: id,
-                        name: name.clone(),
                         pos,
                         db_pos,
                         t,
@@ -1401,6 +1418,12 @@ impl Materialized {
 /// The IDB tuples an update added to and removed from the model, in that
 /// order.
 type NetChange = (Interp, Interp);
+
+/// The database relation of EDB `edb`, declared when the handle was built.
+fn db_relation<'a>(db: &'a mut Database, cp: &CompiledProgram, edb: usize) -> &'a mut Relation {
+    db.relation_mut(&cp.edb_names[edb])
+        .expect("a handle declares every EDB relation its program reads")
+}
 
 /// Records every IDB relation's dense length, so whatever a driver call
 /// appends after this point can be truncated away on rollback.

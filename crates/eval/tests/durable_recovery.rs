@@ -254,9 +254,11 @@ fn create_open_round_trip_all_engines() {
             flip(&mut dm, rel, t);
         }
         dm.compact().unwrap();
-        assert_eq!(dm.snapshot_epoch(), dm.epoch(), "{engine:?}");
         let pre = Committed::of(dm.handle(), dm.epoch());
         drop(dm);
+        // The snapshot holds the committed epoch and the WAL nothing.
+        let (_, state, records) = Store::open(&dir, &StoreOptions::default()).unwrap();
+        assert_eq!((state.epoch, records.len()), (pre.epoch, 0), "{engine:?}");
         let dm = DurableMaterialized::open(&program, &dir, &opts).unwrap();
         assert_recovered(&dm, &pre, &program, &format!("{engine:?} post-compact"));
     }
@@ -444,7 +446,6 @@ fn sweep_site(site: &str, fp: Failpoints) {
                 pre_fp,
                 "{site}: memory changed"
             );
-            assert!(dm.is_poisoned(), "{site}");
             let err = dm.insert(std::slice::from_ref(&next)).unwrap_err();
             assert!(
                 matches!(

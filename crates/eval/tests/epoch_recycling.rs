@@ -1,12 +1,11 @@
-//! Publishing by patching a retired epoch ([`Materialized::publish_over`])
+//! Publishing by patching a retired epoch ([`Materialized::publish_into`])
 //! against the deep copy ([`Materialized::publish`]).
 //!
 //! Every maintained semantics is a deterministic function of the EDB, so an
 //! epoch brought forward by the net changes of the updates after it must be
 //! set-equal to a fresh copy of the committed state and pass
-//! [`Epoch::matches_recompute`]. These tests publish after every update the
-//! way the server's writer does — keep the superseded epoch and the change
-//! that followed it, patch it at the next publish — and check exactly that,
+//! [`Epoch::matches_recompute`]. These tests publish into one cell after
+//! every update, as the server's writer does, and check exactly that,
 //! together with when the patch must give way to the copy: a pinned retired
 //! epoch, a Restart engine, a rolled-back update, an epoch from another
 //! handle. An update that re-evaluated from a stratum is patched like any
@@ -21,8 +20,8 @@
 use inflog_core::failpoints::{Failpoints, SITE_ROUND};
 use inflog_core::graphs::DiGraph;
 use inflog_core::{Const, Database, Relation, Tuple, Universe};
-use inflog_eval::materialize::{Engine, MaterializeOpts, Materialized};
-use inflog_eval::{Change, Epoch, EvalOptions};
+use inflog_eval::materialize::{Engine, MaterializeOpts, Materialized, Published};
+use inflog_eval::{Epoch, EpochCell, EvalOptions};
 use inflog_syntax::{parse_atom, parse_program, Atom, Term};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -50,37 +49,31 @@ fn handle(src: &str, db: &Database, engine: Engine) -> Materialized {
     Materialized::new(&parse_program(src).unwrap(), db, &opts).unwrap()
 }
 
-/// The server writer's publication loop, in miniature.
+/// One cell a handle publishes into, with the oracle checks on each epoch.
 struct Publisher {
-    current: Arc<Epoch>,
-    retired: Option<(Arc<Epoch>, Option<Change>)>,
+    cell: EpochCell,
     recycled: usize,
     copied: usize,
 }
 
 impl Publisher {
     fn new(m: &Materialized) -> Publisher {
-        let current = m.publish(0).unwrap();
-        check_reads(&current, "epoch 0");
+        let first = m.publish(0).unwrap();
+        check_reads(&first, "epoch 0");
         Publisher {
-            current,
-            retired: None,
+            cell: EpochCell::new(first),
             recycled: 0,
             copied: 0,
         }
     }
 
     /// Publishes the handle's committed state, checks it against a deep
-    /// copy, the recompute oracle and the read oracle, and reports whether
-    /// it was recycled.
-    fn publish(&mut self, m: &mut Materialized, ctx: &str) -> bool {
-        let number = self.current.number() + 1;
-        let recycling = self.retired.is_some();
-        let (epoch, unused) = match self.retired.take() {
-            Some((old, gap)) => m.publish_over(old, gap.as_ref(), number).unwrap(),
-            None => (m.publish(number).unwrap(), None),
-        };
-        let recycled = recycling && unused.is_none();
+    /// copy, the recompute oracle and the read oracle, and returns what
+    /// [`Materialized::publish_into`] reported.
+    fn publish(&mut self, m: &mut Materialized, ctx: &str) -> Published {
+        let number = self.cell.number() + 1;
+        let published = m.publish_into(&self.cell, number).unwrap();
+        let epoch = self.cell.pin();
         assert_eq!(epoch.number(), number, "{ctx}");
         assert_same_state(&epoch, &m.publish(number).unwrap(), ctx);
         assert!(
@@ -88,14 +81,12 @@ impl Publisher {
             "{ctx}: published epoch fails the recompute oracle"
         );
         check_reads(&epoch, ctx);
-        if recycled {
+        if published.recycled {
             self.recycled += 1;
         } else {
             self.copied += 1;
         }
-        let superseded = std::mem::replace(&mut self.current, epoch);
-        self.retired = Some((superseded, m.take_change()));
-        recycled
+        published
     }
 }
 
@@ -110,7 +101,7 @@ fn check_reads(epoch: &Epoch, ctx: &str) {
         relations.push((name, epoch.interp().get(i), epoch.undefined().get(i)));
     }
     for (i, name) in cp.edb_names.iter().enumerate() {
-        let rel = epoch.database().relation(name).unwrap_or(&empty[i]);
+        let rel = epoch.database().relation(name).unwrap();
         relations.push((name, rel, &empty[i]));
     }
     for (name, s, u) in relations {
@@ -269,8 +260,11 @@ fn non_stratifiable_well_founded_restarts_and_always_copies() {
         } else {
             m.insert_named("Move", edge).unwrap();
         }
-        assert!(m.take_change().is_none(), "Restart updates know no change");
-        assert!(!publisher.publish(&mut m, &format!("win step {i}")));
+        let published = publisher.publish(&mut m, &format!("win step {i}"));
+        // Restart updates know no change: from the second publish on, the
+        // retired epoch is there, unpinned, and still goes unused.
+        assert!(!published.recycled);
+        assert_eq!(published.unused.is_some(), i > 0, "win step {i}");
     }
 }
 
@@ -281,16 +275,17 @@ fn a_retract_that_recomputes_is_patched_like_any_other() {
     let mut m = handle(&src, &db, Engine::Stratified);
     let mut publisher = Publisher::new(&m);
     m.insert_named("E", &["v0", "v0"]).unwrap();
-    assert!(!publisher.publish(&mut m, "first publish has nothing retired"));
+    let first = publisher.publish(&mut m, "first publish has nothing retired");
+    assert!(!first.recycled && first.unused.is_none());
     m.retract_named("E", &["v0", "v1"]).unwrap();
     assert_eq!(m.last_repair().recomputed_from, Some(0));
-    assert!(publisher.publish(&mut m, "recomputed retract"));
+    assert!(publisher.publish(&mut m, "recomputed retract").recycled);
     m.retract_named("E", &["v0", "v0"]).unwrap();
-    assert!(publisher.publish(&mut m, "one past the recompute"));
+    assert!(publisher.publish(&mut m, "one past the recompute").recycled);
     // Closing the cycle again re-evaluates `Cut` above a repaired `S`.
     m.insert_named("E", &["v0", "v1"]).unwrap();
     assert_eq!(m.last_repair().recomputed_from, Some(1));
-    assert!(publisher.publish(&mut m, "recomputed insert"));
+    assert!(publisher.publish(&mut m, "recomputed insert").recycled);
 }
 
 #[test]
@@ -301,9 +296,21 @@ fn a_no_op_batch_is_an_empty_change() {
     assert_eq!(m.insert_named("E", &["v0", "v1"]).unwrap(), 0);
     publisher.publish(&mut m, "no-op insert");
     assert_eq!(m.retract_named("E", &["v4", "v0"]).unwrap(), 0);
-    assert!(publisher.publish(&mut m, "no-op retract"));
+    assert!(publisher.publish(&mut m, "no-op retract").recycled);
     assert_eq!(m.insert_named("E", &["v4", "v0"]).unwrap(), 1);
-    assert!(publisher.publish(&mut m, "real insert after two no-ops"));
+    assert!(
+        publisher
+            .publish(&mut m, "real insert after two no-ops")
+            .recycled
+    );
+}
+
+/// Arms a one-shot failure at the first round of the next repair.
+fn fail_next_round(m: &mut Materialized) {
+    m.set_eval_options(EvalOptions {
+        failpoints: Failpoints::armed(SITE_ROUND, 1),
+        ..EvalOptions::sequential()
+    });
 }
 
 #[test]
@@ -313,20 +320,52 @@ fn a_rolled_back_update_between_publishes_keeps_the_patch_exact() {
     let mut publisher = Publisher::new(&m);
     m.retract_named("E", &["v0", "v1"]).unwrap();
     publisher.publish(&mut m, "before the failure");
-    m.set_eval_options(EvalOptions {
-        failpoints: Failpoints::armed(SITE_ROUND, 1),
-        ..EvalOptions::sequential()
-    });
+    fail_next_round(&mut m);
     assert!(m.retract_named("E", &["v6", "v7"]).is_err());
-    assert!(
-        m.take_change().is_none(),
-        "a rolled-back update has no change"
-    );
     m.set_eval_options(EvalOptions::sequential());
     m.insert_named("E", &["v0", "v1"]).unwrap();
-    assert!(publisher.publish(&mut m, "after the failure"));
+    assert!(publisher.publish(&mut m, "after the failure").recycled);
+    // A failed update commits no change, so a publish right after it has
+    // nothing to patch the retired epoch by.
+    fail_next_round(&mut m);
+    assert!(m.retract_named("E", &["v6", "v7"]).is_err());
+    let published = publisher.publish(&mut m, "right after the failure");
+    assert!(!published.recycled && published.unused.is_some());
+    m.set_eval_options(EvalOptions::sequential());
     m.retract_named("E", &["v6", "v7"]).unwrap();
-    assert!(publisher.publish(&mut m, "the failed batch, retried"));
+    assert!(
+        !publisher
+            .publish(&mut m, "the failed batch, retried")
+            .recycled
+    );
+    m.insert_named("E", &["v6", "v7"]).unwrap();
+    assert!(publisher.publish(&mut m, "two past the failure").recycled);
+}
+
+#[test]
+fn a_rolled_back_first_insert_into_an_undeclared_relation_leaves_no_trace() {
+    // `F` is not in the database: the handle declares it, so rolling back
+    // its first fact leaves the database as it was.
+    let mut db = Database::new();
+    db.insert_named_fact("S", &["a", "a"]).unwrap();
+    db.universe_mut().intern("b");
+    let mut m = handle("T(x) :- F(x), S(x, x).", &db, Engine::Stratified);
+    let mut publisher = Publisher::new(&m);
+    m.insert_named("S", &["b", "b"]).unwrap();
+    publisher.publish(&mut m, "before the failure");
+    let before = m.database().clone();
+    fail_next_round(&mut m);
+    assert!(m.insert_named("F", &["a"]).is_err());
+    assert_eq!(m.database(), &before, "the rollback changed the database");
+    m.set_eval_options(EvalOptions::sequential());
+    m.retract_named("S", &["b", "b"]).unwrap();
+    assert!(publisher.publish(&mut m, "after the failure").recycled);
+    m.insert_named("F", &["a"]).unwrap();
+    assert!(
+        publisher
+            .publish(&mut m, "the failed fact, retried")
+            .recycled
+    );
 }
 
 #[test]
@@ -334,29 +373,40 @@ fn a_pinned_retired_epoch_is_copied_around_and_never_touched() {
     let db = DiGraph::path(6).to_database("E");
     let mut m = handle(TC, &db, Engine::Stratified);
     let mut publisher = Publisher::new(&m);
-    m.insert_named("E", &["v0", "v2"]).unwrap();
-    publisher.publish(&mut m, "epoch 1");
-    let reader = Arc::clone(&publisher.retired.as_ref().unwrap().0);
+    let reader = publisher.cell.pin();
     let goal = parse_atom("S(x, y)").unwrap();
     let before = reader.select(&goal, None).unwrap();
+    m.insert_named("E", &["v0", "v2"]).unwrap();
+    publisher.publish(&mut m, "epoch 1");
     m.retract_named("E", &["v4", "v5"]).unwrap();
-    assert!(!publisher.publish(&mut m, "retired epoch pinned"));
+    let published = publisher.publish(&mut m, "retired epoch pinned");
+    assert!(!published.recycled);
+    assert!(published.unused.is_some_and(|e| Arc::ptr_eq(&e, &reader)));
     assert_eq!(reader.number(), 0);
     assert_eq!(reader.select(&goal, None).unwrap().tuples, before.tuples);
     assert!(reader.matches_recompute(&EvalOptions::default()).unwrap());
     drop(reader);
     m.insert_named("E", &["v4", "v5"]).unwrap();
-    assert!(publisher.publish(&mut m, "pin released"));
+    assert!(publisher.publish(&mut m, "pin released").recycled);
 }
 
 #[test]
 fn an_epoch_of_another_handle_is_never_patched() {
+    // Two handles publish into one cell: the twin's epoch 0, then `m`'s.
     let db = DiGraph::path(4).to_database("E");
     let mut m = handle(TC, &db, Engine::Stratified);
     let twin = handle(TC, &db, Engine::Stratified);
-    let foreign = twin.publish(0).unwrap();
+    let cell = EpochCell::new(twin.publish(0).unwrap());
     m.insert_named("E", &["v3", "v0"]).unwrap();
-    let (epoch, unused) = m.publish_over(foreign, None, 1).unwrap();
-    assert!(unused.is_some_and(|e| e.number() == 0 && e.interp() == twin.interp()));
-    assert_same_state(&epoch, &m.publish(1).unwrap(), "foreign retired epoch");
+    let first = m.publish_into(&cell, 1).unwrap();
+    assert!(!first.recycled && first.unused.is_none());
+    // `m` now retires the twin's epoch, whose state number and the changes
+    // since would line up with its own.
+    m.retract_named("E", &["v3", "v0"]).unwrap();
+    let second = m.publish_into(&cell, 2).unwrap();
+    assert!(!second.recycled);
+    assert!(second
+        .unused
+        .is_some_and(|e| e.number() == 0 && e.interp() == twin.interp()));
+    assert_same_state(&cell.pin(), &m.publish(2).unwrap(), "foreign retired epoch");
 }

