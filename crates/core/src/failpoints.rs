@@ -21,11 +21,13 @@ use std::sync::Arc;
 pub const SITE_ROUND: &str = "round";
 /// Evaluation: index preparation/extension at the start of a Θ application.
 pub const SITE_INDEX_EXTEND: &str = "index-extend";
-/// Evaluation: closing the overdelete cone of a delete–rederive repair
-/// (fires per cone round, after damage has been removed).
+/// Evaluation: a deletion round — each round of a materialized repair's
+/// deletion loop (the first before anything is doomed), and each cone
+/// round of the incremental well-founded engine's overdeletion.
 pub const SITE_OVERDELETE_CLOSE: &str = "overdelete-close";
-/// Evaluation: the rederivation pass of a delete–rederive repair (once per
-/// closed, non-empty cone; a repair that re-evaluates never reaches it).
+/// Evaluation: a derivability pass — each proof search of a materialized
+/// repair (once per deletion round with damage left), and the incremental
+/// well-founded engine's rederivation pass.
 pub const SITE_REDERIVE_SWEEP: &str = "rederive-sweep";
 /// Evaluation: a genuine `panic!` at a round boundary instead of a typed
 /// error, exercising the `catch_unwind` containment of updates.

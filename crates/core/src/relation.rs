@@ -416,6 +416,14 @@ impl Relation {
         !self.slots.is_empty() && self.probe(t).is_ok()
     }
 
+    /// The dense position of `t`, if present: `dense()[pos] == *t`.
+    pub fn position(&self, t: &Tuple) -> Option<usize> {
+        if self.slots.is_empty() {
+            return None;
+        }
+        self.probe(t).ok().map(|slot| self.slots[slot] as usize)
+    }
+
     /// Iterates over tuples in insertion order.
     pub fn iter(&self) -> impl Iterator<Item = &Tuple> + '_ {
         self.tuples.iter()

@@ -374,11 +374,14 @@ impl<'a> ExecEnv<'a> {
     }
 }
 
-/// Where emitted tuples go: collected into a relation (Θ application) or
-/// short-circuiting on the first witness (derivability probes).
+/// Where emitted tuples go: collected into a relation (Θ application),
+/// short-circuiting on the first witness (derivability probes), or handed
+/// to a visitor binding by binding (the repair's proof search), which
+/// returns `true` to stop.
 enum Sink<'o> {
     Collect(&'o mut Relation),
     First,
+    Each(&'o mut dyn FnMut(&[Const]) -> bool),
 }
 
 /// An open *non-innermost* loop: the pc of its op (debug-checked against
@@ -812,11 +815,11 @@ fn open_cursor<'a>(env: &ExecEnv<'_>, rop: &ROp<'a>, vals: &[Const]) -> Cursor<'
 /// Runs the straight-line tail after the innermost loop (filters, register
 /// copies, and the final emit) for one candidate binding. Returns `true`
 /// only when the sink short-circuits: [`Sink::First`] reached its witness,
-/// or an active governor tripped on a collected emit (budget exhausted,
-/// cancelled, failpoint) — the trip rides the same early-return path, and
-/// the caller reads the verdict off the governor. A failed filter or an
-/// ordinary collected emit returns `false` so the fused loop advances to
-/// the next candidate.
+/// a [`Sink::Each`] visitor asked to stop, or an active governor tripped on
+/// a collected emit (budget exhausted, cancelled, failpoint) — the trip
+/// rides the same early-return path, and the caller reads the verdict off
+/// the governor. A failed filter or an ordinary collected emit returns
+/// `false` so the fused loop advances to the next candidate.
 #[inline]
 fn run_tail(
     rops: &[ROp<'_>],
@@ -858,6 +861,7 @@ fn run_tail(
                         matches!(gov, Some(g) if g.note_emit())
                     }
                     Sink::First => true,
+                    Sink::Each(visit) => visit(vals),
                 };
             }
             _ => unreachable!("loop op after the innermost loop"),
@@ -903,6 +907,18 @@ impl<'a> ResolvedProgram<'a> {
     /// derivability checks run entire check-plan bodies through this.
     pub(crate) fn probe(&self, env: &ExecEnv<'_>, vals: &mut [Const]) -> bool {
         drive_resolved(env, self, vals, &mut Sink::First)
+    }
+
+    /// Witness enumeration: calls `visit` with the registers of every
+    /// completion of the pre-seeded ones that reaches `Emit`, in the
+    /// probe's order, until it returns `true`.
+    pub(crate) fn for_each_witness(
+        &self,
+        env: &ExecEnv<'_>,
+        vals: &mut [Const],
+        visit: &mut dyn FnMut(&[Const]) -> bool,
+    ) {
+        drive_resolved(env, self, vals, &mut Sink::Each(visit));
     }
 }
 

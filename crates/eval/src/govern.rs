@@ -218,8 +218,9 @@ impl Governor {
     }
 
     /// Deadline + cancellation checks (trips and returns the error on
-    /// violation; also surfaces an earlier trip).
-    fn poll_signals(&self) -> Result<()> {
+    /// violation; also surfaces an earlier trip). Loops that emit nothing
+    /// through the VM — the repair's proof search — poll this directly.
+    pub(crate) fn poll_signals(&self) -> Result<()> {
         if let Some(deadline) = self.deadline {
             if Instant::now() >= deadline {
                 self.trip(EvalError::BudgetExceeded {

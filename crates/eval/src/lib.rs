@@ -47,7 +47,8 @@
 //! * [`materialize`] — [`Engine`], and live incremental view maintenance:
 //!   a long-lived
 //!   [`Materialized`] handle whose `insert`/`retract` repair the fixpoint
-//!   (delete–rederive per stratum; a documented restart fallback for the
+//!   (Backward/Forward repair per stratum — delete only what has lost its
+//!   proof; a documented restart fallback for the
 //!   non-change-monotone inflationary and non-stratifiable well-founded
 //!   fixpoints) instead of recomputing it;
 //! * [`durable`] — crash durability for a materialized handle: every

@@ -7,39 +7,49 @@
 //! lifts each of them to a changing one: [`Materialized::new`] runs the
 //! chosen engine once, and [`Materialized::insert`] /
 //! [`Materialized::retract`] bring the model back to what a from-scratch
-//! evaluation over the mutated database would produce, for at most the cost
-//! of a bounded overdeletion plus one re-evaluation of what it condemned
-//! (see *The cost bound* below).
+//! evaluation over the mutated database would produce, touching only what
+//! the change puts in doubt (see *The cost* below).
 //!
 //! # Repair strategies
 //!
-//! * **Delete–rederive (DRed)** — for the semi-naive least fixpoint,
-//!   stratified evaluation, and the well-founded model of stratifiable
-//!   programs (where it coincides with the perfect model). Per stratum,
-//!   bottom up:
+//! * **Backward/Forward (B/F)** — Motik, Nenov, Piro & Horrocks,
+//!   "Incremental Update of Datalog Materialisation: the Backward/Forward
+//!   Algorithm" (AAAI 2015) — for the semi-naive least fixpoint, stratified
+//!   evaluation, and the well-founded model of stratifiable programs (where
+//!   it coincides with the perfect model). Per stratum, bottom up:
 //!
 //!   1. *Damage*: before the EDB mutates, enumerate exactly the rule
 //!      instances the change kills — positive occurrences of retracted
 //!      facts through the `EdbDelta` plans, negated occurrences of inserted
 //!      facts through the `EdbNegDelta` plans — with every other literal
-//!      still reading the old state, so the enumeration is exact.
-//!   2. *Overdelete*: close the damage cone through positive IDB
-//!      dependencies (the same frontier sweep as the incremental
-//!      well-founded engine), removing cone members with
-//!      [`IndexSet::patch_swap_remove`](crate::IndexSet) so the persistent
-//!      indexes stay warm. Heads landing in higher strata are parked until
-//!      their stratum's turn.
-//!   3. *Rederive*: one batch pass of the index-backed check plans finds the
-//!      cone members that still have a one-step derivation from what
-//!      survived; they seed step 4, whose delta rounds bring back the rest
-//!      of the surviving cone.
+//!      still reading the old state, so the enumeration is exact. Lower
+//!      strata add theirs: the heads over the tuples they deleted
+//!      (`PosDelta`) and over the tuples they added under negation
+//!      (`NegDelta`, read permissively).
+//!   2. *Prove*: every damaged tuple still in the model is checked for a
+//!      proof from facts outside doubt. EDB facts and lower-strata tuples
+//!      are final, so they hold when present; a same-stratum tuple is
+//!      checked in turn. The *backward* step visits every witness of a
+//!      tuple — each binding of its head-bound check plan — and checks the
+//!      witness's same-stratum atoms; the *forward* step proves a checked
+//!      tuple once one of its witnesses has all of them proved, and proves
+//!      onward whatever waited on it. Support that only goes round a cycle
+//!      of checked tuples is no proof: a proof bottoms out outside the
+//!      stratum. Both steps run on explicit stacks, each tuple is checked
+//!      at most once per stratum, and nothing mutates while they run.
+//!   3. *Delete*: the damaged tuples left without a proof are doomed, and
+//!      the rule instances they occur in positively are enumerated as new
+//!      damage; heads in higher strata wait for their stratum's turn. Steps
+//!      2 and 3 alternate until no damage is left. Then the doomed tuples
+//!      are swap-removed one by one with their index postings patched
+//!      ([`IndexSet::patch_swap_remove`](crate::IndexSet)).
 //!   4. *Top-up*: the instances the change *enables* — inserted facts
 //!      through positive EDB occurrences, retracted facts through negated
-//!      ones, plus lower-strata additions (`PosDelta`) and genuine removals
-//!      (`NegDelta`) — join the seed, and one semi-naive extension of the
-//!      shared [`DeltaDriver`] drains both. Whatever it appends that was
-//!      not overdeleted is an addition for the strata above; a cone member
-//!      still absent afterwards is a removal.
+//!      ones, plus lower-strata additions (`PosDelta`) and removals
+//!      (`NegDelta`) — seed one semi-naive extension of the shared
+//!      [`DeltaDriver`]. Whatever it appends that was not deleted is an
+//!      addition for the strata above; a deleted tuple still absent
+//!      afterwards is a removal.
 //!
 //!   A batch is one-sided (an insert adds facts only; a retract removes
 //!   only), which is what makes step 1 exact rather than approximate.
@@ -53,36 +63,28 @@
 //!   mutated EDB over the *warm* [`EvalContext`], so the persistent indexes
 //!   and scratch buffers are reused even though the fixpoint is not.
 //!
-//! # The cost bound
+//! # The cost
 //!
-//! Every overdeleted tuple is paid for twice — removed with its index
-//! postings patched, then checked and, mostly, put back — so DRed only
-//! beats re-evaluation while the cone is small. A stratified model is a
-//! tower of least fixpoints, one per stratum over the strata below, so
-//! re-running the driver over strata ≥ k above repaired lower strata *is*
-//! a correct repair (it is what the debug check compares against). Repair
-//! therefore closes the cone of stratum k only while it holds **at most
-//! half of the live tuples of strata ≥ k** — half of what re-evaluating
-//! from k would rebuild. The frontier that would cross that line is not
-//! removed: the per-stratum driver loop of [`Materialized::new`] runs from
-//! k into fresh relations, and each live relation of strata ≥ k is then
-//! patched to its fresh counterpart — swap-removed with its indexes
-//! patched where the fresh one lacks a tuple, appended to where it has a
-//! new one. A relation thus keeps its id, the dense order of what stayed
-//! and its warm indexes: the update after a re-evaluation catches the
-//! indexes up by what changed instead of rebuilding them. A repair costs
-//! at most the overdeletion done so far — under half a re-evaluation's
-//! worth of tuples — plus one re-evaluation of the strata it condemned and
-//! one probe per tuple to patch them; work stays proportional to the
-//! change exactly when the change's cone is small.
-//! [`Materialized::last_repair`] reports which way an update went.
+//! A damaged tuple with a proof stays where it is: a retract whose damage
+//! is all provable deletes nothing, so the model keeps its dense order and
+//! its warm indexes, and the next update finds nothing to catch up on.
+//! Every tuple is checked at most once per stratum and deleted at most
+//! once, and a check runs its rules' check plans once, so even a repair
+//! that deletes most of a stratum does about one evaluation's work. The
+//! search keeps its nodes in a map keyed by relation and dense position,
+//! so it costs what it meets, not what the stratum holds. No bound
+//! switches to re-evaluation. On one edge of a 160-cycle under `tc_cut`,
+//! which deletes half of `S`, overdeleting half the model and
+//! re-evaluating the rest was somewhat faster, mostly because patching
+//! 12 880 removals into `S`'s index one at a time costs more than
+//! rebuilding it (timings in the README's "Incremental updates").
 //!
-//! The case the bound exists for is a retracted edge of a strongly
-//! connected graph under transitive closure, which condemns the whole
-//! closure: closing that cone and rederiving it cost ≈ 3× a re-evaluation,
-//! the bounded repair costs ≈ 1.5× (phase table in the README's
-//! "Incremental updates"). The closure comes out as it was, so the patch
-//! only puts back the overdeleted tuples.
+//! The case this matters for is a redundant edge of a strongly connected
+//! graph under transitive closure: every closure pair through the edge is
+//! damaged and almost none of them goes. B/F proves them instead of
+//! deleting and re-deriving them (phase table in the README's "Incremental
+//! updates"). [`Materialized::last_repair`] reports what each update
+//! checked, proved, deleted and added.
 //!
 //! In debug builds every update re-evaluates from scratch and asserts the
 //! repaired state — true facts and undefined sets — is identical, and
@@ -99,16 +101,13 @@
 //! (deadline, [`Budget`](crate::govern::Budget) exhaustion, a
 //! [`CancelToken`](crate::govern::CancelToken) trip, an armed failpoint) or
 //! through a contained panic; every mutation a repair makes is therefore
-//! recorded in an undo log — swap-remove positions for deletions, the
-//! relations swapped out for re-evaluation, dense watermarks for appended
-//! suffixes — and on failure the log is replayed in reverse: appended
-//! suffixes are truncated away, swapped-out relations put back, and
-//! swap-removed tuples re-inserted at their exact former dense positions.
-//! Relations touched by the rollback get a fresh relation id and the
-//! indexes over the retired one are dropped, so the persistent
-//! [`IndexSet`](crate::IndexSet) never serves postings patched during the
-//! aborted repair. A relation swapped out and put back was not touched: it
-//! keeps its id and indexes. The
+//! recorded in an undo log — swap-remove positions for deletions, dense
+//! watermarks for appended suffixes — and on failure the log is replayed
+//! in reverse: appended suffixes are truncated away and swap-removed tuples
+//! re-inserted at their exact former dense positions. Relations touched by
+//! the rollback get a fresh relation id and the indexes over the retired
+//! one are dropped, so the persistent [`IndexSet`](crate::IndexSet) never
+//! serves postings patched during the aborted repair. The
 //! [`RepairStrategy::Restart`] engines get the same guarantee cheaply:
 //! their re-evaluation builds the new model in fresh interpretations and
 //! the handle's state is assigned only after it fully succeeds, so only the
@@ -123,16 +122,18 @@ use crate::error::EvalError;
 use crate::govern::Governor;
 use crate::inflationary::inflationary_compiled_with;
 use crate::interp::Interp;
-use crate::operator::{self, EvalContext, PlanKind};
+use crate::operator::{self, EvalContext, PlanKind, Witnesses};
 use crate::options::EvalOptions;
+use crate::plan::{CTerm, PredRef, RLit};
 use crate::resolve::CompiledProgram;
 use crate::stratified::stratified_eval_compiled_with;
 use crate::wellfounded::well_founded_compiled_with;
 use crate::Result;
 use inflog_core::failpoints::{SITE_OVERDELETE_CLOSE, SITE_REDERIVE_SWEEP};
-use inflog_core::{Const, Database, Relation, Tuple};
+use inflog_core::{Const, Database, FxBuildHasher, Relation, Tuple};
 use inflog_store::{WalOp, WalRecord};
 use inflog_syntax::{Literal, Program};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Which fixpoint a program denotes: the one semantics parameter of batch
@@ -249,10 +250,9 @@ fn require_positive(program: &Program) -> Result<()> {
 /// How a handle brings its state back in line after an update.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RepairStrategy {
-    /// Delete–rederive repair: overdelete the change's cone, rederive
-    /// survivors, top up insertions — per stratum, giving way to
-    /// re-evaluation from the first stratum whose cone exceeds half of what
-    /// that would rebuild (the module docs' cost bound).
+    /// Repair by proof, stratum by stratum: delete the damaged tuples that
+    /// have no proof outside the damage, then top up what the change
+    /// enables (the module docs' Backward/Forward strategy).
     DeleteRederive,
     /// Full re-evaluation from the mutated EDB over the warm context. Used
     /// where the fixpoint is not change-monotone (inflationary always;
@@ -271,22 +271,20 @@ pub struct MaterializeOpts {
 }
 
 /// What the most recent committed update's repair did, phase by phase — see
-/// [`Materialized::last_repair`].
+/// [`Materialized::last_repair`]. Every damaged tuple is either proved or
+/// deleted.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RepairStats {
-    /// Tuples overdeleted: the damage cones of all strata, as far as they
-    /// were closed (a stratum that gave up contributes what it had removed
-    /// by then; the re-evaluation's patch puts back what survives).
-    pub cone: usize,
-    /// Overdeleted tuples that came back, confirmed by the one-step
-    /// derivability check or by a later round.
-    pub rederived: usize,
+    /// Tuples the proof search checked: the damaged ones and every
+    /// same-stratum tuple their proofs went through.
+    pub checked: usize,
+    /// Damaged tuples kept because the search proved them.
+    pub proved: usize,
+    /// Damaged tuples deleted for want of a proof (the top-up puts one back
+    /// when the update enables a new derivation of it).
+    pub deleted: usize,
     /// Tuples the top-up added that the model did not hold before.
     pub added: usize,
-    /// The stratum whose cone outgrew the bound, if any: strata from this
-    /// one up were re-evaluated and patched to the result instead of
-    /// repaired.
-    pub recomputed_from: Option<usize>,
 }
 
 /// The net change one committed update made: the EDB facts the batch
@@ -295,10 +293,8 @@ pub struct RepairStats {
 /// instead of deep-copying the whole state.
 ///
 /// Known for no-op batches and for every [`RepairStrategy::DeleteRederive`]
-/// update — one that re-evaluated from a stratum
-/// ([`RepairStats::recomputed_from`]) too, from the patch that brought its
-/// relations to the result. A [`RepairStrategy::Restart`] update does not
-/// track what changed.
+/// update. A [`RepairStrategy::Restart`] update does not track what
+/// changed.
 #[derive(Debug)]
 pub(crate) struct Change {
     /// [`Materialized::epoch`] right after the update: the change leads from
@@ -320,14 +316,8 @@ pub(crate) struct Change {
 /// reverse-order replay guarantees.
 #[derive(Debug)]
 enum UndoOp {
-    /// IDB `idb` was swapped out for a fresh relation to re-evaluate its
-    /// stratum; `old` is the relation itself, untouched since — same id,
-    /// dense order and indexes. The fresh relation is empty again at undo
-    /// time. Boxed: a removal is logged per overdeleted tuple, and every op
-    /// is as large as the largest.
-    IdbSwap { idb: usize, old: Box<Relation> },
-    /// `t` was swap-removed from IDB `idb` at dense position `pos`
-    /// (overdeletion).
+    /// `t` was swap-removed from IDB `idb` at dense position `pos` (a
+    /// deletion).
     IdbRemove { idb: usize, pos: usize, t: Tuple },
     /// A driver extension may have appended a dense suffix to IDB `idb`;
     /// `before` is the pre-extension length.
@@ -447,9 +437,15 @@ impl Materialized {
         }
         match m.strategy {
             RepairStrategy::DeleteRederive => {
+                // One driver run per stratum, bottom up: the stratified
+                // model is a tower of least fixpoints.
                 let governor = Governor::new(&m.opts);
-                let none = m.cp.empty_interp();
-                m.evaluate_from(0, &governor, &mut Vec::new(), &none, &mut none.clone())?;
+                let cp = Arc::clone(&m.cp);
+                let strata = cp.strata().expect("a repairing handle has strata");
+                for rules in strata.rules.iter().filter(|r| !r.is_empty()) {
+                    m.driver
+                        .extend(&m.cp, &m.ctx, &mut m.s, Some(rules), None, None, &governor)?;
+                }
             }
             RepairStrategy::Restart => m.reevaluate()?,
         }
@@ -581,9 +577,9 @@ impl Materialized {
         self.epoch
     }
 
-    /// What the last committed update's repair did: overdeletion cone,
-    /// rederived and added tuples, and whether — and from which stratum —
-    /// it fell back to re-evaluation (see the module docs' cost bound). All
+    /// What the last committed update's repair did: the tuples its proof
+    /// search checked, the damaged tuples it proved and deleted, and the
+    /// tuples the top-up added (see the module docs' strategies). All
     /// zero for [`RepairStrategy::Restart`] handles and no-op batches; a
     /// rolled-back update is not committed and leaves it as it was.
     pub fn last_repair(&self) -> RepairStats {
@@ -845,15 +841,6 @@ impl Materialized {
         let mut touched_edb = vec![false; self.ctx.edb.len()];
         for op in log.into_iter().rev() {
             match op {
-                UndoOp::IdbSwap { idb, old } => {
-                    let fresh = std::mem::replace(self.s.get_mut(idb), *old);
-                    debug_assert!(fresh.is_empty(), "appends are undone before the swap");
-                    self.ctx.forget_indexes(fresh.id());
-                    // The appends just undone went to the fresh relation;
-                    // `old` sat in the log, so nothing patched its indexes.
-                    // Ops before the swap that touched it set this again.
-                    touched_idb[idb] = false;
-                }
                 UndoOp::IdbRemove { idb, pos, t } => {
                     self.s.get_mut(idb).restore_swap_removed(pos, t);
                     touched_idb[idb] = true;
@@ -983,118 +970,6 @@ impl Materialized {
         Ok(())
     }
 
-    /// Evaluates strata `from..` from scratch over the (current) strata
-    /// below them, leaving alone what comes out the same. Each non-empty
-    /// relation of those strata is swapped out for a fresh one — the undo
-    /// log holds the old one meanwhile — and the driver runs once per
-    /// stratum into the fresh relations. Then each old relation goes back,
-    /// patched to the fresh one's content: what is gone leaves through
-    /// [`EvalContext::remove_patched`] into `removed`, what is new is
-    /// appended. It keeps its id, the dense order of what stayed and its
-    /// warm indexes. An empty relation is filled in place. `from == 0` over
-    /// an empty model is the initial evaluation.
-    ///
-    /// `overdeleted` is what the update already removed from these
-    /// relations: a fresh relation has room for it too, so it starts at the
-    /// size the old one had before the update. Returns, per IDB, the dense
-    /// length past which every tuple is new.
-    fn evaluate_from(
-        &mut self,
-        from: usize,
-        governor: &Governor,
-        log: &mut Vec<UndoOp>,
-        overdeleted: &Interp,
-        removed: &mut Interp,
-    ) -> Result<Vec<usize>> {
-        let cp = Arc::clone(&self.cp);
-        let strata = cp.strata().expect("a delete-rederive handle has strata");
-        let start = log.len();
-        for (idb, &stratum) in strata.of_idb.iter().enumerate() {
-            let rel = self.s.get_mut(idb);
-            if stratum >= from && !rel.is_empty() {
-                let room = rel.len() + overdeleted.get(idb).len();
-                let fresh = Relation::with_capacity(rel.arity(), room);
-                let old = Box::new(std::mem::replace(rel, fresh));
-                log.push(UndoOp::IdbSwap { idb, old });
-            }
-        }
-        for rules in strata.rules[from..].iter().filter(|r| !r.is_empty()) {
-            log_watermarks(&self.s, log);
-            self.driver.extend(
-                &self.cp,
-                &self.ctx,
-                &mut self.s,
-                Some(rules),
-                None,
-                None,
-                governor,
-            )?;
-        }
-        // Nothing below is governed or can fail. The watermarks just logged
-        // are of relations about to be dropped: the log goes back to where
-        // it stood, plus the ops that put the old relations back.
-        let mut old: Vec<Option<Box<Relation>>> = (0..self.cp.num_idb()).map(|_| None).collect();
-        for op in log.split_off(start) {
-            if let UndoOp::IdbSwap { idb, old: rel } = op {
-                old[idb] = Some(rel);
-            }
-        }
-        let mut marks: Vec<usize> = self.s.relations().iter().map(Relation::len).collect();
-        for (idb, mark) in marks.iter_mut().enumerate() {
-            if strata.of_idb[idb] < from {
-                continue;
-            }
-            match old[idb].take() {
-                None => {
-                    *mark = 0;
-                    log.push(UndoOp::IdbAppend { idb, before: 0 });
-                }
-                Some(rel) => {
-                    let fresh = std::mem::replace(self.s.get_mut(idb), *rel);
-                    *mark = self.patch_to(idb, &fresh, log, removed);
-                    self.ctx.forget_indexes(fresh.id());
-                }
-            }
-        }
-        Ok(marks)
-    }
-
-    /// Patches IDB `idb` in place to `target`'s content: swap-removes what
-    /// `target` lacks into `removed`, keeping the indexes patched, then
-    /// appends what it adds. Logged like a repair's own removals and
-    /// appends. Returns the dense length the appends start at.
-    fn patch_to(
-        &mut self,
-        idb: usize,
-        target: &Relation,
-        log: &mut Vec<UndoOp>,
-        removed: &mut Interp,
-    ) -> usize {
-        let rel = self.s.get_mut(idb);
-        let gone: Vec<Tuple> = rel
-            .dense()
-            .iter()
-            .filter(|t| !target.contains(t))
-            .cloned()
-            .collect();
-        for t in gone {
-            let (pos, _) = self
-                .ctx
-                .remove_patched(rel, &t)
-                .expect("the tuple was just read from the relation");
-            removed.insert(idb, t.clone());
-            log.push(UndoOp::IdbRemove { idb, pos, t });
-        }
-        let before = rel.len();
-        log.push(UndoOp::IdbAppend { idb, before });
-        for t in target.dense() {
-            if !rel.contains(t) {
-                rel.insert(t.clone());
-            }
-        }
-        before
-    }
-
     /// One Θ application over the current model restricted to the rule
     /// instances through `delta` (shaped for `kind`), into `out`; `neg`
     /// overrides the interpretation negated IDB literals read.
@@ -1121,12 +996,11 @@ impl Materialized {
         )
     }
 
-    /// Delete–rederive repair of a one-sided batch, stratum by stratum,
-    /// falling back to [`evaluate_from`](Self::evaluate_from) at the first
-    /// stratum whose cone outgrows the module docs' cost bound. Every
-    /// mutation is recorded in `log`; on `Err` the caller reverse-replays it
-    /// (see the module docs' transactional invariant). Returns the phase
-    /// sizes and the net IDB change.
+    /// Backward/Forward repair of a one-sided batch, stratum by stratum
+    /// (the module docs' strategy). Every mutation is recorded in `log`; on
+    /// `Err` the caller reverse-replays it (see the module docs'
+    /// transactional invariant). Returns the phase sizes and the net IDB
+    /// change.
     fn repair(
         &mut self,
         staged: &Interp,
@@ -1152,28 +1026,28 @@ impl Materialized {
 
         self.mutate_edb(staged, inserting, log);
 
-        // ---- Per-stratum overdelete / rederive / top-up. Accumulators
-        // carry the net IDB change of lower strata into higher ones.
+        // ---- Per-stratum prove / delete / top-up. Accumulators carry the
+        // net IDB change of lower strata into higher ones.
         let mut added_acc = self.cp.empty_interp();
         let mut removed_acc = self.cp.empty_interp();
         let mut heads = self.cp.empty_interp();
-        let mut frontier = self.cp.empty_interp();
-        let mut cone = self.cp.empty_interp();
+        let mut doomed = self.cp.empty_interp();
+        let mut deleted = self.cp.empty_interp();
         let mut seed = self.cp.empty_interp();
         let mut scratch = self.cp.empty_interp();
-        // Cone enumeration reads negated IDB literals permissively.
+        // Damage enumeration reads negated IDB literals permissively.
         let empty_neg = self.cp.empty_interp();
         let permissive = Some(&empty_neg);
 
         let cp = Arc::clone(&self.cp);
-        let strata = cp.strata().expect("a delete-rederive handle has strata");
+        let strata = cp.strata().expect("a repairing handle has strata");
         for (k, rules) in strata.rules.iter().enumerate() {
             if rules.is_empty() {
                 continue; // no rule heads here, so no predicate lives here
             }
             // Damage from lower-strata *additions* appearing under this
-            // stratum's negations (permissive IDB negation: the cone is an
-            // over-approximation that rederivation trims back).
+            // stratum's negations (permissive IDB negation: a damaged tuple
+            // that still holds is simply proved).
             if added_acc.total_tuples() > 0 {
                 self.apply_through_delta(
                     Some(rules),
@@ -1188,143 +1062,102 @@ impl Materialized {
                 }
             }
 
-            // Overdeletion cone, closed through positive dependencies. Each
-            // frontier is enumerated from `s` before removal, so dependents
-            // are seen at the first frontier touching them; dependent heads
-            // of higher strata park in `pending` until their stratum.
-            //
-            // The cone is worth closing only while it stays under half of
-            // what re-evaluating strata ≥ k would rebuild: every overdeleted
-            // tuple is touched again by rederivation, so past that point the
-            // from-scratch path is the cheaper repair — and always a correct
-            // one, the strata below being final.
-            let live: usize = (0..num_idb)
-                .filter(|&i| strata.of_idb[i] >= k)
-                .map(|i| self.s.get(i).len())
-                .sum();
+            // Prove what the damage put in doubt; doom what has no proof and
+            // take the instances it occurs in as the next damage. A round's
+            // consequences are enumerated while every tuple doomed so far is
+            // still in `s`, so an instance is seen at the first round that
+            // dooms one of its atoms; heads of higher strata park in
+            // `pending` until their stratum. The doomed tuples leave `s`
+            // together once no damage is left, so dense positions — the
+            // search's names for tuples — hold still until then.
+            let mut proofs: Option<Proofs> = None;
             for i in 0..num_idb {
-                cone.get_mut(i).clear();
+                deleted.get_mut(i).clear();
             }
-            let mut cone_len = 0;
             loop {
                 if let Some(g) = gov {
                     g.fail_at(SITE_OVERDELETE_CLOSE)?;
-                    g.check()?;
                 }
-                let mut condemned = cone_len;
-                for i in 0..num_idb {
-                    let fr = frontier.get_mut(i);
-                    fr.clear();
-                    if strata.of_idb[i] != k {
-                        continue;
-                    }
-                    for t in pending.get(i).dense() {
-                        if self.s.get(i).contains(t) {
-                            fr.insert(t.clone());
-                        }
-                    }
-                    condemned += fr.len();
+                let mut damaged = Vec::new();
+                for i in (0..num_idb).filter(|&i| strata.of_idb[i] == k) {
+                    let rel = self.s.get(i);
+                    damaged.extend(
+                        pending
+                            .get(i)
+                            .dense()
+                            .iter()
+                            .filter_map(|t| rel.position(t).map(|pos| (i, pos))),
+                    );
                     pending.get_mut(i).clear();
                 }
-                if condemned == cone_len {
+                if damaged.is_empty() {
                     break;
                 }
-                if 2 * condemned > live {
-                    stats.cone += cone_len;
-                    stats.recomputed_from = Some(k);
-                    // The closing loop's scratch is dead: free it before the
-                    // fresh relations are allocated.
-                    drop((heads, frontier, pending, seed, scratch));
-                    let marks = self.evaluate_from(k, &governor, log, &cone, &mut removed_acc)?;
-                    // The patch ran against the overdeleted state: a cone
-                    // member it appended merely came back, and one it left
-                    // out is a removal it could not see.
-                    for (i, &mark) in marks.iter().enumerate() {
-                        for t in &self.s.get(i).dense()[mark..] {
-                            if !cone.contains(i, t) {
-                                added_acc.insert(i, t.clone());
-                            }
-                        }
-                        for t in cone.get(i).dense() {
-                            if !self.s.get(i).contains(t) {
-                                removed_acc.insert(i, t.clone());
-                            }
-                        }
-                    }
-                    return Ok((stats, (added_acc, removed_acc)));
-                }
-                self.apply_through_delta(
-                    None,
-                    PlanKind::PosDelta,
-                    &frontier,
-                    permissive,
-                    &mut heads,
-                    gov,
-                )?;
-                for i in 0..num_idb {
-                    for t in frontier.get(i).dense() {
-                        let (pos, _) = self
-                            .ctx
-                            .remove_patched(self.s.get_mut(i), t)
-                            .expect("frontier tuples were enumerated from the live state");
-                        log.push(UndoOp::IdbRemove {
-                            idb: i,
-                            pos,
-                            t: t.clone(),
-                        });
-                        cone.insert(i, t.clone());
-                    }
-                }
-                cone_len = condemned;
-                for i in 0..num_idb {
-                    pending.get_mut(i).union_with(heads.get(i));
-                }
-            }
-            stats.cone += cone_len;
-
-            // Everything appended past `marks` from here on either comes
-            // back (a cone member) or is new to the model.
-            let marks: Vec<usize> = (0..num_idb).map(|i| self.s.get(i).len()).collect();
-            for i in 0..num_idb {
-                seed.get_mut(i).clear();
-            }
-
-            // ---- Rederive: cone members with a surviving one-step
-            // derivation — one index-backed check each, `s` untouched during
-            // the pass — seed the rounds below, whose delta rounds confirm
-            // the rest of the surviving cone (a rederived tuple can be the
-            // witness for another one).
-            if cone_len > 0 {
                 if let Some(g) = gov {
                     g.fail_at(SITE_REDERIVE_SWEEP)?;
                 }
                 operator::sync_check_indexes(&self.cp, &self.ctx, &self.s);
                 for i in 0..num_idb {
-                    let list = cone.get(i).dense();
-                    if list.is_empty() {
-                        continue;
-                    }
-                    let out = seed.get_mut(i);
-                    operator::derivable_batch(
-                        &self.cp,
-                        &self.ctx,
-                        i,
-                        list,
-                        &self.s,
-                        &self.s,
-                        |j| {
-                            out.insert(list[j].clone());
-                        },
-                    );
+                    doomed.get_mut(i).clear();
                 }
+                let s = &self.s;
+                let proofs = proofs.get_or_insert_with(|| Proofs::new(&cp, k));
+                operator::with_witnesses(&self.cp, &self.ctx, s, |witnesses| {
+                    for (i, pos) in damaged {
+                        if proofs.doomed(i, pos, s, witnesses, gov)? {
+                            doomed.insert(i, s.get(i).dense()[pos].clone());
+                        }
+                    }
+                    Ok::<(), EvalError>(())
+                })?;
+                if doomed.total_tuples() == 0 {
+                    break;
+                }
+                self.apply_through_delta(
+                    None,
+                    PlanKind::PosDelta,
+                    &doomed,
+                    permissive,
+                    &mut heads,
+                    gov,
+                )?;
+                for i in 0..num_idb {
+                    deleted.get_mut(i).union_with(doomed.get(i));
+                    pending.get_mut(i).union_with(heads.get(i));
+                }
+            }
+            for i in 0..num_idb {
+                let rel = self.s.get_mut(i);
+                for t in deleted.get(i).dense() {
+                    let (pos, _) = self
+                        .ctx
+                        .remove_patched(rel, t)
+                        .expect("doomed tuples were read from the live state");
+                    log.push(UndoOp::IdbRemove {
+                        idb: i,
+                        pos,
+                        t: t.clone(),
+                    });
+                }
+            }
+            if let Some(proofs) = proofs {
+                stats.checked += proofs.checked;
+                stats.proved += proofs.kept;
+            }
+            stats.deleted += deleted.total_tuples();
+
+            // Everything appended past `marks` from here on either comes
+            // back (a deleted tuple) or is new to the model.
+            let marks: Vec<usize> = (0..num_idb).map(|i| self.s.get(i).len()).collect();
+            for i in 0..num_idb {
+                seed.get_mut(i).clear();
             }
 
             // ---- Top-up: the instances the change enables for this
             // stratum — through EDB occurrences of the batch and IDB
-            // occurrences of lower-strata changes — join the seed. Both
-            // halves are enumerated against the same overdeleted `s`, so
-            // together they are exactly its one-step consequences and one
-            // semi-naive extension drains them.
+            // occurrences of lower-strata changes — seed one semi-naive
+            // extension. Both halves are enumerated against the same `s`,
+            // which holds every tuple of this stratum that has a proof.
             let topup_kind = if inserting {
                 PlanKind::EdbDelta
             } else {
@@ -1334,8 +1167,8 @@ impl Materialized {
                 (topup_kind, staged),
                 (PlanKind::PosDelta, &added_acc),
                 // Consume semantics requires the driven tuples to be
-                // genuinely absent: `removed_acc` only ever receives cone
-                // members that stayed out of their (final) stratum.
+                // genuinely absent: `removed_acc` only ever receives deleted
+                // tuples that stayed out of their (final) stratum.
                 (PlanKind::NegDelta, &removed_acc),
             ];
             for (kind, delta) in topups {
@@ -1363,18 +1196,28 @@ impl Materialized {
             )?;
 
             // Net change for the strata above: a suffix tuple that was
-            // overdeleted merely came back, any other is an addition; a
-            // cone member is a removal only if it is still absent now.
+            // deleted merely came back, any other is an addition; a deleted
+            // tuple is a removal only if it is still absent now — all of
+            // them when none came back.
             for (i, &mark) in marks.iter().enumerate() {
+                let mut returned = 0;
                 for t in &self.s.get(i).dense()[mark..] {
-                    if cone.contains(i, t) {
-                        stats.rederived += 1;
+                    if deleted.contains(i, t) {
+                        returned += 1;
                     } else {
                         added_acc.insert(i, t.clone());
                         stats.added += 1;
                     }
                 }
-                for t in cone.get(i).dense() {
+                if returned == 0 {
+                    // Only this stratum's tuples are ever deleted here.
+                    debug_assert!(deleted.get(i).is_empty() || removed_acc.get(i).is_empty());
+                    if removed_acc.get(i).is_empty() {
+                        std::mem::swap(removed_acc.get_mut(i), deleted.get_mut(i));
+                    }
+                    continue;
+                }
+                for t in deleted.get(i).dense() {
                     if !self.s.get(i).contains(t) {
                         removed_acc.insert(i, t.clone());
                     }
@@ -1433,6 +1276,274 @@ fn log_watermarks(s: &Interp, log: &mut Vec<UndoOp>) {
             idb,
             before: rel.len(),
         });
+    }
+}
+
+/// One stratum's Backward/Forward proof search (the module docs' step 2):
+/// the tuples met so far, which were checked and which proved, and the
+/// witnesses still waiting on an unproved atom. Tuples are known by their
+/// dense position, which holds still while the stratum's deletions wait.
+///
+/// A proved tuple stays proved. A tuple checked but unproved once the
+/// search is back at the top has no proof: each of its witnesses waits on
+/// an atom that is itself checked and unproved, so no proof can reach it
+/// later either. That keeps every tuple to one check per stratum.
+struct Proofs<'p> {
+    /// The same-stratum positive IDB atoms of each rule's body, by rule;
+    /// empty for the rules of other strata.
+    atoms: Vec<Vec<(usize, &'p [CTerm])>>,
+    /// The node of each tuple met, by IDB id and dense position. A map
+    /// rather than a slot per tuple, so a search pays for what it meets
+    /// rather than for what the stratum holds.
+    slots: HashMap<(u32, u32), u32, FxBuildHasher>,
+    nodes: Vec<Node>,
+    /// Per witness: its head's node, and how many of its atoms are not
+    /// proved yet.
+    witnesses: Vec<(u32, u32)>,
+    /// The lists of witnesses waiting on a node, threaded through one
+    /// arena: (witness, next entry).
+    waits: Vec<(u32, u32)>,
+    /// The backward step's stack.
+    stack: Vec<Frame>,
+    /// The atoms the backward step's frames have yet to check, each frame's
+    /// above its parent's.
+    pending: Vec<u32>,
+    /// The forward step's queue of newly proved nodes.
+    queue: Vec<u32>,
+    /// Tuples checked.
+    checked: usize,
+    /// Damaged tuples proved.
+    kept: usize,
+}
+
+/// A tuple the proof search met.
+struct Node {
+    idb: u32,
+    pos: u32,
+    checked: bool,
+    proved: bool,
+    /// Whether the tuple was damaged: kept if proved, else deleted.
+    damaged: bool,
+    /// Whether the tuple was damaged and found without a proof.
+    doomed: bool,
+    /// The first entry of the `waits` list of this tuple, or [`NONE`].
+    waits: u32,
+}
+
+/// A checked tuple on the backward step's stack: `pending[start..end]`
+/// are the atoms its witnesses waited on when registered, and `next` the
+/// first one not yet checked.
+struct Frame {
+    node: u32,
+    start: usize,
+    next: usize,
+    end: usize,
+}
+
+/// No node, or the end of a `waits` list.
+const NONE: u32 = u32::MAX;
+
+/// Checks between two polls of the governor's deadline and cancellation.
+const PROOF_POLL: usize = 1 << 8;
+
+impl<'p> Proofs<'p> {
+    /// The search of stratum `k`.
+    fn new(cp: &'p CompiledProgram, k: usize) -> Proofs<'p> {
+        let strata = cp.strata().expect("a repairing handle has strata");
+        let atoms = cp
+            .rules
+            .iter()
+            .map(|rule| {
+                if strata.of_idb[rule.head_pred] != k {
+                    return Vec::new();
+                }
+                rule.body
+                    .iter()
+                    .filter_map(|lit| match lit {
+                        RLit::Pos {
+                            pred: PredRef::Idb(j),
+                            terms,
+                        } if strata.of_idb[*j] == k => Some((*j, terms.as_slice())),
+                        _ => None,
+                    })
+                    .collect()
+            })
+            .collect();
+        Proofs {
+            atoms,
+            slots: HashMap::default(),
+            nodes: Vec::new(),
+            witnesses: Vec::new(),
+            waits: Vec::new(),
+            stack: Vec::new(),
+            pending: Vec::new(),
+            queue: Vec::new(),
+            checked: 0,
+            kept: 0,
+        }
+    }
+
+    /// Judges the damaged tuple at dense position `pos` of IDB `idb`:
+    /// `true` if it has no proof and is to be deleted; `false` if it has
+    /// one, or was judged before.
+    fn doomed(
+        &mut self,
+        idb: usize,
+        pos: usize,
+        s: &Interp,
+        witnesses: &mut Witnesses<'_>,
+        gov: Option<&Governor>,
+    ) -> Result<bool> {
+        let n = self.node(idb, pos);
+        if self.nodes[n as usize].damaged {
+            return Ok(false);
+        }
+        self.nodes[n as usize].damaged = true;
+        let proved = self.prove(n, s, witnesses, gov)?;
+        self.kept += usize::from(proved);
+        self.nodes[n as usize].doomed = !proved;
+        Ok(!proved)
+    }
+
+    /// Whether node `root` has a proof, checking it first if it was not.
+    /// The backward step walks an explicit stack: a proof can be as deep
+    /// as a relation is long.
+    fn prove(
+        &mut self,
+        root: u32,
+        s: &Interp,
+        witnesses: &mut Witnesses<'_>,
+        gov: Option<&Governor>,
+    ) -> Result<bool> {
+        if !self.nodes[root as usize].checked {
+            self.stack.clear();
+            self.pending.clear();
+            let frame = self.open(root, s, witnesses, gov)?;
+            self.stack.push(frame);
+            while let Some(top) = self.stack.last_mut() {
+                if self.nodes[top.node as usize].proved || top.next == top.end {
+                    self.pending.truncate(top.start);
+                    self.stack.pop();
+                    continue;
+                }
+                let atom = self.pending[top.next];
+                top.next += 1;
+                if !self.nodes[atom as usize].checked {
+                    let frame = self.open(atom, s, witnesses, gov)?;
+                    self.stack.push(frame);
+                }
+            }
+        }
+        Ok(self.nodes[root as usize].proved)
+    }
+
+    /// The backward step: checks node `n` by registering every witness of
+    /// its tuple with the atoms it waits on — proving `n` at once if one
+    /// waits on none. A witness through a doomed tuple, which stays in `s`
+    /// until the stratum's deletions, can never complete and is dropped.
+    fn open(
+        &mut self,
+        n: u32,
+        s: &Interp,
+        witnesses: &mut Witnesses<'_>,
+        gov: Option<&Governor>,
+    ) -> Result<Frame> {
+        self.checked += 1;
+        if let Some(g) = gov {
+            if self.checked.is_multiple_of(PROOF_POLL) {
+                g.poll_signals()?;
+            }
+        }
+        let node = &mut self.nodes[n as usize];
+        node.checked = true;
+        let idb = node.idb as usize;
+        let tuple = &s.get(idb).dense()[node.pos as usize];
+        let start = self.pending.len();
+        witnesses.each(idb, tuple, |rule, regs| {
+            let first = self.pending.len();
+            for i in 0..self.atoms[rule].len() {
+                let (j, terms) = self.atoms[rule][i];
+                let t: Tuple = terms
+                    .iter()
+                    .map(|term| match *term {
+                        CTerm::Var(v) => regs[v],
+                        CTerm::Const(c) => c,
+                    })
+                    .collect();
+                let pos = s
+                    .get(j)
+                    .position(&t)
+                    .expect("a witness's atoms hold in the state it was found in");
+                let atom = self.node(j, pos);
+                if self.nodes[atom as usize].doomed {
+                    self.pending.truncate(first);
+                    return false;
+                }
+                if !self.nodes[atom as usize].proved {
+                    self.pending.push(atom);
+                }
+            }
+            if self.pending.len() == first {
+                self.set_proved(n);
+                return true;
+            }
+            let w = self.witnesses.len() as u32;
+            self.witnesses
+                .push((n, (self.pending.len() - first) as u32));
+            for i in first..self.pending.len() {
+                let atom = &mut self.nodes[self.pending[i] as usize];
+                self.waits.push((w, atom.waits));
+                atom.waits = (self.waits.len() - 1) as u32;
+            }
+            false
+        });
+        Ok(Frame {
+            node: n,
+            start,
+            next: start,
+            end: self.pending.len(),
+        })
+    }
+
+    /// The forward step: proves the checked node `n` and, through the
+    /// witnesses waiting on it, every checked node it completes a witness
+    /// of.
+    fn set_proved(&mut self, n: u32) {
+        self.nodes[n as usize].proved = true;
+        self.queue.push(n);
+        while let Some(x) = self.queue.pop() {
+            let mut entry = std::mem::replace(&mut self.nodes[x as usize].waits, NONE);
+            while entry != NONE {
+                let (w, next) = self.waits[entry as usize];
+                entry = next;
+                let (head, open) = &mut self.witnesses[w as usize];
+                *open -= 1;
+                let head = *head;
+                if *open == 0 && !self.nodes[head as usize].proved {
+                    self.nodes[head as usize].proved = true;
+                    self.queue.push(head);
+                }
+            }
+        }
+    }
+
+    /// The node of the tuple at dense position `pos` of IDB `idb`, met now
+    /// if it was not before.
+    fn node(&mut self, idb: usize, pos: usize) -> u32 {
+        let next = self.nodes.len() as u32;
+        let slot = *self.slots.entry((idb as u32, pos as u32)).or_insert(next);
+        if slot == next {
+            self.nodes.push(Node {
+                idb: idb as u32,
+                pos: pos as u32,
+                checked: false,
+                proved: false,
+                damaged: false,
+                doomed: false,
+                waits: NONE,
+            });
+        }
+        slot
     }
 }
 
@@ -1603,9 +1714,9 @@ mod tests {
     }
 
     #[test]
-    fn a_recompute_keeps_the_id_and_indexes_of_each_relation() {
-        // A chord of a cycle: the closure is complete with or without it,
-        // yet its retract condemns past the bound and re-evaluates.
+    fn retracting_a_redundant_edge_deletes_nothing_and_keeps_each_relation() {
+        // A chord of a cycle: the closure is complete with or without it.
+        // Its retract damages every pair through it and proves them all.
         let src = format!("{TC} Cut(x, y) :- E(x, y), !S(y, x).");
         let db = DiGraph::cycle(8).to_database("E");
         let mut m = handle(&src, &db, Engine::Stratified);
@@ -1613,7 +1724,7 @@ mod tests {
         let state = |m: &Materialized| {
             let s = m.interp().get(sid);
             let epoch = (s.shrink_epoch(), s.last_truncate_len());
-            (s.id(), epoch, s.len(), m.ctx.num_indexes())
+            (s.id(), epoch, s.dense().to_vec(), m.ctx.num_indexes())
         };
         let chord = [("E", Tuple::from_ids(&[0, 4]))];
         // One pair first, so that every index either update builds exists.
@@ -1622,15 +1733,133 @@ mod tests {
         m.insert(&chord).unwrap();
         let before = state(&m);
         m.retract(&chord).unwrap();
-        assert_eq!(m.last_repair().recomputed_from, Some(0));
-        // No truncation: an index synced before is caught up, not rebuilt.
+        let stats = m.last_repair();
+        assert_eq!(
+            (stats.proved, stats.deleted, stats.added),
+            (8, 0, 0),
+            "{stats:?}"
+        );
         assert_eq!(state(&m), before);
-        // A recompute that does change `S` patches it in place.
+        // A retract that does shrink `S` patches it in place.
         m.retract(&[("E", Tuple::from_ids(&[0, 1]))]).unwrap();
-        assert_eq!(m.last_repair().recomputed_from, Some(0));
-        let (id, epoch, len, _) = state(&m);
+        assert!(m.last_repair().deleted > 0);
+        let (id, epoch, dense, _) = state(&m);
         assert_eq!((id, epoch), (before.0, before.1));
-        assert!(len < before.2);
+        assert!(dense.len() < before.2.len());
+    }
+
+    #[test]
+    fn support_that_goes_round_a_cycle_is_no_proof() {
+        // Doubly recursive closure over a→b, b→a, c→a. Without c→a, `S(c, a)`
+        // and `S(c, b)` each have a witness through the other and none that
+        // reaches an edge: both go.
+        let src = "S(x, y) :- E(x, y). S(x, y) :- S(x, z), S(z, y).";
+        let mut db = Database::new();
+        for (u, v) in [("a", "b"), ("b", "a"), ("c", "a")] {
+            db.insert_named_fact("E", &[u, v]).unwrap();
+        }
+        let mut m = handle(src, &db, Engine::Seminaive);
+        assert_eq!(m.retract_named("E", &["c", "a"]).unwrap(), 1);
+        let stats = m.last_repair();
+        assert_eq!(
+            (stats.proved, stats.deleted, stats.added),
+            (0, 2, 0),
+            "{stats:?}"
+        );
+        let sid = m.compiled().idb_id("S").unwrap();
+        assert_eq!(m.interp().get(sid).len(), 4);
+    }
+
+    const REACH: &str = "R(x) :- Start(x). R(y) :- R(x), E(x, y).";
+
+    /// `R` over a chain `x{n-1} → … → x0` below a base `b` with an edge to
+    /// every `x{i}`, the chain edges first: without `b → x0`, the one proof
+    /// of `R(x0)` runs down the whole chain before it tries `b`.
+    fn chain_below_a_base(n: usize) -> Database {
+        let mut db = Database::new();
+        for i in 1..n {
+            let (u, v) = (format!("x{i}"), format!("x{}", i - 1));
+            db.insert_named_fact("E", &[&u, &v]).unwrap();
+        }
+        for i in 0..n {
+            db.insert_named_fact("E", &["b", &format!("x{i}")]).unwrap();
+        }
+        db.insert_named_fact("Start", &["b"]).unwrap();
+        db
+    }
+
+    #[test]
+    fn a_proof_as_deep_as_the_relation_runs_on_a_small_stack() {
+        // The search keeps its stacks on the heap: the one proof of `R(x0)`
+        // runs down all N chain vertices, and a 256 KiB stack holds no N
+        // frames of a recursive search.
+        const N: usize = 20_000;
+        let stats = std::thread::Builder::new()
+            .stack_size(256 << 10)
+            .spawn(|| {
+                let mut m = handle(REACH, &chain_below_a_base(N), Engine::Seminaive);
+                assert_eq!(m.retract_named("E", &["b", "x0"]).unwrap(), 1);
+                m.last_repair()
+            })
+            .unwrap()
+            .join()
+            .unwrap();
+        assert_eq!(
+            (stats.checked, stats.proved, stats.deleted),
+            (N + 1, 1, 0),
+            "{stats:?}"
+        );
+    }
+
+    #[test]
+    fn cancellation_and_deadline_stop_a_long_proof_search() {
+        // The search polls the deadline and the token every `PROOF_POLL`
+        // checks, so on a proof 2 000 checks long either stops it at its
+        // first poll. The top-up polls them too, so only the search's own
+        // count shows where it stopped; through the handle, the retract
+        // fails typed, rolls back and retries cleanly.
+        let db = chain_below_a_base(2_000);
+        let token = crate::CancelToken::new();
+        token.cancel();
+        let cancelled = EvalOptions {
+            cancel: Some(token),
+            ..EvalOptions::sequential()
+        };
+        let expired = EvalOptions {
+            budget: crate::Budget::with_deadline(std::time::Duration::ZERO),
+            ..EvalOptions::sequential()
+        };
+        for opts in [cancelled, expired] {
+            let mut m = handle(REACH, &db, Engine::Seminaive);
+            let governor = Governor::new(&opts);
+            let cp = Arc::clone(&m.cp);
+            let r = cp.idb_id("R").unwrap();
+            let mut proofs = Proofs::new(&cp, cp.strata().unwrap().of_idb[r]);
+            let x0 = m.named_tuple(&["x0"]).unwrap();
+            let pos = m.s.get(r).position(&x0).unwrap();
+            operator::sync_check_indexes(&m.cp, &m.ctx, &m.s);
+            let err = operator::with_witnesses(&m.cp, &m.ctx, &m.s, |w| {
+                proofs.doomed(r, pos, &m.s, w, governor.as_active())
+            })
+            .unwrap_err();
+            assert_eq!(proofs.checked, PROOF_POLL, "{err:?}: not at the first poll");
+
+            let pre = (m.interp().clone(), m.database().clone());
+            m.set_eval_options(opts);
+            assert_eq!(m.retract_named("E", &["b", "x0"]).unwrap_err(), err);
+            let post = (m.interp(), m.database());
+            for i in 0..cp.num_idb() {
+                assert_eq!(post.0.get(i).dense(), pre.0.get(i).dense(), "{err:?}");
+            }
+            for name in ["E", "Start"] {
+                let dense = |db: &Database| db.relation(name).unwrap().dense().to_vec();
+                assert_eq!(dense(post.1), dense(&pre.1), "{err:?}: {name}");
+            }
+            m.set_eval_options(EvalOptions::sequential());
+            assert_eq!(m.retract_named("E", &["b", "x0"]).unwrap(), 1);
+            let stats = m.last_repair();
+            assert_eq!((stats.proved, stats.deleted), (1, 0), "{stats:?}");
+        }
     }
 
     #[test]

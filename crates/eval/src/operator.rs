@@ -485,9 +485,8 @@ pub(crate) fn sync_check_indexes(cp: &CompiledProgram, ctx: &EvalContext, s: &In
 /// (prepare them with [`sync_check_indexes`]) and the search exits on the
 /// first witness. `s` must stay unmutated across the whole batch — that
 /// lets each rule's check program be resolved against the environment
-/// **once** and reused for all tuples (the rederivation passes of the
-/// incremental well-founded engine and of materialized-view repair run
-/// tens of thousands of these).
+/// **once** and reused for all tuples (the rederivation pass of the
+/// incremental well-founded engine runs tens of thousands of these).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn derivable_batch(
     cp: &CompiledProgram,
@@ -539,6 +538,101 @@ pub(crate) fn derivable_batch(
             if hit {
                 confirm(ti);
                 break 'rules;
+            }
+        }
+    }
+}
+
+/// The check plans of every rule, resolved once against an unmutated `s`:
+/// the backward step of materialized-view repair's proof search. Where
+/// [`derivable_batch`] stops at a tuple's first witness, [`Witnesses::each`]
+/// visits every one. Build it with [`with_witnesses`].
+pub(crate) struct Witnesses<'a> {
+    cp: &'a CompiledProgram,
+    env: ExecEnv<'a>,
+    resolved: Vec<exec::ResolvedProgram<'a>>,
+    vals: Vec<Const>,
+    bound: Vec<bool>,
+}
+
+/// Runs `search` with the [`Witnesses`] of `cp`'s rules over `s`, positive
+/// and negated IDB literals both reading `s`. Prepare the indexes with
+/// [`sync_check_indexes`] first; `s` cannot change while `search` runs.
+pub(crate) fn with_witnesses<R>(
+    cp: &CompiledProgram,
+    ctx: &EvalContext,
+    s: &Interp,
+    search: impl FnOnce(&mut Witnesses<'_>) -> R,
+) -> R {
+    let indexes = ctx.read_indexes();
+    let env = ExecEnv {
+        ctx,
+        s,
+        delta: None,
+        neg: s,
+        indexes: &indexes,
+        gov: None,
+    };
+    let resolved = cp
+        .rules
+        .iter()
+        .map(|r| exec::resolve_program(&env, &r.check_plan.program))
+        .collect();
+    search(&mut Witnesses {
+        cp,
+        env,
+        resolved,
+        vals: Vec::new(),
+        bound: Vec::new(),
+    })
+}
+
+impl Witnesses<'_> {
+    /// Calls `visit(rule, registers)` for every instance of a rule with head
+    /// `pred` that derives `tuple` over the state — the registers hold the
+    /// rule's variables by slot — until `visit` returns `true`.
+    pub(crate) fn each(
+        &mut self,
+        pred: usize,
+        tuple: &Tuple,
+        mut visit: impl FnMut(usize, &[Const]) -> bool,
+    ) {
+        for (ri, rule) in self.cp.rules.iter().enumerate() {
+            if rule.head_pred != pred {
+                continue;
+            }
+            self.vals.clear();
+            self.vals.resize(rule.num_vars, Const(0));
+            self.bound.clear();
+            self.bound.resize(rule.num_vars, false);
+            if !unify_head(&rule.head_terms, tuple, &mut self.vals, &mut self.bound) {
+                continue;
+            }
+            #[cfg(debug_assertions)]
+            let expected = tree::probe_plan(
+                &self.env,
+                &rule.check_plan,
+                &mut self.vals.clone(),
+                &mut self.bound.clone(),
+            );
+            #[cfg(debug_assertions)]
+            let mut any = false;
+            let mut stop = false;
+            self.resolved[ri].for_each_witness(&self.env, &mut self.vals, &mut |regs| {
+                #[cfg(debug_assertions)]
+                {
+                    any = true;
+                }
+                stop = visit(ri, regs);
+                stop
+            });
+            #[cfg(debug_assertions)]
+            assert_eq!(
+                any, expected,
+                "VM witnesses diverged from the tree oracle's probe"
+            );
+            if stop {
+                return;
             }
         }
     }

@@ -8,7 +8,7 @@
 //! every update, as the server's writer does, and check exactly that,
 //! together with when the patch must give way to the copy: a pinned retired
 //! epoch, a Restart engine, a rolled-back update, an epoch from another
-//! handle. An update that re-evaluated from a stratum is patched like any
+//! handle. An update that deleted most of a stratum is patched like any
 //! other.
 //!
 //! An epoch's read indexes are patched with it, so every epoch is also read
@@ -32,8 +32,9 @@ const TC: &str = "S(x, y) :- E(x, y). S(x, y) :- E(x, z), S(z, y).";
 /// Not stratifiable; on odd cycles both relations are undefined, and the
 /// binary one is read through an index.
 const WIN: &str = "Win(x) :- Move(x, y), !Win(y). Good(x, y) :- Move(x, y), !Win(y).";
-/// Three strata; retracting an edge of a strongly connected graph condemns
-/// most of `S` and re-evaluates instead of repairing in place.
+/// Three strata; retracting an edge of a strongly connected graph damages
+/// most of `S`, and one that breaks the strong connection deletes much of
+/// it.
 const TC_CUT_MUTUAL: &str = "
     S(x, y) :- E(x, y).
     S(x, y) :- S(x, z), E(z, y).
@@ -170,11 +171,11 @@ fn assert_same_state(got: &Epoch, want: &Epoch, ctx: &str) {
 
 /// Flips random forward edges `u → v`, `u < v` (one in eight a deliberate
 /// no-op), and publishes after every update; returns the (recycled,
-/// copied) publish counts and how many updates re-evaluated from a stratum.
+/// copied) publish counts and how many updates deleted tuples.
 fn churn(src: &str, rel: &str, db: &Database, engine: Engine, seed: u64) -> (usize, usize, usize) {
     let mut m = handle(src, db, engine);
     let mut publisher = Publisher::new(&m);
-    let mut recomputed = 0;
+    let mut deleting = 0;
     let n = db.universe_size() as u32;
     let mut rng = StdRng::seed_from_u64(seed);
     for step in 0..40 {
@@ -187,10 +188,10 @@ fn churn(src: &str, rel: &str, db: &Database, engine: Engine, seed: u64) -> (usi
         } else {
             m.retract(&[(rel, t)]).unwrap();
         }
-        recomputed += usize::from(m.last_repair().recomputed_from.is_some());
+        deleting += usize::from(m.last_repair().deleted > 0);
         publisher.publish(&mut m, &format!("{engine:?} seed {seed} step {step}"));
     }
-    (publisher.recycled, publisher.copied, recomputed)
+    (publisher.recycled, publisher.copied, deleting)
 }
 
 #[test]
@@ -225,7 +226,7 @@ fn churn_publishes_recycled_epochs_equal_to_deep_copies_on_every_engine() {
 }
 
 #[test]
-fn churn_across_strata_recycles_through_recomputes() {
+fn churn_across_strata_recycles_through_deletions() {
     for engine in [Engine::Stratified, Engine::WellFounded] {
         let mut rng = StdRng::seed_from_u64(9);
         let db = loop {
@@ -234,8 +235,8 @@ fn churn_across_strata_recycles_through_recomputes() {
                 break g.to_database("E");
             }
         };
-        let (recycled, copied, recomputed) = churn(TC_CUT_MUTUAL, "E", &db, engine, 77);
-        assert!(recomputed > 0, "{engine:?}: no update re-evaluated");
+        let (recycled, copied, deleting) = churn(TC_CUT_MUTUAL, "E", &db, engine, 77);
+        assert!(deleting > 0, "{engine:?}: no update deleted");
         assert_eq!(
             (recycled, copied),
             (39, 1),
@@ -269,7 +270,7 @@ fn non_stratifiable_well_founded_restarts_and_always_copies() {
 }
 
 #[test]
-fn a_retract_that_recomputes_is_patched_like_any_other() {
+fn a_retract_that_deletes_most_of_a_stratum_is_patched_like_any_other() {
     let src = format!("{TC} Cut(x, y) :- E(x, y), !S(y, x).");
     let db = DiGraph::cycle(8).to_database("E");
     let mut m = handle(&src, &db, Engine::Stratified);
@@ -278,14 +279,15 @@ fn a_retract_that_recomputes_is_patched_like_any_other() {
     let first = publisher.publish(&mut m, "first publish has nothing retired");
     assert!(!first.recycled && first.unused.is_none());
     m.retract_named("E", &["v0", "v1"]).unwrap();
-    assert_eq!(m.last_repair().recomputed_from, Some(0));
-    assert!(publisher.publish(&mut m, "recomputed retract").recycled);
+    // The closure of the path `v1 → … → v7 → v0` and the loop stays.
+    assert_eq!(m.last_repair().deleted, 64 - (28 + 1));
+    assert!(publisher.publish(&mut m, "breaking retract").recycled);
     m.retract_named("E", &["v0", "v0"]).unwrap();
-    assert!(publisher.publish(&mut m, "one past the recompute").recycled);
-    // Closing the cycle again re-evaluates `Cut` above a repaired `S`.
+    assert!(publisher.publish(&mut m, "one past the break").recycled);
+    // Closing the cycle again deletes every `Cut` edge above a grown `S`.
     m.insert_named("E", &["v0", "v1"]).unwrap();
-    assert_eq!(m.last_repair().recomputed_from, Some(1));
-    assert!(publisher.publish(&mut m, "recomputed insert").recycled);
+    assert_eq!(m.last_repair().deleted, 7);
+    assert!(publisher.publish(&mut m, "closing insert").recycled);
 }
 
 #[test]

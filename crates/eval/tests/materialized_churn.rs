@@ -11,12 +11,12 @@
 //! re-insertion of retracted facts, and retracting facts that were never
 //! present.
 //!
-//! The middle section pins the **cost bound** of delete–rederive repair:
-//! a stratum whose overdeletion cone outgrows half of what re-evaluation
-//! would rebuild is re-evaluated instead, observable through
-//! [`Materialized::last_repair`] — both sides of that decision, and the
-//! bookkeeping hazards of draining rederivation and top-up in one seeded
-//! extension, must land on the recompute.
+//! The middle section pins what a **Backward/Forward repair** does,
+//! observable through [`Materialized::last_repair`]: damaged tuples with a
+//! proof stay, the others are deleted, and the top-up's additions are
+//! booked for the strata above — on updates that delete almost nothing
+//! and on ones that delete most of a stratum, every one landing on the
+//! recompute.
 //!
 //! The last section drives the **transactional invariant** under forced
 //! failures: a failpoint sweep that aborts a repair at every registered
@@ -97,8 +97,8 @@ fn assert_matches_recompute(m: &Materialized, program: &Program, ctx: &str) {
 /// Flips random edges of `edge_rel` for `steps` rounds — retract when
 /// present, insert when absent, occasionally as a no-op in the opposite
 /// direction — checking the handle against a recompute at every step.
-/// Returns how many updates were repaired in place and how many fell back
-/// to re-evaluating from some stratum.
+/// Returns how many updates proved damaged tuples and how many deleted
+/// some.
 fn churn(
     src: &str,
     edge_rel: &str,
@@ -111,7 +111,7 @@ fn churn(
     let mut m = handle(&program, db, engine);
     let n = db.universe_size() as u32;
     let mut rng = StdRng::seed_from_u64(seed);
-    let (mut repaired, mut recomputed) = (0, 0);
+    let (mut proving, mut deleting) = (0, 0);
     for step in 0..steps {
         let t = Tuple::from_ids(&[rng.gen_range(0..n), rng.gen_range(0..n)]);
         let present = m.contains(edge_rel, &t);
@@ -130,13 +130,12 @@ fn churn(
         } else {
             assert_eq!(m.insert(&[(edge_rel, t)]).unwrap(), 1);
         }
-        match m.last_repair().recomputed_from {
-            Some(_) => recomputed += 1,
-            None => repaired += 1,
-        }
+        let stats = m.last_repair();
+        proving += usize::from(stats.proved > 0);
+        deleting += usize::from(stats.deleted > 0);
         assert_matches_recompute(&m, &program, &format!("engine {engine:?} step {step}"));
     }
-    (repaired, recomputed)
+    (proving, deleting)
 }
 
 #[test]
@@ -174,6 +173,28 @@ fn stratified_negation_churn_across_capable_engines() {
         Engine::WellFounded,
     ] {
         churn(REACH_UNREACH, "E", &db, engine, 11, 12);
+    }
+}
+
+#[test]
+fn mutual_recursion_churn_across_capable_engines() {
+    // Two predicates recursive through each other in one stratum, read
+    // under negation one stratum up: a proof of `Odd` goes through `Even`
+    // and back.
+    let src = "
+        Odd(x, y) :- E(x, y).
+        Odd(x, y) :- Even(x, z), E(z, y).
+        Even(x, y) :- Odd(x, z), E(z, y).
+        OnlyEven(x, y) :- Even(x, y), !Odd(x, y).
+    ";
+    let mut rng = StdRng::seed_from_u64(13);
+    for db in [
+        DiGraph::cycle(6).to_database("E"),
+        DiGraph::random_gnp(7, 0.25, &mut rng).to_database("E"),
+    ] {
+        for engine in [Engine::Stratified, Engine::WellFounded] {
+            churn(src, "E", &db, engine, 51, 16);
+        }
     }
 }
 
@@ -287,11 +308,10 @@ fn mixed_fact_arities_and_auxiliary_relations_churn() {
 }
 
 // ---------------------------------------------------------------------------
-// The cost bound: repair in place, or re-evaluate from the stratum whose
-// cone outgrew half of what re-evaluation rebuilds.
+// Backward/Forward repair: prove what has a proof, delete the rest.
 // ---------------------------------------------------------------------------
 
-/// A strongly connected `G(n, p)`: every retraction condemns (nearly) the
+/// A strongly connected `G(n, p)`: every retraction damages (nearly) the
 /// whole closure.
 fn strongly_connected_gnp(n: usize, p: f64, seed: u64) -> DiGraph {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -304,13 +324,13 @@ fn strongly_connected_gnp(n: usize, p: f64, seed: u64) -> DiGraph {
 }
 
 /// Hazard (d): a three-stratum program whose top stratum reads the bottom
-/// one positively, on graphs where retractions condemn most of the closure.
-/// Both outcomes — in-place repair and re-evaluation from the bottom
-/// stratum — must occur, and every step must equal the recompute.
+/// one positively, on graphs where retractions damage most of the closure.
+/// Both outcomes — damaged tuples proved and damaged tuples deleted — must
+/// occur, and every step must equal the recompute.
 #[test]
-fn cross_stratum_churn_repairs_small_cones_and_recomputes_large_ones() {
+fn cross_stratum_churn_proves_and_deletes_across_strata() {
     for engine in [Engine::Stratified, Engine::WellFounded] {
-        let (mut repaired, mut recomputed) = (0, 0);
+        let (mut proving, mut deleting) = (0, 0);
         for (g, graph) in [
             DiGraph::cycle(6),
             DiGraph::cycle(9),
@@ -322,43 +342,48 @@ fn cross_stratum_churn_repairs_small_cones_and_recomputes_large_ones() {
         {
             let db = graph.to_database("E");
             let (a, b) = churn(TC_CUT_MUTUAL, "E", &db, engine, 300 + g as u64, 30);
-            repaired += a;
-            recomputed += b;
+            proving += a;
+            deleting += b;
         }
-        assert!(
-            repaired > 10,
-            "{engine:?}: only {repaired} in-place repairs"
-        );
-        assert!(recomputed > 10, "{engine:?}: only {recomputed} recomputes");
+        assert!(proving > 10, "{engine:?}: only {proving} updates proved");
+        assert!(deleting >= 5, "{engine:?}: only {deleting} updates deleted");
     }
 }
 
-/// Deleting a cycle edge condemns the whole closure of the bottom stratum:
-/// the repair stops overdeleting under the half-way mark and re-evaluates
-/// everything. Restart engines report nothing.
+/// Deleting a cycle edge damages the closure of the bottom stratum row by
+/// row: the row of the edge's source loses all 8 pairs, and each row
+/// damaged after it keeps the one pair its own edge proves and loses the
+/// rest — 36 pairs deleted, 7 proved, each checked once. `Cut` gains the
+/// remaining path's 7 edges. Restart engines report nothing.
 #[test]
-fn a_cone_past_half_the_model_recomputes_from_its_stratum() {
+fn breaking_a_cycle_deletes_what_lost_its_proof() {
     let program = parse_program(&format!("{TC} Cut(x, y) :- E(x, y), !S(y, x).")).unwrap();
     let db = DiGraph::cycle(8).to_database("E");
     let edge = db.relation("E").unwrap().dense()[0].clone();
     let mut m = handle(&program, &db, Engine::Stratified);
-    let live = m.interp().total_tuples();
     assert_eq!(m.retract(&[("E", edge.clone())]).unwrap(), 1);
-    let stats = m.last_repair();
-    assert_eq!(stats.recomputed_from, Some(0));
-    assert!(
-        2 * stats.cone <= live,
-        "overdeleted {} of {live} before giving up",
-        stats.cone
+    assert_eq!(
+        m.last_repair(),
+        RepairStats {
+            checked: 8 + 8 + 7 + 6 + 5 + 4 + 3 + 2,
+            proved: 7,
+            deleted: 64 - 28,
+            added: 7,
+        }
     );
-    assert_eq!((stats.rederived, stats.added), (0, 0));
     assert_matches_recompute(&m, &program, "cycle edge retracted");
-    // Closing the cycle again condemns nothing in `S` — plain top-up — but
-    // every `Cut` edge above it.
+    // Closing the cycle again damages nothing in `S` — plain top-up — but
+    // every `Cut` edge above it, and none of them has a proof.
     assert_eq!(m.insert(&[("E", edge.clone())]).unwrap(), 1);
-    let stats = m.last_repair();
-    assert_eq!((stats.cone, stats.recomputed_from), (0, Some(1)));
-    assert_eq!(stats.added, 64 - 28);
+    assert_eq!(
+        m.last_repair(),
+        RepairStats {
+            checked: 7,
+            proved: 0,
+            deleted: 7,
+            added: 64 - 28,
+        }
+    );
     assert_matches_recompute(&m, &program, "cycle edge restored");
 
     let mut restart = handle(&program, &db, Engine::Inflationary);
@@ -366,11 +391,11 @@ fn a_cone_past_half_the_model_recomputes_from_its_stratum() {
     assert_eq!(restart.last_repair(), RepairStats::default());
 }
 
-/// The bound is taken per stratum, bottom up: an insert that only *adds* to
-/// the bottom stratum but thereby condemns most of the stratum above it
-/// repairs the former in place and re-evaluates from the latter.
+/// Strata are repaired bottom up: an insert that only *adds* to the bottom
+/// stratum thereby damages most of the stratum above it, which loses every
+/// damaged tuple.
 #[test]
-fn an_upper_stratum_can_recompute_above_a_repaired_lower_one() {
+fn an_insert_that_adds_below_deletes_above() {
     let program = parse_program(REACH_UNREACH).unwrap();
     let mut db = DiGraph::path(10).to_database("E");
     for v in 0..10 {
@@ -383,19 +408,23 @@ fn an_upper_stratum_can_recompute_above_a_repaired_lower_one() {
     let unreach = m.compiled().idb_id("Unreach").unwrap();
     assert_eq!(m.interp().get(unreach).len(), 10);
     assert_eq!(m.insert(&[("E", first)]).unwrap(), 1);
-    let stats = m.last_repair();
-    assert_eq!(stats.recomputed_from, Some(1), "{stats:?}");
-    assert_eq!(stats.added, 9, "Reach(v1..v9), added in place");
+    assert_eq!(
+        m.last_repair(),
+        RepairStats {
+            checked: 9,
+            proved: 0,
+            deleted: 9, // Unreach(v1..v9)
+            added: 9,   // Reach(v1..v9)
+        }
+    );
     assert_eq!(m.interp().get(unreach).len(), 1);
     assert_matches_recompute(&m, &program, "first edge inserted");
 }
 
-/// Hazard (e): the comparison is against everything re-evaluation would
-/// rebuild — strata ≥ k — not against stratum k alone. A one-tuple bottom
-/// stratum that loses its only tuple under a large upper stratum is
-/// repaired in place.
+/// Hazard (e): a one-tuple bottom stratum that loses its only tuple under a
+/// large upper stratum costs one check; the upper stratum only gains.
 #[test]
-fn a_tiny_low_stratum_losing_everything_does_not_trigger_a_recompute() {
+fn a_tiny_low_stratum_losing_everything_costs_one_check() {
     let src = "
         B(x) :- Blk(x).
         S(x, y) :- E(x, y), !B(x).
@@ -416,10 +445,10 @@ fn a_tiny_low_stratum_losing_everything_does_not_trigger_a_recompute() {
     assert_eq!(
         stats,
         RepairStats {
-            cone: 1,
-            rederived: 0,
-            added: 1, // S(v10, v11), no longer blocked
-            recomputed_from: None,
+            checked: 1,
+            proved: 0,
+            deleted: 1, // B(v10)
+            added: 1,   // S(v10, v11), no longer blocked
         }
     );
     assert!(m.interp().get(b).is_empty());
@@ -427,15 +456,15 @@ fn a_tiny_low_stratum_losing_everything_does_not_trigger_a_recompute() {
     assert_matches_recompute(&m, &program, "blocker retracted");
 }
 
-/// Hazards (a) and (b): rederivation and top-up drain in one seeded
-/// extension, so its rounds can (a) append a tuple the old model never held
-/// — here `R(c)`, reached from the rederived `R(a)` once the lower stratum
-/// dropped `B(c)` — which is an *addition* for the stratum above, and (b)
-/// bring back a cone member the one-step check could not confirm — `R(b)`,
-/// derivable only through `R(a)` — which is then *no removal*. Miscounting
-/// either leaves `N(c)` in, or lets `N(b)` into, the top stratum.
+/// Hazards (a) and (b): (a) the top-up can append a tuple the old model
+/// never held — here `R(c)`, reached from the proved `R(a)` once the lower
+/// stratum dropped `B(c)` — which is an *addition* for the stratum above,
+/// and (b) a damaged tuple with a proof — `R(a)`, through `A2(a)` — stays,
+/// and so does `R(b)`, derivable only through it, which is then *no
+/// removal*. Miscounting either leaves `N(c)` in, or lets `N(b)` into, the
+/// top stratum.
 #[test]
-fn rederive_rounds_book_new_tuples_as_added_and_returning_ones_as_kept() {
+fn a_proved_tuple_stays_and_a_new_one_is_booked_as_added() {
     let src = "
         B(x) :- Blk(x).
         R(x) :- A1(x).
@@ -467,10 +496,10 @@ fn rederive_rounds_book_new_tuples_as_added_and_returning_ones_as_kept() {
         assert_eq!(
             m.last_repair(),
             RepairStats {
-                cone: 4,      // B(c); R(a), R(b); N(c)
-                rederived: 2, // R(a) by the check, R(b) by a round
-                added: 1,     // R(c)
-                recomputed_from: None,
+                checked: 3, // B(c); R(a); N(c)
+                proved: 1,  // R(a)
+                deleted: 2, // B(c); N(c)
+                added: 1,   // R(c)
             },
             "{engine:?}"
         );
@@ -525,7 +554,7 @@ fn armed(site: &str) -> EvalOptions {
 }
 
 /// One engine × program × database combination for the sweep. Covers both
-/// repair strategies: delete–rederive (seminaive, stratified, and
+/// repair strategies: Backward/Forward repair (seminaive, stratified, and
 /// well-founded on a stratifiable program) and restart (inflationary, and
 /// well-founded on `WIN` over an odd cycle — which also exercises rollback
 /// of non-empty undefined sets).
@@ -654,17 +683,19 @@ fn failpoint_sweep_rolls_back_every_site_on_every_engine() {
 }
 
 /// Hazard (c): not just the first but *every* failpoint hit of a retract
-/// rolls back bit-identically — on an update repaired in place and on one
-/// that gives up overdeleting and re-evaluates. In the latter every `round`
-/// hit (and all but the first `index-extend` ones) falls inside the
-/// re-evaluation, after ten tuples were swap-removed and the relation
-/// swapped out for a fresh one: the old relation and each extension's
-/// watermarks must already be in the undo log, in that order, for the dense
-/// orders to come back.
+/// rolls back bit-identically — on a path, where the retract deletes in one
+/// round, and on a cycle, where it deletes round after round and proves
+/// one more pair of each row per round. The doomed tuples leave `S` only
+/// once the stratum's deletion loop ends, so every `overdelete-close` and
+/// `rederive-sweep` hit falls before any IDB removal and undoes only the
+/// EDB one. The hits after the swap-removals are the top-up's: its `round`
+/// hit and its `index-extend` hits, where the undo log must bring `S`'s
+/// dense order back through its `IdbRemove` entries.
 #[test]
-fn every_failpoint_hit_rolls_back_in_place_repairs_and_recomputes() {
+fn every_failpoint_hit_rolls_back_a_repair() {
     let program = parse_program(TC).unwrap();
-    for (graph, recomputes) in [(DiGraph::path(6), false), (DiGraph::cycle(5), true)] {
+    // (graph, deleting rounds, tuples deleted)
+    for (graph, rounds, deleted) in [(DiGraph::path(6), 1, 5), (DiGraph::cycle(5), 5, 15)] {
         let db = graph.to_database("E");
         let batch = [("E", db.relation("E").unwrap().dense()[0].clone())];
         for site in [
@@ -675,7 +706,7 @@ fn every_failpoint_hit_rolls_back_in_place_repairs_and_recomputes() {
         ] {
             let mut failures = 0;
             for hit in 1.. {
-                let label = format!("recomputes={recomputes} {site}:{hit}");
+                let label = format!("rounds={rounds} {site}:{hit}");
                 let mut m = handle(&program, &db, Engine::Seminaive);
                 let pre = snapshot(&m);
                 m.set_eval_options(EvalOptions {
@@ -684,8 +715,7 @@ fn every_failpoint_hit_rolls_back_in_place_repairs_and_recomputes() {
                 });
                 let Err(e) = m.retract(&batch) else {
                     // Past the update's last hit of this site.
-                    let from = m.last_repair().recomputed_from;
-                    assert_eq!(from.is_some(), recomputes, "{label}");
+                    assert_eq!(m.last_repair().deleted, deleted, "{label}");
                     break;
                 };
                 failures += 1;
@@ -699,23 +729,25 @@ fn every_failpoint_hit_rolls_back_in_place_repairs_and_recomputes() {
                 assert_eq!(m.retract(&batch).unwrap(), 1, "{label}: retry");
                 assert_matches_recompute(&m, &program, &label);
             }
-            // Every site is on the in-place path; the re-evaluation never
-            // reaches the rederive pass and hits the others repeatedly.
-            match (site, recomputes) {
-                (SITE_REDERIVE_SWEEP, true) => assert_eq!(failures, 0),
-                (_, true) => assert!(failures >= 2, "{site}: {failures} hits"),
-                (_, false) => assert!(failures >= 1, "{site} never hit"),
+            // The deletion loop runs once per deleting round and once more
+            // to find no damage left; the proof search once per deleting
+            // round; the top-up's one round drains an empty seed.
+            match site {
+                SITE_OVERDELETE_CLOSE => assert_eq!(failures, rounds + 1, "{site}"),
+                SITE_REDERIVE_SWEEP => assert_eq!(failures, rounds, "{site}"),
+                SITE_ROUND => assert_eq!(failures, 1, "{site}"),
+                _ => assert!(failures > rounds, "{site}: {failures} hits"),
             }
         }
     }
 }
 
-/// A failure inside a re-evaluation puts back the relations it swapped out
-/// as they were. `Cut` sits above the condemned `S` and the overdeletion
-/// never touched it, so it comes back with its id — the key of its warm
-/// indexes — and keeps that id when the retry patches it.
+/// A failure in a lower stratum's repair leaves the stratum above as it
+/// was. `Cut` sits above the damaged `S` and the repair never reached it,
+/// so it comes back with its id — the key of its warm indexes — and keeps
+/// that id when the retry adds to it.
 #[test]
-fn failpoint_in_a_recompute_puts_the_swapped_out_relation_back() {
+fn a_failpoint_below_leaves_the_stratum_above_with_its_id() {
     let program = parse_program(&format!("{TC} Cut(x, y) :- E(x, y), !S(y, x).")).unwrap();
     // An 8-cycle with a tail: `Cut(v7, v8)` is the one edge on no cycle.
     let graph = DiGraph::from_edges(9, (0..8).map(|i| (i, (i + 1) % 8)).chain([(7, 8)]));
@@ -732,10 +764,9 @@ fn failpoint_in_a_recompute_puts_the_swapped_out_relation_back() {
     assert_eq!(m.interp().get(cut).id(), cut_id, "rollback replaced Cut");
     m.set_eval_options(EvalOptions::sequential());
     assert_eq!(m.retract(&batch).unwrap(), 1);
-    assert_eq!(m.last_repair().recomputed_from, Some(0));
     assert_eq!(m.interp().get(cut).len(), 8);
     assert_eq!(m.interp().get(cut).id(), cut_id, "the retry replaced Cut");
-    assert_matches_recompute(&m, &program, "retried recompute");
+    assert_matches_recompute(&m, &program, "retried repair");
 }
 
 /// A genuine panic inside a repair is contained: the update returns a typed
@@ -934,9 +965,9 @@ fn env_driven_failpoint_rolls_back_the_update() {
         engine: Engine::Seminaive,
         eval: EvalOptions::sequential(),
     };
-    // One retract that re-evaluates (the cycle's whole closure is condemned)
-    // and one repaired in place: every site lies on at least one of the two
-    // paths, and an update the armed site is not on must go through.
+    // A retract on a cycle, which deletes round after round, and one on a
+    // path: every site lies on both, and an update the armed site is not on
+    // must go through.
     let mut fired = false;
     for graph in [DiGraph::cycle(5), DiGraph::path(6)] {
         let db = graph.to_database("E");
