@@ -21,14 +21,14 @@ use std::sync::Arc;
 pub const SITE_ROUND: &str = "round";
 /// Evaluation: index preparation/extension at the start of a Θ application.
 pub const SITE_INDEX_EXTEND: &str = "index-extend";
-/// Evaluation: a deletion round — each round of a materialized repair's
-/// deletion loop (the first before anything is doomed), and each cone
-/// round of the incremental well-founded engine's overdeletion.
-pub const SITE_OVERDELETE_CLOSE: &str = "overdelete-close";
-/// Evaluation: a derivability pass — each proof search of a materialized
-/// repair (once per deletion round with damage left), and the incremental
-/// well-founded engine's rederivation pass.
-pub const SITE_REDERIVE_SWEEP: &str = "rederive-sweep";
+/// Evaluation: a proof round — each prove/doom round of the retract
+/// routine (the first before anything is doomed), which a materialized
+/// repair runs per stratum and the well-founded engine per alternation of
+/// a negative-cycle component.
+pub const SITE_PROOF_ROUND: &str = "proof-round";
+/// Evaluation: a proof search — each batch of damaged tuples the retract
+/// routine checks for a proof (once per proof round with damage left).
+pub const SITE_PROOF_SEARCH: &str = "proof-search";
 /// Evaluation: a genuine `panic!` at a round boundary instead of a typed
 /// error, exercising the `catch_unwind` containment of updates.
 pub const SITE_PANIC: &str = "panic";
@@ -67,8 +67,8 @@ pub const SITE_WRITER_CRASH: &str = "serve-writer-crash";
 pub const EVAL_SITES: &[&str] = &[
     SITE_ROUND,
     SITE_INDEX_EXTEND,
-    SITE_OVERDELETE_CLOSE,
-    SITE_REDERIVE_SWEEP,
+    SITE_PROOF_ROUND,
+    SITE_PROOF_SEARCH,
     SITE_PANIC,
 ];
 /// The durable store's sites.

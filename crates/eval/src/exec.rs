@@ -374,13 +374,11 @@ impl<'a> ExecEnv<'a> {
     }
 }
 
-/// Where emitted tuples go: collected into a relation (Θ application),
-/// short-circuiting on the first witness (derivability probes), or handed
-/// to a visitor binding by binding (the repair's proof search), which
-/// returns `true` to stop.
+/// Where emitted tuples go: collected into a relation (Θ application), or
+/// handed to a visitor binding by binding (the retract routine's proof
+/// search), which returns `true` to stop.
 enum Sink<'o> {
     Collect(&'o mut Relation),
-    First,
     Each(&'o mut dyn FnMut(&[Const]) -> bool),
 }
 
@@ -814,12 +812,12 @@ fn open_cursor<'a>(env: &ExecEnv<'_>, rop: &ROp<'a>, vals: &[Const]) -> Cursor<'
 
 /// Runs the straight-line tail after the innermost loop (filters, register
 /// copies, and the final emit) for one candidate binding. Returns `true`
-/// only when the sink short-circuits: [`Sink::First`] reached its witness,
-/// a [`Sink::Each`] visitor asked to stop, or an active governor tripped on
-/// a collected emit (budget exhausted, cancelled, failpoint) — the trip
-/// rides the same early-return path, and the caller reads the verdict off
-/// the governor. A failed filter or an ordinary collected emit returns
-/// `false` so the fused loop advances to the next candidate.
+/// only when the sink short-circuits: a [`Sink::Each`] visitor asked to
+/// stop, or an active governor tripped on a collected emit (budget
+/// exhausted, cancelled, failpoint) — the trip rides the same early-return
+/// path, and the caller reads the verdict off the governor. A failed filter
+/// or an ordinary collected emit returns `false` so the fused loop advances
+/// to the next candidate.
 #[inline]
 fn run_tail(
     rops: &[ROp<'_>],
@@ -860,7 +858,6 @@ fn run_tail(
                         out.insert(head.iter().map(|&h| value(h, vals)).collect());
                         matches!(gov, Some(g) if g.note_emit())
                     }
-                    Sink::First => true,
                     Sink::Each(visit) => visit(vals),
                 };
             }
@@ -879,8 +876,8 @@ pub(crate) fn run_program(env: &ExecEnv<'_>, prog: &RuleProgram, out: &mut Relat
 
 /// A lowered program resolved once against an environment snapshot —
 /// relations to dense slices, probes to their persistent indexes. Build
-/// once and probe many times: the batch derivability sweeps amortize the
-/// per-op resolution over thousands of head-bound checks. Valid only while
+/// once and probe many times: the proof search amortizes the per-op
+/// resolution over thousands of head-bound checks. Valid only while
 /// the environment's relations stay unmutated.
 pub(crate) struct ResolvedProgram<'a> {
     rops: Vec<ROp<'a>>,
@@ -902,16 +899,9 @@ pub(crate) fn resolve_program<'a>(env: &ExecEnv<'a>, prog: &'a RuleProgram) -> R
 }
 
 impl<'a> ResolvedProgram<'a> {
-    /// Satisfiability probe: does any completion of the pre-seeded
-    /// registers reach `Emit`? Returns on the first witness — the one-step
-    /// derivability checks run entire check-plan bodies through this.
-    pub(crate) fn probe(&self, env: &ExecEnv<'_>, vals: &mut [Const]) -> bool {
-        drive_resolved(env, self, vals, &mut Sink::First)
-    }
-
     /// Witness enumeration: calls `visit` with the registers of every
-    /// completion of the pre-seeded ones that reaches `Emit`, in the
-    /// probe's order, until it returns `true`.
+    /// completion of the pre-seeded ones that reaches `Emit`, in the loop
+    /// nest's order, until it returns `true`.
     pub(crate) fn for_each_witness(
         &self,
         env: &ExecEnv<'_>,

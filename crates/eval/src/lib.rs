@@ -86,6 +86,7 @@ pub mod naive;
 pub mod operator;
 pub mod options;
 pub mod plan;
+mod proof;
 pub mod query;
 pub mod resolve;
 pub mod seminaive;

@@ -26,22 +26,15 @@
 //!      strata add theirs: the heads over the tuples they deleted
 //!      (`PosDelta`) and over the tuples they added under negation
 //!      (`NegDelta`, read permissively).
-//!   2. *Prove*: every damaged tuple still in the model is checked for a
-//!      proof from facts outside doubt. EDB facts and lower-strata tuples
-//!      are final, so they hold when present; a same-stratum tuple is
-//!      checked in turn. The *backward* step visits every witness of a
-//!      tuple — each binding of its head-bound check plan — and checks the
-//!      witness's same-stratum atoms; the *forward* step proves a checked
-//!      tuple once one of its witnesses has all of them proved, and proves
-//!      onward whatever waited on it. Support that only goes round a cycle
-//!      of checked tuples is no proof: a proof bottoms out outside the
-//!      stratum. Both steps run on explicit stacks, each tuple is checked
-//!      at most once per stratum, and nothing mutates while they run.
-//!   3. *Delete*: the damaged tuples left without a proof are doomed, and
-//!      the rule instances they occur in positively are enumerated as new
-//!      damage; heads in higher strata wait for their stratum's turn. Steps
-//!      2 and 3 alternate until no damage is left. Then the doomed tuples
-//!      are swap-removed one by one with their index postings patched
+//!   2. *Prove and doom*: the stratum is the unit in doubt for the retract
+//!      routine shared with the well-founded engine (`proof.rs`), with
+//!      negations reading the model. Every damaged tuple still in the
+//!      model is checked for a proof from facts outside the stratum; the
+//!      ones left without a proof are doomed, and the rule instances they
+//!      occur in positively are the next damage. Heads in higher strata
+//!      wait for their stratum's turn.
+//!   3. *Delete*: the doomed tuples are swap-removed one by one with their
+//!      index postings patched
 //!      ([`IndexSet::patch_swap_remove`](crate::IndexSet)).
 //!   4. *Top-up*: the instances the change *enables* — inserted facts
 //!      through positive EDB occurrences, retracted facts through negated
@@ -74,10 +67,11 @@
 //! search keeps its nodes in a map keyed by relation and dense position,
 //! so it costs what it meets, not what the stratum holds. No bound
 //! switches to re-evaluation. On one edge of a 160-cycle under `tc_cut`,
-//! which deletes half of `S`, overdeleting half the model and
-//! re-evaluating the rest was somewhat faster, mostly because patching
-//! 12 880 removals into `S`'s index one at a time costs more than
-//! rebuilding it (timings in the README's "Incremental updates").
+//! which deletes half of `S`, the repair this replaced — delete every
+//! tuple the change might kill, then re-evaluate — was somewhat faster,
+//! mostly because patching 12 880 removals into `S`'s index one at a time
+//! costs more than rebuilding it (timings in the README's "Incremental
+//! updates").
 //!
 //! The case this matters for is a redundant edge of a strongly connected
 //! graph under transitive closure: every closure pair through the edge is
@@ -122,18 +116,16 @@ use crate::error::EvalError;
 use crate::govern::Governor;
 use crate::inflationary::inflationary_compiled_with;
 use crate::interp::Interp;
-use crate::operator::{self, EvalContext, PlanKind, Witnesses};
+use crate::operator::{self, EvalContext, PlanKind};
 use crate::options::EvalOptions;
-use crate::plan::{CTerm, PredRef, RLit};
+use crate::proof;
 use crate::resolve::CompiledProgram;
 use crate::stratified::stratified_eval_compiled_with;
 use crate::wellfounded::well_founded_compiled_with;
 use crate::Result;
-use inflog_core::failpoints::{SITE_OVERDELETE_CLOSE, SITE_REDERIVE_SWEEP};
-use inflog_core::{Const, Database, FxBuildHasher, Relation, Tuple};
+use inflog_core::{Const, Database, Relation, Tuple};
 use inflog_store::{WalOp, WalRecord};
 use inflog_syntax::{Literal, Program};
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Which fixpoint a program denotes: the one semantics parameter of batch
@@ -1031,13 +1023,10 @@ impl Materialized {
         let mut added_acc = self.cp.empty_interp();
         let mut removed_acc = self.cp.empty_interp();
         let mut heads = self.cp.empty_interp();
-        let mut doomed = self.cp.empty_interp();
-        let mut deleted = self.cp.empty_interp();
         let mut seed = self.cp.empty_interp();
         let mut scratch = self.cp.empty_interp();
         // Damage enumeration reads negated IDB literals permissively.
-        let empty_neg = self.cp.empty_interp();
-        let permissive = Some(&empty_neg);
+        let permissive = self.cp.empty_interp();
 
         let cp = Arc::clone(&self.cp);
         let strata = cp.strata().expect("a repairing handle has strata");
@@ -1053,7 +1042,7 @@ impl Materialized {
                     Some(rules),
                     PlanKind::NegDelta,
                     &added_acc,
-                    permissive,
+                    Some(&permissive),
                     &mut heads,
                     gov,
                 )?;
@@ -1062,70 +1051,23 @@ impl Materialized {
                 }
             }
 
-            // Prove what the damage put in doubt; doom what has no proof and
-            // take the instances it occurs in as the next damage. A round's
-            // consequences are enumerated while every tuple doomed so far is
-            // still in `s`, so an instance is seen at the first round that
-            // dooms one of its atoms; heads of higher strata park in
+            // Prove what the damage put in doubt and doom what has no proof,
+            // negations reading the model; heads of higher strata park in
             // `pending` until their stratum. The doomed tuples leave `s`
-            // together once no damage is left, so dense positions — the
-            // search's names for tuples — hold still until then.
-            let mut proofs: Option<Proofs> = None;
-            for i in 0..num_idb {
-                deleted.get_mut(i).clear();
-            }
-            loop {
-                if let Some(g) = gov {
-                    g.fail_at(SITE_OVERDELETE_CLOSE)?;
-                }
-                let mut damaged = Vec::new();
-                for i in (0..num_idb).filter(|&i| strata.of_idb[i] == k) {
-                    let rel = self.s.get(i);
-                    damaged.extend(
-                        pending
-                            .get(i)
-                            .dense()
-                            .iter()
-                            .filter_map(|t| rel.position(t).map(|pos| (i, pos))),
-                    );
-                    pending.get_mut(i).clear();
-                }
-                if damaged.is_empty() {
-                    break;
-                }
-                if let Some(g) = gov {
-                    g.fail_at(SITE_REDERIVE_SWEEP)?;
-                }
-                operator::sync_check_indexes(&self.cp, &self.ctx, &self.s);
-                for i in 0..num_idb {
-                    doomed.get_mut(i).clear();
-                }
-                let s = &self.s;
-                let proofs = proofs.get_or_insert_with(|| Proofs::new(&cp, k));
-                operator::with_witnesses(&self.cp, &self.ctx, s, |witnesses| {
-                    for (i, pos) in damaged {
-                        if proofs.doomed(i, pos, s, witnesses, gov)? {
-                            doomed.insert(i, s.get(i).dense()[pos].clone());
-                        }
-                    }
-                    Ok::<(), EvalError>(())
-                })?;
-                if doomed.total_tuples() == 0 {
-                    break;
-                }
-                self.apply_through_delta(
-                    None,
-                    PlanKind::PosDelta,
-                    &doomed,
-                    permissive,
-                    &mut heads,
-                    gov,
-                )?;
-                for i in 0..num_idb {
-                    deleted.get_mut(i).union_with(doomed.get(i));
-                    pending.get_mut(i).union_with(heads.get(i));
-                }
-            }
+            // together afterwards.
+            let doubt: Vec<bool> = strata.of_idb.iter().map(|&j| j == k).collect();
+            let unproved = proof::unproved(
+                &self.cp,
+                &self.ctx,
+                &self.s,
+                &self.s,
+                &doubt,
+                None,
+                None,
+                &mut pending,
+                gov,
+            )?;
+            let mut deleted = unproved.tuples;
             for i in 0..num_idb {
                 let rel = self.s.get_mut(i);
                 for t in deleted.get(i).dense() {
@@ -1140,10 +1082,8 @@ impl Materialized {
                     });
                 }
             }
-            if let Some(proofs) = proofs {
-                stats.checked += proofs.checked;
-                stats.proved += proofs.kept;
-            }
+            stats.checked += unproved.checked;
+            stats.proved += unproved.proved;
             stats.deleted += deleted.total_tuples();
 
             // Everything appended past `marks` from here on either comes
@@ -1276,274 +1216,6 @@ fn log_watermarks(s: &Interp, log: &mut Vec<UndoOp>) {
             idb,
             before: rel.len(),
         });
-    }
-}
-
-/// One stratum's Backward/Forward proof search (the module docs' step 2):
-/// the tuples met so far, which were checked and which proved, and the
-/// witnesses still waiting on an unproved atom. Tuples are known by their
-/// dense position, which holds still while the stratum's deletions wait.
-///
-/// A proved tuple stays proved. A tuple checked but unproved once the
-/// search is back at the top has no proof: each of its witnesses waits on
-/// an atom that is itself checked and unproved, so no proof can reach it
-/// later either. That keeps every tuple to one check per stratum.
-struct Proofs<'p> {
-    /// The same-stratum positive IDB atoms of each rule's body, by rule;
-    /// empty for the rules of other strata.
-    atoms: Vec<Vec<(usize, &'p [CTerm])>>,
-    /// The node of each tuple met, by IDB id and dense position. A map
-    /// rather than a slot per tuple, so a search pays for what it meets
-    /// rather than for what the stratum holds.
-    slots: HashMap<(u32, u32), u32, FxBuildHasher>,
-    nodes: Vec<Node>,
-    /// Per witness: its head's node, and how many of its atoms are not
-    /// proved yet.
-    witnesses: Vec<(u32, u32)>,
-    /// The lists of witnesses waiting on a node, threaded through one
-    /// arena: (witness, next entry).
-    waits: Vec<(u32, u32)>,
-    /// The backward step's stack.
-    stack: Vec<Frame>,
-    /// The atoms the backward step's frames have yet to check, each frame's
-    /// above its parent's.
-    pending: Vec<u32>,
-    /// The forward step's queue of newly proved nodes.
-    queue: Vec<u32>,
-    /// Tuples checked.
-    checked: usize,
-    /// Damaged tuples proved.
-    kept: usize,
-}
-
-/// A tuple the proof search met.
-struct Node {
-    idb: u32,
-    pos: u32,
-    checked: bool,
-    proved: bool,
-    /// Whether the tuple was damaged: kept if proved, else deleted.
-    damaged: bool,
-    /// Whether the tuple was damaged and found without a proof.
-    doomed: bool,
-    /// The first entry of the `waits` list of this tuple, or [`NONE`].
-    waits: u32,
-}
-
-/// A checked tuple on the backward step's stack: `pending[start..end]`
-/// are the atoms its witnesses waited on when registered, and `next` the
-/// first one not yet checked.
-struct Frame {
-    node: u32,
-    start: usize,
-    next: usize,
-    end: usize,
-}
-
-/// No node, or the end of a `waits` list.
-const NONE: u32 = u32::MAX;
-
-/// Checks between two polls of the governor's deadline and cancellation.
-const PROOF_POLL: usize = 1 << 8;
-
-impl<'p> Proofs<'p> {
-    /// The search of stratum `k`.
-    fn new(cp: &'p CompiledProgram, k: usize) -> Proofs<'p> {
-        let strata = cp.strata().expect("a repairing handle has strata");
-        let atoms = cp
-            .rules
-            .iter()
-            .map(|rule| {
-                if strata.of_idb[rule.head_pred] != k {
-                    return Vec::new();
-                }
-                rule.body
-                    .iter()
-                    .filter_map(|lit| match lit {
-                        RLit::Pos {
-                            pred: PredRef::Idb(j),
-                            terms,
-                        } if strata.of_idb[*j] == k => Some((*j, terms.as_slice())),
-                        _ => None,
-                    })
-                    .collect()
-            })
-            .collect();
-        Proofs {
-            atoms,
-            slots: HashMap::default(),
-            nodes: Vec::new(),
-            witnesses: Vec::new(),
-            waits: Vec::new(),
-            stack: Vec::new(),
-            pending: Vec::new(),
-            queue: Vec::new(),
-            checked: 0,
-            kept: 0,
-        }
-    }
-
-    /// Judges the damaged tuple at dense position `pos` of IDB `idb`:
-    /// `true` if it has no proof and is to be deleted; `false` if it has
-    /// one, or was judged before.
-    fn doomed(
-        &mut self,
-        idb: usize,
-        pos: usize,
-        s: &Interp,
-        witnesses: &mut Witnesses<'_>,
-        gov: Option<&Governor>,
-    ) -> Result<bool> {
-        let n = self.node(idb, pos);
-        if self.nodes[n as usize].damaged {
-            return Ok(false);
-        }
-        self.nodes[n as usize].damaged = true;
-        let proved = self.prove(n, s, witnesses, gov)?;
-        self.kept += usize::from(proved);
-        self.nodes[n as usize].doomed = !proved;
-        Ok(!proved)
-    }
-
-    /// Whether node `root` has a proof, checking it first if it was not.
-    /// The backward step walks an explicit stack: a proof can be as deep
-    /// as a relation is long.
-    fn prove(
-        &mut self,
-        root: u32,
-        s: &Interp,
-        witnesses: &mut Witnesses<'_>,
-        gov: Option<&Governor>,
-    ) -> Result<bool> {
-        if !self.nodes[root as usize].checked {
-            self.stack.clear();
-            self.pending.clear();
-            let frame = self.open(root, s, witnesses, gov)?;
-            self.stack.push(frame);
-            while let Some(top) = self.stack.last_mut() {
-                if self.nodes[top.node as usize].proved || top.next == top.end {
-                    self.pending.truncate(top.start);
-                    self.stack.pop();
-                    continue;
-                }
-                let atom = self.pending[top.next];
-                top.next += 1;
-                if !self.nodes[atom as usize].checked {
-                    let frame = self.open(atom, s, witnesses, gov)?;
-                    self.stack.push(frame);
-                }
-            }
-        }
-        Ok(self.nodes[root as usize].proved)
-    }
-
-    /// The backward step: checks node `n` by registering every witness of
-    /// its tuple with the atoms it waits on — proving `n` at once if one
-    /// waits on none. A witness through a doomed tuple, which stays in `s`
-    /// until the stratum's deletions, can never complete and is dropped.
-    fn open(
-        &mut self,
-        n: u32,
-        s: &Interp,
-        witnesses: &mut Witnesses<'_>,
-        gov: Option<&Governor>,
-    ) -> Result<Frame> {
-        self.checked += 1;
-        if let Some(g) = gov {
-            if self.checked.is_multiple_of(PROOF_POLL) {
-                g.poll_signals()?;
-            }
-        }
-        let node = &mut self.nodes[n as usize];
-        node.checked = true;
-        let idb = node.idb as usize;
-        let tuple = &s.get(idb).dense()[node.pos as usize];
-        let start = self.pending.len();
-        witnesses.each(idb, tuple, |rule, regs| {
-            let first = self.pending.len();
-            for i in 0..self.atoms[rule].len() {
-                let (j, terms) = self.atoms[rule][i];
-                let t: Tuple = terms
-                    .iter()
-                    .map(|term| match *term {
-                        CTerm::Var(v) => regs[v],
-                        CTerm::Const(c) => c,
-                    })
-                    .collect();
-                let pos = s
-                    .get(j)
-                    .position(&t)
-                    .expect("a witness's atoms hold in the state it was found in");
-                let atom = self.node(j, pos);
-                if self.nodes[atom as usize].doomed {
-                    self.pending.truncate(first);
-                    return false;
-                }
-                if !self.nodes[atom as usize].proved {
-                    self.pending.push(atom);
-                }
-            }
-            if self.pending.len() == first {
-                self.set_proved(n);
-                return true;
-            }
-            let w = self.witnesses.len() as u32;
-            self.witnesses
-                .push((n, (self.pending.len() - first) as u32));
-            for i in first..self.pending.len() {
-                let atom = &mut self.nodes[self.pending[i] as usize];
-                self.waits.push((w, atom.waits));
-                atom.waits = (self.waits.len() - 1) as u32;
-            }
-            false
-        });
-        Ok(Frame {
-            node: n,
-            start,
-            next: start,
-            end: self.pending.len(),
-        })
-    }
-
-    /// The forward step: proves the checked node `n` and, through the
-    /// witnesses waiting on it, every checked node it completes a witness
-    /// of.
-    fn set_proved(&mut self, n: u32) {
-        self.nodes[n as usize].proved = true;
-        self.queue.push(n);
-        while let Some(x) = self.queue.pop() {
-            let mut entry = std::mem::replace(&mut self.nodes[x as usize].waits, NONE);
-            while entry != NONE {
-                let (w, next) = self.waits[entry as usize];
-                entry = next;
-                let (head, open) = &mut self.witnesses[w as usize];
-                *open -= 1;
-                let head = *head;
-                if *open == 0 && !self.nodes[head as usize].proved {
-                    self.nodes[head as usize].proved = true;
-                    self.queue.push(head);
-                }
-            }
-        }
-    }
-
-    /// The node of the tuple at dense position `pos` of IDB `idb`, met now
-    /// if it was not before.
-    fn node(&mut self, idb: usize, pos: usize) -> u32 {
-        let next = self.nodes.len() as u32;
-        let slot = *self.slots.entry((idb as u32, pos as u32)).or_insert(next);
-        if slot == next {
-            self.nodes.push(Node {
-                idb: idb as u32,
-                pos: pos as u32,
-                checked: false,
-                proved: false,
-                damaged: false,
-                doomed: false,
-                waits: NONE,
-            });
-        }
-        slot
     }
 }
 
@@ -1834,15 +1506,20 @@ mod tests {
             let governor = Governor::new(&opts);
             let cp = Arc::clone(&m.cp);
             let r = cp.idb_id("R").unwrap();
-            let mut proofs = Proofs::new(&cp, cp.strata().unwrap().of_idb[r]);
+            let doubt: Vec<bool> = (0..cp.num_idb()).map(|i| i == r).collect();
+            let mut proofs = proof::Proofs::new(&cp, &doubt, None);
             let x0 = m.named_tuple(&["x0"]).unwrap();
             let pos = m.s.get(r).position(&x0).unwrap();
             operator::sync_check_indexes(&m.cp, &m.ctx, &m.s);
-            let err = operator::with_witnesses(&m.cp, &m.ctx, &m.s, |w| {
+            let err = operator::with_witnesses(&m.cp, &m.ctx, &m.s, &m.s, |w| {
                 proofs.doomed(r, pos, &m.s, w, governor.as_active())
             })
             .unwrap_err();
-            assert_eq!(proofs.checked, PROOF_POLL, "{err:?}: not at the first poll");
+            assert_eq!(
+                proofs.checked,
+                proof::PROOF_POLL,
+                "{err:?}: not at the first poll"
+            );
 
             let pre = (m.interp().clone(), m.database().clone());
             m.set_eval_options(opts);

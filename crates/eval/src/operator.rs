@@ -47,7 +47,7 @@ use crate::govern::Governor;
 use crate::index::IndexSet;
 use crate::interp::Interp;
 use crate::plan::{CTerm, Plan, PredRef, Source, Step};
-use crate::resolve::{CompiledProgram, CompiledRule, RulePlans};
+use crate::resolve::{CompiledProgram, RulePlans};
 #[cfg(debug_assertions)]
 use crate::tree;
 use crate::Result;
@@ -465,8 +465,8 @@ pub fn enumerate_bindings(plan: &Plan, ctx: &EvalContext) -> Vec<Tuple> {
 
 /// Synchronizes the persistent indexes probed by the **check plans** with
 /// the current state of `s` (and the EDB). Call before a
-/// [`derivable_batch`] pass; between passes, only relations that grew need
-/// to be (and are) consumed incrementally.
+/// [`with_witnesses`] search; between searches, only relations that grew
+/// need to be (and are) consumed incrementally.
 pub(crate) fn sync_check_indexes(cp: &CompiledProgram, ctx: &EvalContext, s: &Interp) {
     let mut indexes = ctx.write_indexes();
     indexes.begin_application();
@@ -475,78 +475,12 @@ pub(crate) fn sync_check_indexes(cp: &CompiledProgram, ctx: &EvalContext, s: &In
     }
 }
 
-/// Batch one-step derivability: for every tuple of `list`, is it derivable
-/// as IDB predicate `pred` by some rule instance, with positive IDB atoms
-/// read from `s` and negative IDB literals read from `neg`? `confirm` is
-/// invoked with the position of each derivable one.
-///
-/// Each candidate rule's check plan runs with the head variables pre-bound
-/// from the tuple, so body atoms probe the persistent hash-join indexes
-/// (prepare them with [`sync_check_indexes`]) and the search exits on the
-/// first witness. `s` must stay unmutated across the whole batch — that
-/// lets each rule's check program be resolved against the environment
-/// **once** and reused for all tuples (the rederivation pass of the
-/// incremental well-founded engine runs tens of thousands of these).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn derivable_batch(
-    cp: &CompiledProgram,
-    ctx: &EvalContext,
-    pred: usize,
-    list: &[Tuple],
-    s: &Interp,
-    neg: &Interp,
-    mut confirm: impl FnMut(usize),
-) {
-    let indexes = ctx.read_indexes();
-    let env = ExecEnv {
-        ctx,
-        s,
-        delta: None,
-        neg,
-        indexes: &indexes,
-        gov: None,
-    };
-    let rules: Vec<&CompiledRule> = cp.rules.iter().filter(|r| r.head_pred == pred).collect();
-    let resolved: Vec<exec::ResolvedProgram<'_>> = rules
-        .iter()
-        .map(|r| exec::resolve_program(&env, &r.check_plan.program))
-        .collect();
-    let mut vals: Vec<Const> = Vec::new();
-    let mut bound: Vec<bool> = Vec::new();
-    for (ti, tuple) in list.iter().enumerate() {
-        'rules: for (ri, rule) in rules.iter().enumerate() {
-            vals.clear();
-            vals.resize(rule.num_vars, Const(0));
-            bound.clear();
-            bound.resize(rule.num_vars, false);
-            if !unify_head(&rule.head_terms, tuple, &mut vals, &mut bound) {
-                continue;
-            }
-            #[cfg(debug_assertions)]
-            let expected = tree::probe_plan(
-                &env,
-                &rule.check_plan,
-                &mut vals.clone(),
-                &mut bound.clone(),
-            );
-            let hit = resolved[ri].probe(&env, &mut vals);
-            #[cfg(debug_assertions)]
-            assert_eq!(
-                hit, expected,
-                "VM probe diverged from the tree oracle in derivable_batch"
-            );
-            if hit {
-                confirm(ti);
-                break 'rules;
-            }
-        }
-    }
-}
-
 /// The check plans of every rule, resolved once against an unmutated `s`:
-/// the backward step of materialized-view repair's proof search. Where
-/// [`derivable_batch`] stops at a tuple's first witness, [`Witnesses::each`]
-/// visits every one. Build it with [`with_witnesses`].
+/// the backward step of the retract routine's proof search. Each check
+/// runs with the head variables pre-bound from the tuple, so body atoms
+/// probe the persistent hash-join indexes, and resolving each rule's check
+/// program once serves every tuple of the search. Build it with
+/// [`with_witnesses`].
 pub(crate) struct Witnesses<'a> {
     cp: &'a CompiledProgram,
     env: ExecEnv<'a>,
@@ -556,12 +490,14 @@ pub(crate) struct Witnesses<'a> {
 }
 
 /// Runs `search` with the [`Witnesses`] of `cp`'s rules over `s`, positive
-/// and negated IDB literals both reading `s`. Prepare the indexes with
-/// [`sync_check_indexes`] first; `s` cannot change while `search` runs.
+/// IDB literals reading `s` and negated ones `neg`. Prepare the indexes
+/// with [`sync_check_indexes`] first; `s` cannot change while `search`
+/// runs.
 pub(crate) fn with_witnesses<R>(
     cp: &CompiledProgram,
     ctx: &EvalContext,
     s: &Interp,
+    neg: &Interp,
     search: impl FnOnce(&mut Witnesses<'_>) -> R,
 ) -> R {
     let indexes = ctx.read_indexes();
@@ -569,7 +505,7 @@ pub(crate) fn with_witnesses<R>(
         ctx,
         s,
         delta: None,
-        neg: s,
+        neg,
         indexes: &indexes,
         gov: None,
     };

@@ -80,38 +80,26 @@
 //!    `U_{k-1} \ U_k` — [`DeltaDriver::extend_from_removed`] restarts the
 //!    fixpoint from exactly those (no full Θ application at all).
 //!
-//! 3. **U by deletion propagation.** `U` is decreasing
-//!    (`U_k ⊆ U_{k-1}`), so instead of recomputing `lfp(Γ_{T_k})` the
-//!    engine *edits* `U_{k-1}` in place, DRed-style:
+//! 3. **U by retract.** `U` is decreasing (`U_k ⊆ U_{k-1}`), so instead
+//!    of recomputing `lfp(Γ_{T_k})` the engine *retracts* from `U_{k-1}`
+//!    in place, by the Backward/Forward routine the materialized handle
+//!    repairs with (`proof.rs`), with the component as the unit in doubt:
 //!    * **damage**: an instance alive under `T_{k-1}` dies only through a
 //!      negated atom in `ΔT_k` — the rules' neg-delta plans, driven by
 //!      `ΔT_k` with IDB negations evaluated permissively (an
 //!      over-approximation is fine here), enumerate every possibly-dead
 //!      head;
-//!    * **overdelete**: the damage cone is closed through positive IDB
-//!      dependencies (pos-delta plans driven by each deletion frontier,
-//!      before the frontier leaves `U`), never crossing into `T`
-//!      (`T_k ⊆ U_k` always survives). Cone members are removed from `U`
-//!      with [`EvalContext`]-patched deletions, so the persistent indexes
-//!      stay warm instead of rebuilding;
-//!    * **rederive**: every cone member that is still one-step derivable
-//!      from the surviving `U` (negations frozen at `T_k`) is confirmed
-//!      back, to closure. Confirmation uses per-rule **check plans** whose
-//!      head variables are pre-bound, so each check probes the persistent
-//!      hash-join indexes instead of scanning — this is a chaotic iteration
-//!      of the monotone frozen operator from a seed below its fixpoint, so
-//!      it lands exactly on `lfp(Γ_{T_k})`.
+//!    * **prove and doom**: each damaged tuple is checked for a proof in
+//!      `U_{k-1}` with negations frozen at `T_k`, from the final lower
+//!      components and from `T_k`, which is known to hold (`T_k ⊆ U_k`).
+//!      The tuples left without one, and whatever loses its last proof
+//!      with them, are doomed and removed from `U` with [`EvalContext`]-
+//!      patched deletions, so the persistent indexes stay warm instead of
+//!      rebuilding.
 //!
-//!    The unconfirmed leftovers are exactly `U_{k-1} \ U_k` — precisely the
+//!    Freezing more negation enables no rule instance, so nothing comes
+//!    back: the doomed tuples are exactly `U_{k-1} \ U_k` — precisely the
 //!    removed set the next `T` restart round needs.
-//!
-//! Soundness of the overdeletion (nothing outside the cone can die): a
-//! tuple of `U_{k-1} \ T_k` outside the cone has a derivation tree in which
-//! every instance has no negated atom in `ΔT_k` (else its head would be
-//! damage) and every positive IDB child either lies in `T_k ⊆ U_k` or is
-//! itself outside the cone — by induction on the finite tree it remains
-//! derivable under `(U', T_k)`, so deleting only cone members is safe, and
-//! rederivation restores the cone's surviving part exactly.
 
 use crate::driver::DeltaDriver;
 use crate::govern::Governor;
@@ -119,10 +107,10 @@ use crate::interp::Interp;
 use crate::materialize::Engine;
 use crate::operator::{self, EvalContext};
 use crate::options::EvalOptions;
+use crate::proof;
 use crate::resolve::{CompiledProgram, RuleComponent};
 use crate::Result;
-use inflog_core::failpoints::{SITE_OVERDELETE_CLOSE, SITE_REDERIVE_SWEEP};
-use inflog_core::{Database, Tuple};
+use inflog_core::Database;
 use inflog_syntax::Program;
 
 /// The 3-valued well-founded model.
@@ -162,9 +150,9 @@ pub fn well_founded(program: &Program, db: &Database) -> Result<WellFoundedModel
 /// component, incrementally inside negative cycles (see the module docs for
 /// the construction and its soundness). The governed form checks budget,
 /// cancellation and failpoints at every round boundary of every inner
-/// fixpoint, at every alternation, at every overdeletion-closure frontier,
-/// before every rederive sweep, and every few thousand emitted tuples. One
-/// budget spans the whole evaluation.
+/// fixpoint, at every alternation, at every round and search of the `U`
+/// side's proof routine, every few thousand emitted tuples and every 256
+/// proof checks. One budget spans the whole evaluation.
 ///
 /// # Errors
 /// [`EvalError::Cancelled`](crate::EvalError::Cancelled),
@@ -226,13 +214,15 @@ fn alternate(
     let gov = governor.as_active();
     let rules = Some(comp.rules.as_slice());
     let preds = &comp.preds;
+    let mut doubt = vec![false; cp.num_idb()];
+    for &i in preds {
+        doubt[i] = true;
+    }
     // Scratch, reused across alternations. Only the component's predicates
-    // are ever filled, so a delta or neg-delta plan scanning a lower
-    // predicate's slot sees nothing there.
+    // are ever filled, so a neg-delta plan scanning a lower predicate's
+    // slot sees nothing there.
     let mut delta_t = cp.empty_interp(); // ΔT_k — drives damage enumeration
-    let mut frontier = cp.empty_interp(); // current overdeletion frontier
-    let mut heads = cp.empty_interp(); // enumeration output buffer
-    let mut removed = cp.empty_interp(); // U_{k-1} \ U_k — drives the T restart
+    let mut damage = cp.empty_interp();
     let empty_neg = cp.empty_interp(); // permissive negation context (damage)
 
     // Dense length of each predicate's `t` at the previous alternation.
@@ -258,8 +248,8 @@ fn alternate(
             *mark = t.get(i).len();
         }
 
-        // ---- U side: U_{k-1} → U_k = lfp(Γ_{T_k}) by overdelete + rederive.
-        // Damage: heads of instances killed by a negation over ΔT_k.
+        // ---- U side: U_{k-1} → U_k = lfp(Γ_{T_k}) by retract. Damage:
+        // heads of instances killed by a negation over ΔT_k.
         operator::apply_general_into(
             cp,
             ctx,
@@ -269,103 +259,27 @@ fn alternate(
             Some(operator::DeltaSource::Interp(&delta_t)),
             Some(&empty_neg),
             None,
-            &mut heads,
+            &mut damage,
             gov,
         )?;
-        // Overdeletion cone, closed through positive IDB dependencies. A
-        // frontier is enumerated from `u` *before* it is removed, so every
-        // dependent instance is seen at the first frontier touching it.
-        let mut cone: Vec<Vec<Tuple>> = vec![Vec::new(); preds.len()];
-        loop {
-            if let Some(g) = gov {
-                g.fail_at(SITE_OVERDELETE_CLOSE)?;
-                g.check()?;
+        // The damaged tuples left without a proof, negations frozen at
+        // T_k ⊆ U_k, are exactly U_{k-1} \ U_k: the tuples that just became
+        // false, driving the T restart round.
+        let removed =
+            proof::unproved(cp, ctx, u, t, &doubt, Some(t), rules, &mut damage, gov)?.tuples;
+        for &i in preds {
+            for tuple in removed.get(i).dense() {
+                let _ = ctx.remove_patched(u.get_mut(i), tuple);
             }
-            let mut any = false;
-            for &i in preds {
-                let fr = frontier.get_mut(i);
-                fr.clear();
-                for tuple in heads.get(i).dense() {
-                    if u.get(i).contains(tuple) && !t.get(i).contains(tuple) {
-                        fr.insert(tuple.clone());
-                        any = true;
-                    }
-                }
-            }
-            if !any {
-                break;
-            }
-            operator::apply_general_into(
-                cp,
-                ctx,
-                u,
-                rules,
-                operator::PlanKind::PosDelta,
-                Some(operator::DeltaSource::Interp(&frontier)),
-                Some(&empty_neg),
-                None,
-                &mut heads,
-                gov,
-            )?;
-            for (&i, list) in preds.iter().zip(&mut cone) {
-                for tuple in frontier.get(i).dense() {
-                    let _ = ctx.remove_patched(u.get_mut(i), tuple);
-                    list.push(tuple.clone());
-                }
-            }
-        }
-        // Rederive: seed with the cone members still one-step derivable
-        // from the surviving `u` (negations frozen at T_k) — index-backed
-        // checks with the head pre-bound, `u` untouched during the sweep —
-        // then close under the frozen operator semi-naively. A cone member
-        // missed by the sweep becomes derivable only when a positive IDB
-        // atom of some rule instance re-enters `u`, so the delta rounds of
-        // [`DeltaDriver::extend_seeded`] confirm exactly the rest of the
-        // surviving cone: `u` stays a subset of `lfp(Γ_{T_k})` throughout
-        // (overdeletion soundness, module docs), and a monotone fixpoint
-        // seeded from below lands on it exactly. The previous formulation —
-        // full re-sweeps of the cone until no check confirmed — did
-        // `O(cone × sweeps)` derivability checks; this does one per cone
-        // member plus batch delta rounds.
-        {
-            if let Some(g) = gov {
-                g.fail_at(SITE_REDERIVE_SWEEP)?;
-            }
-            operator::sync_check_indexes(cp, ctx, u);
-            // `frontier` is free after the overdeletion loop; reuse it as
-            // the seed buffer for the rederive rounds.
-            for (&i, list) in preds.iter().zip(&cone) {
-                let seed = frontier.get_mut(i);
-                seed.clear();
-                operator::derivable_batch(cp, ctx, i, list, u, t, |k| {
-                    seed.insert(list[k].clone());
-                });
-            }
-            driver.extend_seeded(cp, ctx, u, rules, Some(t), &frontier, None, governor)?;
         }
         #[cfg(debug_assertions)]
         debug_check_u(cp, ctx, comp, t, u);
-
-        // The cone members that were never rederived back into `u` are
-        // exactly U_{k-1} \ U_k: the tuples that just became false, driving
-        // the T restart round.
-        let mut any_removed = false;
-        for (&i, list) in preds.iter().zip(cone) {
-            let rrel = removed.get_mut(i);
-            rrel.clear();
-            for tuple in list {
-                if !u.get(i).contains(&tuple) {
-                    rrel.insert(tuple);
-                    any_removed = true;
-                }
-            }
-        }
 
         // T_{k+1} = Γ_C(U_k), warm-started from T_k ⊆ T_{k+1}. T_k is the
         // fixpoint of the previous context U_{k-1}, so only derivations a
         // negation newly enables (its atom left U) can be new — the
         // removed-driven restart round finds exactly those.
-        added = if any_removed {
+        added = if removed.total_tuples() > 0 {
             driver.extend_from_removed(cp, ctx, t, rules, &removed, u, None, governor)?
         } else {
             0 // U unchanged ⟹ Γ(U_k) = Γ(U_{k-1}) = T_k already.
@@ -376,12 +290,12 @@ fn alternate(
     Ok(alternations)
 }
 
-/// Debug-build invariants after one overdelete/rederive pass of `comp`:
-/// every index over the component's `u` relations is still sorted and
-/// complete (one postings sweep per alternation, not per patched removal —
-/// that would make debug-build overdeletion quadratic), and `u` landed
-/// exactly on `lfp(Γ_C(T_k))`, the set a naive `Γ_C` from ∅ computes over
-/// the same lower components.
+/// Debug-build invariants after one retract of `comp`'s `u`: every index
+/// over the component's `u` relations is still sorted and complete (one
+/// postings sweep per alternation, not per patched removal — that would
+/// make debug-build retracts quadratic), and `u` landed exactly on
+/// `lfp(Γ_C(T_k))`, the set a naive `Γ_C` from ∅ computes over the same
+/// lower components.
 #[cfg(debug_assertions)]
 fn debug_check_u(
     cp: &CompiledProgram,
@@ -428,6 +342,7 @@ fn debug_check_u(
 mod tests {
     use super::*;
     use crate::stratified::stratified_eval;
+    use inflog_core::failpoints::{SITE_PROOF_ROUND, SITE_PROOF_SEARCH};
     use inflog_core::graphs::DiGraph;
     use inflog_core::Tuple;
     use inflog_syntax::parse_program;
@@ -566,7 +481,7 @@ mod tests {
         )
         .unwrap();
         let db = DiGraph::path(8).to_database("Move");
-        for site in [SITE_OVERDELETE_CLOSE, SITE_REDERIVE_SWEEP] {
+        for site in [SITE_PROOF_ROUND, SITE_PROOF_SEARCH] {
             let opts = EvalOptions {
                 failpoints: inflog_core::failpoints::Failpoints::armed(site, 1),
                 ..EvalOptions::sequential()

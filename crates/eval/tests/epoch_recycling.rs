@@ -219,7 +219,7 @@ fn churn_publishes_recycled_epochs_equal_to_deep_copies_on_every_engine() {
             // the odd publish straddling two of them may recycle.
             assert!(copied > 5 * recycled, "{engine:?}: {recycled} recycled");
         } else {
-            // Delete–rederive: everything but each churn's first publish.
+            // Repair by proof: everything but each churn's first publish.
             assert_eq!(copied, graphs.len(), "{engine:?}: {recycled} recycled");
         }
     }

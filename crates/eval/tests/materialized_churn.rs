@@ -26,8 +26,8 @@
 //! coverage on deliberately slow programs.
 
 use inflog_core::failpoints::{
-    Failpoints, EVAL_SITES, SITE_INDEX_EXTEND, SITE_OVERDELETE_CLOSE, SITE_PANIC,
-    SITE_REDERIVE_SWEEP, SITE_ROUND,
+    Failpoints, EVAL_SITES, SITE_INDEX_EXTEND, SITE_PANIC, SITE_PROOF_ROUND, SITE_PROOF_SEARCH,
+    SITE_ROUND,
 };
 use inflog_core::graphs::DiGraph;
 use inflog_core::{Database, Tuple};
@@ -612,7 +612,7 @@ fn workloads() -> Vec<Workload> {
 /// failpoint must leave the handle bit-identical to its pre-update state
 /// (model, undefined sets, *and* database) and fully usable — the retried
 /// batch goes through and lands on the recompute. A site that is not on
-/// the update's path (e.g. the overdelete cone during a pure insert) must
+/// the update's path (e.g. the proof search during a pure insert) must
 /// not disturb a normal update. Every site must fire somewhere in the
 /// sweep — a registered site the sweep cannot reach would be dead code —
 /// and the `panic` site, which sits on every round boundary, must fire on
@@ -686,8 +686,8 @@ fn failpoint_sweep_rolls_back_every_site_on_every_engine() {
 /// rolls back bit-identically — on a path, where the retract deletes in one
 /// round, and on a cycle, where it deletes round after round and proves
 /// one more pair of each row per round. The doomed tuples leave `S` only
-/// once the stratum's deletion loop ends, so every `overdelete-close` and
-/// `rederive-sweep` hit falls before any IDB removal and undoes only the
+/// once the stratum's prove/doom loop ends, so every `proof-round` and
+/// `proof-search` hit falls before any IDB removal and undoes only the
 /// EDB one. The hits after the swap-removals are the top-up's: its `round`
 /// hit and its `index-extend` hits, where the undo log must bring `S`'s
 /// dense order back through its `IdbRemove` entries.
@@ -701,8 +701,8 @@ fn every_failpoint_hit_rolls_back_a_repair() {
         for site in [
             SITE_ROUND,
             SITE_INDEX_EXTEND,
-            SITE_OVERDELETE_CLOSE,
-            SITE_REDERIVE_SWEEP,
+            SITE_PROOF_ROUND,
+            SITE_PROOF_SEARCH,
         ] {
             let mut failures = 0;
             for hit in 1.. {
@@ -733,8 +733,8 @@ fn every_failpoint_hit_rolls_back_a_repair() {
             // to find no damage left; the proof search once per deleting
             // round; the top-up's one round drains an empty seed.
             match site {
-                SITE_OVERDELETE_CLOSE => assert_eq!(failures, rounds + 1, "{site}"),
-                SITE_REDERIVE_SWEEP => assert_eq!(failures, rounds, "{site}"),
+                SITE_PROOF_ROUND => assert_eq!(failures, rounds + 1, "{site}"),
+                SITE_PROOF_SEARCH => assert_eq!(failures, rounds, "{site}"),
                 SITE_ROUND => assert_eq!(failures, 1, "{site}"),
                 _ => assert!(failures > rounds, "{site}: {failures} hits"),
             }

@@ -1,8 +1,8 @@
 //! Property tests for the incremental well-founded engine.
 //!
 //! The engine computes the alternating fixpoint by warm-started semi-naive
-//! Γ, removed-set-driven restarts and deletion propagation on the
-//! decreasing side; these tests pin it against two independent references
+//! Γ, removed-set-driven restarts and retract by proof on the decreasing
+//! side; these tests pin it against two independent references
 //! on randomized inputs (fixed seeds):
 //!
 //! * the **old naive alternating fixpoint** (`Γ` iterated from ∅ with full
@@ -135,8 +135,8 @@ fn assert_matches_reference(program: &Program, db: &Database, label: &str) {
 
 /// Non-stratified programs exercising every incremental path: negation-only
 /// rules (win-move), unary recursion through negation (π₁), and positive
-/// IDB recursion *guarded* by a non-stratified predicate — the latter drives
-/// the overdeletion cascade through positive dependencies.
+/// IDB recursion *guarded* by a non-stratified predicate — the latter
+/// evaluates in a component of its own above the negative cycle.
 const NON_STRATIFIED: &[&str] = &[
     "Win(x) :- E(x, y), !Win(y).",
     "T(x) :- E(y, x), !T(y).",
@@ -187,7 +187,7 @@ fn matches_naive_alternating_fixpoint_on_structured_graphs() {
             DiGraph::binary_tree(7),
             {
                 // Long path with a back edge: many alternations, so the
-                // removed-set restarts and deletion cones run repeatedly.
+                // removed-set restarts and the retracts run repeatedly.
                 let mut g = DiGraph::path(12);
                 g.add_edge(0, 11);
                 g
@@ -233,5 +233,73 @@ fn matches_stratified_on_random_stratified_programs() {
             assert!(wf.is_total(), "stratified ⟹ total: {g}");
             assert_eq!(wf.true_facts, perfect, "perfect model diverged: {g}");
         }
+    }
+}
+
+/// A negative cycle that also recurses positively: `R` is reachability
+/// through vertices outside `B`, and `B` holds a vertex with a successor
+/// that cannot reach it back. `R` and `B` are one component, so the
+/// retract that takes `U_{k-1}` down to `U_k` has to find tuples of `R`
+/// whose only witnesses left go round a cycle of `R` itself.
+#[test]
+fn support_round_a_positive_cycle_leaves_u_inside_a_negative_cycle() {
+    let program = parse_program(
+        "
+        R(x, y) :- E(x, y), !B(y).
+        R(x, y) :- R(x, z), E(z, y), !B(y).
+        B(y) :- E(y, z), !R(z, y).
+        ",
+    )
+    .unwrap();
+    let cases = [
+        // 0 → 1 → 2 ⇄ 3. `U_0` holds the whole closure; `T_1` puts 0 and 1
+        // in `B`, since no successor reaches them back. `U_1` then loses
+        // `R(0, 1)` by negation, and `R(0, 2)` and `R(0, 3)`, whose only
+        // witnesses left lean on each other round the 2 ⇄ 3 cycle.
+        (
+            DiGraph::from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 2)]),
+            2,
+            "B = {(0), (1)}\nR = {}\n",
+            "B = {(2), (3)}\nR = {(1,2), (1,3), (2,2), (2,3), (3,2), (3,3)}\n",
+        ),
+        // Six alternations before the model settles, total.
+        (
+            DiGraph::from_edges(
+                7,
+                [
+                    (0, 3),
+                    (0, 6),
+                    (1, 2),
+                    (2, 5),
+                    (3, 2),
+                    (3, 4),
+                    (3, 5),
+                    (4, 0),
+                    (4, 2),
+                    (5, 4),
+                ],
+            ),
+            6,
+            "B = {(0), (1), (2), (3), (4), (5)}\nR = {(0,6)}\n",
+            "B = {}\nR = {}\n",
+        ),
+    ];
+    for (g, alternations, true_facts, undefined) in cases {
+        let label = format!("{:?}", g.edges().collect::<Vec<_>>());
+        let db = g.to_database("E");
+        let names = CompiledProgram::compile(&program, &db).unwrap().idb_names;
+        let wf = well_founded(&program, &db).unwrap();
+        assert_eq!(
+            wf.true_facts.display_with_names(&names),
+            true_facts,
+            "{label}"
+        );
+        assert_eq!(
+            wf.undefined.display_with_names(&names),
+            undefined,
+            "{label}"
+        );
+        assert_eq!(wf.alternations, alternations, "{label}");
+        assert_matches_reference(&program, &db, &label);
     }
 }

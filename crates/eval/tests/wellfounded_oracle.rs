@@ -1,8 +1,9 @@
 //! An independent oracle for the well-founded engine.
 //!
 //! The engine never grounds a rule: it runs compiled join plans
-//! semi-naively, edits the decreasing side by deletion propagation, and
-//! walks the program's dependency components. This oracle shares none of
+//! semi-naively, shrinks the decreasing side by a proof search over
+//! head-bound check plans, and walks the program's dependency components.
+//! This oracle shares none of
 //! that code. It reads the parsed program (`inflog-syntax`) and the facts it
 //! put into the database itself; from `inflog-eval` it calls only
 //! [`well_founded`] and reads the returned model.

@@ -96,7 +96,7 @@ pub fn has_unique_model(cnf: &Cnf, projection: &[Var]) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dpll::brute_force_count;
+    use crate::brute::brute_force_count;
     use crate::gen::random_ksat;
     use rand::rngs::StdRng;
     use rand::SeedableRng;

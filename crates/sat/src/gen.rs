@@ -116,7 +116,7 @@ mod tests {
         let cnf = pigeonhole(2); // 3 pigeons, 2 holes
         assert_eq!(cnf.num_vars(), 6);
         assert!(!Solver::from_cnf(&cnf).solve().is_sat());
-        assert!(crate::dpll::brute_force_sat(&cnf).is_none());
+        assert!(crate::brute::brute_force_sat(&cnf).is_none());
     }
 
     #[test]

@@ -14,19 +14,19 @@
 //! * [`solver`] — a CDCL solver (two-watched literals, VSIDS-style activity,
 //!   first-UIP clause learning, Luby restarts, phase saving, **assumption
 //!   solving** for the FONP per-tuple queries);
-//! * [`dpll`] — a plain DPLL baseline plus exhaustive-enumeration ground
-//!   truths for testing (and the naive/CDCL ablation bench);
+//! * [`brute_force_sat`] / [`brute_force_count`] — exhaustive-enumeration
+//!   ground truths for testing;
 //! * [`enumerate`] — model enumeration/counting over a projection set with
 //!   blocking clauses (the US-class "unique solution" machinery);
 //! * [`gen`] — workload generators (random k-SAT, pigeonhole).
 
+mod brute;
 pub mod cnf;
-pub mod dpll;
 pub mod enumerate;
 pub mod gen;
 pub mod solver;
 
+pub use brute::{brute_force_count, brute_force_sat};
 pub use cnf::{Clause, Cnf, Lit, Var};
-pub use dpll::{brute_force_count, brute_force_sat, dpll_sat};
 pub use enumerate::{count_models, enumerate_models, has_unique_model, CountResult};
 pub use solver::{SolveResult, Solver};

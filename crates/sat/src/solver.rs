@@ -597,7 +597,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(99);
         for trial in 0..50 {
             let cnf = random_ksat(8, 34, 3, &mut rng);
-            let brute = crate::dpll::brute_force_sat(&cnf).is_some();
+            let brute = crate::brute::brute_force_sat(&cnf).is_some();
             let cdcl = Solver::from_cnf(&cnf).solve().is_sat();
             assert_eq!(cdcl, brute, "trial {trial} diverged");
         }

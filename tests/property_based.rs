@@ -7,9 +7,7 @@ use inflog::eval::{
     inflationary, inflationary_naive, least_fixpoint_naive, least_fixpoint_seminaive,
 };
 use inflog::fixpoint::{enumerate_fixpoints_brute, FixpointAnalyzer, LeastFixpointResult};
-use inflog::sat::{
-    brute_force_count, brute_force_sat, count_models, dpll_sat, Cnf, Lit, Solver, Var,
-};
+use inflog::sat::{brute_force_count, brute_force_sat, count_models, Cnf, Lit, Solver, Var};
 use inflog::syntax::{parse_program, Atom, Literal, Program, Rule, Term};
 use proptest::prelude::*;
 
@@ -116,11 +114,10 @@ proptest! {
         prop_assert_eq!(program, reparsed);
     }
 
-    /// CDCL, DPLL and exhaustive search agree on satisfiability.
+    /// CDCL and exhaustive search agree on satisfiability.
     #[test]
     fn solvers_agree(cnf in arb_cnf()) {
         let brute = brute_force_sat(&cnf).is_some();
-        prop_assert_eq!(dpll_sat(&cnf).is_some(), brute);
         prop_assert_eq!(Solver::from_cnf(&cnf).solve().is_sat(), brute);
     }
 
