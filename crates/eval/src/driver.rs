@@ -1,13 +1,13 @@
 //! The shared semi-naive round driver.
 //!
-//! Every delta-capable engine — semi-naive least fixpoint, per-stratum
+//! Every delta-capable engine — semi-naive least fixpoint, per-component
 //! stratified evaluation, inflationary iteration, and both sides of the
 //! well-founded alternating fixpoint — runs the *same* loop: one full Θ
 //! application to pick up derivations the current state has no delta for,
 //! then delta-restricted rounds until nothing new appears. Before this
 //! module each engine carried its own copy of that loop; now they all drive
-//! [`DeltaDriver::extend`], parameterized by a rule subset (stratified) and
-//! a frozen negation context (well-founded Γ).
+//! [`DeltaDriver::extend`], parameterized by a rule subset (one dependency
+//! component) and a frozen negation context (well-founded Γ).
 //!
 //! `extend` grows `s` **in place**: relations keep their identity, so the
 //! evaluation context's persistent hash-join indexes extend incrementally
@@ -26,8 +26,10 @@
 //! discharges that differently:
 //!
 //! * positive programs (semi-naive): Θ itself is monotone;
-//! * stratified, per stratum: negations refer to lower strata only, which
-//!   `extend` never grows while iterating that stratum's rules;
+//! * stratified, per component of the dependency graph (the component walk
+//!   the well-founded engine also runs, below its first negative cycle):
+//!   negations refer to lower components only, which `extend` never grows
+//!   while iterating that component's rules;
 //! * well-founded Γ: negations are frozen at an explicit `neg`
 //!   interpretation, and the positivized operator is monotone;
 //! * inflationary: not monotone, but under an *increasing* `s` a negated
@@ -130,7 +132,7 @@ impl DeltaDriver {
     /// operator above `s`, semi-naively. Returns the number of tuples
     /// added.
     ///
-    /// * `rules` — restrict to these rule indices (stratified evaluation);
+    /// * `rules` — restrict to these rule indices (one component's);
     ///   `None` runs the whole program.
     /// * `frozen_neg` — evaluate negative IDB literals against this fixed
     ///   interpretation (the well-founded Γ transform); `None` evaluates

@@ -35,9 +35,12 @@
 //!   its inductive fixpoint, defined for **every** DATALOG¬ program and
 //!   computable in polynomial time (data complexity);
 //! * [`stratified`] — the Chandra–Harel / Apt–Blair–Walker semantics the
-//!   paper contrasts with (stratification check + per-stratum evaluation);
+//!   paper contrasts with (stratification check + evaluation by the
+//!   component walk);
 //! * [`wellfounded`] — Van Gelder's alternating-fixpoint semantics
-//!   (3-valued), an extension point for comparing negation semantics;
+//!   (3-valued), an extension point for comparing negation semantics, and
+//!   the one walk over the dependency graph's components that stratified
+//!   evaluation, recovery and repair share;
 //! * [`plan`] / [`resolve`] — the rule compiler: name resolution against a
 //!   database and join planning (greedy bound-position ordering with a
 //!   live-cardinality tie-break; the round driver re-plans every round).
@@ -47,7 +50,7 @@
 //! * [`materialize`] — [`Engine`], and live incremental view maintenance:
 //!   a long-lived
 //!   [`Materialized`] handle whose `insert`/`retract` repair the fixpoint
-//!   (Backward/Forward repair per stratum — delete only what has lost its
+//!   (Backward/Forward repair per component — delete only what has lost its
 //!   proof; a documented restart fallback for the
 //!   non-change-monotone inflationary and non-stratifiable well-founded
 //!   fixpoints) instead of recomputing it;
@@ -62,8 +65,8 @@
 //!   the writer commits and publishes the next one;
 //! * [`query`](mod@query) — goal-directed evaluation: the one demand
 //!   rewrite of `inflog-rewrite`, whose demand crosses negations, evaluated
-//!   in two phases with the engine each phase's compiled strata pick
-//!   (stratified, else well-founded), answering point queries without
+//!   in two phases by the well-founded engine's component walk (the
+//!   perfect model where strata exist), answering point queries without
 //!   computing the full fixpoint — set-identical to
 //!   full-fixpoint-then-filter under the perfect model, or the
 //!   well-founded one where there is none.

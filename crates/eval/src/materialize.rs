@@ -16,32 +16,34 @@
 //!   "Incremental Update of Datalog Materialisation: the Backward/Forward
 //!   Algorithm" (AAAI 2015) — for the semi-naive least fixpoint, stratified
 //!   evaluation, and the well-founded model of stratifiable programs (where
-//!   it coincides with the perfect model). Per stratum, bottom up:
+//!   it coincides with the perfect model). Per component of the dependency
+//!   graph, dependencies first — the walk evaluation and recovery run
+//!   (`wellfounded.rs`):
 //!
 //!   1. *Damage*: before the EDB mutates, enumerate exactly the rule
 //!      instances the change kills — positive occurrences of retracted
 //!      facts through the `EdbDelta` plans, negated occurrences of inserted
 //!      facts through the `EdbNegDelta` plans — with every other literal
 //!      still reading the old state, so the enumeration is exact. Lower
-//!      strata add theirs: the heads over the tuples they deleted
+//!      components add theirs: the heads over the tuples they deleted
 //!      (`PosDelta`) and over the tuples they added under negation
 //!      (`NegDelta`, read permissively).
-//!   2. *Prove and doom*: the stratum is the unit in doubt for the retract
-//!      routine shared with the well-founded engine (`proof.rs`), with
-//!      negations reading the model. Every damaged tuple still in the
-//!      model is checked for a proof from facts outside the stratum; the
+//!   2. *Prove and doom*: the component is the unit in doubt for the
+//!      retract routine shared with the well-founded engine (`proof.rs`),
+//!      with negations reading the model. Every damaged tuple still in the
+//!      model is checked for a proof from facts outside the component; the
 //!      ones left without a proof are doomed, and the rule instances they
-//!      occur in positively are the next damage. Heads in higher strata
-//!      wait for their stratum's turn.
+//!      occur in positively are the next damage. Heads in higher
+//!      components wait for their component's turn.
 //!   3. *Delete*: the doomed tuples are swap-removed one by one with their
 //!      index postings patched
 //!      ([`IndexSet::patch_swap_remove`](crate::IndexSet)).
 //!   4. *Top-up*: the instances the change *enables* — inserted facts
 //!      through positive EDB occurrences, retracted facts through negated
-//!      ones, plus lower-strata additions (`PosDelta`) and removals
+//!      ones, plus lower components' additions (`PosDelta`) and removals
 //!      (`NegDelta`) — seed one semi-naive extension of the shared
 //!      [`DeltaDriver`]. Whatever it appends that was not deleted is an
-//!      addition for the strata above; a deleted tuple still absent
+//!      addition for the components above; a deleted tuple still absent
 //!      afterwards is a removal.
 //!
 //!   A batch is one-sided (an insert adds facts only; a retract removes
@@ -61,17 +63,19 @@
 //! A damaged tuple with a proof stays where it is: a retract whose damage
 //! is all provable deletes nothing, so the model keeps its dense order and
 //! its warm indexes, and the next update finds nothing to catch up on.
-//! Every tuple is checked at most once per stratum and deleted at most
-//! once, and a check runs its rules' check plans once, so even a repair
-//! that deletes most of a stratum does about one evaluation's work. The
+//! Every tuple is checked at most once, in its own component's turn, and
+//! deleted at most once; a check runs its rules' check plans once, so even
+//! a repair that deletes most of a component does about one evaluation's
+//! work. A lower component is final by the time a higher one is repaired,
+//! so a proof reads its tuples as facts and never re-checks them. The
 //! search keeps its nodes in a map keyed by relation and dense position,
-//! so it costs what it meets, not what the stratum holds. No bound
-//! switches to re-evaluation. On one edge of a 160-cycle under `tc_cut`,
-//! which deletes half of `S`, the repair this replaced — delete every
-//! tuple the change might kill, then re-evaluate — was somewhat faster,
-//! mostly because patching 12 880 removals into `S`'s index one at a time
-//! costs more than rebuilding it (timings in the README's "Incremental
-//! updates").
+//! so it costs what it meets, not what the component holds; a component
+//! without damage allocates nothing. No bound switches to re-evaluation.
+//! On one edge of a 160-cycle under `tc_cut`, which deletes half of `S`,
+//! the repair this replaced — delete every tuple the change might kill,
+//! then re-evaluate — was somewhat faster, mostly because patching 12 880
+//! removals into `S`'s index one at a time costs more than rebuilding it
+//! (timings in the README's "Incremental updates").
 //!
 //! The case this matters for is a redundant edge of a strongly connected
 //! graph under transitive closure: every closure pair through the edge is
@@ -120,8 +124,7 @@ use crate::operator::{self, EvalContext, PlanKind};
 use crate::options::EvalOptions;
 use crate::proof;
 use crate::resolve::CompiledProgram;
-use crate::stratified::stratified_eval_compiled_with;
-use crate::wellfounded::well_founded_compiled_with;
+use crate::wellfounded::{walk, well_founded_compiled_with};
 use crate::Result;
 use inflog_core::{Const, Database, Relation, Tuple};
 use inflog_store::{WalOp, WalRecord};
@@ -182,9 +185,7 @@ impl Engine {
         let cp = CompiledProgram::compile(program, db)?;
         match self {
             Engine::Seminaive => require_positive(program)?,
-            Engine::Stratified => {
-                cp.strata()?;
-            }
+            Engine::Stratified => cp.check_stratified()?,
             Engine::Inflationary | Engine::WellFounded => {}
         }
         let ctx = EvalContext::new(&cp, db)?;
@@ -193,12 +194,12 @@ impl Engine {
 
     /// [`Engine::evaluate`] over an already compiled program and context.
     /// `Seminaive` evaluates through the inflationary engine: Θ^∞ is the
-    /// least fixpoint on the positive programs it accepts (§4).
+    /// least fixpoint on the positive programs it accepts (§4). `Stratified`
+    /// and `WellFounded` run the same component walk, which is the perfect
+    /// model where strata exist.
     ///
     /// # Errors
-    /// The governance errors of the engine under `opts`;
-    /// [`EvalError::NotStratified`] for `Stratified` on a program without
-    /// strata.
+    /// The governance errors of the engine under `opts`.
     pub(crate) fn evaluate_compiled(
         self,
         cp: &CompiledProgram,
@@ -210,11 +211,7 @@ impl Engine {
                 inflationary_compiled_with(cp, ctx, opts)?.0,
                 cp.empty_interp(),
             ),
-            Engine::Stratified => (
-                stratified_eval_compiled_with(cp, ctx, opts)?.0,
-                cp.empty_interp(),
-            ),
-            Engine::WellFounded => {
+            Engine::Stratified | Engine::WellFounded => {
                 let model = well_founded_compiled_with(cp, ctx, opts)?;
                 (model.true_facts, model.undefined)
             }
@@ -242,10 +239,10 @@ fn require_positive(program: &Program) -> Result<()> {
 /// How a handle brings its state back in line after an update.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RepairStrategy {
-    /// Repair by proof, stratum by stratum: delete the damaged tuples that
-    /// have no proof outside the damage, then top up what the change
+    /// Repair by proof, component by component: delete the damaged tuples
+    /// that have no proof outside the damage, then top up what the change
     /// enables (the module docs' Backward/Forward strategy).
-    DeleteRederive,
+    ByProof,
     /// Full re-evaluation from the mutated EDB over the warm context. Used
     /// where the fixpoint is not change-monotone (inflationary always;
     /// well-founded when the program is not stratifiable).
@@ -268,7 +265,7 @@ pub struct MaterializeOpts {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RepairStats {
     /// Tuples the proof search checked: the damaged ones and every
-    /// same-stratum tuple their proofs went through.
+    /// tuple of the same component their proofs went through.
     pub checked: usize,
     /// Damaged tuples kept because the search proved them.
     pub proved: usize,
@@ -284,7 +281,7 @@ pub struct RepairStats {
 /// [`Materialized::publish_into`] brings a retired epoch forward with it
 /// instead of deep-copying the whole state.
 ///
-/// Known for no-op batches and for every [`RepairStrategy::DeleteRederive`]
+/// Known for no-op batches and for every [`RepairStrategy::ByProof`]
 /// update. A [`RepairStrategy::Restart`] update does not track what
 /// changed.
 #[derive(Debug)]
@@ -359,9 +356,9 @@ pub struct Materialized {
     ctx: EvalContext,
     driver: DeltaDriver,
     engine: Engine,
-    /// [`RepairStrategy::DeleteRederive`] exactly when the engine is not
-    /// inflationary and the compiled program has strata, which the repair
-    /// walks.
+    /// [`RepairStrategy::ByProof`] exactly when the engine is not
+    /// inflationary and the compiled program has strata: no component the
+    /// repair walks has a negative cycle.
     strategy: RepairStrategy,
     opts: EvalOptions,
     /// True facts of the maintained model.
@@ -428,16 +425,12 @@ impl Materialized {
             m.mutate_edb(&staged, inserting, &mut Vec::new());
         }
         match m.strategy {
-            RepairStrategy::DeleteRederive => {
-                // One driver run per stratum, bottom up: the stratified
-                // model is a tower of least fixpoints.
+            RepairStrategy::ByProof => {
+                // The evaluation's component walk, run with the handle's
+                // own driver so that its watermarks match the model.
                 let governor = Governor::new(&m.opts);
-                let cp = Arc::clone(&m.cp);
-                let strata = cp.strata().expect("a repairing handle has strata");
-                for rules in strata.rules.iter().filter(|r| !r.is_empty()) {
-                    m.driver
-                        .extend(&m.cp, &m.ctx, &mut m.s, Some(rules), None, None, &governor)?;
-                }
+                let (u, _) = walk(&m.cp, &m.ctx, &mut m.driver, &mut m.s, None, &governor)?;
+                debug_assert!(u.is_none(), "a handle repairing by proof has strata");
             }
             RepairStrategy::Restart => m.reevaluate()?,
         }
@@ -453,8 +446,8 @@ impl Materialized {
     /// update never declares one and a rollback never has one to undeclare.
     fn build(program: &Program, db: &Database, opts: &MaterializeOpts) -> Result<Materialized> {
         let (cp, ctx) = opts.engine.prepare(program, db)?;
-        let strategy = if opts.engine != Engine::Inflationary && cp.strata().is_ok() {
-            RepairStrategy::DeleteRederive
+        let strategy = if opts.engine != Engine::Inflationary && cp.check_stratified().is_ok() {
+            RepairStrategy::ByProof
         } else {
             RepairStrategy::Restart
         };
@@ -557,7 +550,7 @@ impl Materialized {
         self.engine
     }
 
-    /// How updates are repaired ([`RepairStrategy::DeleteRederive`] or the
+    /// How updates are repaired ([`RepairStrategy::ByProof`] or the
     /// documented [`RepairStrategy::Restart`] fallback).
     pub fn repair_strategy(&self) -> RepairStrategy {
         self.strategy
@@ -779,7 +772,7 @@ impl Materialized {
             std::panic::catch_unwind(std::panic::AssertUnwindSafe(
                 move || -> Result<(RepairStats, Option<NetChange>)> {
                     match this.strategy {
-                        RepairStrategy::DeleteRederive => {
+                        RepairStrategy::ByProof => {
                             let (stats, net) = this.repair(staged, inserting, log)?;
                             Ok((stats, Some(net)))
                         }
@@ -988,7 +981,7 @@ impl Materialized {
         )
     }
 
-    /// Backward/Forward repair of a one-sided batch, stratum by stratum
+    /// Backward/Forward repair of a one-sided batch, component by component
     /// (the module docs' strategy). Every mutation is recorded in `log`; on
     /// `Err` the caller reverse-replays it (see the module docs'
     /// transactional invariant). Returns the phase sizes and the net IDB
@@ -1001,7 +994,6 @@ impl Materialized {
     ) -> Result<(RepairStats, NetChange)> {
         let governor = Governor::new(&self.opts);
         let gov = governor.as_active();
-        let num_idb = self.cp.num_idb();
         let mut stats = RepairStats::default();
 
         // ---- Damage: rule instances the change kills, enumerated *before*
@@ -1018,8 +1010,8 @@ impl Materialized {
 
         self.mutate_edb(staged, inserting, log);
 
-        // ---- Per-stratum prove / delete / top-up. Accumulators carry the
-        // net IDB change of lower strata into higher ones.
+        // ---- Per-component prove / delete / top-up. Accumulators carry
+        // the net IDB change of lower components into higher ones.
         let mut added_acc = self.cp.empty_interp();
         let mut removed_acc = self.cp.empty_interp();
         let mut heads = self.cp.empty_interp();
@@ -1029,75 +1021,77 @@ impl Materialized {
         let permissive = self.cp.empty_interp();
 
         let cp = Arc::clone(&self.cp);
-        let strata = cp.strata().expect("a repairing handle has strata");
-        for (k, rules) in strata.rules.iter().enumerate() {
-            if rules.is_empty() {
-                continue; // no rule heads here, so no predicate lives here
-            }
-            // Damage from lower-strata *additions* appearing under this
-            // stratum's negations (permissive IDB negation: a damaged tuple
-            // that still holds is simply proved).
+        for comp in &cp.components {
+            let rules = Some(comp.rules.as_slice());
+            // A component's rules derive only its own predicates, so every
+            // per-predicate pass below visits just those.
+            let preds = &comp.preds;
+            // Damage from lower components' *additions* appearing under
+            // this component's negations (permissive IDB negation: a
+            // damaged tuple that still holds is simply proved).
             if added_acc.total_tuples() > 0 {
                 self.apply_through_delta(
-                    Some(rules),
+                    rules,
                     PlanKind::NegDelta,
                     &added_acc,
                     Some(&permissive),
                     &mut heads,
                     gov,
                 )?;
-                for i in 0..num_idb {
+                for &i in preds {
                     pending.get_mut(i).union_with(heads.get(i));
                 }
             }
 
             // Prove what the damage put in doubt and doom what has no proof,
-            // negations reading the model; heads of higher strata park in
-            // `pending` until their stratum. The doomed tuples leave `s`
+            // negations reading the model; heads of higher components park
+            // in `pending` until their turn. The doomed tuples leave `s`
             // together afterwards.
-            let doubt: Vec<bool> = strata.of_idb.iter().map(|&j| j == k).collect();
             let unproved = proof::unproved(
                 &self.cp,
                 &self.ctx,
                 &self.s,
                 &self.s,
-                &doubt,
+                preds,
                 None,
                 None,
                 &mut pending,
                 gov,
             )?;
-            let mut deleted = unproved.tuples;
-            for i in 0..num_idb {
-                let rel = self.s.get_mut(i);
-                for t in deleted.get(i).dense() {
-                    let (pos, _) = self
-                        .ctx
-                        .remove_patched(rel, t)
-                        .expect("doomed tuples were read from the live state");
-                    log.push(UndoOp::IdbRemove {
-                        idb: i,
-                        pos,
-                        t: t.clone(),
-                    });
-                }
-            }
             stats.checked += unproved.checked;
             stats.proved += unproved.proved;
-            stats.deleted += deleted.total_tuples();
+            let mut deleted = unproved.tuples;
+            if let Some(deleted) = &deleted {
+                for &i in preds {
+                    let rel = self.s.get_mut(i);
+                    for t in deleted.get(i).dense() {
+                        let (pos, _) = self
+                            .ctx
+                            .remove_patched(rel, t)
+                            .expect("doomed tuples were read from the live state");
+                        log.push(UndoOp::IdbRemove {
+                            idb: i,
+                            pos,
+                            t: t.clone(),
+                        });
+                    }
+                }
+                stats.deleted += deleted.total_tuples();
+            }
 
             // Everything appended past `marks` from here on either comes
             // back (a deleted tuple) or is new to the model.
-            let marks: Vec<usize> = (0..num_idb).map(|i| self.s.get(i).len()).collect();
-            for i in 0..num_idb {
+            let marks: Vec<usize> = preds.iter().map(|&i| self.s.get(i).len()).collect();
+            for &i in preds {
                 seed.get_mut(i).clear();
             }
 
             // ---- Top-up: the instances the change enables for this
-            // stratum — through EDB occurrences of the batch and IDB
-            // occurrences of lower-strata changes — seed one semi-naive
-            // extension. Both halves are enumerated against the same `s`,
-            // which holds every tuple of this stratum that has a proof.
+            // component — through EDB occurrences of the batch and IDB
+            // occurrences of lower components' changes — seed one
+            // semi-naive extension. Both halves are enumerated against the
+            // same `s`, which holds every tuple of this component that has
+            // a proof.
             let topup_kind = if inserting {
                 PlanKind::EdbDelta
             } else {
@@ -1108,49 +1102,57 @@ impl Materialized {
                 (PlanKind::PosDelta, &added_acc),
                 // Consume semantics requires the driven tuples to be
                 // genuinely absent: `removed_acc` only ever receives deleted
-                // tuples that stayed out of their (final) stratum.
+                // tuples that stayed out of their (final) component.
                 (PlanKind::NegDelta, &removed_acc),
             ];
             for (kind, delta) in topups {
                 if delta.total_tuples() == 0 {
                     continue;
                 }
-                self.apply_through_delta(Some(rules), kind, delta, None, &mut scratch, gov)?;
-                for i in 0..num_idb {
+                self.apply_through_delta(rules, kind, delta, None, &mut scratch, gov)?;
+                for &i in preds {
                     seed.get_mut(i).union_with(scratch.get(i));
                 }
             }
             // The drained suffix must be undoable even when the extension
             // itself fails mid-round (rounds it already absorbed stay in
             // `s`), so the watermarks go into the log *before* the call.
-            log_watermarks(&self.s, log);
+            log.extend(
+                preds
+                    .iter()
+                    .zip(&marks)
+                    .map(|(&idb, &before)| UndoOp::IdbAppend { idb, before }),
+            );
             self.driver.extend_seeded(
                 &self.cp,
                 &self.ctx,
                 &mut self.s,
-                Some(rules),
+                rules,
                 None,
                 &seed,
                 None,
                 &governor,
             )?;
 
-            // Net change for the strata above: a suffix tuple that was
+            // Net change for the components above: a suffix tuple that was
             // deleted merely came back, any other is an addition; a deleted
             // tuple is a removal only if it is still absent now — all of
             // them when none came back.
-            for (i, &mark) in marks.iter().enumerate() {
+            for (&i, &mark) in preds.iter().zip(&marks) {
                 let mut returned = 0;
                 for t in &self.s.get(i).dense()[mark..] {
-                    if deleted.contains(i, t) {
+                    if deleted.as_ref().is_some_and(|d| d.contains(i, t)) {
                         returned += 1;
                     } else {
                         added_acc.insert(i, t.clone());
                         stats.added += 1;
                     }
                 }
+                let Some(deleted) = deleted.as_mut() else {
+                    continue;
+                };
                 if returned == 0 {
-                    // Only this stratum's tuples are ever deleted here.
+                    // Only this component's tuples are ever deleted here.
                     debug_assert!(deleted.get(i).is_empty() || removed_acc.get(i).is_empty());
                     if removed_acc.get(i).is_empty() {
                         std::mem::swap(removed_acc.get_mut(i), deleted.get_mut(i));
@@ -1208,17 +1210,6 @@ fn db_relation<'a>(db: &'a mut Database, cp: &CompiledProgram, edb: usize) -> &'
         .expect("a handle declares every EDB relation its program reads")
 }
 
-/// Records every IDB relation's dense length, so whatever a driver call
-/// appends after this point can be truncated away on rollback.
-fn log_watermarks(s: &Interp, log: &mut Vec<UndoOp>) {
-    for (idb, rel) in s.relations().iter().enumerate() {
-        log.push(UndoOp::IdbAppend {
-            idb,
-            before: rel.len(),
-        });
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1243,7 +1234,7 @@ mod tests {
         let m = handle(TC, &db, Engine::Seminaive);
         let (lfp, _) = crate::least_fixpoint_seminaive(&parse_program(TC).unwrap(), &db).unwrap();
         assert_eq!(*m.interp(), lfp);
-        assert_eq!(m.repair_strategy(), RepairStrategy::DeleteRederive);
+        assert_eq!(m.repair_strategy(), RepairStrategy::ByProof);
     }
 
     #[test]
@@ -1506,8 +1497,7 @@ mod tests {
             let governor = Governor::new(&opts);
             let cp = Arc::clone(&m.cp);
             let r = cp.idb_id("R").unwrap();
-            let doubt: Vec<bool> = (0..cp.num_idb()).map(|i| i == r).collect();
-            let mut proofs = proof::Proofs::new(&cp, &doubt, None);
+            let mut proofs = proof::Proofs::new(&cp, &[r], None);
             let x0 = m.named_tuple(&["x0"]).unwrap();
             let pos = m.s.get(r).position(&x0).unwrap();
             operator::sync_check_indexes(&m.cp, &m.ctx, &m.s);
@@ -1558,7 +1548,7 @@ mod tests {
             new(Engine::Seminaive),
             EvalError::NotPositive { .. }
         ));
-        // The witness comes from the compiled strata.
+        // The witness comes from the dependency graph's negative cycle.
         let err = new(Engine::Stratified);
         assert_eq!(
             err,
@@ -1566,12 +1556,12 @@ mod tests {
                 witness: "Win -!-> Win".into()
             }
         );
-        // The well-founded engine repairs by strata exactly when they exist.
+        // The well-founded engine repairs by proof exactly when strata exist.
         let wf = handle(WIN, &db, Engine::WellFounded);
         assert_eq!(wf.repair_strategy(), RepairStrategy::Restart);
         let db = DiGraph::path(3).to_database("E");
         let wf = handle(TC, &db, Engine::WellFounded);
-        assert_eq!(wf.repair_strategy(), RepairStrategy::DeleteRederive);
+        assert_eq!(wf.repair_strategy(), RepairStrategy::ByProof);
     }
 
     #[test]

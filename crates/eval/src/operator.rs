@@ -13,7 +13,7 @@
 //!   well-founded semantics needs this).
 //!
 //! The engines reach the general form through the round driver: any rule
-//! subset (stratified evaluation applies one stratum's rules at a time),
+//! subset (the component walk applies one component's rules at a time),
 //! delta restriction (semi-naive: only derivations whose body uses at
 //! least one tuple of a delta — under a growing `S`, a ground body
 //! instance can become newly true only through a positive IDB atom, since

@@ -6,20 +6,21 @@
 //! Two callers shrink a least fixpoint whose negations read a fixed
 //! interpretation, over a lower part that is final:
 //!
-//! * a [`Materialized`](crate::Materialized) repair, stratum by stratum,
-//!   after an EDB change: negations read the model, whose lower strata are
-//!   already repaired;
+//! * a [`Materialized`](crate::Materialized) repair, component by
+//!   component, after an EDB change: negations read the model, whose lower
+//!   components are already repaired;
 //! * the well-founded engine inside a negative-cycle component, from
 //!   `U_{k-1}` down to `U_k = lfp(Γ_{T_k})`: negations are frozen at `T_k`,
 //!   and `T_k ⊆ U_k` is known to hold. Freezing more negation enables no
 //!   rule instance, so this step only retracts.
 //!
-//! The predicates in doubt — a stratum, a component — are one unit for
-//! both: with the lower part fixed, their part of the model is the least
-//! fixpoint of their own rules (Ésik & Rondogiannis's construction by
-//! levels, PAPERS.md). [`unproved`] takes the tuples the change damaged —
-//! the heads of the rule instances it killed, which the caller enumerates —
-//! and runs rounds of two steps until no damage is left:
+//! The predicates in doubt — one component of the dependency graph — are
+//! the unit for both: with the lower part fixed, their part of the model is
+//! the least fixpoint of their own rules (Ésik & Rondogiannis's
+//! construction by levels, PAPERS.md). [`unproved`] takes the tuples the
+//! change damaged — the heads of the rule instances it killed, which the
+//! caller enumerates — and runs rounds of two steps until no damage is
+//! left:
 //!
 //! 1. *Prove*: every damaged tuple still in the state is checked for a
 //!    proof from facts outside doubt. EDB facts and lower tuples are final,
@@ -35,7 +36,7 @@
 //! 2. *Doom*: the damaged tuples left without a proof are doomed, and the
 //!    rule instances they occur in positively are enumerated as the next
 //!    round's damage. Heads outside doubt stay in the damage for their
-//!    caller (a higher stratum's turn).
+//!    caller (a higher component's turn).
 //!
 //! The doomed tuples stay in the state until the call returns, so dense
 //! positions — the search's names for tuples — hold still; the caller
@@ -56,8 +57,9 @@ use std::collections::HashMap;
 /// The damaged tuples [`unproved`] found without a proof, and what its
 /// search did.
 pub(crate) struct Unproved {
-    /// The doomed tuples, by IDB id. They are still in the state.
-    pub(crate) tuples: Interp,
+    /// The doomed tuples, by IDB id, or `None` when no damaged tuple lost
+    /// its proof. They are still in the state.
+    pub(crate) tuples: Option<Interp>,
     /// Tuples the search checked: the damaged ones and every tuple in doubt
     /// their proofs went through.
     pub(crate) checked: usize,
@@ -69,14 +71,16 @@ pub(crate) struct Unproved {
 /// literals reading `neg`, and returns the damaged tuples left without a
 /// proof.
 ///
-/// `doubt` marks the IDB predicates in doubt, by IDB id; `known` holds
-/// tuples known to hold, which need no proof. `damage` holds the damaged
-/// tuples on entry; on return, its entries for predicates in doubt are
-/// empty and the others hold the heads the doomed tuples put in doubt
-/// there. Consequences of the doomed tuples are enumerated through `rules`
+/// `preds` are the IDB ids of the predicates in doubt, one component's;
+/// `known` holds tuples known to hold, which need no proof. `damage` holds
+/// the damaged tuples on entry; on return, its entries for predicates in
+/// doubt are empty and the others hold the heads the doomed tuples put in
+/// doubt there. Consequences of the doomed tuples are enumerated through `rules`
 /// (all rules when `None`). `gov` fires [`SITE_PROOF_ROUND`] once per
 /// round and [`SITE_PROOF_SEARCH`] once per round with damage left, and
-/// the search polls its deadline and token.
+/// the search polls its deadline and token. A call allocates its scratch
+/// at the first round that finds damage in doubt, so one without any —
+/// every call of an insert into a positive program — allocates nothing.
 ///
 /// # Errors
 /// The governance errors of `gov`.
@@ -86,19 +90,19 @@ pub(crate) fn unproved(
     ctx: &EvalContext,
     s: &Interp,
     neg: &Interp,
-    doubt: &[bool],
+    preds: &[usize],
     known: Option<&Interp>,
     rules: Option<&[usize]>,
     damage: &mut Interp,
     gov: Option<&Governor>,
 ) -> Result<Unproved> {
     let num_idb = cp.num_idb();
-    // Consequences are enumerated with IDB negation read permissively: a
-    // head put in doubt that still holds is simply proved.
-    let permissive = cp.empty_interp();
-    let mut doomed = cp.empty_interp();
-    let mut heads = cp.empty_interp();
-    let mut tuples = cp.empty_interp();
+    // The permissive negation context, this round's doomed tuples, their
+    // consequences, and every doomed tuple so far: built at the first
+    // round with damage in doubt. Consequences are enumerated with IDB
+    // negation read permissively: a head put in doubt that still holds is
+    // simply proved.
+    let mut scratch: Option<[Interp; 4]> = None;
     let mut proofs: Option<Proofs> = None;
     // A round's consequences are enumerated while every tuple doomed so
     // far is still in `s`, so an instance is seen at the first round that
@@ -108,7 +112,7 @@ pub(crate) fn unproved(
             g.fail_at(SITE_PROOF_ROUND)?;
         }
         let mut damaged = Vec::new();
-        for i in (0..num_idb).filter(|&i| doubt[i]) {
+        for &i in preds {
             let rel = s.get(i);
             damaged.extend(
                 damage
@@ -126,10 +130,12 @@ pub(crate) fn unproved(
             g.fail_at(SITE_PROOF_SEARCH)?;
         }
         operator::sync_check_indexes(cp, ctx, s);
+        let [permissive, doomed, heads, tuples] =
+            scratch.get_or_insert_with(|| std::array::from_fn(|_| cp.empty_interp()));
         for i in 0..num_idb {
             doomed.get_mut(i).clear();
         }
-        let proofs = proofs.get_or_insert_with(|| Proofs::new(cp, doubt, known));
+        let proofs = proofs.get_or_insert_with(|| Proofs::new(cp, preds, known));
         operator::with_witnesses(cp, ctx, s, neg, |witnesses| {
             for (i, pos) in damaged {
                 if proofs.doomed(i, pos, s, witnesses, gov)? {
@@ -147,10 +153,10 @@ pub(crate) fn unproved(
             s,
             rules,
             PlanKind::PosDelta,
-            Some(DeltaSource::Interp(&doomed)),
-            Some(&permissive),
+            Some(DeltaSource::Interp(doomed)),
+            Some(permissive),
             None,
-            &mut heads,
+            heads,
             gov,
         )?;
         for i in 0..num_idb {
@@ -160,7 +166,9 @@ pub(crate) fn unproved(
     }
     let (checked, proved) = proofs.map_or((0, 0), |p| (p.checked, p.kept));
     Ok(Unproved {
-        tuples,
+        tuples: scratch
+            .map(|[.., tuples]| tuples)
+            .filter(|t| t.total_tuples() > 0),
         checked,
         proved,
     })
@@ -236,13 +244,17 @@ const NONE: u32 = u32::MAX;
 pub(crate) const PROOF_POLL: usize = 1 << 8;
 
 impl<'p> Proofs<'p> {
-    /// The search over the predicates `doubt` marks, with `known` needing
-    /// no proof.
+    /// The search over the predicates `preds`, by IDB id, with `known`
+    /// needing no proof.
     pub(crate) fn new(
         cp: &'p CompiledProgram,
-        doubt: &[bool],
+        preds: &[usize],
         known: Option<&'p Interp>,
     ) -> Proofs<'p> {
+        let mut doubt = vec![false; cp.num_idb()];
+        for &i in preds {
+            doubt[i] = true;
+        }
         let atoms = cp
             .rules
             .iter()

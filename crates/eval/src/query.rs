@@ -22,21 +22,20 @@
 //!   the demanded bindings and every negation-free demanded predicate
 //!   exactly; when the goal is negation-free it is the whole answer.
 //!   Phase 2 evaluates the guarded rules of the other demanded predicates
-//!   over phase 1's relations. Each phase takes the engine its compiled
-//!   strata pick: the stratified engine when it has strata, the
-//!   well-founded engine otherwise. The guarded program of a stratified
-//!   input is stratified, so only negative cycles the goal depends on
-//!   bring in the well-founded engine.
+//!   over phase 1's relations. Each phase runs the well-founded engine,
+//!   whose component walk is stratified evaluation until the first
+//!   negative cycle: the guarded program of a stratified input is
+//!   stratified, so only negative cycles the goal depends on bring in the
+//!   alternating fixpoint.
 //! * When the rewrite demands some predicate with every argument free,
 //!   demand restricts nothing, so the goal's dependency cone is evaluated
-//!   in full with the same engine choice and filtered
+//!   in full with the same engine and filtered
 //!   ([`QueryStrategy::Full`]).
 //!
 //! A goal constant outside the database universe simply has no answers
 //! (full evaluation could never derive a tuple mentioning it).
 
 use crate::error::EvalError;
-use crate::interp::Interp;
 use crate::materialize::Engine;
 use crate::operator::EvalContext;
 use crate::options::EvalOptions;
@@ -208,11 +207,11 @@ pub fn query(
             .cloned();
         evaluate_and_filter(&Program::new(rules.collect()), goal, db, &pattern, opts)?
     } else {
-        // Phase 1: positive, so its one stratum is its least fixpoint.
+        // Phase 1: positive, so the walk computes its least fixpoint.
         debug_assert!(rw.demand.is_positive(), "demand programs are positive");
         let dcp = CompiledProgram::compile(&rw.demand, db)?;
         let dctx = EvalContext::new(&dcp, db)?;
-        let (mut phase1, _) = evaluate(&dcp, &dctx, opts)?;
+        let (mut phase1, _) = Engine::WellFounded.evaluate_compiled(&dcp, &dctx, opts)?;
         if let Some(gid) = dcp.idb_id(&rw.goal_pred) {
             (filter_relation(phase1.get(gid), &pattern), Vec::new())
         } else {
@@ -230,7 +229,7 @@ pub fn query(
                     *edb = std::mem::replace(phase1.get_mut(i), Relation::new(arity));
                 }
             }
-            let (t, u) = evaluate(&cp, &ctx, opts)?;
+            let (t, u) = Engine::WellFounded.evaluate_compiled(&cp, &ctx, opts)?;
             let gid = cp
                 .idb_id(&rw.goal_pred)
                 .expect("the adorned goal predicate heads its guarded rules");
@@ -264,22 +263,6 @@ pub fn query(
     Ok(answer)
 }
 
-/// Evaluates `(cp, ctx)` with the engine its compiled strata pick: the
-/// stratified engine when it has strata, the well-founded one otherwise.
-/// Returns the true facts and the undefined ones.
-fn evaluate(
-    cp: &CompiledProgram,
-    ctx: &EvalContext,
-    opts: &EvalOptions,
-) -> Result<(Interp, Interp)> {
-    let engine = if cp.strata().is_ok() {
-        Engine::Stratified
-    } else {
-        Engine::WellFounded
-    };
-    engine.evaluate_compiled(cp, ctx, opts)
-}
-
 /// Evaluates `program` over `db` in full and filters the goal relation:
 /// its true and its undefined goal-matching tuples.
 fn evaluate_and_filter(
@@ -291,7 +274,7 @@ fn evaluate_and_filter(
 ) -> Result<(Vec<Tuple>, Vec<Tuple>)> {
     let cp = CompiledProgram::compile(program, db)?;
     let ctx = EvalContext::new(&cp, db)?;
-    let (t, u) = evaluate(&cp, &ctx, opts)?;
+    let (t, u) = Engine::WellFounded.evaluate_compiled(&cp, &ctx, opts)?;
     let gid = cp.idb_id(&goal.predicate).expect("IDB goal");
     Ok((
         filter_relation(t.get(gid), pattern),

@@ -7,26 +7,27 @@
 //! is stratified yet its stratified meaning *differs* from its inflationary
 //! meaning — experiment E8 reproduces that divergence.
 //!
-//! [`stratify`] computes strata (or a recursion-through-negation witness);
-//! [`stratified_eval`] evaluates stratum by stratum, bottom-up. Within a
-//! stratum, negated IDB atoms refer only to lower (already fixed) strata, so
-//! the per-stratum operator is monotone and its least fixpoint is reached by
-//! accumulating iteration (semi-naive after the first round).
-//!
-//! Both read the same signed dependency graph ([`DepGraph::strata`]):
-//! [`stratify`] is its paper-facing view by predicate name, and the
-//! evaluator takes the strata [`CompiledProgram::compile`] resolved from it
-//! to rule indices, so evaluating a program builds the graph once.
+//! [`stratify`] computes strata (or a recursion-through-negation witness):
+//! the paper-facing view of the signed dependency graph
+//! ([`DepGraph::strata`]) by predicate name. [`stratified_eval`] evaluates
+//! bottom-up, a finer grain than the strata: one dependency component at a
+//! time, dependencies first, through the component walk the well-founded
+//! engine runs (`wellfounded.rs`). Negated IDB atoms in a component refer
+//! only to lower (already fixed) components, so its operator is monotone
+//! and its least fixpoint is reached by accumulating iteration (semi-naive
+//! after the first round). Ésik & Rondogiannis (PAPERS.md) show the model
+//! built by levels of the graph is the one built by strata. On a program
+//! with strata the walk never keeps a second, possible-facts side: it *is*
+//! stratified evaluation.
 
 use crate::driver::DeltaDriver;
 use crate::error::EvalError;
 use crate::govern::Governor;
 use crate::interp::Interp;
 use crate::materialize::Engine;
-use crate::operator::EvalContext;
 use crate::options::EvalOptions;
-use crate::resolve::CompiledProgram;
 use crate::trace::EvalTrace;
+use crate::wellfounded::walk;
 use crate::Result;
 use inflog_core::Database;
 use inflog_syntax::{DepGraph, Program};
@@ -71,61 +72,23 @@ pub fn stratify(program: &Program) -> Result<Stratification> {
     Ok(Stratification { strata, num_strata })
 }
 
-/// Evaluates a stratified program bottom-up; returns the perfect model.
+/// Evaluates a stratified program bottom-up, component by component;
+/// returns the perfect model and the rounds of its components' fixpoints.
 /// Uses [`EvalOptions::default`]; [`Engine::Stratified`]'s
 /// [`evaluate`](Engine::evaluate) is the same evaluation under explicit
-/// options.
+/// options. One budget spans all components.
 ///
 /// # Errors
 /// Compilation errors, then [`EvalError::NotStratified`], or a fault
 /// injected by a failpoint armed through `INFLOG_FAILPOINT`.
 pub fn stratified_eval(program: &Program, db: &Database) -> Result<(Interp, EvalTrace)> {
     let (cp, ctx) = Engine::Stratified.prepare(program, db)?;
-    stratified_eval_compiled_with(&cp, &ctx, &EvalOptions::default())
-}
-
-/// Stratified evaluation over a compiled program; the governed form checks
-/// budget, cancellation and failpoints at every round boundary of every
-/// stratum, and every few thousand emitted tuples. One budget spans all
-/// strata — rounds and derived tuples accumulate across them.
-///
-/// # Errors
-/// [`EvalError::NotStratified`] when the compiled program has no strata;
-/// [`EvalError::Cancelled`], [`EvalError::BudgetExceeded`], or
-/// [`EvalError::FaultInjected`] by an armed failpoint.
-pub(crate) fn stratified_eval_compiled_with(
-    cp: &CompiledProgram,
-    ctx: &EvalContext,
-    opts: &EvalOptions,
-) -> Result<(Interp, EvalTrace)> {
-    let strata = cp.strata()?;
-    let governor = Governor::new(opts);
+    let governor = Governor::new(&EvalOptions::default());
     let mut trace = EvalTrace::default();
     let mut s = cp.empty_interp();
-
-    // `s` grows in place across strata and rounds, so the context's
-    // persistent hash-join indexes extend incrementally from each round's
-    // newly derived tuples — lower strata stay indexed when negations and
-    // joins of higher strata read them. Each stratum is one warm-started
-    // call of the shared semi-naive driver: within the stratum the operator
-    // is monotone (negations see lower strata only), so delta iteration
-    // computes its least fixpoint.
-    let mut driver = DeltaDriver::new(cp);
-    for rules in &strata.rules {
-        if rules.is_empty() {
-            continue;
-        }
-        driver.extend(
-            cp,
-            ctx,
-            &mut s,
-            Some(rules),
-            None,
-            Some(&mut trace),
-            &governor,
-        )?;
-    }
-
+    let driver = &mut DeltaDriver::new(&cp);
+    let (u, _) = walk(&cp, &ctx, driver, &mut s, Some(&mut trace), &governor)?;
+    debug_assert!(u.is_none(), "a stratified program has no negative cycle");
     trace.final_tuples = s.total_tuples();
     Ok((s, trace))
 }
@@ -134,7 +97,8 @@ pub(crate) fn stratified_eval_compiled_with(
 mod tests {
     use super::*;
     use crate::naive::least_fixpoint_naive;
-    use crate::operator::apply;
+    use crate::operator::{apply, EvalContext};
+    use crate::resolve::CompiledProgram;
     use inflog_core::graphs::DiGraph;
     use inflog_core::Tuple;
     use inflog_syntax::parse_program;
@@ -208,9 +172,7 @@ mod tests {
             let p = parse_program(src).unwrap();
             let db = DiGraph::path(3).to_database("E");
             let cp = CompiledProgram::compile(&p, &db).unwrap();
-            let ctx = EvalContext::new(&cp, &db).unwrap();
-            let err = stratified_eval_compiled_with(&cp, &ctx, &EvalOptions::sequential());
-            assert_eq!(err.unwrap_err(), stratify(&p).unwrap_err());
+            assert_eq!(cp.check_stratified(), stratify(&p).map(|_| ()));
         }
         // Compilation comes first: a program that is both badly typed and
         // not stratifiable reports the arity conflict.

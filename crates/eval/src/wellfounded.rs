@@ -49,6 +49,19 @@
 //! payoff is that a large stratified part above or beside a small negative
 //! cycle is evaluated twice, not once per alternation.
 //!
+//! **`U` is kept only from the first negative cycle on.** Below the first
+//! component with a negative cycle every predicate is total, so `T` and
+//! `U` agree and the two fixpoints of a component are one: its rules'
+//! least fixpoint with negations read from `T` itself, as stratified
+//! evaluation computes it. The walk keeps `U` unmaterialized there and runs that
+//! one fixpoint per component, recording its rounds in an optional
+//! [`EvalTrace`]. At the first negative cycle `U` starts as a copy of `T`
+//! and both sides go on as above. On a stratified program `U` never
+//! materializes: the walk *is* stratified evaluation, and
+//! `Engine::Stratified` is its prerequisite check plus this walk. The
+//! materialized handle's recovery runs the same walk into its model, and
+//! its repair visits the same components in the same order.
+//!
 //! [`WellFoundedModel::alternations`] is the largest alternation count of
 //! any negative-cycle component (1 when there is none).
 //!
@@ -109,6 +122,7 @@ use crate::operator::{self, EvalContext};
 use crate::options::EvalOptions;
 use crate::proof;
 use crate::resolve::{CompiledProgram, RuleComponent};
+use crate::trace::EvalTrace;
 use crate::Result;
 use inflog_core::Database;
 use inflog_syntax::Program;
@@ -165,38 +179,63 @@ pub(crate) fn well_founded_compiled_with(
     opts: &EvalOptions,
 ) -> Result<WellFoundedModel> {
     let governor = Governor::new(opts);
-    let mut driver = DeltaDriver::new(cp);
-    // `t` grows and `u` shrinks monotonically inside each component (after
-    // its first alternation); both keep their relation identities for the
-    // whole run, so the context's persistent indexes stay warm throughout.
     let mut t = cp.empty_interp();
-    let mut u = cp.empty_interp();
-    let mut alternations = 1;
-    for comp in &cp.components {
-        let rules = Some(comp.rules.as_slice());
-        if comp.has_negative_cycle {
-            let k = alternate(cp, ctx, comp, &mut driver, &mut t, &mut u, &governor)?;
-            alternations = alternations.max(k);
-        } else {
-            // The lower components are final: U_C = Γ_C(T), then T_C = Γ_C(U).
-            driver.extend(cp, ctx, &mut u, rules, Some(&t), None, &governor)?;
-            driver.extend(cp, ctx, &mut t, rules, Some(&u), None, &governor)?;
-        }
-    }
-
+    let (u, alternations) = walk(cp, ctx, &mut DeltaDriver::new(cp), &mut t, None, &governor)?;
     // T* ⊆ U* throughout, so equal sizes mean a total model — the common
     // case costs no difference pass at all; otherwise one pass over U*
     // clones exactly the undefined tuples.
-    let undefined = if u.total_tuples() == t.total_tuples() {
-        cp.empty_interp()
-    } else {
-        u.difference(&t)
+    let undefined = match u {
+        Some(u) if u.total_tuples() != t.total_tuples() => u.difference(&t),
+        _ => cp.empty_interp(),
     };
     Ok(WellFoundedModel {
         undefined,
         true_facts: t,
         alternations,
     })
+}
+
+/// The one component walk (module docs): extends `t`, empty or holding a
+/// model of the components already walked, through every component of
+/// `cp` with `driver`. Returns the possible facts `U*` — `None` when no
+/// component has a negative cycle, for then `U* = T*` — and the largest
+/// alternation count. `trace` records the rounds of the components below
+/// the first negative cycle.
+///
+/// # Errors
+/// The governance errors of `governor`.
+pub(crate) fn walk(
+    cp: &CompiledProgram,
+    ctx: &EvalContext,
+    driver: &mut DeltaDriver,
+    t: &mut Interp,
+    mut trace: Option<&mut EvalTrace>,
+    governor: &Governor,
+) -> Result<(Option<Interp>, usize)> {
+    // `t` grows and `u` shrinks monotonically inside each component (after
+    // its first alternation); both keep their relation identities for the
+    // rest of the run, so the context's persistent indexes stay warm.
+    let mut u: Option<Interp> = None;
+    let mut alternations = 1;
+    for comp in &cp.components {
+        let rules = Some(comp.rules.as_slice());
+        if u.is_none() && !comp.has_negative_cycle {
+            // Everything below is total: T_C = U_C is one fixpoint, its
+            // negations reading the final lower part of `t`.
+            driver.extend(cp, ctx, t, rules, None, trace.as_deref_mut(), governor)?;
+            continue;
+        }
+        let u = u.get_or_insert_with(|| t.clone());
+        if comp.has_negative_cycle {
+            let k = alternate(cp, ctx, comp, driver, t, u, governor)?;
+            alternations = alternations.max(k);
+        } else {
+            // The lower components are final: U_C = Γ_C(T), then T_C = Γ_C(U).
+            driver.extend(cp, ctx, u, rules, Some(t), None, governor)?;
+            driver.extend(cp, ctx, t, rules, Some(u), None, governor)?;
+        }
+    }
+    Ok((u, alternations))
 }
 
 /// Runs the incremental alternating fixpoint of one component with a
@@ -214,10 +253,6 @@ fn alternate(
     let gov = governor.as_active();
     let rules = Some(comp.rules.as_slice());
     let preds = &comp.preds;
-    let mut doubt = vec![false; cp.num_idb()];
-    for &i in preds {
-        doubt[i] = true;
-    }
     // Scratch, reused across alternations. Only the component's predicates
     // are ever filled, so a neg-delta plan scanning a lower predicate's
     // slot sees nothing there.
@@ -266,10 +301,12 @@ fn alternate(
         // T_k ⊆ U_k, are exactly U_{k-1} \ U_k: the tuples that just became
         // false, driving the T restart round.
         let removed =
-            proof::unproved(cp, ctx, u, t, &doubt, Some(t), rules, &mut damage, gov)?.tuples;
-        for &i in preds {
-            for tuple in removed.get(i).dense() {
-                let _ = ctx.remove_patched(u.get_mut(i), tuple);
+            proof::unproved(cp, ctx, u, t, preds, Some(t), rules, &mut damage, gov)?.tuples;
+        if let Some(removed) = &removed {
+            for &i in preds {
+                for tuple in removed.get(i).dense() {
+                    let _ = ctx.remove_patched(u.get_mut(i), tuple);
+                }
             }
         }
         #[cfg(debug_assertions)]
@@ -279,10 +316,11 @@ fn alternate(
         // fixpoint of the previous context U_{k-1}, so only derivations a
         // negation newly enables (its atom left U) can be new — the
         // removed-driven restart round finds exactly those.
-        added = if removed.total_tuples() > 0 {
-            driver.extend_from_removed(cp, ctx, t, rules, &removed, u, None, governor)?
-        } else {
-            0 // U unchanged ⟹ Γ(U_k) = Γ(U_{k-1}) = T_k already.
+        added = match &removed {
+            Some(removed) => {
+                driver.extend_from_removed(cp, ctx, t, rules, removed, u, None, governor)?
+            }
+            None => 0, // U unchanged ⟹ Γ(U_k) = Γ(U_{k-1}) = T_k already.
         };
         alternations += 1;
     }

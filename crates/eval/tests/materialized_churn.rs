@@ -57,6 +57,15 @@ const TC_CUT_MUTUAL: &str = "
     Cut(x, y) :- E(x, y), !S(y, x).
     T(x, y) :- S(x, y), S(y, x), !Cut(x, y).
 ";
+/// Two components in one stratum: `A` is the closure of `E`, and `B`
+/// reads it positively — paths of `A` from an `F`-marked end — so the
+/// stratum is not a unit of repair, its components are.
+const TWO_COMPONENTS_ONE_STRATUM: &str = "
+    A(x, y) :- E(x, y).
+    A(x, y) :- A(x, z), E(z, y).
+    B(x, y) :- A(x, y), F(y).
+    B(x, y) :- B(x, z), A(z, y).
+";
 
 fn handle(program: &Program, db: &Database, engine: Engine) -> Materialized {
     let opts = MaterializeOpts {
@@ -194,6 +203,28 @@ fn mutual_recursion_churn_across_capable_engines() {
     ] {
         for engine in [Engine::Stratified, Engine::WellFounded] {
             churn(src, "E", &db, engine, 51, 16);
+        }
+    }
+}
+
+/// `F` marks every other vertex of `graph`'s database.
+fn with_marks(graph: &DiGraph) -> Database {
+    let mut db = graph.to_database("E");
+    for v in (0..graph.num_vertices()).step_by(2) {
+        db.insert_named_fact("F", &[&format!("v{v}")]).unwrap();
+    }
+    db
+}
+
+#[test]
+fn components_sharing_a_stratum_churn_across_capable_engines() {
+    let mut rng = StdRng::seed_from_u64(17);
+    for db in [
+        with_marks(&DiGraph::cycle(6)),
+        with_marks(&DiGraph::random_gnp(7, 0.3, &mut rng)),
+    ] {
+        for engine in [Engine::Seminaive, Engine::Stratified, Engine::WellFounded] {
+            churn(TWO_COMPONENTS_ONE_STRATUM, "E", &db, engine, 61, 16);
         }
     }
 }
@@ -389,6 +420,36 @@ fn breaking_a_cycle_deletes_what_lost_its_proof() {
     let mut restart = handle(&program, &db, Engine::Inflationary);
     assert_eq!(restart.retract(&[("E", edge)]).unwrap(), 1);
     assert_eq!(restart.last_repair(), RepairStats::default());
+}
+
+/// A lower component in the same stratum is final by the time the one
+/// above is repaired, so the proof search reads its tuples as facts. On a
+/// 6-cycle every pair is in `A` and in `B`; retracting `E(v0, v1)` leaves
+/// the path `v1 → … → v0`. `A`'s turn checks its damaged rows as in
+/// `breaking_a_cycle_deletes_what_lost_its_proof` (6 + 6 + 5 + 4 + 3 + 2,
+/// 5 proved, 21 deleted). `B`'s turn checks its 36 pairs and no `A` pair,
+/// however many `A` atoms their witnesses hold: the 13 pairs with a marked
+/// vertex after the start on the path are proved, 23 deleted.
+#[test]
+fn a_lower_component_of_the_same_stratum_is_never_rechecked() {
+    let program = parse_program(TWO_COMPONENTS_ONE_STRATUM).unwrap();
+    let db = with_marks(&DiGraph::cycle(6));
+    let edge = Tuple::from_ids(&[0, 1]);
+    for engine in [Engine::Seminaive, Engine::Stratified, Engine::WellFounded] {
+        let mut m = handle(&program, &db, engine);
+        assert_eq!(m.retract(&[("E", edge.clone())]).unwrap(), 1);
+        assert_eq!(
+            m.last_repair(),
+            RepairStats {
+                checked: 26 + 36,
+                proved: 5 + 13,
+                deleted: 21 + 23,
+                added: 0,
+            },
+            "{engine:?}"
+        );
+        assert_matches_recompute(&m, &program, &format!("{engine:?} edge retracted"));
+    }
 }
 
 /// Strata are repaired bottom up: an insert that only *adds* to the bottom
@@ -946,6 +1007,48 @@ fn round_and_tuple_caps_surface_typed_errors_from_every_engine() {
             );
         }
     }
+}
+
+/// On a program with strata the well-founded engine runs the stratified
+/// engine's walk — one fixpoint per component, not one for each side — so
+/// it fits in the smallest tuple budget the stratified engine fits in.
+#[test]
+fn the_well_founded_engine_fits_the_stratified_engines_tuple_budget() {
+    let program = parse_program(TC_CUT_MUTUAL).unwrap();
+    let db = strongly_connected_gnp(8, 0.35, 23).to_database("E");
+    let run = |engine: Engine, max: u64| {
+        let opts = EvalOptions {
+            budget: Budget::with_max_tuples(max),
+            ..EvalOptions::sequential()
+        };
+        engine.evaluate(&program, &db, &opts)
+    };
+    // The smallest budget the stratified engine fits in: double, then
+    // bisect between a budget that trips and one that fits.
+    let mut fits = 1;
+    while run(Engine::Stratified, fits).is_err() {
+        fits *= 2;
+    }
+    let mut trips = fits / 2;
+    while fits - trips > 1 {
+        let mid = trips + (fits - trips) / 2;
+        if run(Engine::Stratified, mid).is_ok() {
+            fits = mid;
+        } else {
+            trips = mid;
+        }
+    }
+    assert_eq!(
+        run(Engine::Stratified, fits - 1).unwrap_err(),
+        EvalError::BudgetExceeded {
+            kind: BudgetKind::Tuples,
+            limit: fits - 1,
+        }
+    );
+    let stratified = run(Engine::Stratified, fits).unwrap();
+    let well_founded = run(Engine::WellFounded, fits)
+        .unwrap_or_else(|e| panic!("the well-founded engine under budget {fits}: {e}"));
+    assert_eq!(well_founded, stratified);
 }
 
 /// CI drives this with `INFLOG_FAILPOINT=<site>[:<n>]` in the environment:
