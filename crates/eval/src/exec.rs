@@ -16,11 +16,29 @@
 //!   runs a flat program counter over a small stack of loop cursors;
 //! * the inner scan/probe loops are **arity-monomorphized** for arities
 //!   1–4 — the inline-`Tuple` fast path — with a generic fallback above,
-//!   so the per-candidate unification loop fully unrolls.
+//!   so the per-candidate unification loop fully unrolls;
+//! * a **loop-invariant suffix** ([`Hoist`]) runs once per collecting run:
+//!   on the first arrival at its pc the VM runs the suffix to completion
+//!   into one flat buffer of the registers it binds, in the suffix's own
+//!   loop order, and from then on a replay cursor stands in for the
+//!   suffix and only copies rows into registers. The domain-grounded tail
+//!   of the paper's unsafe rules stops being re-run for every binding of
+//!   the positive join above it. An outer nest that never arrives builds
+//!   no buffer.
 //!
 //! The VM's iteration order is identical to the tree executor's by
 //! construction (same dense order, same posting order, same filter points),
-//! so its output is bit-identical — same tuples, same insertion order.
+//! so its output is bit-identical — same tuples, same insertion order. The
+//! replay keeps this: the suffix reads no register bound above it, and the
+//! relations it reads do not change during a run, so every arrival would
+//! have run it to the same rows in the same order — the replay hands each
+//! outer binding exactly those rows, and the emits, their order and their
+//! count (what [`Budget::max_tuples`](crate::Budget::max_tuples) counts)
+//! stay the same. Building the rows emits nothing; the build polls
+//! deadline and cancellation every few thousand rows, as the emit path
+//! does. Check plans' witness searches keep the plain path: they stop at
+//! the first witness, so building every row first could cost more than
+//! it saves.
 //! The VM is the only executor that runs; debug builds cross-check every
 //! VM application against the tree oracle (see
 //! [`operator`](crate::operator)), and release builds compile no tree
@@ -172,6 +190,65 @@ pub enum Op {
     },
 }
 
+impl Op {
+    /// Whether this op opens a loop (scans, probes, domain ranges).
+    pub(crate) fn is_loop(&self) -> bool {
+        matches!(
+            self,
+            Op::ScanEdb { .. } | Op::ScanIdb { .. } | Op::ProbeIndex { .. } | Op::Domain { .. }
+        )
+    }
+
+    /// The fail target of a loop op (the enclosing loop's pc, or [`END`]).
+    fn loop_fail(&self) -> u32 {
+        match self {
+            Op::ScanEdb { fail, .. }
+            | Op::ScanIdb { fail, .. }
+            | Op::ProbeIndex { fail, .. }
+            | Op::Domain { fail, .. } => *fail,
+            _ => unreachable!("loop_fail on a non-loop op"),
+        }
+    }
+
+    /// Calls `read` with every register this op reads — probe keys,
+    /// checked columns, filter arguments, operands; not [`Op::Emit`]'s head
+    /// — and `write` with every register it writes. Lowering writes each
+    /// register at most once along the op sequence, and never a pre-bound
+    /// one: only an unbound variable is bound.
+    pub(crate) fn visit_regs(&self, read: &mut impl FnMut(u32), write: &mut impl FnMut(u32)) {
+        let mut src = |v: &ValSrc| {
+            if let ValSrc::Reg(r) = *v {
+                read(r);
+            }
+        };
+        match self {
+            Op::ScanEdb { cols, .. } | Op::ScanIdb { cols, .. } | Op::ProbeIndex { cols, .. } => {
+                if let Op::ProbeIndex { key, .. } = self {
+                    key.iter().for_each(&mut src);
+                }
+                for col in cols.iter() {
+                    match *col {
+                        ColAction::Bind(r) => write(r),
+                        ColAction::CheckReg(r) => src(&ValSrc::Reg(r)),
+                        ColAction::CheckConst(_) | ColAction::Skip => {}
+                    }
+                }
+            }
+            Op::Domain { reg, .. } => write(*reg),
+            Op::FilterPos { args, .. } | Op::FilterNeg { args, .. } => args.iter().for_each(src),
+            Op::BindEq { reg, from } => {
+                src(from);
+                write(*reg);
+            }
+            Op::FilterEq { a, b, .. } | Op::FilterNeq { a, b, .. } => {
+                src(a);
+                src(b);
+            }
+            Op::Emit { .. } => {}
+        }
+    }
+}
+
 /// A lowered rule plan: a flat op sequence over a fixed register file,
 /// ending in [`Op::Emit`]. Produced by [`plan::lower`](crate::plan::lower),
 /// stored inside every [`Plan`](crate::plan::Plan) — re-planning re-lowers.
@@ -183,6 +260,21 @@ pub struct RuleProgram {
     pub head: Box<[ValSrc]>,
     /// Register-file size (the rule's variable-slot count).
     pub num_regs: usize,
+    /// The loop-invariant suffix, if the program has one: a collecting
+    /// run computes it once and replays it for every outer binding.
+    pub hoist: Option<Hoist>,
+}
+
+/// A program's **loop-invariant suffix**: the ops from `pc` up to the
+/// emit read no register written before `pc`, so every arrival at `pc`
+/// runs them to the same bindings in the same order. Decided statically
+/// by [`plan::lower`](crate::plan::lower).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Hoist {
+    /// The suffix's first op, a loop with another loop before it.
+    pub pc: u32,
+    /// The registers the suffix writes, in op order: one replay row.
+    pub regs: Box<[u32]>,
 }
 
 impl fmt::Display for ValSrc {
@@ -324,6 +416,12 @@ impl fmt::Display for RuleProgram {
             }
             writeln!(f)?;
         }
+        if let Some(h) = &self.hoist {
+            let regs: Vec<ValSrc> = h.regs.iter().map(|&r| ValSrc::Reg(r)).collect();
+            write!(f, "  hoist {:02}.. rows=", h.pc)?;
+            fmt_list(&regs, f)?;
+            writeln!(f)?;
+        }
         Ok(())
     }
 }
@@ -374,12 +472,17 @@ impl<'a> ExecEnv<'a> {
     }
 }
 
-/// Where emitted tuples go: collected into a relation (Θ application), or
+/// Where emitted tuples go: collected into a relation (Θ application),
 /// handed to a visitor binding by binding (the retract routine's proof
-/// search), which returns `true` to stop.
+/// search), which returns `true` to stop, or — for a loop-invariant
+/// suffix — appended as one flat row of the registers `regs` to `out`.
 enum Sink<'o> {
     Collect(&'o mut Relation),
     Each(&'o mut dyn FnMut(&[Const]) -> bool),
+    Rows {
+        regs: &'o [u32],
+        out: &'o mut Vec<Const>,
+    },
 }
 
 /// An open *non-innermost* loop: the pc of its op (debug-checked against
@@ -422,6 +525,13 @@ enum Cursor<'a> {
     },
     /// `Domain` loop over the universe constants `next..end`.
     Domain { next: u32, end: u32, reg: u32 },
+    /// Replay of a loop-invariant suffix: copies the flat row at `pos`
+    /// into `regs`.
+    Replay {
+        rows: &'a [Const],
+        pos: usize,
+        regs: &'a [u32],
+    },
 }
 
 impl Cursor<'_> {
@@ -457,6 +567,16 @@ impl Cursor<'_> {
                 } else {
                     false
                 }
+            }
+            Cursor::Replay { rows, pos, regs } => {
+                let Some(row) = rows.get(*pos..*pos + regs.len()) else {
+                    return false;
+                };
+                for (&r, &c) in regs.iter().zip(row) {
+                    vals[r as usize] = c;
+                }
+                *pos += regs.len();
+                true
             }
         }
     }
@@ -674,22 +794,46 @@ enum ROp<'a> {
     FilterNeq { a: ValSrc, b: ValSrc, fail: u32 },
     /// Produce the head tuple.
     Emit,
+    /// Replay the rows of the program's loop-invariant suffix into `regs`
+    /// (always the innermost loop; the rows are built on first arrival).
+    Replay { regs: &'a [u32], fail: u32 },
 }
 
 impl ROp<'_> {
-    /// Whether this op opens a loop (scans, probes, domain ranges).
+    /// Whether this op opens a loop (scans, probes, domain ranges, replay).
     fn is_loop(&self) -> bool {
         matches!(
             self,
-            ROp::Scan { .. } | ROp::Probe { .. } | ROp::Domain { .. }
+            ROp::Scan { .. } | ROp::Probe { .. } | ROp::Domain { .. } | ROp::Replay { .. }
         )
     }
 
     /// The fail target of a loop op (the enclosing loop's pc, or [`END`]).
     fn loop_fail(&self) -> u32 {
         match self {
-            ROp::Scan { fail, .. } | ROp::Probe { fail, .. } | ROp::Domain { fail, .. } => *fail,
+            ROp::Scan { fail, .. }
+            | ROp::Probe { fail, .. }
+            | ROp::Domain { fail, .. }
+            | ROp::Replay { fail, .. } => *fail,
             _ => unreachable!("loop_fail on a non-loop op"),
+        }
+    }
+
+    /// Renumbers the jump target of an op of a suffix that starts at pc
+    /// `k` and runs on its own: targets inside the suffix shift down by
+    /// `k`, and the target out of it — the suffix's first loop's — becomes
+    /// [`END`].
+    fn rebase(&mut self, k: u32) {
+        match self {
+            ROp::Scan { fail, .. }
+            | ROp::Probe { fail, .. }
+            | ROp::Domain { fail, .. }
+            | ROp::FilterPos { fail, .. }
+            | ROp::FilterNeg { fail, .. }
+            | ROp::FilterEq { fail, .. }
+            | ROp::FilterNeq { fail, .. }
+            | ROp::Replay { fail, .. } => *fail = if *fail < k { END } else { *fail - k },
+            ROp::BindEq { .. } | ROp::Emit => {}
         }
     }
 }
@@ -859,6 +1003,10 @@ fn run_tail(
                         matches!(gov, Some(g) if g.note_emit())
                     }
                     Sink::Each(visit) => visit(vals),
+                    Sink::Rows { regs, out } => {
+                        out.extend(regs.iter().map(|&r| vals[r as usize]));
+                        matches!(gov, Some(g) if g.note_row(out.len() / regs.len()))
+                    }
                 };
             }
             _ => unreachable!("loop op after the innermost loop"),
@@ -867,10 +1015,12 @@ fn run_tail(
     unreachable!("program tail must end with emit")
 }
 
-/// Runs a lowered program, collecting emitted head tuples into `out`.
+/// Runs a lowered program, collecting emitted head tuples into `out`. A
+/// program with a loop-invariant suffix runs it once and replays it (see
+/// [`resolve_replaying`]).
 pub(crate) fn run_program(env: &ExecEnv<'_>, prog: &RuleProgram, out: &mut Relation) {
     let mut vals = vec![Const(0); prog.num_regs];
-    let resolved = resolve_program(env, prog);
+    let resolved = resolve_replaying(env, prog);
     drive_resolved(env, &resolved, &mut vals, &mut Sink::Collect(out));
 }
 
@@ -885,17 +1035,9 @@ pub(crate) struct ResolvedProgram<'a> {
     /// Position of the innermost loop op; `None` when the program is pure
     /// straight-line (fully pre-bound check plan, or a body-free fact).
     last: Option<usize>,
-}
-
-/// Resolves every op of `prog` against `env` (see [`ResolvedProgram`]).
-pub(crate) fn resolve_program<'a>(env: &ExecEnv<'a>, prog: &'a RuleProgram) -> ResolvedProgram<'a> {
-    let rops: Vec<ROp<'a>> = prog.ops.iter().map(|op| resolve_op(env, op)).collect();
-    let last = rops.iter().rposition(ROp::is_loop);
-    ResolvedProgram {
-        rops,
-        head: &prog.head,
-        last,
-    }
+    /// The loop-invariant suffix the [`ROp::Replay`] at `last` replays,
+    /// resolved as a program of its own.
+    suffix: Option<Box<ResolvedProgram<'a>>>,
 }
 
 impl<'a> ResolvedProgram<'a> {
@@ -910,6 +1052,73 @@ impl<'a> ResolvedProgram<'a> {
     ) {
         drive_resolved(env, self, vals, &mut Sink::Each(visit));
     }
+
+    /// Runs this loop-invariant suffix to completion and returns its rows
+    /// of `regs`, flat, in loop order; `None` when the governor stopped it.
+    fn rows(&self, env: &ExecEnv<'_>, vals: &mut [Const], regs: &[u32]) -> Option<Vec<Const>> {
+        let mut out = Vec::new();
+        let stopped = drive_resolved(
+            env,
+            self,
+            vals,
+            &mut Sink::Rows {
+                regs,
+                out: &mut out,
+            },
+        );
+        (!stopped).then_some(out)
+    }
+
+    fn new(rops: Vec<ROp<'a>>, head: &'a [ValSrc]) -> Self {
+        let last = rops.iter().rposition(ROp::is_loop);
+        ResolvedProgram {
+            rops,
+            head,
+            last,
+            suffix: None,
+        }
+    }
+}
+
+/// Resolves every op of `prog` against `env` (see [`ResolvedProgram`]).
+/// The program runs as lowered: a loop-invariant suffix re-runs per outer
+/// binding. Check plans run this way — a witness search stops at the
+/// first witness, so building the suffix's every row up front could cost
+/// more than it saves.
+pub(crate) fn resolve_program<'a>(env: &ExecEnv<'a>, prog: &'a RuleProgram) -> ResolvedProgram<'a> {
+    ResolvedProgram::new(
+        prog.ops.iter().map(|op| resolve_op(env, op)).collect(),
+        &prog.head,
+    )
+}
+
+/// Resolves `prog` with its loop-invariant suffix split off: the ops
+/// before the hoist point, then an [`ROp::Replay`] over the suffix's rows
+/// as the innermost loop, then the emit. The suffix itself resolves as a
+/// program of its own whose emit appends a row.
+fn resolve_replaying<'a>(env: &ExecEnv<'a>, prog: &'a RuleProgram) -> ResolvedProgram<'a> {
+    let Some(hoist) = &prog.hoist else {
+        return resolve_program(env, prog);
+    };
+    let k = hoist.pc as usize;
+    let emit = prog.ops.len() - 1;
+    let suffix: Vec<ROp<'a>> = prog.ops[k..]
+        .iter()
+        .map(|op| {
+            let mut rop = resolve_op(env, op);
+            rop.rebase(hoist.pc);
+            rop
+        })
+        .collect();
+    let mut rops: Vec<ROp<'a>> = prog.ops[..k].iter().map(|op| resolve_op(env, op)).collect();
+    rops.push(ROp::Replay {
+        regs: &hoist.regs,
+        fail: prog.ops[k].loop_fail(),
+    });
+    rops.push(resolve_op(env, &prog.ops[emit]));
+    let mut resolved = ResolvedProgram::new(rops, &prog.head);
+    resolved.suffix = Some(Box::new(ResolvedProgram::new(suffix, &[])));
+    resolved
 }
 
 /// The VM main loop over a resolved program.
@@ -934,6 +1143,9 @@ fn drive_resolved<'a>(
         return run_tail(rops, 0, resolved.head, vals, sink, env.gov);
     };
     let mut stack: Vec<Frame<'a>> = Vec::with_capacity(last);
+    // The loop-invariant suffix's rows, built on the first arrival at the
+    // replay loop.
+    let mut rows: Option<Vec<Const>> = None;
     let mut pc: usize = 0;
     'program: loop {
         // Forward execution from `pc` down into the fused innermost loop;
@@ -982,7 +1194,23 @@ fn drive_resolved<'a>(
                 pc += 1;
             }
             // The innermost loop, fused with its straight-line tail.
-            let mut cursor = open_cursor(env, &rops[last], vals);
+            let mut cursor = match rops[last] {
+                ROp::Replay { regs, .. } => {
+                    let rows: &[Const] = match rows {
+                        Some(ref built) => built,
+                        None => {
+                            let suffix =
+                                resolved.suffix.as_deref().expect("replay without a suffix");
+                            let Some(built) = suffix.rows(env, vals, regs) else {
+                                return true;
+                            };
+                            rows.insert(built)
+                        }
+                    };
+                    Cursor::Replay { rows, pos: 0, regs }
+                }
+                ref op => open_cursor(env, op, vals),
+            };
             while cursor.advance(vals) {
                 if run_tail(rops, last + 1, resolved.head, vals, sink, env.gov) {
                     return true;
@@ -1016,13 +1244,181 @@ fn drive_resolved<'a>(
 
 #[cfg(test)]
 mod tests {
+    use super::{run_program, ExecEnv};
     use crate::resolve::CompiledProgram;
+    use crate::{
+        Budget, BudgetKind, CancelToken, Engine, EvalContext, EvalError, EvalOptions, Governor,
+        IndexSet,
+    };
     use inflog_core::graphs::DiGraph;
     use inflog_core::Database;
+    use inflog_core::Relation;
     use inflog_syntax::parse_program;
 
     fn compile(src: &str, db: &Database) -> CompiledProgram {
         CompiledProgram::compile(&parse_program(src).unwrap(), db).unwrap()
+    }
+
+    /// The paper's §4 distance program (Proposition 2).
+    const DISTANCE: &str = "
+        S1(x, y) :- E(x, y).
+        S1(x, y) :- E(x, z), S1(z, y).
+        S2(x', y') :- E(x', y').
+        S2(x', y') :- E(x', z'), S2(z', y').
+        S3(x, y, x', y') :- E(x, y), !S2(x', y').
+        S3(x, y, x', y') :- E(x, z), S1(z, y), !S2(x', y').";
+
+    /// Golden IR: the distance program's unsafe rule 5. `x'` and `y'` are
+    /// bound only under negation, so they range over the universe after
+    /// the positive join, and the `domain`/`domain`/`filter-neg` tail
+    /// reads no register bound above it: the program hoists it from pc 02
+    /// in both the full plan and the semi-naive delta plan.
+    #[test]
+    fn golden_ir_distance_rule_hoists_the_domain_tail() {
+        let db = DiGraph::path(3).to_database("E");
+        let cp = compile(DISTANCE, &db);
+        assert_eq!(
+            cp.rules[5].full_plan.program.to_string(),
+            "program regs=5\n\
+             \x20 00: scan edb0 cols=[bind r0, bind r4] fail=end\n\
+             \x20 01: probe idb0 key=[0=r4] cols=[skip, bind r1] fail=00\n\
+             \x20 02: domain r2 fail=01\n\
+             \x20 03: domain r3 fail=02\n\
+             \x20 04: filter-neg idb1 args=[r2, r3] fail=03\n\
+             \x20 05: emit [r0, r1, r2, r3] fail=03\n\
+             \x20 hoist 02.. rows=[r2, r3]\n"
+        );
+        assert_eq!(
+            cp.rules[5].delta_plans[0].program.to_string(),
+            "program regs=5\n\
+             \x20 00: scan Δidb0 cols=[bind r4, bind r1] fail=end\n\
+             \x20 01: probe edb0 key=[1=r4] cols=[bind r0, skip] fail=00\n\
+             \x20 02: domain r2 fail=01\n\
+             \x20 03: domain r3 fail=02\n\
+             \x20 04: filter-neg idb1 args=[r2, r3] fail=03\n\
+             \x20 05: emit [r0, r1, r2, r3] fail=03\n\
+             \x20 hoist 02.. rows=[r2, r3]\n"
+        );
+    }
+
+    /// The analysis finds nothing where every loop reads the one above it
+    /// (TC's join, π₁'s single scan, the `Win` check plan's head-keyed
+    /// probe), and hoists the toggle rule's universe ranges right after
+    /// its one positive scan.
+    #[test]
+    fn invariant_suffix_only_where_the_tail_reads_nothing_above_it() {
+        let db = DiGraph::path(3).to_database("E");
+        let tc = compile("S(x, y) :- E(x, y). S(x, y) :- E(x, z), S(z, y).", &db);
+        for rule in &tc.rules {
+            assert_eq!(rule.full_plan.program.hoist, None);
+            assert!(rule.delta_plans.iter().all(|p| p.program.hoist.is_none()));
+        }
+        let pi1 = compile("T(x) :- E(y, x), !T(y).", &db);
+        assert_eq!(pi1.rules[0].full_plan.program.hoist, None);
+        let db = DiGraph::path(3).to_database("Move");
+        let win = compile("Win(x) :- Move(x, y), !Win(y).", &db);
+        assert_eq!(win.rules[0].check_plan.program.hoist, None);
+
+        let db = DiGraph::path(3).to_database("E");
+        let toggle = compile("T(z) :- E(x, y), !T(w).", &db);
+        let prog = &toggle.rules[0].full_plan.program;
+        assert_eq!(
+            prog.to_string(),
+            "program regs=4\n\
+             \x20 00: scan edb0 cols=[bind r1, bind r2] fail=end\n\
+             \x20 01: domain r3 fail=00\n\
+             \x20 02: filter-neg idb0 args=[r3] fail=01\n\
+             \x20 03: domain r0 fail=01\n\
+             \x20 04: emit [r0] fail=03\n\
+             \x20 hoist 01.. rows=[r3, r0]\n"
+        );
+    }
+
+    /// The smallest tuple budget `engine` runs `src` in on `db`, found by
+    /// doubling and bisection: the run's exact emit count.
+    fn emit_count(engine: Engine, src: &str, db: &Database) -> u64 {
+        let program = parse_program(src).unwrap();
+        let run = |max: u64| {
+            let opts = EvalOptions {
+                budget: Budget::with_max_tuples(max),
+                ..EvalOptions::sequential()
+            };
+            engine.evaluate(&program, db, &opts)
+        };
+        let mut fits = 1;
+        while run(fits).is_err() {
+            fits *= 2;
+        }
+        let mut trips = fits / 2;
+        while fits - trips > 1 {
+            let mid = trips + (fits - trips) / 2;
+            if run(mid).is_ok() {
+                fits = mid;
+            } else {
+                trips = mid;
+            }
+        }
+        assert_eq!(
+            run(fits - 1).unwrap_err(),
+            EvalError::BudgetExceeded {
+                kind: BudgetKind::Tuples,
+                limit: fits - 1
+            }
+        );
+        fits
+    }
+
+    /// Replaying the loop-invariant suffix emits exactly what re-running
+    /// it did, so `Budget::max_tuples` trips at the same count: these are
+    /// the distance program's emit counts from before the replay existed.
+    #[test]
+    fn distance_program_tuple_budget_trips_at_the_same_count() {
+        let mut g = DiGraph::path(6);
+        g.add_edge(3, 1);
+        let db = g.to_database("E");
+        assert_eq!(emit_count(Engine::Inflationary, DISTANCE, &db), 752);
+        assert_eq!(emit_count(Engine::Stratified, DISTANCE, &db), 459);
+    }
+
+    /// A cancelled evaluation stops inside the suffix run, at its first
+    /// poll: after `POLL_MASK + 1` rows, before any emit. The program has
+    /// no probe, so an empty index set serves it.
+    #[test]
+    fn cancellation_stops_the_suffix_run_at_its_poll() {
+        let db = DiGraph::path(17).to_database("E");
+        let cp = compile(
+            "R(x, a, b, c) :- E(x, y), !T(a, b, c). T(a, b, c) :- E(a, b), E(b, c).",
+            &db,
+        );
+        let prog = &cp.rules[0].full_plan.program;
+        assert_eq!(prog.hoist.as_ref().map(|h| h.pc), Some(1));
+        let ctx = EvalContext::new(&cp, &db).unwrap();
+        let s = cp.empty_interp();
+        let indexes = IndexSet::default();
+        let run = |gov: &Governor| {
+            let env = ExecEnv {
+                ctx: &ctx,
+                s: &s,
+                delta: None,
+                neg: &s,
+                indexes: &indexes,
+                gov: gov.as_active(),
+            };
+            let mut out = Relation::new(4);
+            run_program(&env, prog, &mut out);
+            out.len()
+        };
+        // 16 edges times 17³ universe triples, none of them in the empty `T`.
+        assert_eq!(run(&Governor::free()), 16 * 17 * 17 * 17);
+        let token = CancelToken::new();
+        token.cancel();
+        let gov = Governor::new(&EvalOptions {
+            cancel: Some(token),
+            ..EvalOptions::sequential()
+        });
+        assert_eq!(run(&gov), 0);
+        assert_eq!(gov.check(), Err(EvalError::Cancelled));
+        assert_eq!(gov.emitted(), 0, "suffix rows are not emits");
     }
 
     /// Golden IR: the transitive-closure recursive rule, full plan. Pins

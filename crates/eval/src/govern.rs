@@ -286,6 +286,16 @@ impl Governor {
         self.tripped()
     }
 
+    /// Inner-loop hook of a loop-invariant suffix's run, called per row
+    /// appended (`rows` so far): polls deadline and cancellation every
+    /// [`POLL_MASK`]` + 1` rows, so the run stops as soon as the emit path
+    /// would have. Rows are not emits and count against no budget. Returns
+    /// `true` when the evaluation must stop.
+    #[inline]
+    pub(crate) fn note_row(&self, rows: usize) -> bool {
+        rows as u64 & POLL_MASK == 0 && self.poll_signals().is_err()
+    }
+
     /// Fires the failpoint registered at `site`, if armed and due: trips
     /// with [`EvalError::FaultInjected`] and returns it.
     pub(crate) fn fail_at(&self, site: &str) -> Result<()> {

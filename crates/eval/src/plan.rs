@@ -20,7 +20,12 @@
 //!   which all their variables are bound;
 //! * variables bound by nothing — the paper's unsafe rules — get
 //!   [`Step::Domain`] steps that range them over the whole universe `A`,
-//!   implementing the paper's domain-grounded semantics.
+//!   implementing the paper's domain-grounded semantics. Those steps come
+//!   after every positive atom, so when they and the filters on them read
+//!   nothing bound above, [`lower`] marks them as the program's
+//!   loop-invariant suffix ([`Hoist`]): the VM ranges them once per run
+//!   and replays the surviving rows for every binding of the join above,
+//!   instead of `|A|^k` candidates per binding.
 //!
 //! For semi-naive evaluation each rule additionally gets one *delta plan* per
 //! positive IDB atom occurrence: that occurrence reads the per-round delta
@@ -33,7 +38,7 @@
 //! that builds or re-builds plans (compile-time planning, per-round
 //! replanning, grounding, check plans) gets a fresh program for free.
 
-use crate::exec::{ColAction, Op, RuleProgram, ValSrc, END};
+use crate::exec::{ColAction, Hoist, Op, RuleProgram, ValSrc, END};
 use inflog_core::Const;
 use std::fmt;
 
@@ -504,6 +509,9 @@ fn plan_rule_inner(
 ///
 /// `pre_bound` lists variable slots the caller seeds before running (check
 /// plans pre-bind the head variables) — they start as bound registers.
+///
+/// The program's loop-invariant suffix, if any, is recorded on it as a
+/// [`Hoist`] (see [`exec`](crate::exec)).
 pub fn lower(steps: &[Step], head: &[CTerm], num_vars: usize, pre_bound: &[usize]) -> RuleProgram {
     let mut bound = vec![false; num_vars];
     for &v in pre_bound {
@@ -629,11 +637,60 @@ pub fn lower(steps: &[Step], head: &[CTerm], num_vars: usize, pre_bound: &[usize
         }
     }
     ops.push(Op::Emit { fail: last_loop });
+    let hoist = invariant_suffix(&ops, num_vars);
     RuleProgram {
         ops,
         head: head.iter().map(|t| vsrc(t, &bound)).collect(),
         num_regs: num_vars,
+        hoist,
     }
+}
+
+/// Finds a lowered program's loop-invariant suffix: the first loop op at
+/// pc `k`, with a loop before it, such that no op from `k` up to the emit
+/// reads a register written before `k`. Pre-bound registers are read but
+/// never written, so they count as written before pc 0. Every arrival at
+/// `k` then runs the suffix to the same bindings in the same order — the
+/// paper's unsafe rules, whose negation-only variables range over `A`
+/// after the positive join, are the case that matters.
+fn invariant_suffix(ops: &[Op], num_regs: usize) -> Option<Hoist> {
+    let body = &ops[..ops.len() - 1];
+    // One past the pc that writes each register (0: before pc 0).
+    let mut written = vec![0; num_regs];
+    for (pc, op) in body.iter().enumerate() {
+        op.visit_regs(&mut |_| {}, &mut |r| written[r as usize] = pc + 1);
+    }
+    // Per op, the earliest write (counted as above) among the registers it
+    // reads: a suffix from `k` may hold the op only if that write is at pc
+    // `k` or later.
+    let earliest: Vec<usize> = body
+        .iter()
+        .map(|op| {
+            let mut earliest = usize::MAX;
+            op.visit_regs(
+                &mut |r| earliest = earliest.min(written[r as usize]),
+                &mut |_| {},
+            );
+            earliest
+        })
+        .collect();
+    let first_loop = body.iter().position(Op::is_loop)?;
+    let k = (first_loop + 1..body.len())
+        .find(|&k| body[k].is_loop() && earliest[k..].iter().all(|&w| w > k))?;
+    // A loop binds at least one fresh register (an atom with every term
+    // bound plans as a filter), so a replay row is never empty.
+    let mut regs = Vec::new();
+    for op in &body[k..] {
+        op.visit_regs(&mut |_| {}, &mut |r| regs.push(r));
+    }
+    debug_assert!(
+        !regs.is_empty(),
+        "a loop-invariant suffix writes no register"
+    );
+    Some(Hoist {
+        pc: k as u32,
+        regs: regs.into(),
+    })
 }
 
 #[cfg(test)]

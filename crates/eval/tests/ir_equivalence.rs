@@ -9,7 +9,8 @@
 //! engine over a corpus that reaches every op the lowering emits:
 //! fixed-seed random programs and graphs plus hand-picked templates
 //! covering scans, index probes, negation filters, equality/inequality
-//! filters, and `Domain` ranges from unsafe rules.
+//! filters, `Domain` ranges from unsafe rules, and loop-invariant suffixes
+//! that a collecting run builds once and replays for every outer binding.
 //!
 //! Release builds compile no tree walker and so no comparison: there this
 //! file would pass without checking anything, which is why it is compiled
@@ -18,7 +19,7 @@
 
 use inflog_core::graphs::DiGraph;
 use inflog_core::Database;
-use inflog_eval::{stratify, Engine, EvalOptions};
+use inflog_eval::{stratify, CompiledProgram, Engine, EvalOptions};
 use inflog_syntax::{parse_program, Program};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -39,6 +40,17 @@ fn assert_vm_matches_tree(program: &Program, db: &Database, label: &str) {
         Engine::Stratified.evaluate(program, db, &opts).unwrap();
     }
     Engine::WellFounded.evaluate(program, db, &opts).unwrap();
+}
+
+/// Whether any full or delta plan of `program` has a loop-invariant
+/// suffix, so the runs above replay one.
+fn hoists(program: &Program, db: &Database) -> bool {
+    let cp = CompiledProgram::compile(program, db).unwrap();
+    cp.rules.iter().any(|r| {
+        std::iter::once(&r.full_plan)
+            .chain(&r.delta_plans)
+            .any(|p| p.program.hoist.is_some())
+    })
 }
 
 /// Generates a random program: 2–4 rules over IDB `P/2`, `Q/1` and EDB
@@ -102,21 +114,27 @@ fn random_db(rng: &mut StdRng) -> Database {
 #[test]
 fn vm_matches_tree_on_random_positive_programs() {
     let mut rng = StdRng::seed_from_u64(0x1_F1A7_0001);
+    let mut hoisted = 0;
     for round in 0..10 {
         let program = random_program(&mut rng, false);
         let db = random_db(&mut rng);
         assert_vm_matches_tree(&program, &db, &format!("positive round {round}"));
+        hoisted += usize::from(hoists(&program, &db));
     }
+    assert!(hoisted > 0, "no random positive program replays a suffix");
 }
 
 #[test]
 fn vm_matches_tree_on_random_negation_programs() {
     let mut rng = StdRng::seed_from_u64(0x1_F1A7_0002);
+    let mut hoisted = 0;
     for round in 0..10 {
         let program = random_program(&mut rng, true);
         let db = random_db(&mut rng);
         assert_vm_matches_tree(&program, &db, &format!("negation round {round}"));
+        hoisted += usize::from(hoists(&program, &db));
     }
+    assert!(hoisted > 0, "no random negation program replays a suffix");
 }
 
 #[test]
@@ -124,8 +142,11 @@ fn vm_matches_tree_on_structured_templates() {
     // Hand-picked programs covering each lowering shape: pure joins (TC),
     // the canonical alternating-fixpoint instance (win–move), projection
     // under negation, double negation through an intermediate predicate,
-    // constant and (in)equality filters, and an unsafe rule whose head
-    // variable ranges over the whole universe via a `Domain` op.
+    // constant and (in)equality filters, an unsafe rule whose head
+    // variable ranges over the whole universe via a `Domain` op, and the
+    // loop-invariant suffix shapes: the paper's distance program and the
+    // toggle rule, whose universe ranges replay, and a cross product whose
+    // negation reads the outer `y`, which must not.
     let templates = [
         ("tc", "S(x, y) :- E(x, y). S(x, y) :- E(x, z), S(z, y)."),
         ("win-move", "Win(x) :- E(x, y), !Win(y)."),
@@ -142,6 +163,17 @@ fn vm_matches_tree_on_structured_templates() {
             "Loop(x) :- E(x, y), x = y. Hop(x, y) :- E(x, z), E(z, y), x != y.",
         ),
         ("unsafe-domain", "U(x, y) :- E(x, x), !E(x, y)."),
+        (
+            "distance",
+            "S1(x, y) :- E(x, y).
+             S1(x, y) :- E(x, z), S1(z, y).
+             S2(x', y') :- E(x', y').
+             S2(x', y') :- E(x', z'), S2(z', y').
+             S3(x, y, x', y') :- E(x, y), !S2(x', y').
+             S3(x, y, x', y') :- E(x, z), S1(z, y), !S2(x', y').",
+        ),
+        ("toggle", "T(z) :- E(x, y), !T(w)."),
+        ("non-hoistable", "R(x, u) :- E(x, y), E(u, v), !E(y, v)."),
     ];
     let mut rng = StdRng::seed_from_u64(0x1_F1A7_0003);
     for (name, src) in templates {
@@ -159,6 +191,11 @@ fn vm_matches_tree_on_structured_templates() {
         ] {
             let db = g.to_database("E");
             assert_vm_matches_tree(&program, &db, &format!("{name} on {g}"));
+            match name {
+                "distance" | "toggle" => assert!(hoists(&program, &db), "{name} on {g}"),
+                "non-hoistable" => assert!(!hoists(&program, &db), "{name} on {g}"),
+                _ => {}
+            }
         }
     }
 }

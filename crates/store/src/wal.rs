@@ -143,6 +143,11 @@ impl Wal {
         let header = header_bytes();
         StoreError::ctx(path, "write header", file.write_all(&header))?;
         StoreError::ctx(path, "fsync", file.sync_all())?;
+        // The directory entry too: a lost name reads as "no WAL yet", and
+        // recovery would start an empty log under epochs already acked.
+        if let Some(dir) = path.parent() {
+            crate::snapshot::sync_dir(dir)?;
+        }
         Ok(Wal {
             path: path.to_path_buf(),
             file,
