@@ -3,7 +3,6 @@
 use crate::tuple::Tuple;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
-use std::sync::Mutex;
 
 /// Slot marker: never occupied.
 const EMPTY: u32 = u32::MAX;
@@ -65,16 +64,6 @@ pub struct Relation {
     /// with `shrink_epoch` (each truncate bumps it exactly once) an external
     /// index that is exactly one epoch behind knows how far to roll back.
     last_truncate_len: usize,
-    /// Cached lexicographic order (indices into `tuples`); cleared on
-    /// mutation so `sorted()` only re-sorts relations that changed.
-    ///
-    /// A `Mutex` rather than a `RefCell` so that `Relation` is [`Sync`]:
-    /// published epochs share their relations read-only across the
-    /// server's reader threads. Every mutation path holds `&mut self` and
-    /// clears the cache through the lock-free [`Mutex::get_mut`]; only
-    /// [`sorted`](Self::sorted) (display/tests, never an evaluation hot
-    /// path) actually locks.
-    sorted_cache: Mutex<Option<Vec<u32>>>,
 }
 
 impl Relation {
@@ -88,7 +77,6 @@ impl Relation {
             id: next_relation_id(),
             shrink_epoch: 0,
             last_truncate_len: 0,
-            sorted_cache: Mutex::new(None),
         }
     }
 
@@ -175,7 +163,6 @@ impl Relation {
         }
         self.shrink_epoch += 1;
         self.last_truncate_len = len;
-        self.clear_sorted_cache();
         if len == 0 {
             self.tuples.clear();
             self.slots.fill(EMPTY);
@@ -286,7 +273,6 @@ impl Relation {
                 }
                 self.slots[slot] = self.tuples.len() as u32;
                 self.tuples.push(t);
-                self.clear_sorted_cache();
                 true
             }
         }
@@ -318,7 +304,6 @@ impl Relation {
             self.slots[s] = idx as u32;
         }
         self.id = next_relation_id();
-        self.clear_sorted_cache();
         true
     }
 
@@ -330,7 +315,7 @@ impl Relation {
     ///
     /// External positional indexes over the relation become stale at exactly
     /// those two positions; the caller **must** patch or discard them
-    /// synchronously (see `IndexSet::patch_swap_remove` in the evaluator) —
+    /// synchronously (see `IndexSet::remove_patched` in the evaluator) —
     /// this is the one mutation the identity token does not guard. The
     /// incremental well-founded engine uses it to delete the handful of
     /// tuples that leave the decreasing side each alternation while keeping
@@ -356,7 +341,6 @@ impl Relation {
             }
             self.slots[s] = idx as u32;
         }
-        self.clear_sorted_cache();
         Some((idx, moved_from))
     }
 
@@ -398,7 +382,6 @@ impl Relation {
         self.tuples.swap(pos, last);
         self.slots[slot_moved] = last as u32;
         self.slots[slot_restored] = pos as u32;
-        self.clear_sorted_cache();
     }
 
     /// Refreshes the identity token without touching the tuples, forcing
@@ -429,43 +412,13 @@ impl Relation {
         self.tuples.iter()
     }
 
-    /// Drops the cached sort order (every mutation path calls this). Holding
-    /// `&mut self` means no other thread can be probing the cache, so the
-    /// uncontended [`Mutex::get_mut`] access compiles to a plain store.
-    fn clear_sorted_cache(&mut self) {
-        *self
-            .sorted_cache
-            .get_mut()
-            .unwrap_or_else(std::sync::PoisonError::into_inner) = None;
-    }
-
     /// Returns the tuples sorted lexicographically (deterministic output for
-    /// display, hashing into SAT variables, and tests).
-    ///
-    /// The sort order is cached and reused until the relation changes.
+    /// display, hashing into SAT variables, and tests). Each call sorts a
+    /// fresh copy; a published epoch keeps its own order for repeated reads.
     pub fn sorted(&self) -> Vec<Tuple> {
-        let mut cache = match self.sorted_cache.lock() {
-            Ok(guard) => guard,
-            // A thread panicked while holding the cache lock. The cache is
-            // pure derived data, so recovery is trivial: drop whatever
-            // (possibly torn) order is in there and re-sort from the dense
-            // storage, which the lock never guards.
-            Err(poisoned) => {
-                let mut guard = poisoned.into_inner();
-                *guard = None;
-                self.sorted_cache.clear_poison();
-                guard
-            }
-        };
-        let order = cache.get_or_insert_with(|| {
-            let mut idx: Vec<u32> = (0..self.tuples.len() as u32).collect();
-            idx.sort_unstable_by(|&a, &b| self.tuples[a as usize].cmp(&self.tuples[b as usize]));
-            idx
-        });
-        order
-            .iter()
-            .map(|&i| self.tuples[i as usize].clone())
-            .collect()
+        let mut out = self.tuples.clone();
+        out.sort_unstable();
+        out
     }
 
     /// In-place union; returns the number of newly added tuples.
@@ -563,12 +516,6 @@ impl Clone for Relation {
             id: next_relation_id(),
             shrink_epoch: 0,
             last_truncate_len: 0,
-            sorted_cache: Mutex::new(
-                self.sorted_cache
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner)
-                    .clone(),
-            ),
         }
     }
 }
@@ -728,7 +675,6 @@ mod tests {
         let r = rel(2, &[&[1, 0], &[0, 1], &[0, 0]]);
         let s = r.sorted();
         assert_eq!(s, vec![t(&[0, 0]), t(&[0, 1]), t(&[1, 0])]);
-        // Cached: a second call returns the same order.
         assert_eq!(r.sorted(), s);
     }
 
@@ -906,21 +852,6 @@ mod tests {
         r.refresh_id();
         assert_ne!(r.id(), id0);
         assert_eq!(r.dense(), &before[..], "tuples untouched");
-    }
-
-    #[test]
-    fn sorted_recovers_from_poisoned_cache() {
-        let r = rel(1, &[&[2], &[0], &[1]]);
-        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _guard = r.sorted_cache.lock().unwrap();
-            panic!("poison the sorted cache");
-        }));
-        assert!(caught.is_err());
-        assert!(r.sorted_cache.is_poisoned());
-        // The cache is derived data: sorted() clears it and re-sorts.
-        assert_eq!(r.sorted(), vec![t(&[0]), t(&[1]), t(&[2])]);
-        assert!(!r.sorted_cache.is_poisoned(), "poison cleared on recovery");
-        assert_eq!(r.sorted(), vec![t(&[0]), t(&[1]), t(&[2])]);
     }
 
     #[test]

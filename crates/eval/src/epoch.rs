@@ -26,22 +26,26 @@
 //!
 //! A published epoch holds a finished fixpoint, so [`Epoch::select`] only
 //! looks into it: a membership probe for a fully bound goal, an index
-//! probe for a partly bound one, the relation's cached sorted order for an
-//! unbound one. Each epoch owns its indexes (`u32` positions into its
-//! relations, behind one `RwLock`), and their lifetime follows the
-//! invariant above:
+//! probe for a partly bound one, a walk of the relation's sorted order for
+//! an unbound one. Each epoch owns its indexes (`u32` positions into its
+//! relations, behind one `RwLock`) and one sorted order per relation
+//! (`u32` positions too, each behind a [`OnceLock`]), and their lifetime
+//! follows the invariant above:
 //! - **readers build**: the first `select` that needs an index on some
-//!   relation's bound columns builds it, and every later reader shares it;
-//! - **only the writer patches**, in `Epoch::apply`, and only under
-//!   [`Arc::get_mut`] — so through [`RwLock::get_mut`], with no lock taken.
-//!   Removals patch their postings in place and appends are consumed from
-//!   the dense suffix, so a recycled epoch keeps its indexes across
-//!   writes;
+//!   relation's bound columns, or that relation's order, builds it, and
+//!   every later reader shares it;
+//! - **only the writer changes them**, in `Epoch::apply`, and only under
+//!   [`Arc::get_mut`], with no lock taken. Removals patch their postings
+//!   in place and appends are consumed from the dense suffix, so a
+//!   recycled epoch keeps its indexes across writes; the order of each
+//!   relation the change touched is dropped, to be re-sorted by its next
+//!   open read;
 //! - a deep copy starts with none, so a writer nobody reads from builds
 //!   none.
 //!
-//! A panic while building poisons the lock; the next access drops every
-//! index before trusting the set again.
+//! A panic while building an index poisons the lock; the next access drops
+//! every index before trusting the set again. A panic while sorting leaves
+//! that order unset, and the next reader sorts again.
 //!
 //! [`EpochCell`] is the publication point: the single writer commits an
 //! update through the transactional (and optionally durable) path, then
@@ -57,7 +61,7 @@
 //! [`Materialized::publish_into`]: crate::Materialized::publish_into
 
 use crate::error::{BudgetKind, EvalError};
-use crate::index::{col_mask, IndexSet};
+use crate::index::{col_mask, IndexSet, SharedIndexes};
 use crate::interp::Interp;
 use crate::materialize::{Change, Engine};
 use crate::operator::EvalContext;
@@ -67,7 +71,7 @@ use crate::resolve::CompiledProgram;
 use crate::Result;
 use inflog_core::{Const, Database, Relation, Tuple};
 use inflog_syntax::{Atom, Program};
-use std::sync::{Arc, Mutex, PoisonError, RwLock, RwLockWriteGuard};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 use std::time::Instant;
 
 /// Three-valued membership of a fact in an epoch's model.
@@ -84,6 +88,9 @@ pub enum Truth {
 /// How often the unbound read polls a deadline (every `SCAN_POLL_MASK + 1`
 /// tuples) — same cadence as the evaluation VM.
 const SCAN_POLL_MASK: usize = (1 << 12) - 1;
+
+/// One relation a read answers from, with the slot of its sorted order.
+type Served<'a> = (&'a Relation, &'a OnceLock<Vec<u32>>);
 
 /// One committed, immutable snapshot of a materialized model. See the
 /// module docs for the publication invariant.
@@ -104,7 +111,13 @@ pub struct Epoch {
     /// Lookup indexes over this epoch's relations, keyed by relation id and
     /// bound columns: built by the first [`select`](Epoch::select) that
     /// needs one, patched forward by [`apply`](Epoch::apply).
-    indexes: RwLock<IndexSet>,
+    indexes: SharedIndexes,
+    /// The lexicographic order of each relation, as positions into its
+    /// dense storage: the true IDB relations by IDB id, then the undefined
+    /// ones, then the EDB by EDB id. Built by the first open read of the
+    /// relation; [`apply`](Epoch::apply) drops the orders of the relations
+    /// a change touched.
+    orders: Vec<OnceLock<Vec<u32>>>,
 }
 
 impl Epoch {
@@ -123,6 +136,7 @@ impl Epoch {
         s: Interp,
         undefined: Interp,
     ) -> Epoch {
+        let served = 2 * s.len() + cp.edb_names.len();
         Epoch {
             number,
             state,
@@ -132,7 +146,8 @@ impl Epoch {
             db,
             s,
             undefined,
-            indexes: RwLock::default(),
+            indexes: SharedIndexes::default(),
+            orders: (0..served).map(|_| OnceLock::new()).collect(),
         }
     }
 
@@ -143,13 +158,9 @@ impl Epoch {
     /// [`Materialized::publish_into`]: crate::Materialized::publish_into
     pub(crate) fn apply(&mut self, change: &Change, number: u64) {
         debug_assert_eq!(self.state + 1, change.to, "changes apply in order");
-        // Sole owner: the readers' indexes are patched without locking. A
-        // set a panicking reader left torn is dropped, not patched.
-        let indexes = self.indexes.get_mut().unwrap_or_else(|poisoned| {
-            let set = poisoned.into_inner();
-            *set = IndexSet::default();
-            set
-        });
+        // Sole owner: the readers' indexes are patched without locking.
+        let indexes = self.indexes.get_mut();
+        let m = self.s.len();
         for (id, name) in self.cp.edb_names.iter().enumerate() {
             let facts = change.edb.get(id);
             let rel = self.db.relation_mut(name).expect("the handle declared it");
@@ -159,15 +170,15 @@ impl Epoch {
             } else {
                 (facts, &none)
             };
-            patch(indexes, rel, removed, added);
+            if patch(indexes, rel, removed, added) {
+                self.orders[2 * m + id].take();
+            }
         }
-        for i in 0..self.s.len() {
-            patch(
-                indexes,
-                self.s.get_mut(i),
-                change.removed.get(i),
-                change.added.get(i),
-            );
+        for i in 0..m {
+            let rel = self.s.get_mut(i);
+            if patch(indexes, rel, change.removed.get(i), change.added.get(i)) {
+                self.orders[i].take();
+            }
         }
         self.state = change.to;
         self.number = number;
@@ -216,7 +227,7 @@ impl Epoch {
     /// [`EvalError::UnknownRelation`] / [`EvalError::ArityMismatch`] for a
     /// predicate the program does not know or a wrong-width tuple.
     pub fn contains(&self, pred: &str, t: &Tuple) -> Result<Truth> {
-        let (rel, undef) = self.relations_of(pred)?;
+        let ((rel, _), undef) = self.relations_of(pred)?;
         if t.arity() != rel.arity() {
             return Err(EvalError::ArityMismatch {
                 predicate: pred.to_owned(),
@@ -226,7 +237,7 @@ impl Epoch {
         }
         if rel.contains(t) {
             Ok(Truth::True)
-        } else if undef.is_some_and(|u| u.contains(t)) {
+        } else if undef.is_some_and(|(u, _)| u.contains(t)) {
             Ok(Truth::Undefined)
         } else {
             Ok(Truth::False)
@@ -253,8 +264,11 @@ impl Epoch {
     ///   epoch forward — which it does only once [`Arc::get_mut`] proves no
     ///   reader can see it — so indexes follow the epoch and are never
     ///   rebuilt per write;
-    /// - **none bound:** the relation's cached sorted order, filtered for
-    ///   repeated variables — sorted once per epoch, not once per read.
+    /// - **none bound:** a walk of the epoch's sorted order of the
+    ///   relation, copying only the tuples that match repeated variables.
+    ///   The first open read of a relation sorts it, every later reader of
+    ///   the epoch shares that order, and a recycled epoch re-sorts only the
+    ///   relations a write changed.
     ///
     /// `deadline` trips before any work when it has already passed, and the
     /// unbound path polls it every few thousand tuples; either gives up with
@@ -266,7 +280,8 @@ impl Epoch {
     ///
     /// [`Materialized::publish_into`]: crate::Materialized::publish_into
     pub fn select(&self, goal: &Atom, deadline: Option<Instant>) -> Result<QueryAnswer> {
-        let (rel, undef) = self.relations_of(&goal.predicate)?;
+        let (served, undef) = self.relations_of(&goal.predicate)?;
+        let rel = served.0;
         if goal.terms.len() != rel.arity() {
             return Err(EvalError::ArityMismatch {
                 predicate: goal.predicate.clone(),
@@ -289,7 +304,7 @@ impl Epoch {
             })
             .unzip();
         let key = Tuple::from_slice(&key);
-        let tuples = self.read(rel, &pattern, &cols, &key, deadline)?;
+        let tuples = self.read(served, &pattern, &cols, &key, deadline)?;
         let undefined = match undef {
             Some(u) => self.read(u, &pattern, &cols, &key, deadline)?,
             None => Vec::new(),
@@ -306,7 +321,7 @@ impl Epoch {
     /// `key`.
     fn read(
         &self,
-        rel: &Relation,
+        (rel, order): Served<'_>,
         pattern: &[Slot],
         cols: &[usize],
         key: &Tuple,
@@ -324,7 +339,7 @@ impl Epoch {
             });
         }
         if cols.is_empty() || col_mask(cols).is_none() {
-            return scan_sorted(rel, pattern, deadline);
+            return scan_sorted(rel, order, pattern, deadline);
         }
         Ok(self.probe(rel, pattern, cols, key))
     }
@@ -344,29 +359,15 @@ impl Epoch {
             out.sort_unstable();
             Some(out)
         };
-        // A poisoned lock reads as a miss; the write guard below clears it.
-        if let Some(out) = self.indexes.read().ok().and_then(|set| answer(&set)) {
+        if let Some(out) = answer(&self.indexes.read()) {
             return out;
         }
-        let mut set = self.write_indexes();
+        let mut set = self.indexes.write();
         // Another reader may have built it between the two guards.
         if set.resolve(rel.id(), cols).is_none() {
             set.ensure(rel, cols);
         }
         answer(&set).expect("an index on fewer than 128 columns was just built")
-    }
-
-    /// The write guard on the index set. A reader that panicked while
-    /// building poisoned the lock and may have left a torn index, which
-    /// would serve wrong answers silently; indexes are derived data, so
-    /// recovery drops them all (as [`Relation::sorted`] does its cache).
-    fn write_indexes(&self) -> RwLockWriteGuard<'_, IndexSet> {
-        self.indexes.write().unwrap_or_else(|poisoned| {
-            let mut set = poisoned.into_inner();
-            *set = IndexSet::default();
-            self.indexes.clear_poison();
-            set
-        })
     }
 
     /// The mechanical consistency oracle: re-evaluates the epoch's engine
@@ -385,13 +386,15 @@ impl Epoch {
     }
 
     /// The true and (for IDB predicates) undefined relations of `pred`.
-    fn relations_of(&self, pred: &str) -> Result<(&Relation, Option<&Relation>)> {
+    fn relations_of(&self, pred: &str) -> Result<(Served<'_>, Option<Served<'_>>)> {
+        let m = self.s.len();
         if let Some(i) = self.cp.idb_id(pred) {
-            return Ok((self.s.get(i), Some(self.undefined.get(i))));
+            let undefined = (self.undefined.get(i), &self.orders[m + i]);
+            return Ok(((self.s.get(i), &self.orders[i]), Some(undefined)));
         }
-        if self.cp.edb_id(pred).is_some() {
+        if let Some(id) = self.cp.edb_id(pred) {
             let rel = self.db.relation(pred).expect("the handle declared it");
-            return Ok((rel, None));
+            return Ok(((rel, &self.orders[2 * m + id]), None));
         }
         Err(EvalError::UnknownRelation {
             name: pred.to_owned(),
@@ -399,22 +402,37 @@ impl Epoch {
     }
 }
 
-/// The read with no usable index: `rel`'s cached sorted order, filtered by
-/// `pattern` in place. This is the one read loop as long as the relation,
+/// The read with no usable index: a walk of `rel`'s sorted `order`
+/// (sorting it first if no reader has yet) that clones only the tuples
+/// matching `pattern`. This is the one read loop as long as the relation,
 /// so it polls `deadline`.
-fn scan_sorted(rel: &Relation, pattern: &[Slot], deadline: Option<Instant>) -> Result<Vec<Tuple>> {
-    let mut out = rel.sorted();
-    let mut kept = 0;
-    for i in 0..out.len() {
-        if i & SCAN_POLL_MASK == SCAN_POLL_MASK && deadline.is_some_and(|d| Instant::now() >= d) {
+fn scan_sorted(
+    rel: &Relation,
+    order: &OnceLock<Vec<u32>>,
+    pattern: &[Slot],
+    deadline: Option<Instant>,
+) -> Result<Vec<Tuple>> {
+    let dense = rel.dense();
+    let order = order.get_or_init(|| {
+        let mut order: Vec<u32> = (0..dense.len() as u32).collect();
+        order.sort_unstable_by(|&a, &b| dense[a as usize].cmp(&dense[b as usize]));
+        order
+    });
+    // A goal of distinct variables matches every tuple: copying without a
+    // per-tuple test runs about twice as fast.
+    let every = pattern.iter().all(|slot| matches!(slot, Slot::Free));
+    let mut out = Vec::with_capacity(order.len());
+    for (i, chunk) in order.chunks(SCAN_POLL_MASK + 1).enumerate() {
+        if i > 0 && deadline.is_some_and(|d| Instant::now() >= d) {
             return Err(deadline_tripped());
         }
-        if pattern_matches(pattern, &out[i]) {
-            out.swap(kept, i);
-            kept += 1;
+        let tuples = chunk.iter().map(|&p| &dense[p as usize]);
+        if every {
+            out.extend(tuples.cloned());
+        } else {
+            out.extend(tuples.filter(|t| pattern_matches(pattern, t)).cloned());
         }
     }
-    out.truncate(kept);
     Ok(out)
 }
 
@@ -426,21 +444,20 @@ fn deadline_tripped() -> EvalError {
 }
 
 /// Patches `rel` by one committed change — `removed` out, then `added` in
-/// — and brings every index over it along. A tracked removal patches the
-/// two postings its swap-remove moved (a plain `remove` would refresh the
-/// id and orphan every index); the appends are consumed from the dense
-/// suffix.
-fn patch(indexes: &mut IndexSet, rel: &mut Relation, removed: &Relation, added: &Relation) {
+/// — and brings every index over it along; returns whether `rel` changed.
+/// A tracked removal patches the two postings its swap-remove moved (a
+/// plain `remove` would refresh the id and orphan every index); the
+/// appends are consumed from the dense suffix.
+fn patch(indexes: &mut IndexSet, rel: &mut Relation, removed: &Relation, added: &Relation) -> bool {
+    let mut changed = false;
     for t in removed.iter() {
-        let old_len = rel.len();
-        if let Some((pos, moved_from)) = rel.remove_tracked(t) {
-            indexes.patch_swap_remove(rel, t, pos, moved_from, old_len);
-        }
+        changed |= indexes.remove_patched(rel, t).is_some();
     }
-    rel.union_with(added);
+    changed |= rel.union_with(added) > 0;
     indexes.catch_up(rel);
     #[cfg(debug_assertions)]
     indexes.debug_validate(rel);
+    changed
 }
 
 /// The single-writer / many-reader publication point for epochs. See the
@@ -602,8 +619,41 @@ mod tests {
         for answer in &answers {
             assert_eq!(answer.tuples, want);
         }
-        let indexes = ep.indexes.read().unwrap();
-        assert_eq!(indexes.len(), 1, "one index, built once and shared");
+        assert_eq!(
+            ep.indexes.read().len(),
+            1,
+            "one index, built once and shared"
+        );
+    }
+
+    #[test]
+    fn concurrent_first_open_readers_agree_and_share_one_order() {
+        let ep = tc_epoch(24);
+        let goal = parse_atom("S(x, y)").unwrap();
+        let start = std::sync::Barrier::new(8);
+        let answers: Vec<QueryAnswer> = std::thread::scope(|s| {
+            let readers: Vec<_> = (0..8)
+                .map(|_| {
+                    s.spawn(|| {
+                        start.wait();
+                        ep.select(&goal, None).unwrap()
+                    })
+                })
+                .collect();
+            readers.into_iter().map(|r| r.join().unwrap()).collect()
+        });
+        let want = from_scratch(&ep, &goal).tuples;
+        assert_eq!(want.len(), 24 * 23 / 2);
+        for answer in &answers {
+            assert_eq!(answer.tuples, want);
+        }
+        // The undefined half of S is empty, and an empty relation is
+        // never sorted: S's true relation holds the only order.
+        let s = ep.compiled().idb_id("S").unwrap();
+        let built: Vec<usize> = (0..ep.orders.len())
+            .filter(|&i| ep.orders[i].get().is_some())
+            .collect();
+        assert_eq!(built, [s], "one order, built once and shared");
     }
 
     #[test]
@@ -613,20 +663,20 @@ mod tests {
         let died = std::thread::scope(|scope| {
             scope
                 .spawn(|| {
-                    let mut set = ep.indexes.write().unwrap();
+                    let mut set = ep.indexes.lock().write().unwrap();
                     set.tear(s, &[0]);
                     panic!("reader dies mid-build");
                 })
                 .join()
         });
-        assert!(died.is_err() && ep.indexes.is_poisoned());
+        assert!(died.is_err() && ep.indexes.lock().is_poisoned());
         for v in 0..12 {
             let goal = parse_atom(&format!("S('v{v}', y)")).unwrap();
             let want = from_scratch(&ep, &goal).tuples;
             assert_eq!(want.len(), 11 - v);
             assert_eq!(ep.select(&goal, None).unwrap().tuples, want, "{goal:?}");
         }
-        assert!(!ep.indexes.is_poisoned());
+        assert!(!ep.indexes.lock().is_poisoned());
     }
 
     #[test]
@@ -642,7 +692,7 @@ mod tests {
                 assert!(answer.tuples.is_empty() && answer.undefined.is_empty());
             }
         }
-        assert!(ep.indexes.read().unwrap().is_empty());
+        assert!(ep.indexes.read().is_empty());
     }
 
     #[test]

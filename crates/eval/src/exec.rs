@@ -1278,7 +1278,7 @@ mod tests {
         let db = DiGraph::path(3).to_database("E");
         let cp = compile(DISTANCE, &db);
         assert_eq!(
-            cp.rules[5].full_plan.program.to_string(),
+            cp.rules[5].plans.full.program.to_string(),
             "program regs=5\n\
              \x20 00: scan edb0 cols=[bind r0, bind r4] fail=end\n\
              \x20 01: probe idb0 key=[0=r4] cols=[skip, bind r1] fail=00\n\
@@ -1289,7 +1289,7 @@ mod tests {
              \x20 hoist 02.. rows=[r2, r3]\n"
         );
         assert_eq!(
-            cp.rules[5].delta_plans[0].program.to_string(),
+            cp.rules[5].plans.delta[0].program.to_string(),
             "program regs=5\n\
              \x20 00: scan Δidb0 cols=[bind r4, bind r1] fail=end\n\
              \x20 01: probe edb0 key=[1=r4] cols=[bind r0, skip] fail=00\n\
@@ -1310,18 +1310,18 @@ mod tests {
         let db = DiGraph::path(3).to_database("E");
         let tc = compile("S(x, y) :- E(x, y). S(x, y) :- E(x, z), S(z, y).", &db);
         for rule in &tc.rules {
-            assert_eq!(rule.full_plan.program.hoist, None);
-            assert!(rule.delta_plans.iter().all(|p| p.program.hoist.is_none()));
+            assert_eq!(rule.plans.full.program.hoist, None);
+            assert!(rule.plans.delta.iter().all(|p| p.program.hoist.is_none()));
         }
         let pi1 = compile("T(x) :- E(y, x), !T(y).", &db);
-        assert_eq!(pi1.rules[0].full_plan.program.hoist, None);
+        assert_eq!(pi1.rules[0].plans.full.program.hoist, None);
         let db = DiGraph::path(3).to_database("Move");
         let win = compile("Win(x) :- Move(x, y), !Win(y).", &db);
         assert_eq!(win.rules[0].check_plan.program.hoist, None);
 
         let db = DiGraph::path(3).to_database("E");
         let toggle = compile("T(z) :- E(x, y), !T(w).", &db);
-        let prog = &toggle.rules[0].full_plan.program;
+        let prog = &toggle.rules[0].plans.full.program;
         assert_eq!(
             prog.to_string(),
             "program regs=4\n\
@@ -1390,7 +1390,7 @@ mod tests {
             "R(x, a, b, c) :- E(x, y), !T(a, b, c). T(a, b, c) :- E(a, b), E(b, c).",
             &db,
         );
-        let prog = &cp.rules[0].full_plan.program;
+        let prog = &cp.rules[0].plans.full.program;
         assert_eq!(prog.hoist.as_ref().map(|h| h.pc), Some(1));
         let ctx = EvalContext::new(&cp, &db).unwrap();
         let s = cp.empty_interp();
@@ -1429,7 +1429,7 @@ mod tests {
     fn golden_ir_tc_rule() {
         let db = DiGraph::path(3).to_database("E");
         let cp = compile("S(x, y) :- E(x, y). S(x, y) :- E(x, z), S(z, y).", &db);
-        let prog = &cp.rules[1].full_plan.program;
+        let prog = &cp.rules[1].plans.full.program;
         assert_eq!(
             prog.to_string(),
             "program regs=3\n\
@@ -1439,7 +1439,7 @@ mod tests {
         );
         // The semi-naive delta plan drives the IDB occurrence from the
         // per-round delta and probes E keyed on the bound join column.
-        let delta = &cp.rules[1].delta_plans[0].program;
+        let delta = &cp.rules[1].plans.delta[0].program;
         assert_eq!(
             delta.to_string(),
             "program regs=3\n\
@@ -1456,7 +1456,7 @@ mod tests {
     fn golden_ir_negation_rule() {
         let db = DiGraph::path(3).to_database("E");
         let cp = compile("T(x) :- E(y, x), !T(y).", &db);
-        let prog = &cp.rules[0].full_plan.program;
+        let prog = &cp.rules[0].plans.full.program;
         assert_eq!(
             prog.to_string(),
             "program regs=2\n\
@@ -1490,7 +1490,7 @@ mod tests {
         db.universe_mut().intern("a");
         db.universe_mut().intern("b");
         let cp = compile("G(z, 'b').", &db);
-        let prog = &cp.rules[0].full_plan.program;
+        let prog = &cp.rules[0].plans.full.program;
         assert_eq!(
             prog.to_string(),
             "program regs=1\n\

@@ -22,7 +22,7 @@
 //!   and a tracked single-tuple removal ([`Relation::remove_tracked`] — how
 //!   the incremental well-founded engine deletes the few tuples that leave
 //!   its decreasing side each alternation) has its two affected postings
-//!   patched in place by [`IndexSet::patch_swap_remove`];
+//!   patched in place by [`IndexSet::remove_patched`];
 //! * postings are `u32` positions into the dense storage, so probing
 //!   returns a borrowed `&[u32]` and the executor reads tuples in place —
 //!   no tuple collection is cloned on the probe path.
@@ -30,9 +30,14 @@
 //! Entries untouched for several Θ applications are evicted once the set
 //! grows past a watermark, bounding memory across long iterations that
 //! allocate fresh relations each round.
+//!
+//! Both owners keep their set in a `SharedIndexes`: readers build
+//! indexes under its lock, and a reader that panicked mid-build poisons
+//! it, so every access drops a poisoned set before trusting it.
 
 use inflog_core::{FxBuildHasher, Relation, Tuple};
 use std::collections::HashMap;
+use std::sync::{PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// Key-column set encoded as a bitmask (positions are small: they index
 /// into an atom's argument list). Columns ≥ 128 are never indexed.
@@ -143,6 +148,43 @@ pub struct IndexSet {
     tick: u64,
 }
 
+/// An [`IndexSet`] behind the lock its readers build under. A reader that
+/// panicked while building poisons the lock and may have left a torn
+/// index, which would serve wrong answers silently; indexes are derived
+/// data, so every access to a poisoned set drops it and clears the poison
+/// instead of trusting it.
+#[derive(Debug, Default)]
+pub(crate) struct SharedIndexes(RwLock<IndexSet>);
+
+impl SharedIndexes {
+    /// The shared read guard.
+    pub(crate) fn read(&self) -> RwLockReadGuard<'_, IndexSet> {
+        if let Ok(guard) = self.0.read() {
+            return guard;
+        }
+        drop(self.write());
+        self.0.read().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The exclusive write guard.
+    pub(crate) fn write(&self) -> RwLockWriteGuard<'_, IndexSet> {
+        self.0.write().unwrap_or_else(|poisoned| {
+            let mut set = poisoned.into_inner();
+            *set = IndexSet::default();
+            self.0.clear_poison();
+            set
+        })
+    }
+
+    /// The set itself, for a sole owner: no lock is taken.
+    pub(crate) fn get_mut(&mut self) -> &mut IndexSet {
+        if self.0.is_poisoned() {
+            self.0 = RwLock::default();
+        }
+        self.0.get_mut().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
 impl IndexSet {
     /// Marks the start of one Θ application; occasionally evicts indexes of
     /// relations that no longer participate (e.g. dead per-round deltas).
@@ -193,23 +235,20 @@ impl IndexSet {
         self.indexes.retain(|&(id, _), _| id != rel_id);
     }
 
-    /// Patches every index of `rel` after a [`Relation::remove_tracked`]
-    /// swap-remove: the posting for `removed` (at `removed_pos`) is dropped,
-    /// and the tuple that moved from `moved_from` (the old last position)
-    /// into `removed_pos` has its posting redirected. Indexes that were not
-    /// fully synchronized with the relation before the removal cannot be
-    /// patched positionally and are discarded instead (they rebuild on the
-    /// next [`ensure`](Self::ensure)).
+    /// Removes `t` from `rel` by [`Relation::remove_tracked`] and patches
+    /// every index of `rel` in place: the posting of `t` is dropped, and
+    /// the tuple the swap-remove moved from the old last position into
+    /// `t`'s has its posting redirected. An index that was not fully
+    /// synchronized with `rel` before the removal cannot be patched
+    /// positionally and is discarded instead (it rebuilds on the next
+    /// [`ensure`](Self::ensure)).
     ///
-    /// `old_len` is the relation's length *before* the removal.
-    pub fn patch_swap_remove(
-        &mut self,
-        rel: &Relation,
-        removed: &Tuple,
-        removed_pos: usize,
-        moved_from: usize,
-        old_len: usize,
-    ) {
+    /// Returns the two dense positions the swap-remove touched, for a
+    /// caller's rollback log ([`Relation::restore_swap_removed`]), or
+    /// `None` if `t` was absent.
+    pub fn remove_patched(&mut self, rel: &mut Relation, t: &Tuple) -> Option<(usize, usize)> {
+        let old_len = rel.len();
+        let (removed_pos, moved_from) = rel.remove_tracked(t)?;
         self.indexes.retain(|&(rel_id, _), ix| {
             if rel_id != rel.id() {
                 return true;
@@ -217,7 +256,7 @@ impl IndexSet {
             if ix.upto != old_len || ix.epoch != rel.shrink_epoch() {
                 return false; // not in sync: positional patching is unsound
             }
-            let drop_key = removed.project(&ix.cols);
+            let drop_key = t.project(&ix.cols);
             if let Some(postings) = ix.map.get_mut(&drop_key) {
                 if let Ok(p) = postings.binary_search(&(removed_pos as u32)) {
                     postings.remove(p);
@@ -239,6 +278,7 @@ impl IndexSet {
             ix.upto = rel.dense().len();
             true
         });
+        Some((removed_pos, moved_from))
     }
 
     /// Invariant check: every surviving index over `rel` is **sorted and
@@ -248,7 +288,7 @@ impl IndexSet {
     ///
     /// Probes iterate postings in position order, so a posting that went
     /// stale or out of order after a
-    /// [`patch_swap_remove`](Self::patch_swap_remove) or a `shrink_epoch`
+    /// [`remove_patched`](Self::remove_patched) or a `shrink_epoch`
     /// rollback would silently drop or misorder join matches. The sweep is
     /// `O(total postings)`, so it runs per *batch* of patches, not per patch
     /// (the incremental well-founded engine validates once per alternation
@@ -360,6 +400,14 @@ impl IndexSet {
 }
 
 #[cfg(test)]
+impl SharedIndexes {
+    /// The raw lock, so a test can poison it.
+    pub(crate) fn lock(&self) -> &RwLock<IndexSet> {
+        &self.0
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use inflog_core::Tuple;
@@ -462,9 +510,7 @@ mod tests {
         set.ensure(&r, &[0]);
         assert_eq!(set.probe(r.id(), &[0], &t(&[0])).unwrap().len(), 3);
         // Remove (0,2): (0,4) moves from position 3 into position 1.
-        let old_len = r.len();
-        let (rp, mp) = r.remove_tracked(&t(&[0, 2])).unwrap();
-        set.patch_swap_remove(&r, &t(&[0, 2]), rp, mp, old_len);
+        set.remove_patched(&mut r, &t(&[0, 2])).unwrap();
         let hits = set.probe(r.id(), &[0], &t(&[0])).unwrap();
         assert_eq!(hits.len(), 2);
         for &i in hits {
@@ -472,9 +518,7 @@ mod tests {
         }
         assert!(hits.windows(2).all(|w| w[0] < w[1]), "postings stay sorted");
         // Remove the last remaining (1,_) tuple: its bucket disappears.
-        let old_len = r.len();
-        let (rp, mp) = r.remove_tracked(&t(&[1, 3])).unwrap();
-        set.patch_swap_remove(&r, &t(&[1, 3]), rp, mp, old_len);
+        set.remove_patched(&mut r, &t(&[1, 3])).unwrap();
         assert_eq!(set.probe(r.id(), &[0], &t(&[1])).unwrap(), &[] as &[u32]);
         // The index keeps extending incrementally afterwards.
         r.union_with(&rel(&[&[0, 9]]));
@@ -491,9 +535,7 @@ mod tests {
         set.ensure(&r, &[0]);
         // Grow the relation *without* re-syncing the index, then remove.
         r.union_with(&rel(&[&[0, 3]]));
-        let old_len = r.len();
-        let (rp, mp) = r.remove_tracked(&t(&[0, 1])).unwrap();
-        set.patch_swap_remove(&r, &t(&[0, 1]), rp, mp, old_len);
+        set.remove_patched(&mut r, &t(&[0, 1])).unwrap();
         assert!(
             set.probe(r.id(), &[0], &t(&[0])).is_none(),
             "stale index must be dropped, not patched"
@@ -528,9 +570,7 @@ mod tests {
         set.ensure(&r, &[0]);
         set.debug_validate(&r);
         // Tracked removal in the middle: swap-remove patch.
-        let old_len = r.len();
-        let (rp, mp) = r.remove_tracked(&t(&[0, 2])).unwrap();
-        set.patch_swap_remove(&r, &t(&[0, 2]), rp, mp, old_len);
+        set.remove_patched(&mut r, &t(&[0, 2])).unwrap();
         set.debug_validate(&r);
         // Rollback to a watermark, then regrow and resync.
         let w = r.len();
@@ -542,9 +582,7 @@ mod tests {
         set.ensure(&r, &[0]);
         set.debug_validate(&r);
         // Another tracked removal right after the rollback.
-        let old_len = r.len();
-        let (rp, mp) = r.remove_tracked(&t(&[2, 5])).unwrap();
-        set.patch_swap_remove(&r, &t(&[2, 5]), rp, mp, old_len);
+        set.remove_patched(&mut r, &t(&[2, 5])).unwrap();
         set.debug_validate(&r);
     }
 
@@ -570,9 +608,7 @@ mod tests {
         // A tracked removal interleaved on the same relation: the patch
         // must drop the out-of-sync index (epoch mismatch) rather than
         // leave stale postings behind.
-        let old_len = r.len();
-        let (rp, mp) = r.remove_tracked(&t(&[1, 1])).unwrap();
-        set.patch_swap_remove(&r, &t(&[1, 1]), rp, mp, old_len);
+        set.remove_patched(&mut r, &t(&[1, 1])).unwrap();
         assert!(
             set.probe(r.id(), &[0], &t(&[1])).is_none(),
             "out-of-sync index must be dropped, not patched"

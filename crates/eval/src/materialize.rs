@@ -37,7 +37,7 @@
 //!      components wait for their component's turn.
 //!   3. *Delete*: the doomed tuples are swap-removed one by one with their
 //!      index postings patched
-//!      ([`IndexSet::patch_swap_remove`](crate::IndexSet)).
+//!      ([`IndexSet::remove_patched`](crate::IndexSet::remove_patched)).
 //!   4. *Top-up*: the instances the change *enables* — inserted facts
 //!      through positive EDB occurrences, retracted facts through negated
 //!      ones, plus lower components' additions (`PosDelta`) and removals

@@ -44,7 +44,7 @@
 
 use crate::exec::{self, ExecEnv};
 use crate::govern::Governor;
-use crate::index::IndexSet;
+use crate::index::{IndexSet, SharedIndexes};
 use crate::interp::Interp;
 use crate::plan::{CTerm, Plan, PredRef, Source, Step};
 use crate::resolve::{CompiledProgram, RulePlans};
@@ -53,7 +53,6 @@ use crate::tree;
 use crate::Result;
 use inflog_core::failpoints::SITE_INDEX_EXTEND;
 use inflog_core::{Const, Database, Relation, Tuple};
-use std::sync::{PoisonError, RwLock};
 
 /// Evaluation context: materialized EDB relations, the universe size, and
 /// the persistent hash-join indexes.
@@ -71,7 +70,7 @@ pub struct EvalContext {
     /// Persistent indexes, maintained across Θ applications. The lock lets
     /// the read-only evaluation entry points keep their `&EvalContext`
     /// signatures while the cache warms.
-    indexes: RwLock<IndexSet>,
+    indexes: SharedIndexes,
 }
 
 impl EvalContext {
@@ -83,46 +82,13 @@ impl EvalContext {
         Ok(EvalContext {
             edb: cp.edb_relations(db)?,
             universe_size: db.universe_size(),
-            indexes: RwLock::new(IndexSet::default()),
+            indexes: SharedIndexes::default(),
         })
     }
 
     /// Number of persistent indexes currently held (observability / tests).
     pub fn num_indexes(&self) -> usize {
-        self.read_indexes().len()
-    }
-
-    /// Takes the shared read guard, recovering from lock poisoning: the
-    /// index set is pure derived data, so if a writer panicked mid-update
-    /// the whole cache is dropped (and rebuilt lazily by the next
-    /// application's prepare step) instead of serving a possibly-torn index.
-    fn read_indexes(&self) -> std::sync::RwLockReadGuard<'_, IndexSet> {
-        match self.indexes.read() {
-            Ok(guard) => guard,
-            Err(_) => {
-                {
-                    let mut w = self.indexes.write().unwrap_or_else(PoisonError::into_inner);
-                    *w = IndexSet::default();
-                }
-                self.indexes.clear_poison();
-                self.indexes.read().unwrap_or_else(PoisonError::into_inner)
-            }
-        }
-    }
-
-    /// Takes the write guard, recovering from lock poisoning the same way
-    /// as [`read_indexes`](Self::read_indexes): clear the cache, clear the
-    /// poison flag, continue.
-    fn write_indexes(&self) -> std::sync::RwLockWriteGuard<'_, IndexSet> {
-        match self.indexes.write() {
-            Ok(guard) => guard,
-            Err(poisoned) => {
-                let mut guard = poisoned.into_inner();
-                *guard = IndexSet::default();
-                self.indexes.clear_poison();
-                guard
-            }
-        }
+        self.indexes.read().len()
     }
 
     /// Runs [`IndexSet::debug_validate`] over this context's indexes for
@@ -132,12 +98,11 @@ impl EvalContext {
     /// # Panics
     /// Panics if any index over `rel` violates the invariant.
     pub fn debug_validate_indexes(&self, rel: &Relation) {
-        self.read_indexes().debug_validate(rel);
+        self.indexes.read().debug_validate(rel);
     }
 
     /// Removes `t` from `rel` while keeping this context's indexes over it
-    /// consistent (patched in place, not rebuilt). Returns whether the tuple
-    /// was present.
+    /// consistent (patched in place, not rebuilt).
     ///
     /// This is the deletion primitive of the incremental well-founded
     /// engine: the decreasing side loses a handful of tuples per
@@ -149,18 +114,14 @@ impl EvalContext {
     /// removal with [`Relation::restore_swap_removed`], or `None` if the
     /// tuple was absent.
     pub(crate) fn remove_patched(&self, rel: &mut Relation, t: &Tuple) -> Option<(usize, usize)> {
-        let old_len = rel.len();
-        let (removed_pos, moved_from) = rel.remove_tracked(t)?;
-        self.write_indexes()
-            .patch_swap_remove(rel, t, removed_pos, moved_from, old_len);
-        Some((removed_pos, moved_from))
+        self.indexes.write().remove_patched(rel, t)
     }
 
     /// Drops every index over the relation id `rel_id`. For callers about to
     /// retire that id ([`Relation::refresh_id`]): nothing can probe the
     /// postings again, and each holds memory proportional to its relation.
     pub(crate) fn forget_indexes(&self, rel_id: u64) {
-        self.write_indexes().forget(rel_id);
+        self.indexes.write().forget(rel_id);
     }
 
     /// Removes `t` from the EDB relation `edb_id` while keeping the indexes
@@ -173,14 +134,9 @@ impl EvalContext {
         edb_id: usize,
         t: &Tuple,
     ) -> Option<(usize, usize)> {
-        let rel = &mut self.edb[edb_id];
-        let old_len = rel.len();
-        let (removed_pos, moved_from) = rel.remove_tracked(t)?;
         self.indexes
             .get_mut()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .patch_swap_remove(rel, t, removed_pos, moved_from, old_len);
-        Some((removed_pos, moved_from))
+            .remove_patched(&mut self.edb[edb_id], t)
     }
 }
 
@@ -192,7 +148,7 @@ impl Clone for EvalContext {
             // The warmed indexes are keyed by relation id and every cloned
             // relation gets a fresh id, so copying them would only carry
             // dead weight that misses on every probe — start empty.
-            indexes: RwLock::new(IndexSet::default()),
+            indexes: SharedIndexes::default(),
         }
     }
 }
@@ -436,11 +392,11 @@ pub fn enumerate_bindings(plan: &Plan, ctx: &EvalContext) -> Vec<Tuple> {
     let empty = Interp::from_relations(Vec::new());
     let mut out = Relation::new(plan.num_vars);
     {
-        let mut indexes = ctx.write_indexes();
+        let mut indexes = ctx.indexes.write();
         indexes.begin_application();
         prepare_plan(&mut indexes, plan, ctx, &empty);
     }
-    let indexes = ctx.read_indexes();
+    let indexes = ctx.indexes.read();
     let env = ExecEnv {
         ctx,
         s: &empty,
@@ -468,7 +424,7 @@ pub fn enumerate_bindings(plan: &Plan, ctx: &EvalContext) -> Vec<Tuple> {
 /// [`with_witnesses`] search; between searches, only relations that grew
 /// need to be (and are) consumed incrementally.
 pub(crate) fn sync_check_indexes(cp: &CompiledProgram, ctx: &EvalContext, s: &Interp) {
-    let mut indexes = ctx.write_indexes();
+    let mut indexes = ctx.indexes.write();
     indexes.begin_application();
     for rule in &cp.rules {
         prepare_plan(&mut indexes, &rule.check_plan, ctx, s);
@@ -500,7 +456,7 @@ pub(crate) fn with_witnesses<R>(
     neg: &Interp,
     search: impl FnOnce(&mut Witnesses<'_>) -> R,
 ) -> R {
-    let indexes = ctx.read_indexes();
+    let indexes = ctx.indexes.read();
     let env = ExecEnv {
         ctx,
         s,
@@ -640,7 +596,7 @@ fn run_into(
         g.fail_at(SITE_INDEX_EXTEND)?;
     }
     {
-        let mut indexes = ctx.write_indexes();
+        let mut indexes = ctx.indexes.write();
         indexes.begin_application();
         for &ri in selected {
             for plan in plans_of(cp, ri, opts.overrides, opts.plans) {
@@ -648,7 +604,7 @@ fn run_into(
             }
         }
     }
-    let indexes = ctx.read_indexes();
+    let indexes = ctx.indexes.read();
     let env = ExecEnv {
         ctx,
         s,
@@ -722,18 +678,7 @@ fn plans_of<'a>(
     overrides: Option<&'a [RulePlans]>,
     kind: PlanKind,
 ) -> &'a [Plan] {
-    match (overrides, kind) {
-        (Some(o), PlanKind::Full) => std::slice::from_ref(&o[ri].full),
-        (Some(o), PlanKind::PosDelta) => &o[ri].delta,
-        (Some(o), PlanKind::NegDelta) => &o[ri].neg_delta,
-        (Some(o), PlanKind::EdbDelta) => &o[ri].edb_delta,
-        (Some(o), PlanKind::EdbNegDelta) => &o[ri].edb_neg_delta,
-        (None, PlanKind::Full) => std::slice::from_ref(&cp.rules[ri].full_plan),
-        (None, PlanKind::PosDelta) => &cp.rules[ri].delta_plans,
-        (None, PlanKind::NegDelta) => &cp.rules[ri].neg_delta_plans,
-        (None, PlanKind::EdbDelta) => &cp.rules[ri].edb_delta_plans,
-        (None, PlanKind::EdbNegDelta) => &cp.rules[ri].edb_neg_delta_plans,
-    }
+    overrides.map_or(&cp.rules[ri].plans, |o| &o[ri]).of(kind)
 }
 
 #[cfg(test)]

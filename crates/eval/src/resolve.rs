@@ -10,6 +10,7 @@
 
 use crate::error::EvalError;
 use crate::interp::Interp;
+use crate::operator::PlanKind;
 use crate::plan::{
     plan_rule, plan_rule_neg_delta, plan_rule_prebound, CTerm, CardSnapshot, Plan, PredRef, RLit,
 };
@@ -32,7 +33,10 @@ pub struct RulePlans {
     pub full: Plan,
     /// Delta plans, one per positive IDB atom occurrence.
     pub delta: Vec<Plan>,
-    /// Neg-delta plans, one per negated IDB atom occurrence.
+    /// Neg-delta plans, one per negated IDB atom occurrence: the
+    /// occurrence scans a removed set (tuples that just left the frozen
+    /// negation context) instead of filtering. The incremental well-founded
+    /// engine drives `Γ`'s restart rounds with these.
     pub neg_delta: Vec<Plan>,
     /// EDB delta plans, one per positive EDB atom occurrence: that
     /// occurrence scans an EDB-shaped delta (the inserted facts), seeding
@@ -45,8 +49,20 @@ pub struct RulePlans {
     pub edb_neg_delta: Vec<Plan>,
 }
 
-/// One compiled rule: the full plan plus one delta plan per positive IDB
-/// atom occurrence (for semi-naive evaluation).
+impl RulePlans {
+    /// The plans an application of `kind` executes.
+    pub(crate) fn of(&self, kind: PlanKind) -> &[Plan] {
+        match kind {
+            PlanKind::Full => std::slice::from_ref(&self.full),
+            PlanKind::PosDelta => &self.delta,
+            PlanKind::NegDelta => &self.neg_delta,
+            PlanKind::EdbDelta => &self.edb_delta,
+            PlanKind::EdbNegDelta => &self.edb_neg_delta,
+        }
+    }
+}
+
+/// One compiled rule: its compile-time plan set and the check plan.
 #[derive(Debug, Clone)]
 pub struct CompiledRule {
     /// IDB id of the head predicate.
@@ -58,24 +74,9 @@ pub struct CompiledRule {
     pub body: Vec<RLit>,
     /// Number of variable slots in the rule.
     pub num_vars: usize,
-    /// Plan evaluating the whole body.
-    pub full_plan: Plan,
-    /// Delta plans, one per positive IDB atom occurrence in the body.
-    pub delta_plans: Vec<Plan>,
-    /// Neg-delta plans, one per **negated** IDB atom occurrence: the
-    /// occurrence scans a removed set (tuples that just left the frozen
-    /// negation context) instead of filtering. The incremental well-founded
-    /// engine drives `Γ`'s restart rounds with these.
-    pub neg_delta_plans: Vec<Plan>,
-    /// EDB delta plans, one per positive **EDB** atom occurrence: the
-    /// occurrence scans an EDB-shaped delta interpretation. The materialized
-    /// view repair path seeds its insertion top-up with these.
-    pub edb_delta_plans: Vec<Plan>,
-    /// EDB neg-delta plans, one per negated **EDB** atom occurrence, with
-    /// the same consume semantics as `neg_delta_plans`. The repair path
-    /// enumerates damage from retractions and new derivations enabled by
-    /// insertions through negated extensional literals with these.
-    pub edb_neg_delta_plans: Vec<Plan>,
+    /// The full, delta, neg-delta, EDB-delta and EDB-neg-delta plans,
+    /// planned against the compile-time cardinalities.
+    pub plans: RulePlans,
     /// Plan deciding one-step derivability of a given head tuple: the head
     /// variables are pre-bound, so body atoms probe the persistent indexes.
     pub check_plan: Plan,
@@ -340,11 +341,7 @@ impl CompiledProgram {
                 head_terms,
                 num_vars,
                 has_pos_idb: !plans.delta.is_empty(),
-                full_plan: plans.full,
-                delta_plans: plans.delta,
-                neg_delta_plans: plans.neg_delta,
-                edb_delta_plans: plans.edb_delta,
-                edb_neg_delta_plans: plans.edb_neg_delta,
+                plans,
                 check_plan,
                 src_index,
                 body,
@@ -483,18 +480,17 @@ fn dump_ir(rules: &[CompiledRule], idb_names: &[String]) {
         let emit = |label: &str, plan: &Plan| {
             eprintln!("-- rule {ri} ({head}) {label}\n{}", plan.program);
         };
-        emit("full", &rule.full_plan);
-        for (i, p) in rule.delta_plans.iter().enumerate() {
-            emit(&format!("delta[{i}]"), p);
-        }
-        for (i, p) in rule.neg_delta_plans.iter().enumerate() {
-            emit(&format!("neg_delta[{i}]"), p);
-        }
-        for (i, p) in rule.edb_delta_plans.iter().enumerate() {
-            emit(&format!("edb_delta[{i}]"), p);
-        }
-        for (i, p) in rule.edb_neg_delta_plans.iter().enumerate() {
-            emit(&format!("edb_neg_delta[{i}]"), p);
+        let plans = &rule.plans;
+        emit("full", &plans.full);
+        for (family, family_plans) in [
+            ("delta", &plans.delta),
+            ("neg_delta", &plans.neg_delta),
+            ("edb_delta", &plans.edb_delta),
+            ("edb_neg_delta", &plans.edb_neg_delta),
+        ] {
+            for (i, p) in family_plans.iter().enumerate() {
+                emit(&format!("{family}[{i}]"), p);
+            }
         }
         emit("check", &rule.check_plan);
     }
@@ -558,7 +554,7 @@ mod tests {
         assert_eq!(cp.idb_arities, vec![1]);
         assert_eq!(cp.rules.len(), 1);
         assert!(!cp.rules[0].has_pos_idb);
-        assert!(cp.rules[0].delta_plans.is_empty());
+        assert!(cp.rules[0].plans.delta.is_empty());
     }
 
     #[test]
@@ -567,7 +563,7 @@ mod tests {
         let cp = compile("S(x, y) :- E(x, y). S(x, y) :- E(x, z), S(z, y).", &db);
         assert!(!cp.rules[0].has_pos_idb);
         assert!(cp.rules[1].has_pos_idb);
-        assert_eq!(cp.rules[1].delta_plans.len(), 1);
+        assert_eq!(cp.rules[1].plans.delta.len(), 1);
     }
 
     #[test]

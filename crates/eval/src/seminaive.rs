@@ -116,7 +116,7 @@ mod tests {
         let src = "S(x, y) :- E(x, y). S(x, z) :- S(x, y), S(y, z).";
         let db = DiGraph::path(3).to_database("E");
         let cp = CompiledProgram::compile(&parse_program(src).unwrap(), &db).unwrap();
-        assert_eq!(cp.rules[1].delta_plans.len(), 2);
+        assert_eq!(cp.rules[1].plans.delta.len(), 2);
     }
 
     #[test]

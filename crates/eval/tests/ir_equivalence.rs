@@ -47,8 +47,8 @@ fn assert_vm_matches_tree(program: &Program, db: &Database, label: &str) {
 fn hoists(program: &Program, db: &Database) -> bool {
     let cp = CompiledProgram::compile(program, db).unwrap();
     cp.rules.iter().any(|r| {
-        std::iter::once(&r.full_plan)
-            .chain(&r.delta_plans)
+        std::iter::once(&r.plans.full)
+            .chain(&r.plans.delta)
             .any(|p| p.program.hoist.is_some())
     })
 }

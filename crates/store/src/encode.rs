@@ -122,9 +122,15 @@ impl<'a> Reader<'a> {
     }
 
     fn corrupt(&self, detail: impl Into<String>) -> StoreError {
+        self.corrupt_at(self.offset(), detail)
+    }
+
+    /// A [`StoreError::CorruptFrame`] in this reader's file at absolute
+    /// offset `offset`.
+    pub fn corrupt_at(&self, offset: u64, detail: impl Into<String>) -> StoreError {
         StoreError::CorruptFrame {
             path: self.path.clone(),
-            offset: self.offset(),
+            offset,
             detail: detail.into(),
         }
     }

@@ -6,10 +6,8 @@
 //! final, unacknowledged append of a crashed process) from hard corruption,
 //! and names the first corrupt byte offset so an operator can inspect it.
 
-use crate::encode::Reader;
-use crate::frame::{read_frame, FrameOutcome, FRAME_HEADER};
 use crate::snapshot::{list_snapshots, load_snapshot};
-use crate::wal::{WalRecord, WAL_FILE, WAL_MAGIC};
+use crate::wal::{self, WAL_FILE};
 use crate::StoreError;
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -80,75 +78,26 @@ impl FsckReport {
     }
 }
 
-/// Scans the WAL file without interpreting record contents beyond their
-/// epoch, checking checksums and the strictly-consecutive epoch invariant.
+/// Reads the WAL file with the scan recovery runs ([`wal::scan`]), so fsck
+/// passes exactly the logs recovery accepts.
 fn check_wal(path: &Path) -> WalCheck {
-    let mut check = WalCheck {
+    let scan = match StoreError::ctx(path, "read", fs::read(path)) {
+        Ok(bytes) => wal::scan(&bytes, &path.display().to_string()),
+        Err(e) => wal::WalScan {
+            records: Vec::new(),
+            valid_len: 0,
+            torn_tail: None,
+            error: Some(e),
+        },
+    };
+    WalCheck {
         path: path.to_path_buf(),
-        records: 0,
-        first_epoch: None,
-        last_epoch: None,
-        torn_tail: None,
-        error: None,
-        valid_len: 0,
-    };
-    let bytes = match StoreError::ctx(path, "read", fs::read(path)) {
-        Ok(b) => b,
-        Err(e) => {
-            check.error = Some(e);
-            return check;
-        }
-    };
-    let shown = path.display().to_string();
-    if bytes.len() < 12 || &bytes[..8] != WAL_MAGIC {
-        check.error = Some(StoreError::BadHeader {
-            path: shown,
-            detail: "missing WAL magic".to_string(),
-        });
-        return check;
-    }
-    let mut off = 12;
-    check.valid_len = 12;
-    loop {
-        match read_frame(&bytes, off, &shown) {
-            Ok(FrameOutcome::Ok { payload, next }) => {
-                let reader = Reader::new(payload, (off + FRAME_HEADER) as u64, &shown);
-                match WalRecord::decode(reader) {
-                    Ok(rec) => {
-                        if let Some(prev) = check.last_epoch {
-                            if rec.epoch != prev + 1 {
-                                check.error = Some(StoreError::MissingEpochs {
-                                    path: shown,
-                                    expected: prev + 1,
-                                    found: rec.epoch,
-                                });
-                                return check;
-                            }
-                        }
-                        if check.first_epoch.is_none() {
-                            check.first_epoch = Some(rec.epoch);
-                        }
-                        check.last_epoch = Some(rec.epoch);
-                        check.records += 1;
-                        off = next;
-                        check.valid_len = next as u64;
-                    }
-                    Err(e) => {
-                        check.error = Some(e);
-                        return check;
-                    }
-                }
-            }
-            Ok(FrameOutcome::Eof) => return check,
-            Ok(FrameOutcome::TornTail { offset }) => {
-                check.torn_tail = Some(offset as u64);
-                return check;
-            }
-            Err(e) => {
-                check.error = Some(e);
-                return check;
-            }
-        }
+        records: scan.records.len(),
+        first_epoch: scan.records.first().map(|r| r.epoch),
+        last_epoch: scan.records.last().map(|r| r.epoch),
+        torn_tail: scan.torn_tail,
+        error: scan.error,
+        valid_len: scan.valid_len,
     }
 }
 

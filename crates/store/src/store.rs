@@ -110,32 +110,18 @@ impl Store {
             )
         };
 
-        // Records must be strictly consecutive; records at or below the
-        // snapshot epoch are already folded into it (they survive a crash
-        // between compaction's snapshot write and its WAL reset) and are
-        // skipped.
-        let wal_shown = wal_path.display().to_string();
-        let mut replay = Vec::new();
-        let mut prev: Option<u64> = None;
-        for rec in records {
-            if let Some(p) = prev {
-                if rec.epoch != p + 1 {
-                    return Err(StoreError::MissingEpochs {
-                        path: wal_shown,
-                        expected: p + 1,
-                        found: rec.epoch,
-                    });
-                }
-            }
-            prev = Some(rec.epoch);
-            if rec.epoch > state.epoch {
-                replay.push(rec);
-            }
-        }
+        // The scan checked that records are strictly consecutive; records
+        // at or below the snapshot epoch are already folded into it (they
+        // survive a crash between compaction's snapshot write and its WAL
+        // reset) and are skipped.
+        let replay: Vec<WalRecord> = records
+            .into_iter()
+            .filter(|rec| rec.epoch > state.epoch)
+            .collect();
         if let Some(first) = replay.first() {
             if first.epoch != state.epoch + 1 {
                 return Err(StoreError::MissingEpochs {
-                    path: wal_shown,
+                    path: wal_path.display().to_string(),
                     expected: state.epoch + 1,
                     found: first.epoch,
                 });

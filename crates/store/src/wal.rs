@@ -84,11 +84,8 @@ impl WalRecord {
             1 => WalOp::Insert,
             2 => WalOp::Retract,
             other => {
-                return Err(StoreError::CorruptFrame {
-                    path: String::new(),
-                    offset: r.offset().saturating_sub(1),
-                    detail: format!("unknown WAL op tag {other}"),
-                })
+                let at = r.offset() - 1;
+                return Err(r.corrupt_at(at, format!("unknown WAL op tag {other}")));
             }
         };
         // A fact is at least a name length and an arity: 8 bytes.
@@ -121,6 +118,79 @@ fn header_bytes() -> Vec<u8> {
     bytes.extend_from_slice(WAL_MAGIC);
     bytes.extend_from_slice(&WAL_VERSION.to_le_bytes());
     bytes
+}
+
+/// What [`scan`] read from a WAL file: the one reading of the log that
+/// recovery ([`Wal::open`]) and `fsck` share.
+#[derive(Debug)]
+pub struct WalScan {
+    /// The records before the first problem, in file order; their epochs
+    /// are strictly consecutive.
+    pub records: Vec<WalRecord>,
+    /// The offset just past the last of `records` — the 12-byte header
+    /// alone when there are none, 0 when even the header is unusable.
+    pub valid_len: u64,
+    /// Where an incomplete final frame starts, if the scan stopped at one.
+    pub torn_tail: Option<u64>,
+    /// The first hard error: a bad header, a checksum failure, a record
+    /// that does not decode, or an epoch that does not follow its
+    /// predecessor's.
+    pub error: Option<StoreError>,
+}
+
+/// Reads the WAL image `bytes` of the file `path`: the header, then every
+/// frame, decoded, up to the end of file, a torn final frame or the first
+/// hard error.
+pub fn scan(bytes: &[u8], path: &str) -> WalScan {
+    let mut scan = WalScan {
+        records: Vec::new(),
+        valid_len: 0,
+        torn_tail: None,
+        error: None,
+    };
+    if let Err(e) = scan_into(&mut scan, bytes, path) {
+        scan.error = Some(e);
+    }
+    scan
+}
+
+fn scan_into(scan: &mut WalScan, bytes: &[u8], path: &str) -> Result<(), StoreError> {
+    let header = header_bytes();
+    let bad_header = |detail: &str| StoreError::BadHeader {
+        path: path.to_string(),
+        detail: detail.to_string(),
+    };
+    if bytes.len() < header.len() || bytes[..8] != header[..8] {
+        return Err(bad_header("missing WAL magic"));
+    }
+    if bytes[8..12] != header[8..12] {
+        return Err(bad_header("unsupported WAL version"));
+    }
+    let mut off = header.len();
+    scan.valid_len = off as u64;
+    loop {
+        let (payload, next) = match read_frame(bytes, off, path)? {
+            FrameOutcome::Ok { payload, next } => (payload, next),
+            FrameOutcome::Eof => return Ok(()),
+            FrameOutcome::TornTail { offset } => {
+                scan.torn_tail = Some(offset as u64);
+                return Ok(());
+            }
+        };
+        let rec = WalRecord::decode(Reader::new(payload, (off + FRAME_HEADER) as u64, path))?;
+        if let Some(prev) = scan.records.last() {
+            if prev.epoch.checked_add(1) != Some(rec.epoch) {
+                return Err(StoreError::MissingEpochs {
+                    path: path.to_string(),
+                    expected: prev.epoch.saturating_add(1),
+                    found: rec.epoch,
+                });
+            }
+        }
+        scan.records.push(rec);
+        off = next;
+        scan.valid_len = off as u64;
+    }
 }
 
 impl Wal {
@@ -158,55 +228,24 @@ impl Wal {
         })
     }
 
-    /// Opens an existing log, scanning every record.
+    /// Opens an existing log, reading every record by [`scan`].
     ///
     /// A torn tail (incomplete final frame) is truncated away — under the
-    /// log-first protocol it can only be an unacknowledged append. A checksum
-    /// failure anywhere is a hard [`StoreError::CorruptFrame`].
+    /// log-first protocol it can only be an unacknowledged append. A hard
+    /// error anywhere fails the open: a checksum failure is a
+    /// [`StoreError::CorruptFrame`], an epoch gap a
+    /// [`StoreError::MissingEpochs`].
     pub fn open(
         path: &Path,
         durability: Durability,
         failpoints: Failpoints,
     ) -> Result<(Wal, Vec<WalRecord>), StoreError> {
         let bytes = StoreError::ctx(path, "read", fs::read(path))?;
-        let shown = path.display().to_string();
-        let header = header_bytes();
-        if bytes.len() < header.len() || bytes[..8] != header[..8] {
-            return Err(StoreError::BadHeader {
-                path: shown,
-                detail: "missing WAL magic".to_string(),
-            });
+        let scan = scan(&bytes, &path.display().to_string());
+        if let Some(e) = scan.error {
+            return Err(e);
         }
-        if bytes[8..12] != header[8..12] {
-            return Err(StoreError::BadHeader {
-                path: shown,
-                detail: "unsupported WAL version".to_string(),
-            });
-        }
-        let mut records = Vec::new();
-        let mut off = header.len();
-        let valid_len = loop {
-            match read_frame(&bytes, off, &shown)? {
-                FrameOutcome::Ok { payload, next } => {
-                    let reader = Reader::new(payload, (off + FRAME_HEADER) as u64, &shown);
-                    let rec = WalRecord::decode(reader).map_err(|e| match e {
-                        // decode() errors carry an empty path for op tags.
-                        StoreError::CorruptFrame { offset, detail, .. } => {
-                            StoreError::CorruptFrame {
-                                path: shown.clone(),
-                                offset,
-                                detail,
-                            }
-                        }
-                        other => other,
-                    })?;
-                    records.push(rec);
-                    off = next;
-                }
-                FrameOutcome::Eof => break off as u64,
-                FrameOutcome::TornTail { offset } => break offset as u64,
-            }
-        };
+        let valid_len = scan.valid_len;
         let file = StoreError::ctx(
             path,
             "open",
@@ -227,7 +266,7 @@ impl Wal {
                 durability,
                 failpoints,
             },
-            records,
+            scan.records,
         ))
     }
 

@@ -15,7 +15,7 @@
 
 use inflog_core::{Database, Tuple};
 use inflog_store::encode::Reader;
-use inflog_store::frame::FRAME_HEADER;
+use inflog_store::frame::{frame_bytes, FRAME_HEADER};
 use inflog_store::snapshot::{load_snapshot, FORMAT_VERSION};
 use inflog_store::wal::WAL_FILE;
 use inflog_store::{
@@ -184,6 +184,63 @@ fn scratch_copy(fixture: &str, name: &str) -> PathBuf {
         fs::copy(entry.path(), dst.join(entry.file_name())).unwrap();
     }
     dst
+}
+
+/// fsck and recovery both refuse `dir`, with the same first error, which
+/// is returned.
+fn fsck_and_recovery_agree(dir: &Path) -> StoreError {
+    let report = fsck(dir).unwrap();
+    let found = report.first_error().cloned().expect("fsck passed the log");
+    let err = Store::open(dir, &StoreOptions::default()).unwrap_err();
+    assert_eq!(found, err, "fsck and recovery disagree");
+    found
+}
+
+#[test]
+fn fsck_refuses_a_wal_version_recovery_refuses() {
+    let dir = scratch_copy("valid", "wal_version");
+    let wal = dir.join(WAL_FILE);
+    let mut bytes = fs::read(&wal).unwrap();
+    bytes[8] = 2;
+    fs::write(&wal, bytes).unwrap();
+    match fsck_and_recovery_agree(&dir) {
+        StoreError::BadHeader { detail, .. } => assert_eq!(detail, "unsupported WAL version"),
+        other => panic!("expected BadHeader, got {other:?}"),
+    }
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_store_fsck"))
+        .arg(&dir)
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+}
+
+#[test]
+fn fsck_names_the_wal_on_an_unknown_op_tag() {
+    // One checksum-valid frame whose op tag (after the u64 epoch) is 9.
+    let dir = scratch_copy("valid", "wal_op_tag");
+    let wal = dir.join(WAL_FILE);
+    let mut payload = WalRecord {
+        epoch: 1,
+        op: WalOp::Insert,
+        facts: vec![("E".to_string(), Tuple::from_ids(&[0, 2]))],
+    }
+    .encode();
+    payload[8] = 9;
+    let mut bytes = fs::read(&wal).unwrap()[..WAL_HEADER as usize].to_vec();
+    bytes.extend_from_slice(&frame_bytes(&payload));
+    fs::write(&wal, bytes).unwrap();
+    match fsck_and_recovery_agree(&dir) {
+        StoreError::CorruptFrame {
+            path,
+            offset,
+            detail,
+        } => {
+            assert_eq!(path, wal.display().to_string());
+            assert_eq!(offset, WAL_HEADER + FRAME_HEADER as u64 + 8);
+            assert_eq!(detail, "unknown WAL op tag 9");
+        }
+        other => panic!("expected CorruptFrame, got {other:?}"),
+    }
 }
 
 #[test]
